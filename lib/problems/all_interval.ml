@@ -3,11 +3,6 @@ type t = {
   x : int array;
   counts : int array;  (* counts.(d) = occurrences of difference d, d in 1..n-1 *)
   mutable cost : int;  (* sum over d of max(0, counts.(d) - 1) *)
-  (* Per-instance scratch (instances run on parallel domains, so no module-
-     level mutable state). *)
-  scratch_idx : int array;
-  scratch_old : int array;
-  scratch_new : int array;
 }
 
 let name = "all-interval"
@@ -37,9 +32,6 @@ let create n =
       x = Array.init n (fun i -> i);
       counts = Array.make n 0;
       cost = 0;
-      scratch_idx = Array.make 4 0;
-      scratch_old = Array.make 4 0;
-      scratch_new = Array.make 4 0;
     }
   in
   rebuild t;
@@ -55,73 +47,52 @@ let var_error t i =
   if i < t.n - 1 then e := !e + surplus t (abs (t.x.(i) - t.x.(i + 1)));
   !e
 
-(* The (at most four) difference indices whose value changes when positions
-   [i] and [j] are swapped; writes them into the scratch and returns how
-   many. *)
-let affected t i j =
-  let buf = t.scratch_idx in
-  let m = ref 0 in
-  let add k =
-    if k >= 0 && k <= t.n - 2 then begin
-      let dup = ref false in
-      for s = 0 to !m - 1 do
-        if buf.(s) = k then dup := true
-      done;
-      if not !dup then begin
-        buf.(!m) <- k;
-        incr m
-      end
-    end
-  in
-  add (i - 1);
-  add i;
-  add (j - 1);
-  add j;
-  !m
-
-(* Shared simulate/commit: walk the affected differences, remove the old
-   values from [counts] and add the new ones, tracking the cost delta.  When
-   not committing, the count updates are rolled back before returning. *)
-let eval_swap t i j ~commit =
-  let value_at k = if k = i then t.x.(j) else if k = j then t.x.(i) else t.x.(k) in
-  let m = affected t i j in
-  for s = 0 to m - 1 do
-    let k = t.scratch_idx.(s) in
-    t.scratch_old.(s) <- abs (t.x.(k) - t.x.(k + 1));
-    t.scratch_new.(s) <- abs (value_at k - value_at (k + 1))
-  done;
+(* Swapping positions [lo < hi] changes the differences at [lo-1], [lo],
+   [hi-1] and [hi] (when in range).  Only [lo] and [hi-1] can coincide, when
+   [hi = lo + 1]: that difference is scored once, as [lo], and keeps its
+   value.  The old values are removed from [counts] and the new ones added,
+   tracking the cost delta; unless committing, the counts are then rolled
+   back. *)
+let eval_swap t lo hi ~commit =
+  let x = t.x and counts = t.counts in
+  let xlo = x.(lo) and xhi = x.(hi) in
+  let has1 = lo > 0 and has3 = hi - 1 <> lo and has4 = hi < t.n - 1 in
+  let old1 = if has1 then abs (x.(lo - 1) - xlo) else 0 in
+  let new1 = if has1 then abs (x.(lo - 1) - xhi) else 0 in
+  let old2 = abs (xlo - x.(lo + 1)) in
+  let new2 = if has3 then abs (xhi - x.(lo + 1)) else old2 in
+  let old3 = if has3 then abs (x.(hi - 1) - xhi) else 0 in
+  let new3 = if has3 then abs (x.(hi - 1) - xlo) else 0 in
+  let old4 = if has4 then abs (xhi - x.(hi + 1)) else 0 in
+  let new4 = if has4 then abs (xlo - x.(hi + 1)) else 0 in
   let delta = ref 0 in
-  for s = 0 to m - 1 do
-    let d = t.scratch_old.(s) in
-    if t.counts.(d) > 1 then decr delta;
-    t.counts.(d) <- t.counts.(d) - 1
-  done;
-  for s = 0 to m - 1 do
-    let d = t.scratch_new.(s) in
-    if t.counts.(d) >= 1 then incr delta;
-    t.counts.(d) <- t.counts.(d) + 1
-  done;
+  if has1 then delta := !delta + Surplus.remove counts old1;
+  delta := !delta + Surplus.remove counts old2;
+  if has3 then delta := !delta + Surplus.remove counts old3;
+  if has4 then delta := !delta + Surplus.remove counts old4;
+  if has1 then delta := !delta + Surplus.add counts new1;
+  delta := !delta + Surplus.add counts new2;
+  if has3 then delta := !delta + Surplus.add counts new3;
+  if has4 then delta := !delta + Surplus.add counts new4;
   let new_cost = t.cost + !delta in
   if commit then begin
     t.cost <- new_cost;
-    let tmp = t.x.(i) in
-    t.x.(i) <- t.x.(j);
-    t.x.(j) <- tmp
+    x.(lo) <- xhi;
+    x.(hi) <- xlo
   end
   else begin
-    for s = 0 to m - 1 do
-      let d = t.scratch_new.(s) in
-      t.counts.(d) <- t.counts.(d) - 1
-    done;
-    for s = 0 to m - 1 do
-      let d = t.scratch_old.(s) in
-      t.counts.(d) <- t.counts.(d) + 1
-    done
+    if has1 then (counts.(new1) <- counts.(new1) - 1; counts.(old1) <- counts.(old1) + 1);
+    counts.(new2) <- counts.(new2) - 1;
+    counts.(old2) <- counts.(old2) + 1;
+    if has3 then (counts.(new3) <- counts.(new3) - 1; counts.(old3) <- counts.(old3) + 1);
+    if has4 then (counts.(new4) <- counts.(new4) - 1; counts.(old4) <- counts.(old4) + 1)
   end;
   new_cost
 
-let cost_after_swap t i j = eval_swap t i j ~commit:false
-let do_swap t i j = ignore (eval_swap t i j ~commit:true)
+let cost_after_swap t i j =
+  if i = j then t.cost else eval_swap t (Int.min i j) (Int.max i j) ~commit:false
+
+let do_swap t i j = if i <> j then ignore (eval_swap t (Int.min i j) (Int.max i j) ~commit:true)
 
 let check x =
   let n = Array.length x in

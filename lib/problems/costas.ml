@@ -6,11 +6,6 @@ type t = {
   width : int;            (* 2n - 1 possible difference values per row *)
   mutable cost : int;
   err : int array;        (* per-variable projected error, kept up to date *)
-  (* Scratch for eval_swap (per instance: domains run in parallel). *)
-  pair_a : int array;     (* left endpoints of affected pairs *)
-  pair_d : int array;     (* triangle row of affected pairs *)
-  old_v : int array;
-  new_v : int array;
 }
 
 let name = "costas-array"
@@ -55,7 +50,6 @@ let set_config t cfg =
 let create n =
   if n < 3 then invalid_arg "Costas.create: n must be >= 3";
   let width = (2 * n) - 1 in
-  let max_pairs = 4 * (n - 1) in
   let t =
     {
       n;
@@ -64,10 +58,6 @@ let create n =
       width;
       cost = 0;
       err = Array.make n 0;
-      pair_a = Array.make max_pairs 0;
-      pair_d = Array.make max_pairs 0;
-      old_v = Array.make max_pairs 0;
-      new_v = Array.make max_pairs 0;
     }
   in
   rebuild t;
@@ -75,78 +65,60 @@ let create n =
 
 let var_error t i = t.err.(i)
 
-(* Collect the difference-triangle entries that change when positions [i]
-   and [j] swap: for each row [d], the pairs with a left endpoint in
-   {i-d, i, j-d, j} that are valid and involve i or j.  Returns the number
-   of distinct pairs collected into the scratch arrays. *)
-let collect_affected t i j =
-  let m = ref 0 in
-  for d = 1 to t.n - 1 do
-    let add a =
-      if a >= 0 && a + d < t.n then begin
-        (* A pair is identified by (a, d); the four candidates can collide
-           (e.g. j = i + d), so check the ones already added for this d. *)
-        let dup = ref false in
-        let s = ref (!m - 1) in
-        while (not !dup) && !s >= 0 && t.pair_d.(!s) = d do
-          if t.pair_a.(!s) = a then dup := true;
-          decr s
-        done;
-        if not !dup then begin
-          t.pair_a.(!m) <- a;
-          t.pair_d.(!m) <- d;
-          incr m
-        end
-      end
-    in
-    add (i - d);
-    add i;
-    add (j - d);
-    add j
-  done;
-  !m
-
-let eval_swap t i j ~commit =
-  let value_at k = if k = i then t.x.(j) else if k = j then t.x.(i) else t.x.(k) in
-  let m = collect_affected t i j in
-  for s = 0 to m - 1 do
-    let a = t.pair_a.(s) and d = t.pair_d.(s) in
-    t.old_v.(s) <- t.x.(a + d) - t.x.(a);
-    t.new_v.(s) <- value_at (a + d) - value_at a
-  done;
+(* Swapping positions [lo < hi] changes, in each triangle row [d], the pairs
+   whose left end is [lo-d], [lo], [hi-d] or [hi] (when in range).  Only
+   [lo] and [hi-d] can coincide, when [hi - lo = d]: that pair (lo, hi) is
+   scored once, as pair [lo], with both ends swapped.  Rows own disjoint
+   ranges of [counts], so each row removes its old differences, adds the
+   new ones and, unless committing, rolls itself back before the next. *)
+let eval_swap t lo hi ~commit =
+  let n = t.n and x = t.x and counts = t.counts in
+  let xlo = x.(lo) and xhi = x.(hi) in
   let delta = ref 0 in
-  for s = 0 to m - 1 do
-    let k = idx t t.pair_d.(s) t.old_v.(s) in
-    if t.counts.(k) > 1 then decr delta;
-    t.counts.(k) <- t.counts.(k) - 1
-  done;
-  for s = 0 to m - 1 do
-    let k = idx t t.pair_d.(s) t.new_v.(s) in
-    if t.counts.(k) >= 1 then incr delta;
-    t.counts.(k) <- t.counts.(k) + 1
+  for d = 1 to n - 1 do
+    let base = ((d - 1) * t.width) + n - 1 in
+    let has1 = lo - d >= 0 and has2 = lo + d < n in
+    let has3 = hi - d >= 0 && hi - d <> lo and has4 = hi + d < n in
+    let old1 = if has1 then base + xlo - x.(lo - d) else 0 in
+    let new1 = if has1 then base + xhi - x.(lo - d) else 0 in
+    let old2 = if has2 then base + x.(lo + d) - xlo else 0 in
+    let new2 =
+      if not has2 then 0 else if lo + d = hi then base + xlo - xhi else base + x.(lo + d) - xhi
+    in
+    let old3 = if has3 then base + xhi - x.(hi - d) else 0 in
+    let new3 = if has3 then base + xlo - x.(hi - d) else 0 in
+    let old4 = if has4 then base + x.(hi + d) - xhi else 0 in
+    let new4 = if has4 then base + x.(hi + d) - xlo else 0 in
+    let r = ref 0 in
+    if has1 then r := !r + Surplus.remove counts old1;
+    if has2 then r := !r + Surplus.remove counts old2;
+    if has3 then r := !r + Surplus.remove counts old3;
+    if has4 then r := !r + Surplus.remove counts old4;
+    if has1 then r := !r + Surplus.add counts new1;
+    if has2 then r := !r + Surplus.add counts new2;
+    if has3 then r := !r + Surplus.add counts new3;
+    if has4 then r := !r + Surplus.add counts new4;
+    delta := !delta + !r;
+    if not commit then begin
+      if has1 then (counts.(new1) <- counts.(new1) - 1; counts.(old1) <- counts.(old1) + 1);
+      if has2 then (counts.(new2) <- counts.(new2) - 1; counts.(old2) <- counts.(old2) + 1);
+      if has3 then (counts.(new3) <- counts.(new3) - 1; counts.(old3) <- counts.(old3) + 1);
+      if has4 then (counts.(new4) <- counts.(new4) - 1; counts.(old4) <- counts.(old4) + 1)
+    end
   done;
   let new_cost = t.cost + !delta in
   if commit then begin
     t.cost <- new_cost;
-    let tmp = t.x.(i) in
-    t.x.(i) <- t.x.(j);
-    t.x.(j) <- tmp;
+    x.(lo) <- xhi;
+    x.(hi) <- xlo;
     rebuild_errors t
-  end
-  else begin
-    for s = 0 to m - 1 do
-      let k = idx t t.pair_d.(s) t.new_v.(s) in
-      t.counts.(k) <- t.counts.(k) - 1
-    done;
-    for s = 0 to m - 1 do
-      let k = idx t t.pair_d.(s) t.old_v.(s) in
-      t.counts.(k) <- t.counts.(k) + 1
-    done
   end;
   new_cost
 
-let cost_after_swap t i j = if i = j then t.cost else eval_swap t i j ~commit:false
-let do_swap t i j = if i <> j then ignore (eval_swap t i j ~commit:true)
+let cost_after_swap t i j =
+  if i = j then t.cost else eval_swap t (Int.min i j) (Int.max i j) ~commit:false
+
+let do_swap t i j = if i <> j then ignore (eval_swap t (Int.min i j) (Int.max i j) ~commit:true)
 
 let check x =
   let n = Array.length x in

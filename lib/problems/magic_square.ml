@@ -3,6 +3,10 @@ type t = {
   nn : int;           (* n * n, number of variables *)
   magic : int;        (* n (n² + 1) / 2 *)
   x : int array;      (* permutation of 0 .. nn-1; cell value = x.(i) + 1 *)
+  row : int array;    (* row.(i) = i / n *)
+  col : int array;    (* col.(i) = i mod n *)
+  on_diag : bool array;  (* cell i is on the main diagonal *)
+  on_anti : bool array;  (* cell i is on the anti-diagonal *)
   row_sum : int array;
   col_sum : int array;
   mutable diag_sum : int;      (* main diagonal, r = c *)
@@ -14,11 +18,6 @@ let name = "magic-square"
 let size t = t.nn
 let config t = t.x
 let cost t = t.cost
-
-let row t i = i / t.n
-let col t i = i mod t.n
-let on_diag t i = row t i = col t i
-let on_anti t i = row t i + col t i = t.n - 1
 
 let line_cost t =
   let c = ref 0 in
@@ -38,10 +37,10 @@ let rebuild t =
   t.anti_sum <- 0;
   for i = 0 to t.nn - 1 do
     let v = t.x.(i) + 1 in
-    t.row_sum.(row t i) <- t.row_sum.(row t i) + v;
-    t.col_sum.(col t i) <- t.col_sum.(col t i) + v;
-    if on_diag t i then t.diag_sum <- t.diag_sum + v;
-    if on_anti t i then t.anti_sum <- t.anti_sum + v
+    t.row_sum.(t.row.(i)) <- t.row_sum.(t.row.(i)) + v;
+    t.col_sum.(t.col.(i)) <- t.col_sum.(t.col.(i)) + v;
+    if t.on_diag.(i) then t.diag_sum <- t.diag_sum + v;
+    if t.on_anti.(i) then t.anti_sum <- t.anti_sum + v
   done;
   t.cost <- line_cost t
 
@@ -59,6 +58,10 @@ let create n =
       nn;
       magic = n * (nn + 1) / 2;
       x = Array.init nn (fun i -> i);
+      row = Array.init nn (fun i -> i / n);
+      col = Array.init nn (fun i -> i mod n);
+      on_diag = Array.init nn (fun i -> i / n = i mod n);
+      on_anti = Array.init nn (fun i -> (i / n) + (i mod n) = n - 1);
       row_sum = Array.make n 0;
       col_sum = Array.make n 0;
       diag_sum = 0;
@@ -70,48 +73,46 @@ let create n =
   t
 
 let var_error t i =
-  let e = ref (abs (t.row_sum.(row t i) - t.magic) + abs (t.col_sum.(col t i) - t.magic)) in
-  if on_diag t i then e := !e + abs (t.diag_sum - t.magic);
-  if on_anti t i then e := !e + abs (t.anti_sum - t.magic);
-  !e
+  let e = abs (t.row_sum.(t.row.(i)) - t.magic) + abs (t.col_sum.(t.col.(i)) - t.magic) in
+  let e = if t.on_diag.(i) then e + abs (t.diag_sum - t.magic) else e in
+  if t.on_anti.(i) then e + abs (t.anti_sum - t.magic) else e
 
-(* Cost change from moving value difference [d] into cell [j] and out of
-   cell [i] (i.e. swapping): only lines containing exactly one of the two
-   cells change their sum. *)
+(* [acc] updated for a line whose sum moves from [sum] to [sum + delta]. *)
+let adjust magic sum delta acc = acc - abs (sum - magic) + abs (sum + delta - magic)
+
+(* Swapping cells [i] and [j] adds d = x_j - x_i to every line through i
+   and subtracts it from every line through j; a line through both is
+   unchanged. *)
 let cost_after_swap t i j =
   if i = j then t.cost
   else begin
-    let d = t.x.(j) - t.x.(i) in
-    (* d is added to every line through i and subtracted from every line
-       through j; a line through both is unchanged. *)
-    let adjust sum_before delta acc =
-      acc - abs (sum_before - t.magic) + abs (sum_before + delta - t.magic)
+    let d = t.x.(j) - t.x.(i) and m = t.magic in
+    let ri = t.row.(i) and rj = t.row.(j) in
+    let ci = t.col.(i) and cj = t.col.(j) in
+    let acc = t.cost in
+    let acc =
+      if ri <> rj then adjust m t.row_sum.(rj) (-d) (adjust m t.row_sum.(ri) d acc) else acc
     in
-    let acc = ref t.cost in
-    let ri = row t i and rj = row t j in
-    let ci = col t i and cj = col t j in
-    if ri <> rj then begin
-      acc := adjust t.row_sum.(ri) d !acc;
-      acc := adjust t.row_sum.(rj) (-d) !acc
-    end;
-    if ci <> cj then begin
-      acc := adjust t.col_sum.(ci) d !acc;
-      acc := adjust t.col_sum.(cj) (-d) !acc
-    end;
-    let di = on_diag t i and dj = on_diag t j in
-    if di && not dj then acc := adjust t.diag_sum d !acc
-    else if dj && not di then acc := adjust t.diag_sum (-d) !acc;
-    let ai = on_anti t i and aj = on_anti t j in
-    if ai && not aj then acc := adjust t.anti_sum d !acc
-    else if aj && not ai then acc := adjust t.anti_sum (-d) !acc;
-    !acc
+    let acc =
+      if ci <> cj then adjust m t.col_sum.(cj) (-d) (adjust m t.col_sum.(ci) d acc) else acc
+    in
+    let di = t.on_diag.(i) and dj = t.on_diag.(j) in
+    let acc =
+      if di && not dj then adjust m t.diag_sum d acc
+      else if dj && not di then adjust m t.diag_sum (-d) acc
+      else acc
+    in
+    let ai = t.on_anti.(i) and aj = t.on_anti.(j) in
+    if ai && not aj then adjust m t.anti_sum d acc
+    else if aj && not ai then adjust m t.anti_sum (-d) acc
+    else acc
   end
 
 let do_swap t i j =
   if i <> j then begin
     let d = t.x.(j) - t.x.(i) in
-    let ri = row t i and rj = row t j in
-    let ci = col t i and cj = col t j in
+    let ri = t.row.(i) and rj = t.row.(j) in
+    let ci = t.col.(i) and cj = t.col.(j) in
     if ri <> rj then begin
       t.row_sum.(ri) <- t.row_sum.(ri) + d;
       t.row_sum.(rj) <- t.row_sum.(rj) - d
@@ -120,10 +121,10 @@ let do_swap t i j =
       t.col_sum.(ci) <- t.col_sum.(ci) + d;
       t.col_sum.(cj) <- t.col_sum.(cj) - d
     end;
-    let di = on_diag t i and dj = on_diag t j in
+    let di = t.on_diag.(i) and dj = t.on_diag.(j) in
     if di && not dj then t.diag_sum <- t.diag_sum + d
     else if dj && not di then t.diag_sum <- t.diag_sum - d;
-    let ai = on_anti t i and aj = on_anti t j in
+    let ai = t.on_anti.(i) and aj = t.on_anti.(j) in
     if ai && not aj then t.anti_sum <- t.anti_sum + d
     else if aj && not ai then t.anti_sum <- t.anti_sum - d;
     let tmp = t.x.(i) in

@@ -49,45 +49,33 @@ let var_error t i =
   surplus t.up.(u) + surplus t.down.(d)
 
 let eval_swap t i j ~commit =
-  (* Remove both queens' diagonals, add them back swapped, track delta. *)
-  let delta = ref 0 in
-  let remove a k =
-    if a.(k) > 1 then decr delta;
-    a.(k) <- a.(k) - 1
-  and add a k =
-    if a.(k) >= 1 then incr delta;
-    a.(k) <- a.(k) + 1
+  (* Remove both queens' diagonals and add them back swapped. *)
+  let xi = t.x.(i) and xj = t.x.(j) and m = t.n - 1 in
+  let ui = xi + i and di = xi - i + m in
+  let uj = xj + j and dj = xj - j + m in
+  let ui' = xj + i and di' = xj - i + m in
+  let uj' = xi + j and dj' = xi - j + m in
+  let delta =
+    Surplus.remove t.up ui + Surplus.remove t.up uj
+    + Surplus.remove t.down di + Surplus.remove t.down dj
+    + Surplus.add t.up ui' + Surplus.add t.up uj'
+    + Surplus.add t.down di' + Surplus.add t.down dj'
   in
-  let ui = t.x.(i) + i and di = t.x.(i) - i + t.n - 1 in
-  let uj = t.x.(j) + j and dj = t.x.(j) - j + t.n - 1 in
-  let ui' = t.x.(j) + i and di' = t.x.(j) - i + t.n - 1 in
-  let uj' = t.x.(i) + j and dj' = t.x.(i) - j + t.n - 1 in
-  remove t.up ui;
-  remove t.up uj;
-  remove t.down di;
-  remove t.down dj;
-  add t.up ui';
-  add t.up uj';
-  add t.down di';
-  add t.down dj';
-  let new_cost = t.cost + !delta in
+  let new_cost = t.cost + delta in
   if commit then begin
     t.cost <- new_cost;
-    let tmp = t.x.(i) in
-    t.x.(i) <- t.x.(j);
-    t.x.(j) <- tmp
+    t.x.(i) <- xj;
+    t.x.(j) <- xi
   end
   else begin
-    remove t.up ui';
-    remove t.up uj';
-    remove t.down di';
-    remove t.down dj';
-    add t.up ui;
-    add t.up uj;
-    add t.down di;
-    add t.down dj;
-    (* The remove/add bookkeeping above touched [delta]; the counts are what
-       matters for rollback and they are now restored. *)
+    t.up.(ui') <- t.up.(ui') - 1;
+    t.up.(uj') <- t.up.(uj') - 1;
+    t.down.(di') <- t.down.(di') - 1;
+    t.down.(dj') <- t.down.(dj') - 1;
+    t.up.(ui) <- t.up.(ui) + 1;
+    t.up.(uj) <- t.up.(uj) + 1;
+    t.down.(di) <- t.down.(di) + 1;
+    t.down.(dj) <- t.down.(dj) + 1
   end;
   new_cost
 

@@ -1,10 +1,16 @@
 (* xoshiro256** by Blackman & Vigna, seeded with splitmix64.  Both are
-   public-domain reference algorithms; this is a direct transcription using
-   OCaml's boxed int64 arithmetic. *)
+   public-domain reference algorithms.  The four state words live in a
+   32-byte buffer read and written with the unboxed 64-bit bytes primitives,
+   so a draw keeps its intermediates in registers and [int] allocates
+   nothing. *)
 
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+type t = Bytes.t
 
-let ( <<< ) x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] ( <<< ) x k =
+  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 let splitmix64_next state =
   state := Int64.add !state 0x9E3779B97F4A7C15L;
@@ -12,6 +18,14 @@ let splitmix64_next state =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+let of_words s0 s1 s2 s3 =
+  let t = Bytes.create 32 in
+  set t 0 s0;
+  set t 8 s1;
+  set t 16 s2;
+  set t 24 s3;
+  t
 
 let of_seed64 seed =
   let st = ref seed in
@@ -21,42 +35,43 @@ let of_seed64 seed =
   let s3 = splitmix64_next st in
   (* xoshiro must not start in the all-zero state; splitmix64 output makes
      this essentially impossible, but guard anyway. *)
-  if Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L then
-    { s0 = 1L; s1 = 2L; s2 = 3L; s3 = 4L }
-  else { s0; s1; s2; s3 }
+  if Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L then of_words 1L 2L 3L 4L
+  else of_words s0 s1 s2 s3
 
 let create ~seed = of_seed64 (Int64.of_int seed)
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
-let bits64 t =
-  let result = Int64.mul ((Int64.mul t.s1 5L) <<< 7) 9L in
-  let x = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 x;
-  t.s3 <- t.s3 <<< 45;
+let[@inline] next t =
+  let s0 = get t 0 and s1 = get t 8 and s2 = get t 16 and s3 = get t 24 in
+  let result = Int64.mul ((Int64.mul s1 5L) <<< 7) 9L in
+  let x = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  set t 8 (Int64.logxor s1 s2);
+  set t 0 (Int64.logxor s0 s3);
+  set t 16 (Int64.logxor s2 x);
+  set t 24 (s3 <<< 45);
   result
 
-let split t = of_seed64 (bits64 t)
+let bits64 t = next t
+
+let split t = of_seed64 (next t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling on the top bits to avoid modulo bias. *)
+  (* Rejection sampling on the top 63 bits to avoid modulo bias. *)
   let b = Int64.of_int bound in
-  let rec draw () =
-    let r = Int64.shift_right_logical (bits64 t) 1 in
-    let v = Int64.rem r b in
-    if Int64.sub r v > Int64.sub (Int64.sub Int64.max_int b) 1L then draw ()
-    else Int64.to_int v
-  in
-  draw ()
+  let limit = Int64.sub (Int64.sub Int64.max_int b) 1L in
+  let r = ref (Int64.shift_right_logical (next t) 1) in
+  while Int64.sub !r (Int64.rem !r b) > limit do
+    r := Int64.shift_right_logical (next t) 1
+  done;
+  Int64.to_int (Int64.rem !r b)
 
 let uniform t =
   (* 53 random bits scaled to [0,1). *)
-  let r = Int64.shift_right_logical (bits64 t) 11 in
+  let r = Int64.shift_right_logical (next t) 11 in
   Int64.to_float r *. 0x1.0p-53
 
 let rec uniform_pos t =

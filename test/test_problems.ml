@@ -140,6 +140,71 @@ let test_incremental_swap_consistency () =
       done)
     packs
 
+(* Every ordered pair (i, j), i <> j, on a few random configurations: this
+   covers adjacent swaps, the end positions 0 and n-1, both argument orders
+   and, for Costas, every pair whose distance is a triangle row (where the
+   pair left of [hi] starts at [lo]).  Each prediction must match the
+   committed cost, and after every [do_swap] the cost and each variable
+   error must equal a fresh [set_config] rebuild of the same configuration. *)
+let test_swap_edge_cases () =
+  List.iter
+    (fun (name, pack) ->
+      let (Lv_search.Csp.Packed ((module P), inst)) = pack () in
+      let r = rng () in
+      let sz = P.size inst in
+      let errors () = Array.init sz (P.var_error inst) in
+      let check_against_rebuild what =
+        let cost = P.cost inst and errs = errors () in
+        P.set_config inst (Array.copy (P.config inst));
+        Alcotest.(check int) (Printf.sprintf "%s %s: cost" name what) (P.cost inst) cost;
+        Alcotest.(check (array int)) (Printf.sprintf "%s %s: errors" name what) (errors ()) errs
+      in
+      for _ = 1 to 3 do
+        P.set_config inst (Lv_stats.Rng.permutation r sz);
+        for i = 0 to sz - 1 do
+          for j = 0 to sz - 1 do
+            if i <> j then begin
+              let what = Printf.sprintf "swap %d %d" i j in
+              let cfg = Array.copy (P.config inst) in
+              let predicted = P.cost_after_swap inst i j in
+              Alcotest.(check int) (name ^ " symmetric " ^ what) predicted
+                (P.cost_after_swap inst j i);
+              P.do_swap inst i j;
+              Alcotest.(check int) (name ^ " committed " ^ what) predicted (P.cost inst);
+              check_against_rebuild what;
+              P.do_swap inst j i;
+              Alcotest.(check (array int)) (name ^ " swapped back " ^ what) cfg (P.config inst);
+              check_against_rebuild (what ^ " undone")
+            end
+          done
+        done
+      done)
+    packs
+
+(* A swap of a position with itself is a no-op, in both the query and the
+   commit. *)
+let test_self_swap () =
+  List.iter
+    (fun (name, pack) ->
+      let (Lv_search.Csp.Packed ((module P), inst)) = pack () in
+      let r = rng () in
+      let sz = P.size inst in
+      for _ = 1 to 5 do
+        P.set_config inst (Lv_stats.Rng.permutation r sz);
+        let cost = P.cost inst and cfg = Array.copy (P.config inst) in
+        let errs = Array.init sz (P.var_error inst) in
+        for i = 0 to sz - 1 do
+          Alcotest.(check int) (Printf.sprintf "%s query %d %d" name i i) cost
+            (P.cost_after_swap inst i i);
+          P.do_swap inst i i;
+          Alcotest.(check int) (Printf.sprintf "%s commit %d %d" name i i) cost (P.cost inst);
+          Alcotest.(check (array int)) (name ^ " config") cfg (P.config inst);
+          Alcotest.(check (array int)) (name ^ " errors") errs
+            (Array.init sz (P.var_error inst))
+        done
+      done)
+    packs
+
 let test_do_swap_swaps_config () =
   List.iter
     (fun (name, pack) ->
@@ -334,6 +399,8 @@ let () =
         [
           Alcotest.test_case "swap consistency" `Quick test_incremental_swap_consistency;
           Alcotest.test_case "do_swap swaps config" `Quick test_do_swap_swaps_config;
+          Alcotest.test_case "swap edge cases" `Quick test_swap_edge_cases;
+          Alcotest.test_case "self swap" `Quick test_self_swap;
         ] );
       ( "errors",
         [

@@ -167,6 +167,141 @@ let test_functor_and_packed_agree () =
     (Adaptive_search.iterations r2)
 
 (* ------------------------------------------------------------------ *)
+(* Golden trajectories                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Move statistics and final configurations of fixed-seed runs with the
+   tuned per-problem parameters.  The iteration counts are the runtime
+   distributions the paper fits, so a change to a problem's incremental
+   evaluation or to the generator must leave every one of these runs
+   exactly where it was. *)
+let golden_runs =
+  Adaptive_search.
+    [
+      ( "costas-array", 12, 1,
+        { iterations = 150; swaps = 108; plateau_moves = 16;
+          local_minima = 89; resets = 21; restarts = 0 },
+        true, [| 3; 4; 7; 5; 0; 8; 2; 6; 11; 1; 10; 9 |] );
+      ( "costas-array", 12, 2,
+        { iterations = 53; swaps = 41; plateau_moves = 6;
+          local_minima = 30; resets = 6; restarts = 0 },
+        true, [| 9; 3; 0; 1; 8; 11; 4; 10; 6; 5; 7; 2 |] );
+      ( "costas-array", 12, 3,
+        { iterations = 367; swaps = 238; plateau_moves = 36;
+          local_minima = 218; resets = 64; restarts = 0 },
+        true, [| 6; 9; 2; 1; 7; 4; 11; 3; 5; 10; 0; 8 |] );
+      ( "all-interval", 14, 1,
+        { iterations = 4300; swaps = 3642; plateau_moves = 2148;
+          local_minima = 3308; resets = 301; restarts = 0 },
+        true, [| 7; 5; 2; 12; 1; 13; 0; 9; 8; 4; 10; 3; 11; 6 |] );
+      ( "all-interval", 14, 2,
+        { iterations = 69; swaps = 62; plateau_moves = 38;
+          local_minima = 52; resets = 3; restarts = 0 },
+        true, [| 4; 10; 6; 5; 8; 1; 13; 0; 11; 3; 12; 2; 7; 9 |] );
+      ( "all-interval", 14, 3,
+        { iterations = 208; swaps = 173; plateau_moves = 110;
+          local_minima = 160; resets = 15; restarts = 0 },
+        true, [| 3; 13; 0; 12; 1; 7; 8; 6; 9; 5; 10; 2; 11; 4 |] );
+      ( "magic-square", 8, 1,
+        { iterations = 8862; swaps = 7669; plateau_moves = 1468;
+          local_minima = 5719; resets = 5; restarts = 0 },
+        true,
+        [|
+          39; 23; 41; 6; 5; 63; 38; 37; 1; 18; 35; 56; 34; 52; 44; 12; 32; 43;
+          22; 59; 60; 8; 3; 25; 17; 46; 13; 45; 40; 20; 50; 21; 58; 4; 42; 16;
+          51; 7; 26; 48; 28; 29; 24; 33; 2; 62; 19; 55; 47; 53; 14; 27; 11; 31;
+          15; 54; 30; 36; 61; 10; 49; 9; 57; 0
+        |] );
+      ( "magic-square", 8, 2,
+        { iterations = 15000; swaps = 13137; plateau_moves = 2384;
+          local_minima = 9617; resets = 4; restarts = 0 },
+        false,
+        [|
+          41; 42; 53; 56; 12; 17; 30; 1; 62; 3; 28; 20; 8; 58; 47; 27; 6; 25;
+          49; 52; 0; 35; 37; 48; 51; 21; 43; 15; 44; 16; 45; 18; 7; 60; 9; 5;
+          63; 46; 10; 50; 38; 24; 33; 39; 57; 19; 29; 14; 13; 55; 11; 4; 32; 59;
+          23; 54; 34; 22; 26; 61; 36; 2; 31; 40
+        |] );
+      ( "magic-square", 8, 3,
+        { iterations = 15000; swaps = 13119; plateau_moves = 2029;
+          local_minima = 9402; resets = 6; restarts = 0 },
+        false,
+        [|
+          11; 6; 16; 46; 17; 52; 43; 61; 53; 33; 30; 2; 51; 18; 60; 5; 10; 57;
+          41; 23; 62; 12; 7; 40; 48; 36; 15; 32; 9; 54; 14; 44; 21; 55; 47; 59;
+          3; 39; 28; 1; 31; 37; 20; 56; 34; 45; 0; 29; 50; 4; 58; 26; 35; 19;
+          38; 22; 27; 24; 25; 8; 42; 13; 63; 49
+        |] );
+      ( "n-queens", 30, 1,
+        { iterations = 13; swaps = 11; plateau_moves = 1;
+          local_minima = 3; resets = 0; restarts = 0 },
+        true,
+        [|
+          1; 20; 17; 15; 13; 0; 22; 29; 12; 5; 27; 21; 19; 16; 2; 28; 6; 10; 23;
+          25; 14; 4; 8; 3; 9; 24; 26; 11; 7; 18
+        |] );
+      ( "n-queens", 30, 2,
+        { iterations = 9; swaps = 8; plateau_moves = 0;
+          local_minima = 1; resets = 0; restarts = 0 },
+        true,
+        [|
+          23; 12; 16; 4; 7; 14; 18; 5; 27; 0; 6; 19; 28; 20; 29; 10; 13; 9; 24;
+          3; 25; 11; 22; 8; 26; 2; 15; 1; 21; 17
+        |] );
+      ( "n-queens", 30, 3,
+        { iterations = 30; swaps = 23; plateau_moves = 4;
+          local_minima = 10; resets = 2; restarts = 0 },
+        true,
+        [|
+          9; 25; 4; 21; 12; 20; 23; 28; 0; 13; 8; 16; 7; 1; 17; 26; 22; 29; 5;
+          2; 10; 15; 11; 19; 24; 3; 6; 18; 27; 14
+        |] );
+      ( "costas-array", 10, 1,
+        { iterations = 36; swaps = 25; plateau_moves = 4;
+          local_minima = 22; resets = 5; restarts = 0 },
+        true, [| 1; 0; 8; 9; 4; 6; 2; 5; 3; 7 |] );
+      ( "costas-array", 10, 2,
+        { iterations = 95; swaps = 62; plateau_moves = 19;
+          local_minima = 64; resets = 16; restarts = 0 },
+        true, [| 6; 4; 3; 0; 5; 7; 8; 2; 9; 1 |] );
+      ( "costas-array", 10, 3,
+        { iterations = 24; swaps = 15; plateau_moves = 0;
+          local_minima = 13; resets = 4; restarts = 0 },
+        true, [| 1; 4; 8; 5; 6; 2; 0; 7; 9; 3 |] );
+    ]
+
+let golden_instance name size =
+  match name with
+  | "costas-array" -> Lv_problems.Costas.pack size
+  | "all-interval" -> Lv_problems.All_interval.pack size
+  | "magic-square" -> Lv_problems.Magic_square.pack size
+  | "n-queens" -> Lv_problems.Queens.pack size
+  | _ -> invalid_arg name
+
+let test_golden_trajectories () =
+  List.iter
+    (fun (name, size, seed, stats, solved, final) ->
+      let label = Printf.sprintf "%s %d seed %d" name size seed in
+      let params = Lv_problems.Defaults.params name size in
+      let params =
+        if name = "magic-square" then { params with Params.max_iterations = 15_000 } else params
+      in
+      let (Csp.Packed ((module P), inst) as packed) = golden_instance name size in
+      let r = Adaptive_search.solve_packed ~params ~rng:(Lv_stats.Rng.create ~seed) packed in
+      let s = r.Adaptive_search.stats in
+      Alcotest.(check (list int)) (label ^ " stats")
+        Adaptive_search.
+          [
+            stats.iterations; stats.swaps; stats.plateau_moves; stats.local_minima;
+            stats.resets; stats.restarts;
+          ]
+        Adaptive_search.
+          [ s.iterations; s.swaps; s.plateau_moves; s.local_minima; s.resets; s.restarts ];
+      Alcotest.(check bool) (label ^ " solved") solved (Adaptive_search.solved r);
+      Alcotest.(check (array int)) (label ^ " final configuration") final (P.config inst))
+    golden_runs
+
+(* ------------------------------------------------------------------ *)
 (* Defaults registry                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -225,6 +360,7 @@ let () =
           Alcotest.test_case "solves every problem" `Quick test_solves_every_problem;
           Alcotest.test_case "final state matches outcome" `Quick test_final_instance_state_matches_outcome;
           Alcotest.test_case "functor = packed" `Quick test_functor_and_packed_agree;
+          Alcotest.test_case "golden trajectories" `Quick test_golden_trajectories;
         ] );
       ( "defaults",
         [ Alcotest.test_case "per-problem params" `Quick test_defaults_known_problems ] );

@@ -226,6 +226,102 @@ let test_rng_permutation () =
       seen.(v) <- true)
     p
 
+(* Known answers: the generator's exact output streams.  Any change to the
+   state layout or arithmetic must reproduce these words bit for bit, since
+   every dataset in the repository is a function of them. *)
+let test_rng_known_answers () =
+  List.iter
+    (fun (seed, words) ->
+      let rng = Rng.create ~seed in
+      Array.iteri
+        (fun k w ->
+          Alcotest.(check int64) (Printf.sprintf "seed %d word %d" seed k) w (Rng.bits64 rng))
+        words)
+    [
+      ( 0,
+        [|
+          -7355399402456485196L; -4652746763540216534L; 1900383378846508768L;
+          7684712102626143532L; -4925340083591827879L; -4640532413560118L;
+          7788427924976520344L; -8565655843838424513L; -2665238125909665999L;
+          -1496805473226810819L; 2108416074180405844L; 1240209487116192693L;
+          1967799970308132508L; -6367204219010229377L; 9150657576430337180L;
+          5466973851375020728L
+        |] );
+      ( 1,
+        [|
+          -5480124913605472059L; -8846382939111011094L; -7856363154187860716L;
+          7218738570589545383L; -5586072249713871245L; 2648436617965840162L;
+          1310552918490157286L; 7031611932980406429L; -2450604114301859295L;
+          -8269493420433231408L; -1243818904632809775L; -789185526487324506L;
+          -1240124777327507215L; -6104086970642308043L; -7379925978354512425L;
+          -2019138639151131867L
+        |] );
+      ( 123,
+        [|
+          3628370374969813497L; -561292132998099618L; 8622752019489400367L;
+          2342437615205057030L; 6230968350287952094L; -1710872939911062L;
+          6972174322906985755L; -6333738554522461611L; -4408176657788248108L;
+          8031771363777928304L; -6415492878863288390L; -4323378339223746483L;
+          697772660079143621L; 5876297670408615156L; -6265409380721734544L;
+          3423084930429465363L
+        |] );
+    ];
+  let draws f =
+    let rng = Rng.create ~seed:42 in
+    Array.init 16 (fun _ -> f rng)
+  in
+  Alcotest.(check (array int)) "int 7"
+    [|
+      1; 4; 2; 5; 2; 4; 1; 3; 6; 2; 6; 6; 1; 6; 2; 1
+    |]
+    (draws (fun r -> Rng.int r 7));
+  Alcotest.(check (array int)) "int 1000"
+    [|
+      371; 551; 504; 96; 738; 292; 377; 203; 479; 542; 824; 946; 555; 521;
+      646; 685
+    |]
+    (draws (fun r -> Rng.int r 1000));
+  Alcotest.(check (array int)) "int max_int"
+    [|
+      773499382201279371; 3495475846482271551; 1660607362696891601;
+      3917101036163674193; 4536090470605270835; 2487907396605487389;
+      2022303436039712474; 3228258094231519300; 2410753156918784576;
+      768761692723076639; 1682830695628020921; 2681029139591840946;
+      2776459088241058652; 2964499071040623521; 1947514497483424743;
+      3484287702129654782
+    |]
+    (draws (fun r -> Rng.int r max_int));
+  Alcotest.(check (array (float 0.))) "uniform"
+    [|
+      0x1.5780b2e0c2ecp-4; 0x1.84136619b444ep-2; 0x1.5c2ea66473c93p-1;
+      0x1.d9715a8e0766cp-1; 0x1.fbcdb8ffc5d8bp-1; 0x1.8a1b4a6202f2ap-1;
+      0x1.7042a90ab4cbbp-1; 0x1.b3344e87d7ccp-1; 0x1.85d2dce4dd2ecp-1;
+      0x1.2aacc2beeebf7p-1; 0x1.5d6a766818207p-1; 0x1.29a76e61cebe2p-2;
+      0x1.9a1fdb52600d8p-1; 0x1.4920219692d08p-2; 0x1.6c1bd877e5b1p-1;
+      0x1.c16ab4d172ccep-1
+    |]
+    (draws Rng.uniform);
+  Alcotest.(check (array (array int))) "permutation 12"
+    [|
+      [| 1; 0; 7; 6; 11; 5; 10; 8; 2; 4; 9; 3 |];
+      [| 4; 8; 7; 9; 2; 10; 0; 5; 3; 1; 11; 6 |];
+      [| 8; 4; 5; 7; 0; 9; 1; 11; 3; 6; 2; 10 |];
+      [| 7; 4; 3; 2; 6; 10; 11; 9; 1; 0; 8; 5 |];
+      [| 1; 8; 2; 0; 10; 3; 6; 4; 9; 5; 7; 11 |];
+      [| 5; 7; 8; 10; 2; 1; 4; 9; 6; 0; 11; 3 |];
+      [| 6; 5; 1; 2; 11; 0; 8; 3; 9; 10; 7; 4 |];
+      [| 2; 7; 1; 9; 4; 5; 10; 6; 3; 0; 11; 8 |];
+      [| 7; 6; 1; 2; 5; 3; 8; 9; 10; 4; 0; 11 |];
+      [| 1; 5; 11; 9; 4; 6; 3; 2; 0; 7; 8; 10 |];
+      [| 2; 8; 11; 6; 5; 0; 7; 4; 3; 9; 10; 1 |];
+      [| 11; 6; 3; 9; 0; 1; 5; 7; 4; 8; 2; 10 |];
+      [| 5; 1; 11; 3; 0; 6; 8; 7; 9; 4; 2; 10 |];
+      [| 8; 2; 0; 10; 4; 6; 5; 3; 7; 1; 11; 9 |];
+      [| 9; 8; 4; 3; 1; 2; 10; 7; 6; 5; 0; 11 |];
+      [| 8; 5; 4; 7; 6; 3; 10; 9; 1; 0; 2; 11 |];
+    |]
+    (draws (fun r -> Rng.permutation r 12))
+
 (* ------------------------------------------------------------------ *)
 (* Quadrature and root finding                                         *)
 (* ------------------------------------------------------------------ *)
@@ -1227,6 +1323,7 @@ let () =
           Alcotest.test_case "normal moments" `Slow test_rng_normal_moments;
           Alcotest.test_case "exponential moments" `Slow test_rng_exponential_moments;
           Alcotest.test_case "permutation" `Quick test_rng_permutation;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
         ] );
       ( "quadrature",
         [
