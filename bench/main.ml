@@ -673,7 +673,8 @@ let pool_vs_serial () =
     let t0 = Lv_telemetry.Clock.now_ns () in
     let last = ref None in
     for _ = 1 to reps do
-      last := Some (Predict.of_dataset ~pool ~cores ds)
+      last :=
+        Some (Predict.of_dataset ~ctx:(Lv_context.Context.make ~pool ()) ~cores ds)
     done;
     ( Lv_telemetry.Clock.seconds_between ~start:t0
         ~stop:(Lv_telemetry.Clock.now_ns ()),

@@ -37,6 +37,20 @@ let problem_arg =
     & pos 0 (some problem_conv) None
     & info [] ~docv:"PROBLEM" ~doc:"Benchmark problem (all-interval, magic-square, costas-array, n-queens).")
 
+(* Counts given on the command line: a nonsense value is a usage error
+   (Cmdliner's exit 124 with a message), not an exception from deep inside
+   the pipeline. *)
+let int_at_least ~min ~what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = int_at_least ~min:1 ~what:"a positive integer"
+let nonnegative_int = int_at_least ~min:0 ~what:"a non-negative integer"
+
 let size_arg =
   Arg.(required & pos 1 (some int) None & info [] ~docv:"SIZE" ~doc:"Instance size.")
 
@@ -44,7 +58,7 @@ let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
 let runs_arg =
-  Arg.(value & opt int 200 & info [ "runs"; "r" ] ~docv:"N" ~doc:"Number of runs.")
+  Arg.(value & opt positive_int 200 & info [ "runs"; "r" ] ~docv:"N" ~doc:"Number of runs.")
 
 let cores_arg =
   Arg.(
@@ -105,7 +119,7 @@ let checkpoint_arg =
 let retries_arg =
   Arg.(
     value
-    & opt int 0
+    & opt nonnegative_int 0
     & info [ "retries" ] ~docv:"N"
         ~doc:
           "Retry a run whose runner raised a transient exception up to $(docv) \
@@ -129,7 +143,7 @@ let trace_arg =
 let pool_domains_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "pool-domains" ] ~docv:"N"
         ~doc:
           "Number of worker domains in the execution pool (default: the \
@@ -148,9 +162,12 @@ let verbose_arg =
     & info [ "verbose"; "v" ]
         ~doc:"Pretty-print every telemetry event to stderr as it happens.")
 
-(* Build the sink a subcommand's flags ask for, run [f] with it, and make
-   sure the JSONL file is flushed and closed even if [f] raises. *)
-let with_sink ~trace ~verbose f =
+(* The context a data-producing subcommand's flags ask for: the sink
+   (JSONL file and/or console), one pool scoped around the work and fed
+   that sink (so a --trace file ends with the pool.* counter events), and
+   the artifact cache.  The JSONL file is flushed and closed even if [f]
+   raises. *)
+let with_ctx ~trace ~verbose ~pool_domains ?cache f =
   let file =
     match trace with
     | Some path -> (
@@ -160,16 +177,14 @@ let with_sink ~trace ~verbose f =
         exit 2)
     | None -> Lv_telemetry.Sink.null
   in
-  let sink =
+  let telemetry =
     Lv_telemetry.Sink.tee file
       (if verbose then Lv_telemetry.Sink.console () else Lv_telemetry.Sink.null)
   in
-  Fun.protect ~finally:(fun () -> Lv_telemetry.Sink.close sink) (fun () -> f sink)
-
-(* One pool per subcommand invocation, scoped around the work and fed the
-   same sink, so a --trace file ends with the pool.* counter events. *)
-let with_pool ~telemetry domains f =
-  Lv_exec.Pool.with_pool ~telemetry ?domains f
+  Fun.protect ~finally:(fun () -> Lv_telemetry.Sink.close telemetry)
+  @@ fun () ->
+  Lv_exec.Pool.with_pool ~telemetry ?domains:pool_domains @@ fun pool ->
+  f (Lv_context.Context.make ~pool ~telemetry ?cache_dir:cache ())
 
 let params_of ~walk ~max_iter name size =
   let base = Lv_problems.Defaults.params name size in
@@ -218,20 +233,18 @@ let campaign_cmd =
       Lv_multiwalk.Run.budget ?max_seconds:timeout ?max_iterations:max_iters ()
     in
     let retry =
-      if retries < 0 then invalid_arg "lvp campaign: --retries must be >= 0"
-      else if retries = 0 then Lv_multiwalk.Retry.none
+      if retries = 0 then Lv_multiwalk.Retry.none
       else Lv_multiwalk.Retry.policy ~max_attempts:(retries + 1) ()
     in
-    with_sink ~trace ~verbose @@ fun telemetry ->
-    with_pool ~telemetry pool_domains @@ fun pool ->
+    with_ctx ~trace ~verbose ~pool_domains @@ fun ctx ->
     let progress k =
       if (not quiet) && k mod 25 = 0 then
         Printf.eprintf "  %d/%d runs\r%!" k runs
     in
     let t0 = Lv_telemetry.Clock.now_ns () in
     let c =
-      Lv_multiwalk.Campaign.run ~params ~budget ~pool ~telemetry ?checkpoint
-        ~retry ~label ~seed ~runs ~progress (fun () -> make size)
+      Lv_multiwalk.Campaign.run ~ctx ~params ~budget ?checkpoint ~retry ~label
+        ~seed ~runs ~progress (fun () -> make size)
     in
     let wall =
       Lv_telemetry.Clock.seconds_between ~start:t0
@@ -283,15 +296,18 @@ let campaign_cmd =
 let fit_cmd =
   let run path alpha pool_domains trace quiet verbose =
     let ds = Lv_multiwalk.Dataset.load_csv path in
-    with_sink ~trace ~verbose @@ fun telemetry ->
-    with_pool ~telemetry pool_domains @@ fun pool ->
-    let report =
-      Lv_core.Fit.fit ~alpha ~pool ~telemetry
+    with_ctx ~trace ~verbose ~pool_domains @@ fun ctx ->
+    match
+      Lv_core.Fit.fit ~ctx ~alpha
         ~n_censored:(Lv_multiwalk.Dataset.n_censored ds)
         ds.Lv_multiwalk.Dataset.values
-    in
-    if not quiet then Format.printf "%a@." Lv_core.Fit.pp_report report;
-    0
+    with
+    | exception Invalid_argument msg ->
+      Format.eprintf "lvp fit: %s@." msg;
+      1
+    | report ->
+      if not quiet then Format.printf "%a@." Lv_core.Fit.pp_report report;
+      0
   in
   let alpha =
     Arg.(value & opt float 0.05 & info [ "alpha" ] ~docv:"A" ~doc:"KS significance level.")
@@ -308,9 +324,8 @@ let fit_cmd =
 let predict_cmd =
   let run path cores out pool_domains trace quiet verbose =
     let ds = Lv_multiwalk.Dataset.load_csv path in
-    with_sink ~trace ~verbose @@ fun telemetry ->
-    with_pool ~telemetry pool_domains @@ fun pool ->
-    let p = Lv_core.Predict.of_dataset ~pool ~telemetry ~cores ds in
+    with_ctx ~trace ~verbose ~pool_domains @@ fun ctx ->
+    let p = Lv_core.Predict.of_dataset ~ctx ~cores ds in
     if not quiet then Format.printf "%a@." Lv_core.Predict.pp_prediction p;
     (match out with
     | Some file ->
@@ -340,11 +355,7 @@ let run_cmd =
         | Some dir -> { scenario with Lv_engine.Scenario.output_dir = Some dir }
         | None -> scenario
       in
-      with_sink ~trace ~verbose @@ fun telemetry ->
-      with_pool ~telemetry pool_domains @@ fun pool ->
-      let ctx =
-        Lv_context.Context.make ~pool ~telemetry ?cache_dir:cache ()
-      in
+      with_ctx ~trace ~verbose ~pool_domains ?cache @@ fun ctx ->
       let outcome = Lv_engine.Engine.run ~ctx scenario in
       if quiet then
         (* Keep the cache counters greppable even under --quiet: CI's
@@ -432,9 +443,7 @@ let validate_cmd =
         in
         let stages = List.filter (fun st -> List.mem st wanted) all_stages in
         let scenario = { scenario with stages; validate = Some cfg } in
-        with_sink ~trace ~verbose @@ fun telemetry ->
-        with_pool ~telemetry pool_domains @@ fun pool ->
-        let ctx = Lv_context.Context.make ~pool ~telemetry ?cache_dir:cache () in
+        with_ctx ~trace ~verbose ~pool_domains ?cache @@ fun ctx ->
         let outcome = Lv_engine.Engine.run ~ctx scenario in
         (match outcome.Lv_engine.Engine.validation with
         | None ->
@@ -561,18 +570,17 @@ let race_cmd =
     let packed0 = make size in
     let name = Lv_search.Csp.packed_name packed0 in
     let params = params_of ~walk ~max_iter name size in
-    with_sink ~trace ~verbose @@ fun telemetry ->
-    with_pool ~telemetry pool_domains @@ fun pool ->
+    with_ctx ~trace ~verbose ~pool_domains @@ fun ctx ->
     let outcome =
-      Lv_multiwalk.Race.wall_clock ~params ~pool ~telemetry ~seed ~walkers
-        (fun () -> make size)
+      Lv_multiwalk.Race.wall_clock ~ctx ~params ~seed ~walkers (fun () ->
+          make size)
     in
     if not quiet then
       Format.printf "%a@." Lv_multiwalk.Race.pp_outcome outcome;
     if outcome.Lv_multiwalk.Race.solved then 0 else 1
   in
   let walkers =
-    Arg.(value & opt int 4 & info [ "walkers"; "w" ] ~docv:"N" ~doc:"Parallel walkers.")
+    Arg.(value & opt positive_int 4 & info [ "walkers"; "w" ] ~docv:"N" ~doc:"Parallel walkers.")
   in
   let term =
     Term.(

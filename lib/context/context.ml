@@ -1,81 +1,16 @@
 type t = {
   pool : Lv_exec.Pool.t option;
-  domains : int option;
   telemetry : Lv_telemetry.Sink.t;
-  seed : int;
   alpha : float;
-  candidates : string list option;
-  max_seconds : float option;
-  max_iterations : int option;
-  retries : int;
-  checkpoint_dir : string option;
   cache_dir : string option;
 }
 
 let default =
-  {
-    pool = None;
-    domains = None;
-    telemetry = Lv_telemetry.Sink.null;
-    seed = 1;
-    alpha = 0.05;
-    candidates = None;
-    max_seconds = None;
-    max_iterations = None;
-    retries = 0;
-    checkpoint_dir = None;
-    cache_dir = None;
-  }
+  { pool = None; telemetry = Lv_telemetry.Sink.null; alpha = 0.05; cache_dir = None }
 
 let with_pool pool t = { t with pool = Some pool }
-
-let with_domains domains t =
-  if domains <= 0 then invalid_arg "Context.with_domains: must be positive";
-  { t with domains = Some domains }
-
 let with_telemetry telemetry t = { t with telemetry }
-let with_seed seed t = { t with seed }
-
-let with_alpha alpha t =
-  if not (alpha > 0. && alpha < 1.) then
-    invalid_arg "Context.with_alpha: must lie in (0, 1)";
-  { t with alpha }
-
-let with_candidates candidates t =
-  if candidates = [] then invalid_arg "Context.with_candidates: empty pool";
-  { t with candidates = Some candidates }
-
-let with_budget ?max_seconds ?max_iterations t =
-  (match max_seconds with
-  | Some s when not (Float.is_finite s && s > 0.) ->
-    invalid_arg "Context.with_budget: max_seconds must be finite positive"
-  | _ -> ());
-  (match max_iterations with
-  | Some n when n <= 0 ->
-    invalid_arg "Context.with_budget: max_iterations must be positive"
-  | _ -> ());
-  { t with max_seconds; max_iterations }
-
-let with_retries retries t =
-  if retries < 0 then invalid_arg "Context.with_retries: must be nonnegative";
-  { t with retries }
-
-let with_checkpoint_dir dir t = { t with checkpoint_dir = Some dir }
 let with_cache_dir dir t = { t with cache_dir = Some dir }
 
-let make ?pool ?domains ?telemetry ?seed ?alpha ?candidates ?max_seconds
-    ?max_iterations ?retries ?checkpoint_dir ?cache_dir () =
-  let apply set v t = match v with None -> t | Some v -> set v t in
-  default
-  |> apply with_pool pool
-  |> apply with_domains domains
-  |> apply with_telemetry telemetry
-  |> apply with_seed seed
-  |> apply with_alpha alpha
-  |> apply with_candidates candidates
-  |> (fun t ->
-       if max_seconds = None && max_iterations = None then t
-       else with_budget ?max_seconds ?max_iterations t)
-  |> apply with_retries retries
-  |> apply with_checkpoint_dir checkpoint_dir
-  |> apply with_cache_dir cache_dir
+let make ?pool ?(telemetry = Lv_telemetry.Sink.null) ?cache_dir () =
+  { default with pool; telemetry; cache_dir }

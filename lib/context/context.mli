@@ -1,98 +1,49 @@
-(** One immutable bundle of the pipeline's cross-cutting machinery.
+(** The pipeline's shared machinery, carried once.
 
-    Three PRs in, every layer of the pipeline threaded the same state by
-    hand: [?pool ?telemetry ?alpha ?candidates ?budget ?retry ?checkpoint]
-    through [Campaign] → [Fit] → [Predict] → [Race].  A {!t} carries that
-    state once: build one with {!default} and the [with_*] combinators,
-    pass it as [?ctx] to any pipeline entry point
-    ([Lv_multiwalk.Campaign.run], [Lv_core.Fit.fit],
-    [Lv_core.Predict.of_dataset], [Lv_multiwalk.Race.wall_clock],
-    [Lv_core.Speedup.curve], [Lv_engine.Engine.run]), and every stage sees
-    the same executor, telemetry sink, significance level, budgets and
-    cache.
+    A {!t} holds what every stage of one invocation shares: the executor,
+    the telemetry sink, the default significance level and the artifact
+    cache.  Build one with {!make} (or {!default} and the [with_*]
+    combinators) and pass it as [?ctx] to a pipeline entry point:
+    [Lv_multiwalk.Campaign.run]/[run_fn], [Lv_core.Fit.fit],
+    [Lv_core.Predict.of_report]/[of_dataset]/[of_distribution],
+    [Lv_multiwalk.Race.wall_clock]/[iteration_metric],
+    [Lv_validate.Validate.run] and [Lv_engine.Engine.run].
 
-    Precedence at each entry point: an explicit optional argument (the
-    pre-context API, kept as a thin deprecated spelling) overrides the
-    corresponding [ctx] field, which overrides the built-in default — so
-    existing call sites keep their exact behaviour and migration can
-    proceed layer by layer.
-
-    This library sits below [lv_multiwalk]/[lv_core], so fields whose
-    natural types live in higher layers are carried in primitive form:
-    candidate distributions as canonical names (validated by
-    [Lv_core.Fit] at use), run budgets as their two raw limits, the retry
-    policy as its attempt count. *)
+    Each setting has exactly one way in.  Entry points take the pool and
+    the sink from [?ctx] only.  Single-computation primitives
+    ([Lv_core.Fit.fit_one], [Lv_core.Speedup.curve],
+    [Lv_validate.Validate.bootstrap_bands]/[holdout]/[oracle]) take no
+    context: they receive [?pool]/[?telemetry]/[?alpha] explicitly.
+    Per-call settings — budgets, checkpoints, retries, solver parameters,
+    candidate pools and a per-scenario alpha — stay explicit arguments of
+    the stage that uses them. *)
 
 type t = {
   pool : Lv_exec.Pool.t option;
       (** executor shared by every parallel phase; [None] = the callee's
-          default (the process-wide shared pool, or a campaign-scoped one) *)
-  domains : int option;
-      (** sizing hint when a callee scopes a private pool; [None] = the
-          callee's default *)
+          default (the process-wide shared pool, or a campaign-scoped
+          one-worker pool) *)
   telemetry : Lv_telemetry.Sink.t;  (** default: the null sink *)
-  seed : int;  (** base RNG seed for stages that are not given one (default 1) *)
-  alpha : float;  (** KS significance level for fits (default 0.05) *)
-  candidates : string list option;
-      (** candidate-distribution pool by canonical [Lv_core.Fit] name;
-          [None] = the fit layer's default pool *)
-  max_seconds : float option;  (** per-run wall-time budget *)
-  max_iterations : int option;  (** per-run iteration budget *)
-  retries : int;
-      (** retry a faulted run up to this many times, with the default
-          exponential backoff (0 = no retries) *)
-  checkpoint_dir : string option;
-      (** directory for campaign run-logs ([<label>.jsonl] inside it);
-          [None] = no checkpointing *)
+  alpha : float;
+      (** KS significance level used when a call gives none (0.05) *)
   cache_dir : string option;
       (** directory for the content-addressed artifact store
           ({!Lv_engine.Artifact}); [None] = no caching *)
 }
 
 val default : t
-(** No pool override, null telemetry, seed 1, alpha 0.05, default
-    candidate pool, unlimited budget, no retries, no checkpointing, no
-    cache. *)
+(** No pool override, null telemetry, alpha 0.05, no cache. *)
 
 val make :
   ?pool:Lv_exec.Pool.t ->
-  ?domains:int ->
   ?telemetry:Lv_telemetry.Sink.t ->
-  ?seed:int ->
-  ?alpha:float ->
-  ?candidates:string list ->
-  ?max_seconds:float ->
-  ?max_iterations:int ->
-  ?retries:int ->
-  ?checkpoint_dir:string ->
   ?cache_dir:string ->
   unit ->
   t
-(** {!default} with the given fields set.  Raises [Invalid_argument] on
-    nonsense (see the [with_*] combinators). *)
+(** {!default} with the given fields set. *)
 
-(** {2 Builder} — each returns an updated copy, validating its field. *)
+(** {2 Builder} — each returns an updated copy. *)
 
 val with_pool : Lv_exec.Pool.t -> t -> t
-
-val with_domains : int -> t -> t
-(** [domains] must be positive. *)
-
 val with_telemetry : Lv_telemetry.Sink.t -> t -> t
-val with_seed : int -> t -> t
-
-val with_alpha : float -> t -> t
-(** [alpha] must lie in (0, 1). *)
-
-val with_candidates : string list -> t -> t
-(** The list must be non-empty. *)
-
-val with_budget : ?max_seconds:float -> ?max_iterations:int -> t -> t
-(** Replaces both budget fields (an omitted limit means unlimited).
-    [max_seconds] must be finite positive, [max_iterations] positive. *)
-
-val with_retries : int -> t -> t
-(** [retries] must be nonnegative. *)
-
-val with_checkpoint_dir : string -> t -> t
 val with_cache_dir : string -> t -> t

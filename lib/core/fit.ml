@@ -141,39 +141,8 @@ let fit_one_at ?alpha ~telemetry ~path candidate xs =
     emit ~outcome:"inapplicable" [ ("reason", Lv_telemetry.Json.String reason) ];
     None
 
-let candidates_of_names names =
-  List.map
-    (fun name ->
-      match candidate_of_string name with
-      | Some c -> c
-      | None ->
-        invalid_arg
-          (Printf.sprintf "Fit: unknown candidate %S (known: %s)" name
-             (String.concat ", " (List.map candidate_name all_candidates))))
-    names
-
-(* [?ctx] resolution shared by [fit_one]/[fit]: explicit optional argument
-   > context field > built-in default (see {!Lv_context.Context}). *)
-let resolve_ctx ?(ctx = Lv_context.Context.default) ?alpha ?pool ?telemetry
-    ?candidates () =
-  let alpha =
-    match alpha with Some a -> a | None -> ctx.Lv_context.Context.alpha
-  in
-  let pool =
-    match pool with Some _ as p -> p | None -> ctx.Lv_context.Context.pool
-  in
-  let telemetry =
-    match telemetry with Some t -> t | None -> ctx.Lv_context.Context.telemetry
-  in
-  let candidates =
-    match candidates with
-    | Some _ as c -> c
-    | None -> Option.map candidates_of_names ctx.Lv_context.Context.candidates
-  in
-  (alpha, pool, telemetry, candidates)
-
-let fit_one ?ctx ?alpha ?telemetry candidate xs =
-  let alpha, _, telemetry, _ = resolve_ctx ?ctx ?alpha ?telemetry () in
+let fit_one ?(alpha = Lv_context.Context.default.alpha)
+    ?(telemetry = Lv_telemetry.Sink.null) candidate xs =
   fit_one_at ~alpha ~telemetry
     ~path:(Lv_telemetry.Span.path_of "fit.candidate")
     candidate xs
@@ -185,11 +154,10 @@ let fit_one ?ctx ?alpha ?telemetry candidate xs =
 let compare_by_p_value a b =
   Float.compare b.ks.Kolmogorov.p_value a.ks.Kolmogorov.p_value
 
-let fit ?ctx ?alpha ?pool ?telemetry ?candidates ?(n_censored = 0) xs =
-  let alpha, pool, telemetry, candidates =
-    resolve_ctx ?ctx ?alpha ?pool ?telemetry ?candidates ()
-  in
-  let candidates = Option.value candidates ~default:all_candidates in
+let fit ?(ctx = Lv_context.Context.default) ?alpha
+    ?(candidates = all_candidates) ?(n_censored = 0) xs =
+  let { Lv_context.Context.pool; telemetry; _ } = ctx in
+  let alpha = Option.value alpha ~default:ctx.alpha in
   if Array.length xs = 0 then invalid_arg "Fit.fit: empty sample";
   if n_censored < 0 then invalid_arg "Fit.fit: n_censored must be nonnegative";
   let accepted_cell = ref 0 in

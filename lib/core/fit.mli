@@ -67,14 +67,16 @@ val empty_report : report
     [report] fields cannot silently desync across call sites. *)
 
 val fit_one :
-  ?ctx:Lv_context.Context.t ->
   ?alpha:float ->
   ?telemetry:Lv_telemetry.Sink.t ->
   candidate ->
   float array ->
   fitted option
-(** [None] when the estimator does not apply (e.g. lognormal on data with
-    nonpositive values).  With a live [telemetry] sink, emits one
+(** Fit and KS-test one candidate at [alpha] (default
+    [Lv_context.Context.default.alpha], 0.05).  [None] when the estimator
+    does not apply (e.g. lognormal on data with nonpositive values).
+    Raises [Invalid_argument] unless [0 < alpha < 1].  With a live
+    [telemetry] sink (default: the null sink), emits one
     ["fit.candidate"] span carrying the candidate name, the split between
     estimation and KS-test time ([estimate_s]/[ks_s]), the p-value and the
     accept/reject/inapplicable outcome. *)
@@ -96,28 +98,23 @@ val censoring_warning : report -> string option
 val fit :
   ?ctx:Lv_context.Context.t ->
   ?alpha:float ->
-  ?pool:Lv_exec.Pool.t ->
-  ?telemetry:Lv_telemetry.Sink.t ->
   ?candidates:candidate list ->
   ?n_censored:int ->
   float array ->
   report
 (** Run the whole pool (default {!all_candidates}) at significance [alpha]
-    (default 0.05).  Candidates are fitted in parallel on [pool] (default
+    (default [ctx.alpha]; [Invalid_argument] unless [0 < alpha < 1]).
+    Candidates are fitted in parallel on [ctx.pool] (default
     {!Lv_exec.Pool.default}); the report is deterministic regardless of
     pool size.  Candidates that estimate the {e same} law (e.g. a shifted
     family whose best shift degenerates to 0) appear once in [fits].
     [n_censored] (default 0) declares how many budget-censored runs the
     sample excludes; it feeds the report's censoring fields and warning
     rather than the estimators themselves.  The whole run is wrapped in a
-    ["fit"] telemetry span (sample size, censored count, pool size, number
-    accepted); the per-candidate spans are emitted under the fixed path
-    ["fit/fit.candidate"] whatever worker they ran on.
-
-    [ctx] supplies [alpha], the pool, the telemetry sink and the candidate
-    pool (by canonical name — an unknown name raises [Invalid_argument])
-    when the corresponding explicit arguments are absent; see
-    {!Lv_context.Context}. *)
+    ["fit"] telemetry span on [ctx.telemetry] (sample size, censored
+    count, candidate count, number accepted); the per-candidate spans are
+    emitted under the fixed path ["fit/fit.candidate"] whatever worker
+    they ran on. *)
 
 val pp_fitted : Format.formatter -> fitted -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -28,8 +28,9 @@ let traced_curve telemetry pool law ~cores =
       (Array.of_list cores)
     |> Array.to_list
 
-let of_fit ?pool ?(telemetry = Lv_telemetry.Sink.null) ~label ~cores
+let of_fit ?(ctx = Lv_context.Context.default) ~label ~cores
     (report : Fit.report) law =
+  let { Lv_context.Context.pool; telemetry; _ } = ctx in
   let pool = match pool with Some p -> p | None -> Lv_exec.Pool.default () in
   Lv_telemetry.Span.run telemetry ~name:"predict"
     ~fields:(fun () ->
@@ -47,42 +48,26 @@ let of_fit ?pool ?(telemetry = Lv_telemetry.Sink.null) ~label ~cores
     limit = Speedup.limit law;
   }
 
-(* [?ctx] resolution: explicit optional argument > context field > default
-   (see {!Lv_context.Context}). *)
-let resolve_ctx ?(ctx = Lv_context.Context.default) ?pool ?telemetry () =
-  let pool =
-    match pool with Some _ as p -> p | None -> ctx.Lv_context.Context.pool
-  in
-  let telemetry =
-    match telemetry with Some t -> t | None -> ctx.Lv_context.Context.telemetry
-  in
-  (pool, telemetry)
-
 let chosen_law (report : Fit.report) ~who =
   match (report.Fit.best, report.Fit.fits) with
   | Some f, _ -> f.Fit.dist
   | None, f :: _ -> f.Fit.dist
   | None, [] -> invalid_arg (who ^ ": no candidate could be fitted")
 
-let of_report ?ctx ?pool ?telemetry ~label ~cores (report : Fit.report) =
-  let pool, telemetry = resolve_ctx ?ctx ?pool ?telemetry () in
-  of_fit ?pool ~telemetry ~label ~cores report
-    (chosen_law report ~who:"Predict.of_report")
+let of_report ?ctx ~label ~cores (report : Fit.report) =
+  of_fit ?ctx ~label ~cores report (chosen_law report ~who:"Predict.of_report")
 
-let of_dataset ?ctx ?alpha ?candidates ?pool ?telemetry ~cores
-    (ds : Lv_multiwalk.Dataset.t) =
-  let pool, telemetry = resolve_ctx ?ctx ?pool ?telemetry () in
+let of_dataset ?ctx ?alpha ?candidates ~cores (ds : Lv_multiwalk.Dataset.t) =
   let report =
-    Fit.fit ?ctx ?alpha ?pool ~telemetry ?candidates
+    Fit.fit ?ctx ?alpha ?candidates
       ~n_censored:(Lv_multiwalk.Dataset.n_censored ds)
       ds.Lv_multiwalk.Dataset.values
   in
-  of_fit ?pool ~telemetry ~label:ds.Lv_multiwalk.Dataset.label ~cores report
+  of_fit ?ctx ~label:ds.Lv_multiwalk.Dataset.label ~cores report
     (chosen_law report ~who:"Predict.of_dataset")
 
-let of_distribution ?ctx ?pool ?telemetry ~label ~cores law =
-  let pool, telemetry = resolve_ctx ?ctx ?pool ?telemetry () in
-  of_fit ?pool ~telemetry ~label ~cores Fit.empty_report law
+let of_distribution ?ctx ~label ~cores law =
+  of_fit ?ctx ~label ~cores Fit.empty_report law
 
 type comparison_row = {
   cores : int;

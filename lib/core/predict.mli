@@ -14,29 +14,22 @@ val of_dataset :
   ?ctx:Lv_context.Context.t ->
   ?alpha:float ->
   ?candidates:Fit.candidate list ->
-  ?pool:Lv_exec.Pool.t ->
-  ?telemetry:Lv_telemetry.Sink.t ->
   cores:int list ->
   Lv_multiwalk.Dataset.t ->
   prediction
 (** Fit the dataset (keeping the best accepted candidate, or the highest
-    p-value fit when nothing clears [alpha]) and predict speed-ups at
-    [cores].  Both the candidate fits and the per-core-count quadratures
-    run on [pool] (default {!Lv_exec.Pool.default}); results are
-    deterministic regardless of pool size.  With a live [telemetry] sink
+    p-value fit when nothing clears [alpha], default [ctx.alpha]) and
+    predict speed-ups at [cores].  Both the candidate fits and the
+    per-core-count quadratures run on [ctx.pool] (default
+    {!Lv_exec.Pool.default}); results are deterministic regardless of pool
+    size.  With a live [ctx.telemetry] sink
     the fit emits its spans (see {!Fit.fit}) and the prediction wraps in a
     ["predict"] span containing one timed ["predict/predict.speedup"]
     event per core count (the quadrature cost of each {!Speedup.at}
-    evaluation), emitted under that fixed path whatever worker ran it.
-
-    [ctx] supplies the fit settings (alpha, candidate pool), the executor
-    and the telemetry sink when the explicit arguments are absent; see
-    {!Lv_context.Context}. *)
+    evaluation), emitted under that fixed path whatever worker ran it. *)
 
 val of_report :
   ?ctx:Lv_context.Context.t ->
-  ?pool:Lv_exec.Pool.t ->
-  ?telemetry:Lv_telemetry.Sink.t ->
   label:string ->
   cores:int list ->
   Fit.report ->
@@ -49,8 +42,6 @@ val of_report :
 
 val of_distribution :
   ?ctx:Lv_context.Context.t ->
-  ?pool:Lv_exec.Pool.t ->
-  ?telemetry:Lv_telemetry.Sink.t ->
   label:string ->
   cores:int list ->
   Lv_stats.Distribution.t ->

@@ -19,10 +19,7 @@ let at d ~cores =
    different integrand), so with a pool they are evaluated as one task per
    count; results are slotted by index, so the list is identical either
    way. *)
-let curve ?(ctx = Lv_context.Context.default) ?pool d ~cores =
-  let pool =
-    match pool with Some _ as p -> p | None -> ctx.Lv_context.Context.pool
-  in
+let curve ?pool d ~cores =
   match pool with
   | None -> List.map (fun n -> { cores = n; speedup = at d ~cores:n }) cores
   | Some p ->

@@ -13,15 +13,10 @@ val at : Lv_stats.Distribution.t -> cores:int -> float
 (** Predicted [G_n] at one core count.  [G_1 = 1] by construction. *)
 
 val curve :
-  ?ctx:Lv_context.Context.t ->
-  ?pool:Lv_exec.Pool.t ->
-  Lv_stats.Distribution.t ->
-  cores:int list ->
-  point list
-(** One {!at} evaluation per core count.  With [pool] (explicit, or from
-    [ctx]) the quadratures run as one pool task each (they are
-    independent integrals); the result is identical to the serial
-    evaluation, in input order. *)
+  ?pool:Lv_exec.Pool.t -> Lv_stats.Distribution.t -> cores:int list -> point list
+(** One {!at} evaluation per core count.  With [pool] the quadratures run
+    as one pool task each (they are independent integrals); the result is
+    identical to the serial evaluation, in input order. *)
 
 val limit : Lv_stats.Distribution.t -> float
 (** [lim_{n→∞} G_n]: [E[Y] / inf support] when the support's lower end

@@ -22,29 +22,14 @@ type outcome = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Effective inputs: scenario field > context field > stage default.   *)
-(* The cache keys hash these, so a change in whichever source actually *)
-(* governs a stage recomputes it.                                      *)
+(* Cache keys hash every effective input of a stage, so a change in    *)
+(* any of them recomputes the stage.                                   *)
 (* ------------------------------------------------------------------ *)
-
-let effective_budget (ctx : Ctx.t) (sc : Scenario.t) =
-  match (sc.Scenario.timeout, sc.Scenario.max_iters) with
-  | None, None -> (ctx.Ctx.max_seconds, ctx.Ctx.max_iterations)
-  | s, i -> (s, i)
-
-let effective_alpha (ctx : Ctx.t) (sc : Scenario.t) =
-  match sc.Scenario.alpha with Some a -> a | None -> ctx.Ctx.alpha
-
-let effective_candidates (ctx : Ctx.t) (sc : Scenario.t) =
-  match sc.Scenario.candidates with
-  | Some _ as c -> c
-  | None -> ctx.Ctx.candidates
 
 let opt_float = function Some v -> Printf.sprintf "%.17g" v | None -> "default"
 let opt_int = function Some v -> string_of_int v | None -> "default"
 
-let campaign_key ctx (sc : Scenario.t) =
-  let max_seconds, max_iterations = effective_budget ctx sc in
+let campaign_key (sc : Scenario.t) =
   Artifact.key ~stage:"campaign" ~seed:sc.Scenario.seed
     ~params:
       [
@@ -53,8 +38,8 @@ let campaign_key ctx (sc : Scenario.t) =
         ("runs", string_of_int sc.Scenario.runs);
         ("walk", opt_float sc.Scenario.walk);
         ("iteration_cap", opt_int sc.Scenario.iteration_cap);
-        ("timeout", opt_float max_seconds);
-        ("max_iters", opt_int max_iterations);
+        ("timeout", opt_float sc.Scenario.timeout);
+        ("max_iters", opt_int sc.Scenario.max_iters);
       ]
 
 let metric_name = function `Iterations -> "iterations" | `Seconds -> "seconds"
@@ -65,11 +50,13 @@ let fit_key ctx (sc : Scenario.t) =
       [
         (* The fit consumes the campaign's output, so its key embeds the
            campaign key: any upstream change invalidates the fit too. *)
-        ("campaign", campaign_key ctx sc);
+        ("campaign", campaign_key sc);
         ("metric", metric_name sc.Scenario.metric);
-        ("alpha", Printf.sprintf "%.17g" (effective_alpha ctx sc));
+        ( "alpha",
+          Printf.sprintf "%.17g"
+            (Option.value sc.Scenario.alpha ~default:ctx.Ctx.alpha) );
         ( "candidates",
-          match effective_candidates ctx sc with
+          match sc.Scenario.candidates with
           | None -> "all"
           | Some names -> String.concat "," names );
       ]
@@ -137,9 +124,8 @@ let save_campaign ~seed (c : Campaign.result) tmp =
 
 let run_campaign ctx store (sc : Scenario.t) =
   let params = Scenario.params sc in
-  let max_seconds, max_iterations = effective_budget ctx sc in
   let budget =
-    match (max_seconds, max_iterations) with
+    match (sc.Scenario.timeout, sc.Scenario.max_iters) with
     | None, None -> None
     | s, i -> Some (Lv_multiwalk.Run.budget ?max_seconds:s ?max_iterations:i ())
   in
@@ -157,7 +143,7 @@ let run_campaign ctx store (sc : Scenario.t) =
   match store with
   | None -> execute ()
   | Some t ->
-    let key = campaign_key ctx sc in
+    let key = campaign_key sc in
     (* The in-progress campaign checkpoints straight into the artifact
        path: a crash mid-campaign leaves a partial run-log that fails the
        completeness check (a miss), and the recompute resumes from it. *)
@@ -280,17 +266,13 @@ let write_file path s =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc s)
 
+(* Names were validated by [Scenario.make]. *)
+let candidates (sc : Scenario.t) =
+  Option.map (List.filter_map Fit.candidate_of_string) sc.Scenario.candidates
+
 let run_fit (ctx : Ctx.t) store (sc : Scenario.t) (ds : Dataset.t) =
-  let candidates =
-    (* Names were validated by [Scenario.make]; resolve them here so the
-       context's string candidates and the scenario's share one code path
-       inside [Fit.fit]. *)
-    Option.map
-      (List.filter_map Fit.candidate_of_string)
-      sc.Scenario.candidates
-  in
   let compute () =
-    Fit.fit ~ctx ?alpha:sc.Scenario.alpha ?candidates
+    Fit.fit ~ctx ?alpha:sc.Scenario.alpha ?candidates:(candidates sc)
       ~n_censored:(Dataset.n_censored ds)
       ds.Dataset.values
   in
@@ -310,13 +292,9 @@ let run_fit (ctx : Ctx.t) store (sc : Scenario.t) (ds : Dataset.t) =
 
 let run_validate (ctx : Ctx.t) store (sc : Scenario.t) (cfg : Validate.config)
     (ds : Dataset.t) (report : Fit.report) =
-  let candidates =
-    Option.map
-      (List.filter_map Fit.candidate_of_string)
-      sc.Scenario.candidates
-  in
   let compute () =
-    Validate.run ~ctx ?alpha:sc.Scenario.alpha ?candidates ~config:cfg
+    Validate.run ~ctx ?alpha:sc.Scenario.alpha ?candidates:(candidates sc)
+      ~config:cfg
       ~seed:sc.Scenario.seed ~cores:sc.Scenario.cores ~label:sc.Scenario.name
       ~report ds.Dataset.values
   in

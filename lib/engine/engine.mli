@@ -6,11 +6,12 @@
     KS test), predict (multi-walk speed-up curve), simulate (plug-in
     minimum speed-ups), compare (predicted vs. measured) and validate
     (bootstrap bands, held-out cross-validation and the calibration
-    oracle of {!Lv_validate.Validate}) — resolving
-    every cross-cutting default (pool, telemetry, budgets, retries,
-    checkpoints, cache) from the {!Lv_context.Context}, while the
-    scenario's own fields (seed, alpha, candidates, budgets) take
-    precedence as the experiment's spec.
+    oracle of {!Lv_validate.Validate}).  The scenario is the experiment's
+    spec: seed, alpha, candidates, budgets, solver parameters and the
+    validation config all come from it.  The {!Lv_context.Context}
+    supplies only the machinery the stages share: the pool, the
+    telemetry sink, the artifact cache, and the alpha used when the
+    scenario gives none.
 
     {2 Caching}
 
@@ -21,9 +22,9 @@
     of the report (laws are rebuilt with {!Lv_core.Fit.instantiate}), and
     the validation artifact is the {!Lv_validate.Validate.to_json} report
     (keyed on the fit key plus the validation config, cores and seed).  Cache
-    keys hash the {e effective} inputs — scenario fields after context
-    fallback — so changing either the scenario or the governing context
-    field recomputes, and lookups surface as ["engine.cache.hit"] /
+    keys hash the {e effective} inputs — the scenario's fields, plus the
+    context's alpha when the scenario leaves alpha unset — so changing any
+    of them recomputes, and lookups surface as ["engine.cache.hit"] /
     ["engine.cache.miss"] telemetry counters and in the outcome.
 
     {2 Telemetry}

@@ -27,51 +27,14 @@ let restore_slots ~path ~seed ~runs =
     (Checkpoint.load path);
   slots
 
-(* [?ctx] resolution, shared by [run]/[run_fn]: an explicit optional
-   argument (the pre-context spelling) overrides the context field, which
-   overrides the built-in default — so legacy call sites behave exactly as
-   before and a context can be adopted one layer at a time. *)
-let resolve_ctx ?(ctx = Lv_context.Context.default) ?domains ?pool ?telemetry
-    ?checkpoint ?retry ~label () =
-  let open Lv_context in
-  let domains =
-    match domains with
-    | Some d -> d
-    | None -> Option.value ctx.Context.domains ~default:1
-  in
-  let pool = match pool with Some _ as p -> p | None -> ctx.Context.pool in
-  let telemetry =
-    match telemetry with Some t -> t | None -> ctx.Context.telemetry
-  in
-  let checkpoint =
-    match checkpoint with
-    | Some _ as c -> c
-    | None ->
-      Option.map
-        (fun dir -> Filename.concat dir (label ^ ".jsonl"))
-        ctx.Context.checkpoint_dir
-  in
-  let retry =
-    match retry with
-    | Some r -> r
-    | None ->
-      if ctx.Context.retries = 0 then Retry.none
-      else Retry.policy ~max_attempts:(ctx.Context.retries + 1) ()
-  in
-  (domains, pool, telemetry, checkpoint, retry)
-
-let run_fn ?ctx ?domains ?pool ?progress ?telemetry ?checkpoint ?retry ~label
-    ~seed ~runs make_runner =
-  let domains, pool, telemetry, checkpoint, retry =
-    resolve_ctx ?ctx ?domains ?pool ?telemetry ?checkpoint ?retry ~label ()
-  in
+let run_fn ?(ctx = Lv_context.Context.default) ?progress ?checkpoint
+    ?(retry = Retry.none) ~label ~seed ~runs make_runner =
+  let { Lv_context.Context.pool; telemetry; _ } = ctx in
   if runs <= 0 then invalid_arg "Campaign.run: runs must be positive";
-  if domains <= 0 then invalid_arg "Campaign.run: domains must be positive";
   if retry.Retry.max_attempts <= 0 then
     invalid_arg "Campaign.run: retry.max_attempts must be positive";
   let traced = not (Lv_telemetry.Sink.is_null telemetry) in
   let n_censored_cell = ref 0 in
-  let pool_size_cell = ref domains in
   let retries = Atomic.make 0 in
   let retried_runs = Atomic.make 0 in
   let restored =
@@ -86,7 +49,7 @@ let run_fn ?ctx ?domains ?pool ?progress ?telemetry ?checkpoint ?retry ~label
     let with_p f =
       match pool with
       | Some p -> f p
-      | None -> Lv_exec.Pool.with_pool ~domains f
+      | None -> Lv_exec.Pool.with_pool ~domains:1 f
     in
     let with_log f =
       (* Nothing left to append when every run was restored — and opening
@@ -98,7 +61,6 @@ let run_fn ?ctx ?domains ?pool ?progress ?telemetry ?checkpoint ?retry ~label
     in
     with_log @@ fun log ->
     with_p @@ fun p ->
-    pool_size_cell := Lv_exec.Pool.size p;
     (* One runner per pool worker, created lazily on that worker's first
        run: instances are mutable and must not be shared, but they are
        profitably reused across the runs one worker executes.  Each slot is
@@ -137,7 +99,6 @@ let run_fn ?ctx ?domains ?pool ?progress ?telemetry ?checkpoint ?retry ~label
                          Lv_telemetry.Json.String (Printexc.to_string exn) );
                      ]))
           (fun () ->
-            Fault.maybe_inject ();
             (* The generator is recreated per attempt, so a retried run
                replays the exact same random walk: retries are invisible
                in the dataset. *)
@@ -219,7 +180,9 @@ let run_fn ?ctx ?domains ?pool ?progress ?telemetry ?checkpoint ?retry ~label
       [
         ("label", Lv_telemetry.Json.String label);
         ("runs", Lv_telemetry.Json.Int runs);
-        ("domains", Lv_telemetry.Json.Int !pool_size_cell);
+        ( "domains",
+          Lv_telemetry.Json.Int
+            (match pool with Some p -> Lv_exec.Pool.size p | None -> 1) );
         ("seed", Lv_telemetry.Json.Int seed);
         ("censored", Lv_telemetry.Json.Int !n_censored_cell);
         ("retries", Lv_telemetry.Json.Int (Atomic.get retries));
@@ -233,20 +196,8 @@ let censored_iterations result =
          if o.Run.solved then None else Some (float_of_int o.Run.iterations))
   |> Array.of_list
 
-let run ?ctx ?params ?budget ?domains ?pool ?progress ?telemetry ?checkpoint
-    ?retry ~label ~seed ~runs make_instance =
-  let budget =
-    match (budget, ctx) with
-    | (Some _ as b), _ -> b
-    | None, Some c
-      when c.Lv_context.Context.max_seconds <> None
-           || c.Lv_context.Context.max_iterations <> None ->
-      Some
-        (Run.budget ?max_seconds:c.Lv_context.Context.max_seconds
-           ?max_iterations:c.Lv_context.Context.max_iterations ())
-    | None, _ -> None
-  in
-  run_fn ?ctx ?domains ?pool ?progress ?telemetry ?checkpoint ?retry ~label
-    ~seed ~runs (fun () ->
+let run ?ctx ?params ?budget ?progress ?checkpoint ?retry ~label ~seed ~runs
+    make_instance =
+  run_fn ?ctx ?progress ?checkpoint ?retry ~label ~seed ~runs (fun () ->
       let packed = make_instance () in
       fun rng -> Run.once ?params ?budget ~rng packed)

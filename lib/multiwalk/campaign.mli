@@ -4,10 +4,9 @@
 
     Runs are independent, so campaigns optionally spread across OCaml 5
     domains — this parallelism only accelerates data *collection*; each
-    observation is still a sequential run.  Execution goes through
-    {!Lv_exec.Pool}: pass [?pool] to share one set of worker domains with
-    other phases, or [?domains] to let the campaign scope a private pool
-    for its duration.
+    observation is still a sequential run.  Execution goes through the
+    {!Lv_exec.Pool} of [?ctx]; a context without a pool makes the campaign
+    scope a private one-worker pool for its duration.
 
     {2 Robustness}
 
@@ -27,15 +26,6 @@
       to an uninterrupted campaign (per-run seeding [seed + r] makes
       iteration counts exact; restored seconds are the genuinely measured
       ones).  A checkpoint recorded under a different seed is rejected.
-    {2 Context}
-
-    [?ctx] (an {!Lv_context.Context.t}) supplies every cross-cutting
-    default at once: pool/domains, telemetry sink, per-run budget, retry
-    count and checkpoint directory (the run-log lands at
-    [<checkpoint_dir>/<label>.jsonl]).  An explicit optional argument —
-    the pre-context spelling, kept so call sites can migrate layer by
-    layer — overrides the corresponding context field.
-
     - {e Retry-with-backoff} ([?retry], default {!Retry.none}): a run
       whose runner raises is re-attempted under the policy before the
       campaign aborts.  Retried runs recreate their generator from the
@@ -43,7 +33,14 @@
       fault-free run would have.  A failure that exhausts the policy
       propagates through the pool's barrier — every in-flight run is
       joined (and checkpointed) first, then the exception is re-raised
-      from [run]. *)
+      from [run].
+
+    {2 Context}
+
+    {!run} and {!run_fn} are pipeline entry points: the pool and the
+    telemetry sink come from [?ctx] (an {!Lv_context.Context.t}) and
+    nowhere else.  Budget, checkpoint path and retry policy are per-call
+    settings and stay explicit arguments. *)
 
 type result = {
   observations : Run.observation list;
@@ -64,10 +61,7 @@ val run :
   ?ctx:Lv_context.Context.t ->
   ?params:Lv_search.Params.t ->
   ?budget:Run.budget ->
-  ?domains:int ->
-  ?pool:Lv_exec.Pool.t ->
   ?progress:(int -> unit) ->
-  ?telemetry:Lv_telemetry.Sink.t ->
   ?checkpoint:string ->
   ?retry:Retry.policy ->
   label:string ->
@@ -78,8 +72,8 @@ val run :
 (** [run ~label ~seed ~runs make_instance] performs [runs] independent
     solves.  [make_instance] is called at most once per pool worker, on that
     worker's first run (instances are mutable and must not be shared).
-    [pool] selects the executor; when absent a private pool of [domains]
-    workers (default 1) is created for the campaign and shut down after.
+    [ctx.pool] selects the executor; when it is [None] a private
+    one-worker pool is created for the campaign and shut down after.
     [progress] is called with the number of completed runs after each
     completion (restored runs count as completed).  Seeding is per-run
     ([seed + run index]) and results are slotted by run index, so the
@@ -88,7 +82,7 @@ val run :
     [budget] caps each run (see {!Run.budget}); [checkpoint] and [retry]
     are described above.
 
-    When [telemetry] (default: the null sink, zero overhead) is a live
+    When [ctx.telemetry] (default: the null sink, zero overhead) is a live
     sink, every executed run emits one ["campaign.run"] span (run index,
     seed, worker domain, iterations, solved flag), every retry emits one
     ["campaign.retry"] mark (run, attempt, error), and the campaign ends
@@ -98,10 +92,7 @@ val run :
 
 val run_fn :
   ?ctx:Lv_context.Context.t ->
-  ?domains:int ->
-  ?pool:Lv_exec.Pool.t ->
   ?progress:(int -> unit) ->
-  ?telemetry:Lv_telemetry.Sink.t ->
   ?checkpoint:string ->
   ?retry:Retry.policy ->
   label:string ->

@@ -30,17 +30,11 @@ let outcome_fields o =
     ("solved", Lv_telemetry.Json.Bool o.solved);
   ]
 
-let wall_clock ?(ctx = Lv_context.Context.default) ?params ?pool ?telemetry
-    ~seed ~walkers make_instance =
+let wall_clock ?(ctx = Lv_context.Context.default) ?params ~seed ~walkers
+    make_instance =
   if walkers <= 0 then invalid_arg "Race.wall_clock: walkers must be positive";
-  let telemetry =
-    match telemetry with Some t -> t | None -> ctx.Lv_context.Context.telemetry
-  in
-  let p =
-    match (pool, ctx.Lv_context.Context.pool) with
-    | Some p, _ | None, Some p -> p
-    | None, None -> Lv_exec.Pool.default ()
-  in
+  let { Lv_context.Context.pool; telemetry; _ } = ctx in
+  let p = match pool with Some p -> p | None -> Lv_exec.Pool.default () in
   let traced = not (Lv_telemetry.Sink.is_null telemetry) in
   let found = Atomic.make (-1) in
   let cancel = Lv_exec.Cancel.create () in
@@ -106,24 +100,12 @@ let wall_clock ?(ctx = Lv_context.Context.default) ?params ?pool ?telemetry
       match !outcome_cell with Some o -> outcome_fields o | None -> [])
     body
 
-let iteration_metric ?(ctx = Lv_context.Context.default) ?params ?domains
-    ?pool ?telemetry ~seed ~walkers make_instance =
+let iteration_metric ?(ctx = Lv_context.Context.default) ?params ~seed
+    ~walkers make_instance =
   if walkers <= 0 then invalid_arg "Race.iteration_metric: walkers must be positive";
-  let telemetry =
-    match telemetry with Some t -> t | None -> ctx.Lv_context.Context.telemetry
-  in
-  let domains =
-    match (domains, ctx.Lv_context.Context.domains) with
-    | Some d, _ | None, Some d -> d
-    | None, None -> 1
-  in
-  let pool =
-    match pool with Some _ as p -> p | None -> ctx.Lv_context.Context.pool
-  in
   let t0 = Lv_telemetry.Clock.now_ns () in
   let c =
-    Campaign.run ?params ~domains ?pool ~telemetry ~label:"race" ~seed
-      ~runs:walkers make_instance
+    Campaign.run ~ctx ?params ~label:"race" ~seed ~runs:walkers make_instance
   in
   let seconds =
     Lv_telemetry.Clock.seconds_between ~start:t0
@@ -143,7 +125,7 @@ let iteration_metric ?(ctx = Lv_context.Context.default) ?params ?domains
       { walkers; winner = Some w; seconds; min_iterations = it; solved = true }
     | None -> { walkers; winner = None; seconds; min_iterations = 0; solved = false }
   in
-  Lv_telemetry.Span.emit telemetry ~name:"race" ~duration:seconds
+  Lv_telemetry.Span.emit ctx.telemetry ~name:"race" ~duration:seconds
     ~fields:(outcome_fields outcome) ();
   outcome
 

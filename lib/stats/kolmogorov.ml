@@ -67,6 +67,9 @@ type result = {
 }
 
 let test ?(alpha = 0.05) sample cdf =
+  if not (alpha > 0. && alpha < 1.) then
+    invalid_arg
+      (Printf.sprintf "Kolmogorov.test: alpha must lie in (0, 1), got %g" alpha);
   let d = statistic sample cdf in
   let n = Array.length sample in
   let p = p_value ~n d in

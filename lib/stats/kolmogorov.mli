@@ -30,6 +30,8 @@ type result = {
 
 val test : ?alpha:float -> float array -> (float -> float) -> result
 (** Run the test of [sample] against the theoretical [cdf] at significance
-    level [alpha] (default 0.05, as in the paper). *)
+    level [alpha] (default 0.05, as in the paper).  Raises
+    [Invalid_argument] unless [0 < alpha < 1]: every alpha, whatever path
+    it came by, is checked here, where it is used. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -53,31 +53,6 @@ let salt_trial_bands = 4
 let stream_rng ~seed ~salt index =
   Rng.create ~seed:(stream_seed ~seed ~salt index)
 
-(* ------------------------------------------------------------------ *)
-(* Context resolution (explicit argument > context field > default)    *)
-(* ------------------------------------------------------------------ *)
-
-let resolve ?(ctx = Lv_context.Context.default) ?alpha ?pool ?telemetry
-    ?candidates () =
-  let alpha =
-    match alpha with Some a -> a | None -> ctx.Lv_context.Context.alpha
-  in
-  let pool =
-    match pool with Some _ as p -> p | None -> ctx.Lv_context.Context.pool
-  in
-  let telemetry =
-    match telemetry with Some t -> t | None -> ctx.Lv_context.Context.telemetry
-  in
-  let candidates =
-    match candidates with
-    | Some _ as c -> c
-    | None ->
-      Option.map
-        (List.filter_map Fit.candidate_of_string)
-        ctx.Lv_context.Context.candidates
-  in
-  (alpha, pool, telemetry, candidates)
-
 let parallel_map pool f xs =
   match pool with
   | Some p -> Lv_exec.Pool.parallel_map p f xs
@@ -189,9 +164,8 @@ let bands_for ~pool ~replicates ~level ~seed ~cores
     curve;
   }
 
-let bootstrap_bands ?ctx ?pool ?telemetry ?replicates ?level ~seed ~cores
-    ~report xs =
-  let _, pool, telemetry, _ = resolve ?ctx ?pool ?telemetry () in
+let bootstrap_bands ?pool ?(telemetry = Lv_telemetry.Sink.null) ?replicates
+    ?level ~seed ~cores ~report xs =
   let replicates =
     Option.value replicates ~default:default_config.replicates
   in
@@ -243,7 +217,9 @@ let kfold_indices ~seed ~folds n =
       Array.of_list !members)
 
 let holdout_fold ~alpha ~pool ~candidates ~cores ~fold ~train ~test =
-  let fit = Fit.fit ~alpha ?pool ?candidates train in
+  let fit =
+    Fit.fit ~ctx:(Lv_context.Context.make ?pool ()) ~alpha ?candidates train
+  in
   let f = chosen_fit fit in
   let law = f.Fit.dist in
   let ks = Kolmogorov.test ~alpha test law.Distribution.cdf in
@@ -269,10 +245,9 @@ let holdout_fold ~alpha ~pool ~candidates ~cores ~fold ~train ~test =
     speedup_err;
   }
 
-let holdout ?ctx ?pool ?telemetry ?alpha ?candidates ?folds ~seed ~cores xs =
-  let alpha, pool, telemetry, candidates =
-    resolve ?ctx ?alpha ?pool ?telemetry ?candidates ()
-  in
+let holdout ?pool ?(telemetry = Lv_telemetry.Sink.null)
+    ?(alpha = Lv_context.Context.default.alpha) ?candidates ?folds ~seed
+    ~cores xs =
   let folds = Option.value folds ~default:default_config.folds in
   if folds < 2 then invalid_arg "Validate.holdout: folds must be at least 2";
   let n = Array.length xs in
@@ -340,9 +315,9 @@ type trial_outcome = {
   t_rejected : bool;  (** held-out split-half KS rejected *)
 }
 
-let oracle ?ctx ?pool ?telemetry ?alpha ?replicates ?level ?trials ~seed
-    ~cores ~runs ~candidate ~(truth : Distribution.t) () =
-  let alpha, pool, telemetry, _ = resolve ?ctx ?alpha ?pool ?telemetry () in
+let oracle ?pool ?(telemetry = Lv_telemetry.Sink.null)
+    ?(alpha = Lv_context.Context.default.alpha) ?replicates ?level ?trials
+    ~seed ~cores ~runs ~candidate ~(truth : Distribution.t) () =
   let replicates =
     Option.value replicates ~default:default_config.replicates
   in
@@ -531,12 +506,11 @@ type report = {
   calibration : oracle_report option;
 }
 
-let run ?ctx ?pool ?telemetry ?alpha ?candidates ~config ~seed ~cores ~label
-    ~(report : Fit.report) xs =
+let run ?(ctx = Lv_context.Context.default) ?alpha ?candidates ~config ~seed
+    ~cores ~label ~(report : Fit.report) xs =
   check_config config;
-  let alpha, pool, telemetry, candidates =
-    resolve ?ctx ?alpha ?pool ?telemetry ?candidates ()
-  in
+  let { Lv_context.Context.pool; telemetry; _ } = ctx in
+  let alpha = Option.value alpha ~default:ctx.alpha in
   Lv_telemetry.Span.run telemetry ~name:"validate"
     ~fields:(fun () ->
       [

@@ -25,7 +25,12 @@
 
     {!run} combines the three into one {!report} (the engine's [validate]
     stage), serializable to JSON ({!to_json}/{!of_json}, the artifact
-    format) and CSV ({!save_csv}). *)
+    format) and CSV ({!save_csv}).
+
+    The three pillars are single-computation primitives: they take
+    [?pool] (absent: run serially), [?telemetry] (absent: the null sink)
+    and [?alpha] (absent: 0.05) as explicit arguments.  {!run} is the
+    pipeline entry point and takes the pool and the sink from [?ctx]. *)
 
 (** {2 Configuration} *)
 
@@ -61,7 +66,6 @@ type bootstrap_report = {
 }
 
 val bootstrap_bands :
-  ?ctx:Lv_context.Context.t ->
   ?pool:Lv_exec.Pool.t ->
   ?telemetry:Lv_telemetry.Sink.t ->
   ?replicates:int ->
@@ -104,7 +108,6 @@ type holdout_report = {
 }
 
 val holdout :
-  ?ctx:Lv_context.Context.t ->
   ?pool:Lv_exec.Pool.t ->
   ?telemetry:Lv_telemetry.Sink.t ->
   ?alpha:float ->
@@ -152,7 +155,6 @@ type oracle_report = {
 }
 
 val oracle :
-  ?ctx:Lv_context.Context.t ->
   ?pool:Lv_exec.Pool.t ->
   ?telemetry:Lv_telemetry.Sink.t ->
   ?alpha:float ->
@@ -190,8 +192,6 @@ type report = {
 
 val run :
   ?ctx:Lv_context.Context.t ->
-  ?pool:Lv_exec.Pool.t ->
-  ?telemetry:Lv_telemetry.Sink.t ->
   ?alpha:float ->
   ?candidates:Lv_core.Fit.candidate list ->
   config:config ->
@@ -207,8 +207,9 @@ val run :
     checks the machinery recovers it (self-calibration anchored at the
     scenario's own fit).  Emits one ["validate"] telemetry span wrapping
     ["validate.bootstrap"] / ["validate.holdout"] / ["validate.oracle"]
-    child spans.  [ctx] supplies alpha, pool, telemetry and the candidate
-    pool exactly as in {!Lv_core.Fit.fit}. *)
+    child spans.  The pool and the sink come from [ctx], as in
+    {!Lv_core.Fit.fit}; [alpha] defaults to [ctx.alpha] and [candidates] to
+    every family. *)
 
 (** {2 Serialization} *)
 

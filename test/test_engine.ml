@@ -37,47 +37,46 @@ let check_fails name f =
 
 let test_context_defaults () =
   let c = Ctx.default in
-  Alcotest.(check int) "seed" 1 c.Ctx.seed;
   Alcotest.(check (float 0.)) "alpha" 0.05 c.Ctx.alpha;
-  Alcotest.(check int) "retries" 0 c.Ctx.retries;
   Alcotest.(check bool) "no pool" true (c.Ctx.pool = None);
   Alcotest.(check bool) "null telemetry" true
     (Lv_telemetry.Sink.is_null c.Ctx.telemetry);
   Alcotest.(check bool) "no cache" true (c.Ctx.cache_dir = None)
 
 let test_context_builders_compose () =
+  Lv_exec.Pool.with_pool ~domains:1 @@ fun pool ->
+  let sink = Lv_telemetry.Sink.memory () in
   let c =
-    Ctx.default |> Ctx.with_seed 42 |> Ctx.with_alpha 0.01
-    |> Ctx.with_candidates [ "exponential"; "lognormal" ]
-    |> Ctx.with_budget ~max_iterations:1000
-    |> Ctx.with_retries 2 |> Ctx.with_cache_dir "/tmp/c"
+    Ctx.default |> Ctx.with_pool pool |> Ctx.with_telemetry sink
+    |> Ctx.with_cache_dir "/tmp/c"
   in
-  let m =
-    Ctx.make ~seed:42 ~alpha:0.01
-      ~candidates:[ "exponential"; "lognormal" ]
-      ~max_iterations:1000 ~retries:2 ~cache_dir:"/tmp/c" ()
-  in
+  let m = Ctx.make ~pool ~telemetry:sink ~cache_dir:"/tmp/c" () in
   (* make with the same settings agrees with the builder chain (field by
-     field: contexts carry a sink, which is not structurally comparable). *)
+     field: pools and sinks are compared physically). *)
   List.iter
     (fun (x : Ctx.t) ->
-      Alcotest.(check int) "seed" 42 x.Ctx.seed;
-      Alcotest.(check (float 0.)) "alpha" 0.01 x.Ctx.alpha;
-      Alcotest.(check bool) "candidates" true
-        (x.Ctx.candidates = Some [ "exponential"; "lognormal" ]);
-      Alcotest.(check bool) "budget" true (x.Ctx.max_iterations = Some 1000);
-      Alcotest.(check int) "retries" 2 x.Ctx.retries;
+      Alcotest.(check bool) "pool" true
+        (match x.Ctx.pool with Some p -> p == pool | None -> false);
+      Alcotest.(check bool) "telemetry" true (x.Ctx.telemetry == sink);
+      Alcotest.(check (float 0.)) "alpha" 0.05 x.Ctx.alpha;
       Alcotest.(check bool) "cache dir" true (x.Ctx.cache_dir = Some "/tmp/c"))
     [ c; m ]
 
 let test_context_validation () =
-  check_invalid "alpha 0" (fun () -> Ctx.with_alpha 0. Ctx.default);
-  check_invalid "alpha 1" (fun () -> Ctx.with_alpha 1. Ctx.default);
-  check_invalid "domains 0" (fun () -> Ctx.with_domains 0 Ctx.default);
-  check_invalid "empty candidates" (fun () -> Ctx.with_candidates [] Ctx.default);
-  check_invalid "negative retries" (fun () -> Ctx.with_retries (-1) Ctx.default);
-  check_invalid "nonpositive budget" (fun () ->
-      Ctx.with_budget ~max_seconds:0. Ctx.default)
+  (* A context's alpha is checked where it is used: the record can be
+     built with any value, and the fit that reads it rejects nonsense —
+     exactly as it rejects the same value passed explicitly. *)
+  let xs = Array.init 20 (fun i -> float_of_int (i + 1)) in
+  List.iter
+    (fun alpha ->
+      let ctx = { Ctx.default with Ctx.alpha } in
+      check_invalid
+        (Printf.sprintf "ctx alpha %g" alpha)
+        (fun () -> Lv_core.Fit.fit ~ctx xs);
+      check_invalid
+        (Printf.sprintf "explicit alpha %g" alpha)
+        (fun () -> Lv_core.Fit.fit ~alpha xs))
+    [ 0.; 1.; 1.5; -0.1; Float.nan ]
 
 (* ------------------------------------------------------------------ *)
 (* Scenario                                                            *)
@@ -479,27 +478,60 @@ let test_engine_cache_key_sensitivity () =
   Alcotest.(check int) "campaign reused" 1 o3.Engine.cache_hits;
   Alcotest.(check int) "fit recomputed" 1 o3.Engine.cache_misses
 
-let test_engine_ctx_budget_censors () =
-  (* A context-supplied iteration budget must reach the runs: with a
-     1-iteration cap nothing solves, and the campaign layer rejects the
-     fully-censored result.  Without the ctx budget the same scenario
-     solves every run (see the other engine tests), so the raise proves
-     the budget flowed through the context fallback. *)
-  let ctx = Ctx.make ~max_iterations:1 () in
-  match Engine.run ~ctx (small_scenario ~stages:[ Scenario.Campaign ] ()) with
+let budget_scenario max_iters =
+  Scenario.make ~problem:"n-queens" ~size:20 ~runs:6 ~seed:3 ~max_iters
+    ~stages:[ Scenario.Campaign ] ()
+
+let test_engine_scenario_budget_censors () =
+  (* The scenario's iteration budget reaches the runs: with a 1-iteration
+     cap nothing solves, and the campaign layer rejects the fully-censored
+     result. *)
+  match Engine.run (budget_scenario 1) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected the fully-censored campaign to be rejected"
 
-let test_engine_scenario_budget_overrides_ctx () =
-  (* The scenario's own budget wins over the context's. *)
-  let ctx = Ctx.make ~max_iterations:1 () in
-  let sc =
-    Scenario.make ~problem:"n-queens" ~size:20 ~runs:6 ~seed:3
-      ~max_iters:10_000_000 ~stages:[ Scenario.Campaign ] ()
-  in
-  let o = Engine.run ~ctx sc in
-  Alcotest.(check int) "runs solve under the scenario budget" 0
+let test_engine_scenario_budget_solves () =
+  (* Under a generous scenario budget the same scenario solves every run,
+     so the rejection above comes from the cap alone. *)
+  let o = Engine.run (budget_scenario 10_000_000) in
+  Alcotest.(check int) "runs solve under the generous budget" 0
     o.Engine.campaign.Lv_multiwalk.Campaign.n_censored
+
+(* Artifact file names ([<stage>-<key>.<ext>]) of a fresh store filled by
+   the CI scenario with a small validation config.  The keys hash every
+   effective input of a stage, so any change to what a key covers — or to
+   where a setting comes from — renames an artifact and fails here; a
+   store filled by an earlier build would then silently miss. *)
+let pinned_artifacts =
+  [
+    "campaign-261a4805128b39ca57ce14bb96018e2c.jsonl";
+    "fit-77cbac87d32abc01e15a7312a937fb63.json";
+    "validate-9dca4f5df80ee0c00459614102e971af.json";
+  ]
+
+let test_engine_artifact_keys_pinned () =
+  let conf =
+    List.find Sys.file_exists
+      [
+        "../examples/scenarios/ci-smoke.conf";
+        "examples/scenarios/ci-smoke.conf";
+      ]
+  in
+  let sc = Scenario.of_file conf in
+  let sc =
+    {
+      sc with
+      Scenario.stages = [ Scenario.Campaign; Scenario.Fit; Scenario.Validate ];
+      validate =
+        Some
+          { Lv_validate.Validate.replicates = 20; folds = 2; level = 0.9; trials = 0 };
+    }
+  in
+  let cache = tmp_dir () in
+  let o = Engine.run ~ctx:(Ctx.make ~cache_dir:cache ()) sc in
+  Alcotest.(check int) "fresh store: every stage misses" 3 o.Engine.cache_misses;
+  Alcotest.(check (list string)) "artifact names" pinned_artifacts
+    (List.sort compare (Array.to_list (Sys.readdir cache)))
 
 let test_engine_deterministic_across_ctx_pool () =
   (* Same scenario, pool of 1 vs pool of 3: identical datasets. *)
@@ -545,9 +577,12 @@ let () =
             test_engine_cache_second_run_free;
           Alcotest.test_case "cache key sensitivity" `Quick
             test_engine_cache_key_sensitivity;
-          Alcotest.test_case "ctx budget censors" `Quick test_engine_ctx_budget_censors;
-          Alcotest.test_case "scenario budget overrides ctx" `Quick
-            test_engine_scenario_budget_overrides_ctx;
+          Alcotest.test_case "scenario budget censors" `Quick
+            test_engine_scenario_budget_censors;
+          Alcotest.test_case "scenario budget solves" `Quick
+            test_engine_scenario_budget_solves;
+          Alcotest.test_case "artifact keys pinned" `Quick
+            test_engine_artifact_keys_pinned;
           Alcotest.test_case "pool-size invariant" `Quick
             test_engine_deterministic_across_ctx_pool;
         ] );

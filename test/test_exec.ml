@@ -270,7 +270,8 @@ let test_pool_stats_sum_to_task_count () =
 
 let campaign_values pool =
   let c =
-    Lv_multiwalk.Campaign.run ~pool ~label:"queens-14" ~seed:100 ~runs:30
+    Lv_multiwalk.Campaign.run ~ctx:(Lv_context.Context.make ~pool ())
+      ~label:"queens-14" ~seed:100 ~runs:30
       (fun () -> Lv_problems.Queens.pack 14)
   in
   c.Lv_multiwalk.Campaign.iterations.Lv_multiwalk.Dataset.values

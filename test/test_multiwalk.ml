@@ -121,8 +121,15 @@ let test_dataset_synthetic () =
 (* Campaign                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* [f ctx] with a context on a pool of [domains] workers, scoped to the
+   call. *)
+let on_pool ?telemetry domains f =
+  Lv_exec.Pool.with_pool ~domains @@ fun pool ->
+  f (Lv_context.Context.make ~pool ?telemetry ())
+
 let queens_campaign ?(runs = 30) ?(domains = 1) () =
-  Lv_multiwalk.Campaign.run ~domains ~label:"queens-15" ~seed:100 ~runs (fun () ->
+  on_pool domains @@ fun ctx ->
+  Lv_multiwalk.Campaign.run ~ctx ~label:"queens-15" ~seed:100 ~runs (fun () ->
       Lv_problems.Queens.pack 15)
 
 let test_campaign_basic () =
@@ -158,8 +165,9 @@ let test_campaign_dataset_identical_across_domains () =
   let sink = Lv_telemetry.Sink.memory () in
   let c1 = queens_campaign ~domains:1 () in
   let c4 =
-    Lv_multiwalk.Campaign.run ~domains:4 ~telemetry:sink ~label:"queens-15"
-      ~seed:100 ~runs:30 (fun () -> Lv_problems.Queens.pack 15)
+    on_pool ~telemetry:sink 4 @@ fun ctx ->
+    Lv_multiwalk.Campaign.run ~ctx ~label:"queens-15" ~seed:100 ~runs:30
+      (fun () -> Lv_problems.Queens.pack 15)
   in
   Alcotest.(check bool) "identical iterations datasets" true
     (c1.Lv_multiwalk.Campaign.iterations.Lv_multiwalk.Dataset.values
@@ -229,7 +237,8 @@ let test_campaign_worker_exception_propagates () =
      in-flight run first, so the campaign can also be re-run afterwards. *)
   let calls = Atomic.make 0 in
   let campaign ~boom () =
-    Lv_multiwalk.Campaign.run_fn ~domains:3 ~label:"boom" ~seed:1 ~runs:24
+    on_pool 3 @@ fun ctx ->
+    Lv_multiwalk.Campaign.run_fn ~ctx ~label:"boom" ~seed:1 ~runs:24
       (fun () rng ->
         let n = Atomic.fetch_and_add calls 1 in
         if boom && n = 5 then raise (Runner_failed 42);
@@ -310,8 +319,9 @@ let test_campaign_budget_censoring_accounted () =
   let budget = Lv_multiwalk.Run.budget ~max_iterations:10 () in
   let runs = 10 in
   let c =
-    Lv_multiwalk.Campaign.run ~budget ~telemetry:sink ~label:"q15-capped"
-      ~seed:100 ~runs (fun () -> Lv_problems.Queens.pack 15)
+    Lv_multiwalk.Campaign.run ~ctx:(Lv_context.Context.make ~telemetry:sink ())
+      ~budget ~label:"q15-capped" ~seed:100 ~runs (fun () ->
+        Lv_problems.Queens.pack 15)
   in
   let n_solved = Lv_multiwalk.Dataset.size c.Lv_multiwalk.Campaign.iterations in
   let n_censored = c.Lv_multiwalk.Campaign.n_censored in
@@ -427,7 +437,8 @@ let test_campaign_retry_preserves_dataset () =
      campaign's dataset is *identical* to a fault-free one. *)
   let campaign ~faulty () =
     let calls = Atomic.make 0 in
-    Lv_multiwalk.Campaign.run_fn ~domains:3 ~retry:(fast_retry ~max_attempts:3)
+    on_pool 3 @@ fun ctx ->
+    Lv_multiwalk.Campaign.run_fn ~ctx ~retry:(fast_retry ~max_attempts:3)
       ~label:"retry" ~seed:11 ~runs:20
       (fun () rng ->
         if faulty && Atomic.fetch_and_add calls 1 = 5 then failwith "transient";
@@ -443,6 +454,53 @@ let test_campaign_retry_preserves_dataset () =
   Alcotest.(check bool) "retries are invisible in the dataset" true
     (clean.Lv_multiwalk.Campaign.iterations.Lv_multiwalk.Dataset.values
     = faulted.Lv_multiwalk.Campaign.iterations.Lv_multiwalk.Dataset.values)
+
+exception Injected_fault
+
+let test_campaign_injected_faults_retried_away () =
+  (* Fault injection lives in the test, as a runner wrapper: each attempt
+     of each run faults with probability 0.2, decided by a seeded hash of
+     (run, attempt).  The fault strikes after the solve, once the attempt
+     has consumed its randomness.  Under 5 retries every run recovers, and
+     because each attempt replays the run's generator from [seed + run]
+     the dataset equals the clean campaign's on any pool size. *)
+  let runs = 200 and seed = 7 in
+  let make () = Lv_problems.All_interval.pack 14 in
+  let clean =
+    Lv_multiwalk.Campaign.run ~label:"ai-14" ~seed ~runs make
+  in
+  let faulty () =
+    let packed = make () in
+    (* One runner per pool worker, and a run's retries stay on the worker
+       that started it, so this table is never shared between domains. *)
+    let attempts = Hashtbl.create 64 in
+    fun rng ->
+      (* The run's identity, read from a copy so the walk is unperturbed. *)
+      let run = Lv_stats.Rng.bits64 (Lv_stats.Rng.copy rng) in
+      let attempt = Option.value (Hashtbl.find_opt attempts run) ~default:0 in
+      Hashtbl.replace attempts run (attempt + 1);
+      let obs = Lv_multiwalk.Run.once ~rng packed in
+      if Hashtbl.seeded_hash 0x5eed (run, attempt) mod 1000 < 200 then
+        raise Injected_fault;
+      obs
+  in
+  List.iter
+    (fun domains ->
+      let faulted =
+        on_pool domains @@ fun ctx ->
+        Lv_multiwalk.Campaign.run_fn ~ctx ~retry:(fast_retry ~max_attempts:6)
+          ~label:"ai-14" ~seed ~runs faulty
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "faults were injected on %d domains" domains)
+        true
+        (faulted.Lv_multiwalk.Campaign.n_retried > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "dataset unperturbed on %d domains" domains)
+        true
+        (clean.Lv_multiwalk.Campaign.iterations.Lv_multiwalk.Dataset.values
+        = faulted.Lv_multiwalk.Campaign.iterations.Lv_multiwalk.Dataset.values))
+    [ 1; 4 ]
 
 let test_campaign_retry_exhaustion_propagates () =
   (* A persistent failure must surface even under a retry policy. *)
@@ -547,8 +605,9 @@ let test_checkpoint_resume_byte_identical () =
       let log_d = tmp_log () in
       write_file log_d (first_5 ^ "\n");
       let resumed =
-        Lv_multiwalk.Campaign.run ~domains ~checkpoint:log_d ~label:"ck"
-          ~seed:400 ~runs make
+        on_pool domains @@ fun ctx ->
+        Lv_multiwalk.Campaign.run ~ctx ~checkpoint:log_d ~label:"ck" ~seed:400
+          ~runs make
       in
       Alcotest.(check int)
         (Printf.sprintf "restored 5 of %d on %d domains" runs domains)
@@ -559,8 +618,8 @@ let test_checkpoint_resume_byte_identical () =
       (* The resumed campaign completed the log: resuming again restores
          everything and opens no writer. *)
       let again =
-        Lv_multiwalk.Campaign.run ~domains:1 ~checkpoint:log_d ~label:"ck"
-          ~seed:400 ~runs make
+        Lv_multiwalk.Campaign.run ~checkpoint:log_d ~label:"ck" ~seed:400 ~runs
+          make
       in
       Alcotest.(check int) "second resume restores all" runs
         again.Lv_multiwalk.Campaign.n_restored;
@@ -587,7 +646,8 @@ let test_checkpoint_survives_runner_crash () =
   in
   let log = tmp_log () in
   (match
-     Lv_multiwalk.Campaign.run_fn ~domains:2 ~checkpoint:log ~label:"crash"
+     on_pool 2 @@ fun ctx ->
+     Lv_multiwalk.Campaign.run_fn ~ctx ~checkpoint:log ~label:"crash"
        ~seed:900 ~runs
        (runner ~boom:true (Atomic.make 0))
    with
@@ -597,7 +657,8 @@ let test_checkpoint_survives_runner_crash () =
   Alcotest.(check bool) "completed runs survived the crash" true (saved > 0);
   Alcotest.(check bool) "the crashed run did not" true (saved < runs);
   let resumed =
-    Lv_multiwalk.Campaign.run_fn ~domains:2 ~checkpoint:log ~label:"crash"
+    on_pool 2 @@ fun ctx ->
+    Lv_multiwalk.Campaign.run_fn ~ctx ~checkpoint:log ~label:"crash"
       ~seed:900 ~runs
       (runner ~boom:false (Atomic.make 0))
   in
@@ -822,6 +883,8 @@ let () =
             test_campaign_retry_preserves_dataset;
           Alcotest.test_case "campaign exhaustion propagates" `Quick
             test_campaign_retry_exhaustion_propagates;
+          Alcotest.test_case "campaign injected faults retried away" `Quick
+            test_campaign_injected_faults_retried_away;
         ] );
       ( "checkpoint",
         [

@@ -652,29 +652,6 @@ let test_min_of_weibull_is_weibull () =
   let closed = Order_stats.weibull_expected_min ~shape:2. ~scale:10. n in
   if rel_err closed mc > 0.02 then Alcotest.failf "weibull min MC %g vs %g" mc closed
 
-let test_pareto_family () =
-  let d = Pareto.create ~xm:2. ~alpha:3. in
-  check_rel ~tol:1e-12 "mean" 3. d.Distribution.mean;
-  check_float ~eps:1e-15 "no mass below xm" 0. (d.Distribution.cdf 1.9);
-  check_rel ~tol:1e-12 "median" (2. *. (2. ** (1. /. 3.))) (d.Distribution.quantile 0.5);
-  (* alpha <= 1: infinite mean. *)
-  Alcotest.(check bool) "heavy tail mean nan" true
-    (Float.is_nan (Pareto.create ~xm:1. ~alpha:0.8).Distribution.mean);
-  (* Min-stability: E[min of n] closed form vs generic quadrature. *)
-  List.iter
-    (fun n ->
-      check_rel ~tol:1e-5
-        (Printf.sprintf "pareto E[min %d]" n)
-        (Pareto.expected_min ~xm:2. ~alpha:3. n)
-        (Order_stats.expected_min d n))
-    [ 1; 2; 8; 64 ];
-  (* Infinite sequential mean, finite parallel mean: alpha = 0.8, n = 4
-     gives n alpha = 3.2 > 1. *)
-  let heavy = Pareto.create ~xm:1. ~alpha:0.8 in
-  check_rel ~tol:1e-4 "parallel mean becomes finite"
-    (Pareto.expected_min ~xm:1. ~alpha:0.8 4)
-    (Order_stats.expected_min heavy 4)
-
 let test_mle_exponential_censored () =
   (* Exponential data cut at a budget: the censoring-aware estimator
      recovers the rate, the naive one overestimates it. *)
@@ -867,6 +844,20 @@ let test_ks_p_value_uniformity () =
   let avg = !acc /. float_of_int reps in
   if avg < 0.3 || avg > 0.7 then
     Alcotest.failf "average p-value under H0 is %g, expected ~0.5" avg
+
+let test_ks_alpha_range () =
+  (* Every alpha is checked where the test uses it: 0, 1 and anything
+     outside (0, 1) would accept or reject every law regardless of fit. *)
+  let xs = [| 0.1; 0.4; 0.7 |] in
+  List.iter
+    (fun alpha ->
+      match Kolmogorov.test ~alpha xs (fun x -> x) with
+      | (_ : Kolmogorov.result) ->
+        Alcotest.failf "alpha %g accepted" alpha
+      | exception Invalid_argument _ -> ())
+    [ 0.; 1.; 1.5; -0.05; Float.nan; Float.infinity ];
+  let r = Kolmogorov.test ~alpha:0.2 xs (fun x -> x) in
+  Alcotest.(check (float 0.)) "alpha carried" 0.2 r.Kolmogorov.alpha
 
 let test_ks_statistic_rejects_nan () =
   (* Regression: with the polymorphic compare a NaN sample value sorted to
@@ -1366,7 +1357,6 @@ let () =
           Alcotest.test_case "levy quantile" `Quick test_levy_quantile;
           Alcotest.test_case "pretty printing" `Quick test_distribution_pp;
           Alcotest.test_case "weibull min closure (MC)" `Slow test_min_of_weibull_is_weibull;
-          Alcotest.test_case "pareto family + min stability" `Quick test_pareto_family;
           Alcotest.test_case "censored exponential MLE" `Quick test_mle_exponential_censored;
           Alcotest.test_case "invalid parameters" `Quick test_invalid_params;
         ] );
@@ -1389,6 +1379,7 @@ let () =
           Alcotest.test_case "rejects wrong law" `Quick test_ks_rejects_wrong_distribution;
           Alcotest.test_case "p-value calibration" `Slow test_ks_p_value_uniformity;
           Alcotest.test_case "NaN rejected" `Quick test_ks_statistic_rejects_nan;
+          Alcotest.test_case "alpha range" `Quick test_ks_alpha_range;
         ] );
       ( "mle",
         [

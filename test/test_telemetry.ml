@@ -1,4 +1,4 @@
-(* Tests for the telemetry subsystem: JSON codec, span nesting, counters,
+(* Tests for the telemetry subsystem: JSON codec, span nesting,
    sink behaviour (null/memory/jsonl/tee), report aggregation, and the
    integration with Campaign's per-run events. *)
 
@@ -195,40 +195,6 @@ let test_null_sink_no_state () =
     (Sink.is_null (Sink.tee Sink.null Sink.null))
 
 (* ------------------------------------------------------------------ *)
-(* Counters                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_counter_basic () =
-  let c = Counter.create "quadrature-evals" in
-  Alcotest.(check int) "starts at zero" 0 (Counter.value c);
-  Counter.incr c;
-  Counter.add c 10;
-  Alcotest.(check int) "accumulates" 11 (Counter.value c);
-  Counter.reset c;
-  Alcotest.(check int) "reset" 0 (Counter.value c)
-
-let test_counter_cross_domain () =
-  let c = Counter.create "hits" in
-  let bump () = for _ = 1 to 1000 do Counter.incr c done in
-  let d = Domain.spawn bump in
-  bump ();
-  Domain.join d;
-  Alcotest.(check int) "no lost updates" 2000 (Counter.value c)
-
-let test_counter_flush_aggregation () =
-  let sink = Sink.memory () in
-  let c = Counter.create "evals" in
-  Counter.add c 3;
-  Counter.flush sink c;
-  Counter.add c 4;
-  Counter.flush sink c;
-  let report = Report.of_events (Sink.events sink) in
-  (* Counter snapshots are cumulative; the report keeps the last one. *)
-  Alcotest.(check (list (pair string int))) "last snapshot wins"
-    [ ("evals", 7) ]
-    report.Report.counters
-
-(* ------------------------------------------------------------------ *)
 (* Report aggregation                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -269,6 +235,18 @@ let test_report_solved_counts () =
   Alcotest.(check int) "solved" 2 p.Report.solved;
   Alcotest.(check int) "unsolved" 1 p.Report.unsolved;
   Alcotest.(check int) "errors" 1 p.Report.errors
+
+let test_report_counter_snapshots () =
+  (* Count events are cumulative snapshots: the report keeps the last one
+     per path, in first-seen order. *)
+  let count ~ts path n = Event.make ~ts ~path (Event.Count n) in
+  let r =
+    Report.of_events
+      [ count ~ts:0. "evals" 3; count ~ts:1. "hits" 1; count ~ts:2. "evals" 7 ]
+  in
+  Alcotest.(check (list (pair string int))) "last snapshot wins"
+    [ ("evals", 7); ("hits", 1) ]
+    r.Report.counters
 
 (* ------------------------------------------------------------------ *)
 (* JSONL sink round-trip                                               *)
@@ -326,8 +304,10 @@ let test_campaign_emits_run_events () =
   let sink = Sink.memory () in
   let runs = 20 in
   let c =
-    Lv_multiwalk.Campaign.run_fn ~domains:2 ~telemetry:sink ~label:"tele"
-      ~seed:42 ~runs (fun () rng ->
+    Lv_exec.Pool.with_pool ~domains:2 @@ fun pool ->
+    Lv_multiwalk.Campaign.run_fn
+      ~ctx:(Lv_context.Context.make ~pool ~telemetry:sink ())
+      ~label:"tele" ~seed:42 ~runs (fun () rng ->
         let iterations = 1 + Lv_stats.Rng.int rng 50 in
         { Lv_multiwalk.Run.seconds = 0.001; iterations; solved = iterations > 5 })
   in
@@ -366,7 +346,9 @@ let test_fit_emits_candidate_spans () =
   let sink = Sink.memory () in
   let rng = Lv_stats.Rng.create ~seed:3 in
   let xs = Array.init 150 (fun _ -> Lv_stats.Rng.float rng 1000. +. 1.) in
-  let report = Lv_core.Fit.fit ~telemetry:sink xs in
+  let report =
+    Lv_core.Fit.fit ~ctx:(Lv_context.Context.make ~telemetry:sink ()) xs
+  in
   let tr = Report.of_events (Sink.events sink) in
   let fit_phase = Option.get (Report.find_phase tr "fit") in
   Alcotest.(check int) "one fit span" 1 fit_phase.Report.count;
@@ -400,16 +382,11 @@ let () =
             test_span_record_fixed_path;
           Alcotest.test_case "null sink is inert" `Quick test_null_sink_no_state;
         ] );
-      ( "counter",
-        [
-          Alcotest.test_case "basic" `Quick test_counter_basic;
-          Alcotest.test_case "cross-domain" `Quick test_counter_cross_domain;
-          Alcotest.test_case "flush aggregation" `Quick test_counter_flush_aggregation;
-        ] );
       ( "report",
         [
           Alcotest.test_case "phase stats" `Quick test_report_phase_stats;
           Alcotest.test_case "solved counts" `Quick test_report_solved_counts;
+          Alcotest.test_case "counter snapshots" `Quick test_report_counter_snapshots;
         ] );
       ( "jsonl",
         [
