@@ -196,6 +196,7 @@ let fit ?(ctx = Lv_context.Context.default) ?alpha
   in
   let fits = List.sort compare_by_p_value fits in
   let accepted = List.filter (fun f -> f.ks.Kolmogorov.accept) fits in
+  accepted_cell := List.length accepted;
   (* Best = highest p-value among the accepted, except that a shifted
      family is preferred over its unshifted special case when both pass:
      the shift only matters in the lower tail — exactly where the

@@ -8,9 +8,9 @@ let sorted_copy xs =
         invalid_arg "Ttt: sample contains a non-finite value")
     xs;
   let s = Array.copy xs in
-  (* Float.compare: the polymorphic compare ranks NaN unpredictably, which
-     would scramble the cumulative-probability axis. *)
-  Array.sort Float.compare s;
+  (* Float.compare's order: the polymorphic compare ranks NaN
+     unpredictably, which would scramble the cumulative-probability axis. *)
+  Lv_stats.Float_sort.sort s;
   s
 
 let points xs =

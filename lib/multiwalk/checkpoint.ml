@@ -28,22 +28,89 @@ let to_json e =
       ("solved", Lv_telemetry.Json.Bool e.solved);
     ]
 
-let of_json j =
-  let open Lv_telemetry in
-  let get name conv =
-    match Option.bind (Json.member name j) conv with
-    | Some v -> v
-    | None -> raise (Json.Parse_error (Printf.sprintf "checkpoint entry: bad or missing field %S" name))
-  in
-  {
-    run = get "run" Json.to_int;
-    seed = get "seed" Json.to_int;
-    iterations = get "iterations" Json.to_int;
-    seconds = get "seconds" Json.to_float;
-    solved = get "solved" Json.to_bool;
-  }
+(* Decoding reads exactly the shape [append] writes,
+   {v {"run":I,"seed":I,"iterations":I,"seconds":F,"solved":B} v}, with a
+   cursor over the line instead of a generic [Json.t] tree.  Number tokens
+   follow [Json.of_string]: a token is the longest run of [0-9+-.eE]
+   starting at a digit or '-', and an int-shaped token (no '.', 'e' or
+   'E') goes through [int_of_string_opt]; for [seconds] an int-shaped
+   token becomes [float_of_int], or failing that [float_of_string_opt], as
+   [Json.to_float] does. *)
 
-let of_line line = of_json (Lv_telemetry.Json.of_string line)
+exception Malformed of string
+
+type cursor = { line : string; mutable pos : int }
+
+let malformed at what =
+  raise (Malformed (Printf.sprintf "expected %s at offset %d" what at))
+
+let rec matches_from line pos lit j =
+  j = String.length lit
+  || String.unsafe_get line (pos + j) = String.unsafe_get lit j
+     && matches_from line pos lit (j + 1)
+
+let looking_at c lit =
+  c.pos + String.length lit <= String.length c.line
+  && matches_from c.line c.pos lit 0
+
+let literal c lit =
+  if looking_at c lit then c.pos <- c.pos + String.length lit
+  else malformed c.pos lit
+
+let number_token c =
+  let n = String.length c.line and start = c.pos in
+  (match if start < n then c.line.[start] else ' ' with
+  | '-' | '0' .. '9' -> ()
+  | _ -> malformed start "a number");
+  while
+    c.pos < n
+    &&
+    match String.unsafe_get c.line c.pos with
+    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+    | _ -> false
+  do
+    c.pos <- c.pos + 1
+  done;
+  String.sub c.line start (c.pos - start)
+
+let int_of_token tok =
+  if String.exists (fun ch -> ch = '.' || ch = 'e' || ch = 'E') tok then None
+  else int_of_string_opt tok
+
+let int_field c key =
+  literal c key;
+  let start = c.pos in
+  match int_of_token (number_token c) with
+  | Some i -> i
+  | None -> malformed start "an integer"
+
+let float_field c key =
+  literal c key;
+  let start = c.pos in
+  let tok = number_token c in
+  match int_of_token tok with
+  | Some i -> float_of_int i
+  | None -> (
+    match float_of_string_opt tok with
+    | Some f -> f
+    | None -> malformed start "a number")
+
+let bool_field c key =
+  literal c key;
+  if looking_at c "true" then (c.pos <- c.pos + 4; true)
+  else if looking_at c "false" then (c.pos <- c.pos + 5; false)
+  else malformed c.pos "true or false"
+
+let of_line line =
+  let c = { line; pos = 0 } in
+  let run = int_field c "{\"run\":" in
+  let seed = int_field c ",\"seed\":" in
+  let iterations = int_field c ",\"iterations\":" in
+  let seconds = float_field c ",\"seconds\":" in
+  let solved = bool_field c ",\"solved\":" in
+  literal c "}";
+  if c.pos <> String.length line then malformed c.pos "end of line";
+  { run; seed; iterations; seconds; solved }
 
 let load path =
   match open_in path with
@@ -52,31 +119,26 @@ let load path =
     Fun.protect
       ~finally:(fun () -> close_in ic)
       (fun () ->
-        let lines = ref [] in
-        let lineno = ref 0 in
-        (try
-           while true do
-             let l = input_line ic in
-             incr lineno;
-             if String.length (String.trim l) > 0 then lines := (!lineno, l) :: !lines
-           done
-         with End_of_file -> ());
-        let lines = Array.of_list (List.rev !lines) in
-        let n = Array.length lines in
-        let entries = ref [] in
-        Array.iteri
-          (fun i (lineno, line) ->
+        (* A bad line is held back until the next non-empty line proves it
+           is not the last: a torn {e final} line is the expected artifact
+           of a crash mid-append and is dropped, but a bad line with
+           entries after it means the file is corrupt and must not be
+           trusted. *)
+        let rec loop lineno entries torn =
+          match input_line ic with
+          | exception End_of_file -> List.rev entries
+          | "" -> loop (lineno + 1) entries torn
+          | line -> (
+            (match torn with
+            | Some (n, msg) ->
+              failwith (Printf.sprintf "Checkpoint.load: %s:%d: %s" path n msg)
+            | None -> ());
             match of_line line with
-            | e -> entries := e :: !entries
-            | exception Lv_telemetry.Json.Parse_error msg ->
-              (* A torn *final* line is the expected artifact of a crash
-                 mid-append and is dropped; a bad line with entries after
-                 it means the file is corrupt and must not be trusted. *)
-              if i < n - 1 then
-                failwith
-                  (Printf.sprintf "Checkpoint.load: %s:%d: %s" path lineno msg))
-          lines;
-        List.rev !entries)
+            | e -> loop (lineno + 1) (e :: entries) None
+            | exception Malformed msg ->
+              loop (lineno + 1) entries (Some (lineno, msg)))
+        in
+        loop 1 [] None)
 
 type writer = { oc : out_channel; wlock : Mutex.t }
 

@@ -38,7 +38,17 @@ val observation_of_entry : entry -> Run.observation
 val load : string -> entry list
 (** Entries in file order.  A missing file is an empty checkpoint.  A
     malformed {e final} line (torn write) is dropped; malformed earlier
-    lines raise [Failure] with the path and line number. *)
+    lines raise [Failure] with the path and line number.  Empty lines are
+    skipped.
+
+    The decoder accepts exactly the lines {!append} writes: the five keys
+    in the order shown above, no whitespace anywhere, nothing after the
+    closing brace.  [run], [seed] and [iterations] must be integer tokens
+    ([-?[0-9]+] within [int] range); [seconds] is any JSON number
+    ([0] reads as [0.]); [solved] is [true] or [false].  Everything else
+    is malformed, including [null], reordered, missing or extra keys,
+    any whitespace and trailing garbage.  Every line it accepts decodes
+    to the entry that a generic JSON parse of the line would give. *)
 
 type writer
 (** An append handle; serialized internally, safe from any domain. *)

@@ -24,7 +24,7 @@ let percentile_interval ?(level = 0.95) ~estimate stats =
   if Array.length stats = 0 then
     invalid_arg "Bootstrap.percentile_interval: no replicate statistics";
   let sorted = Array.copy stats in
-  Array.sort Float.compare sorted;
+  Float_sort.sort sorted;
   let alpha = (1. -. level) /. 2. in
   {
     estimate;

@@ -5,9 +5,10 @@ let of_array a =
   if Array.exists Float.is_nan a then
     invalid_arg "Empirical.of_array: NaN observation";
   let xs = Array.copy a in
-  (* Float.compare, not polymorphic compare: the latter boxes every
-     element on each comparison and its NaN ordering is unspecified. *)
-  Array.sort Float.compare xs;
+  (* Float.compare's total order.  [Array.sort Float.compare] would box
+     every element it compares (the generic sort reads through the
+     polymorphic array primitives); [Float_sort] does not. *)
+  Float_sort.sort xs;
   { xs }
 
 let size t = Array.length t.xs
@@ -54,13 +55,15 @@ let expected_min_exact t n =
   let sz = Array.length xs in
   let fn = float_of_int n and fsz = float_of_int sz in
   (* P[min = x_(i)] = ((N-i+1)/N)^n - ((N-i)/N)^n for the i-th order statistic
-     (1-based, ties handled implicitly by summing over positions). *)
-  let acc = ref 0. in
+     (1-based, ties handled implicitly by summing over positions).  The
+     subtracted power of one term is the leading power of the next, so it
+     is carried over; the first leading power is (N/N)^n = 1. *)
+  let acc = ref 0. and pa = ref 1. in
   for i = 1 to sz do
-    let a = float_of_int (sz - i + 1) /. fsz in
     let b = float_of_int (sz - i) /. fsz in
-    let w = exp (fn *. log a) -. (if b > 0. then exp (fn *. log b) else 0.) in
-    acc := !acc +. (w *. xs.(i - 1))
+    let pb = if b > 0. then exp (fn *. log b) else 0. in
+    acc := !acc +. ((!pa -. pb) *. xs.(i - 1));
+    pa := pb
   done;
   !acc
 

@@ -6,9 +6,9 @@ let statistic sample cdf =
         invalid_arg "Kolmogorov.statistic: sample contains NaN")
     sample;
   let xs = Array.copy sample in
-  (* Float.compare, not the polymorphic compare: the polymorphic one puts
-     NaN at an unspecified rank, silently mis-sorting the ECDF. *)
-  Array.sort Float.compare xs;
+  (* Float.compare's order, not the polymorphic compare's: the latter
+     puts NaN at an unspecified rank, silently mis-sorting the ECDF. *)
+  Float_sort.sort xs;
   let n = Array.length xs in
   let fn = float_of_int n in
   let d = ref 0. in

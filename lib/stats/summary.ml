@@ -52,9 +52,9 @@ let quantile xs p =
   check_nonempty "Summary.quantile" xs;
   if p < 0. || p > 1. then invalid_arg "Summary.quantile: p must lie in [0, 1]";
   let sorted = Array.copy xs in
-  (* Float.compare's total order: NaN sorts after every number instead of
-     landing wherever the polymorphic compare leaves it. *)
-  Array.sort Float.compare sorted;
+  (* Float.compare's total order (NaN before every number), without the
+     boxing of [Array.sort Float.compare]. *)
+  Float_sort.sort sorted;
   let n = Array.length sorted in
   if n = 1 then sorted.(0)
   else begin

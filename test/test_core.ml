@@ -431,6 +431,31 @@ let test_fit_subset_of_candidates () =
   let report = Fit.fit ~candidates:[ Fit.Exponential; Fit.Normal ] xs in
   Alcotest.(check int) "only requested candidates" 2 (List.length report.Fit.fits)
 
+let test_fit_span_counts_accepted () =
+  (* The "fit" span reports how many candidates passed KS: on exponential
+     data some do and the normal does not, so a count stuck at 0 or at the
+     candidate total would both fail. *)
+  let rng = Rng.create ~seed:208 in
+  let xs = Distribution.sample_array (Exponential.create ~rate:1.) rng 300 in
+  let sink = Lv_telemetry.Sink.memory () in
+  let report =
+    Fit.fit ~ctx:(Lv_context.Context.make ~telemetry:sink ())
+      ~candidates:[ Fit.Exponential; Fit.Shifted_exponential; Fit.Normal ] xs
+  in
+  let n_accepted = List.length report.Fit.accepted in
+  Alcotest.(check bool) "some but not all accepted" true
+    (n_accepted > 0 && n_accepted < List.length report.Fit.fits);
+  match
+    List.filter
+      (fun e -> e.Lv_telemetry.Event.path = "fit")
+      (Lv_telemetry.Sink.events sink)
+  with
+  | [ e ] ->
+    Alcotest.(check (option int)) "span accepted field" (Some n_accepted)
+      (Option.bind (Lv_telemetry.Event.field "accepted" e)
+         Lv_telemetry.Json.to_int)
+  | es -> Alcotest.failf "expected one fit span, got %d" (List.length es)
+
 let test_fit_instantiate_roundtrips_every_candidate () =
   (* The artifact cache persists a fit as (candidate, dist.params) and
      rebuilds the law with Fit.instantiate: for every candidate, fitting,
@@ -672,6 +697,7 @@ let () =
           Alcotest.test_case "candidate names" `Quick test_fit_candidate_names_roundtrip;
           Alcotest.test_case "shifted variant preferred" `Quick test_fit_prefers_shifted_variant;
           Alcotest.test_case "candidate subsets" `Quick test_fit_subset_of_candidates;
+          Alcotest.test_case "span counts accepted" `Quick test_fit_span_counts_accepted;
           Alcotest.test_case "instantiate round-trips every candidate" `Quick
             test_fit_instantiate_roundtrips_every_candidate;
         ] );

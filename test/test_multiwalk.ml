@@ -682,6 +682,90 @@ let test_checkpoint_seed_mismatch_rejected () =
   | exception Invalid_argument _ -> ());
   Sys.remove log
 
+(* The generic decode the checkpoint used before its direct line decoder:
+   a [Json.t] tree, then field lookup.  Kept as the reference that every
+   line the direct decoder accepts must agree with. *)
+let generic_decode line =
+  let open Lv_telemetry in
+  match Json.of_string line with
+  | exception Json.Parse_error _ -> None
+  | j -> (
+    let get name conv = Option.bind (Json.member name j) conv in
+    match
+      ( get "run" Json.to_int,
+        get "seed" Json.to_int,
+        get "iterations" Json.to_int,
+        get "seconds" Json.to_float,
+        get "solved" Json.to_bool )
+    with
+    | Some run, Some seed, Some iterations, Some seconds, Some solved ->
+      Some { Lv_multiwalk.Checkpoint.run; seed; iterations; seconds; solved }
+    | _ -> None)
+
+let same_entry (a : Lv_multiwalk.Checkpoint.entry)
+    (b : Lv_multiwalk.Checkpoint.entry) =
+  a.run = b.run && a.seed = b.seed && a.iterations = b.iterations
+  && Int64.equal (Int64.bits_of_float a.seconds) (Int64.bits_of_float b.seconds)
+  && a.solved = b.solved
+
+let load_text text =
+  let path = tmp_log () in
+  write_file path text;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () -> Lv_multiwalk.Checkpoint.load path)
+
+(* The direct decoder on one line: a lone line that does not decode is a
+   torn final line, which [load] drops. *)
+let direct_decode line =
+  match load_text (line ^ "\n") with
+  | [ e ] -> Some e
+  | [] -> None
+  | _ -> Alcotest.fail "one line decoded to several entries"
+
+let lines_of_entries entries =
+  let path = tmp_log () in
+  Lv_multiwalk.Checkpoint.with_writer path (fun w ->
+      List.iter (Lv_multiwalk.Checkpoint.append w) entries);
+  let text = read_file path in
+  Sys.remove path;
+  List.filter (fun l -> l <> "") (String.split_on_char '\n' text)
+
+let good_line =
+  {|{"run":3,"seed":103,"iterations":1,"seconds":0.5,"solved":true}|}
+
+let test_checkpoint_decoder_strict () =
+  (match direct_decode {|{"run":3,"seed":103,"iterations":1,"seconds":0,"solved":true}|} with
+  | Some e ->
+    Alcotest.(check bool) "int-shaped seconds read as 0." true
+      (Int64.equal (Int64.bits_of_float e.seconds) 0L)
+  | None -> Alcotest.fail {|"seconds":0 rejected|});
+  Alcotest.(check int) "empty lines skipped" 2
+    (List.length (load_text (good_line ^ "\n\n" ^ good_line ^ "\n")));
+  List.iter
+    (fun (what, bad) ->
+      Alcotest.(check int) (what ^ ": dropped as a torn last line") 1
+        (List.length (load_text (good_line ^ "\n" ^ bad ^ "\n")));
+      match load_text (good_line ^ "\n" ^ bad ^ "\n" ^ good_line ^ "\n") with
+      | _ -> Alcotest.failf "%s: bad line 2 loaded" what
+      | exception Failure msg ->
+        Alcotest.(check bool) (what ^ ": names line 2") true
+          (contains msg ":2: "))
+    [
+      ("null seconds", {|{"run":3,"seed":103,"iterations":1,"seconds":null,"solved":true}|});
+      ("null run", {|{"run":null,"seed":103,"iterations":1,"seconds":0.5,"solved":true}|});
+      ("reordered keys", {|{"seed":103,"run":3,"iterations":1,"seconds":0.5,"solved":true}|});
+      ("trailing garbage", good_line ^ "x");
+      ("trailing space", good_line ^ " ");
+      ("space after colon", {|{"run": 3,"seed":103,"iterations":1,"seconds":0.5,"solved":true}|});
+      ("leading plus", {|{"run":+3,"seed":103,"iterations":1,"seconds":0.5,"solved":true}|});
+      ("float run", {|{"run":3.0,"seed":103,"iterations":1,"seconds":0.5,"solved":true}|});
+      ("int overflow", {|{"run":3,"seed":103,"iterations":4611686018427387904,"seconds":0.5,"solved":true}|});
+      ("missing field", {|{"run":3,"seed":103,"iterations":1,"seconds":0.5}|});
+      ("extra field", {|{"run":3,"seed":103,"iterations":1,"seconds":0.5,"solved":true,"x":1}|});
+      ("torn", {|{"run":3,"se|});
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Sim                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -808,6 +892,89 @@ let test_race_validation () =
         (Lv_multiwalk.Race.wall_clock ~seed:1 ~walkers:0 (fun () ->
              Lv_problems.Queens.pack 10)))
 
+let checkpoint_props =
+  let open QCheck in
+  let entry_gen =
+    let open Gen in
+    let any_int = frequency [ (4, int); (1, oneofl [ 0; max_int; min_int ]) ] in
+    let seconds =
+      frequency
+        [
+          (1, oneofl [ 0.; -0.; 4.9e-324; 2.2250738585072009e-308; 1e300; max_float ]);
+          (1, map (fun m -> Float.ldexp m (-1050)) (float_range 0.5 1.));
+          (3, float_range 0. 10.);
+          (1, map (fun x -> 1. /. x) (float_range 1. 1e9));
+        ]
+    in
+    map
+      (fun (run, seed, iterations, seconds, solved) ->
+        { Lv_multiwalk.Checkpoint.run; seed; iterations; seconds; solved })
+      (tup5 any_int any_int
+         (frequency [ (3, int_range 0 1_000_000); (1, any_int) ])
+         seconds bool)
+  in
+  let print_entry (e : Lv_multiwalk.Checkpoint.entry) =
+    Printf.sprintf "{run=%d; seed=%d; iterations=%d; seconds=%h; solved=%b}"
+      e.run e.seed e.iterations e.seconds e.solved
+  in
+  [
+    Test.make ~name:"checkpoint append/load round-trip, generic decode agrees"
+      ~count:200
+      (make ~print:(Print.list print_entry) Gen.(list_size (int_range 1 20) entry_gen))
+      (fun entries ->
+        let path = tmp_log () in
+        Lv_multiwalk.Checkpoint.with_writer path (fun w ->
+            List.iter (Lv_multiwalk.Checkpoint.append w) entries);
+        let loaded = Lv_multiwalk.Checkpoint.load path in
+        let lines =
+          List.filter (fun l -> l <> "") (String.split_on_char '\n' (read_file path))
+        in
+        Sys.remove path;
+        List.length loaded = List.length entries
+        && List.for_all2 same_entry loaded entries
+        && List.for_all2
+             (fun line e ->
+               match generic_decode line with
+               | Some g -> same_entry g e
+               | None -> false)
+             lines loaded);
+    (* Random edits of written lines: whatever the direct decoder accepts,
+       the generic decode accepts with the same entry. *)
+    Test.make ~name:"checkpoint decoder accepts only what generic decode agrees on"
+      ~count:500
+      (make
+         ~print:(fun (e, edits) ->
+           Printf.sprintf "%s with %d edits" (print_entry e) (List.length edits))
+         Gen.(
+           pair entry_gen
+             (list_size (int_range 1 3)
+                (triple (int_range 0 2) nat
+                   (oneofl (String.to_seq {|{}":,.-+eE0123456789 tfalsnu|} |> List.of_seq))))))
+      (fun (e, edits) ->
+        let line =
+          List.fold_left
+            (fun line (op, at, ch) ->
+              let n = String.length line in
+              match op with
+              | 0 when n > 0 ->
+                let at = at mod n in
+                String.sub line 0 at ^ String.sub line (at + 1) (n - at - 1)
+              | 1 ->
+                let at = at mod (n + 1) in
+                String.sub line 0 at ^ String.make 1 ch ^ String.sub line at (n - at)
+              | _ when n > 0 ->
+                let at = at mod n in
+                String.mapi (fun i c -> if i = at then ch else c) line
+              | _ -> line)
+            (List.hd (lines_of_entries [ e ]))
+            edits
+        in
+        match direct_decode line with
+        | None -> true
+        | Some d -> (
+          match generic_decode line with Some g -> same_entry d g | None -> false));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* qcheck properties                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -897,7 +1064,10 @@ let () =
             test_checkpoint_survives_runner_crash;
           Alcotest.test_case "seed mismatch rejected" `Quick
             test_checkpoint_seed_mismatch_rejected;
-        ] );
+          Alcotest.test_case "decoder strictness" `Quick
+            test_checkpoint_decoder_strict;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest checkpoint_props );
       ( "sim",
         [
           Alcotest.test_case "one core" `Quick test_sim_speedup_one_core;

@@ -1235,6 +1235,70 @@ let qcheck_props =
         let var = Float.max 0. ((!sumsq /. float_of_int reps) -. (mean *. mean)) in
         let se = sqrt (var /. float_of_int reps) in
         abs_float (mean -. exact) <= (3.5 *. se) +. 1e-9);
+    (* The stdlib sort is the reference: Float_sort must leave every bit
+       where it does, NaN payloads and signed zeros included. *)
+    (let specials =
+       [| nan; -.nan; Int64.float_of_bits 0x7ff8000000000001L; 0.; -0.;
+          infinity; neg_infinity; 1.; -1.; min_float; 4.9e-324 |]
+     in
+     let elt =
+       Gen.frequency
+         [
+           (2, Gen.oneofa specials);
+           (2, Gen.map float_of_int (Gen.int_range (-3) 3));
+           (1, Gen.float);
+         ]
+     in
+     Test.make ~name:"float_sort bit-identical to Array.sort Float.compare"
+       ~count:1000
+       (make
+          ~print:(fun a -> Print.array (Printf.sprintf "%h") a)
+          Gen.(int_range 0 400 >>= fun n -> array_size (return n) elt))
+       (fun a ->
+         let expected = Array.copy a and actual = Array.copy a in
+         Array.sort Float.compare expected;
+         Float_sort.sort actual;
+         Array.for_all2
+           (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+           expected actual));
+    (* The two-power formula expected_min_exact used before carrying the
+       shared power term over; the carried version must match it bit for
+       bit. *)
+    (let two_power e n =
+       let xs = Empirical.sorted e in
+       let sz = Array.length xs in
+       let fn = float_of_int n and fsz = float_of_int sz in
+       let acc = ref 0. in
+       for i = 1 to sz do
+         let a = float_of_int (sz - i + 1) /. fsz in
+         let b = float_of_int (sz - i) /. fsz in
+         let w =
+           exp (fn *. log a) -. if b > 0. then exp (fn *. log b) else 0.
+         in
+         acc := !acc +. (w *. xs.(i - 1))
+       done;
+       !acc
+     in
+     Test.make ~name:"empirical expected_min bit-identical to two-power formula"
+       ~count:300
+       (make
+          ~print:Print.(array float)
+          Gen.(
+            int_range 1 50 >>= fun n ->
+            array_size (return n)
+              (frequency
+                 [
+                   (1, map float_of_int (int_range 1 4));
+                   (1, float_range 0. 1e6);
+                 ])))
+       (fun xs ->
+         let e = Empirical.of_array xs in
+         List.for_all
+           (fun n ->
+             Int64.equal
+               (Int64.bits_of_float (Empirical.expected_min_exact e n))
+               (Int64.bits_of_float (two_power e n)))
+           [ 1; 2; 3; 64; 4096 ]));
     mc_min_matches ~name:"E[min] exponential closed form vs MC"
       (fun seed ->
         Exponential.create ~rate:(0.05 +. (0.01 *. float_of_int (seed mod 50))))
