@@ -654,86 +654,6 @@ let ttt_diagnostics campaigns =
     campaigns
 
 (* ------------------------------------------------------------------ *)
-(* Pooled vs serial: the same fit+predict pipeline on a pool of 1 and  *)
-(* a pool of recommended size                                          *)
-(* ------------------------------------------------------------------ *)
-
-let pool_vs_serial () =
-  print_string
-    (Report.section "pooled vs serial fit+predict (Lv_exec.Pool)");
-  let rng = Lv_stats.Rng.create ~seed:4242 in
-  let ds =
-    Lv_multiwalk.Dataset.synthetic ~label:"pool-vs-serial"
-      (Paper_data.fitted_law Paper_data.MS200) ~rng 650
-  in
-  let cores = [ 2; 4; 8; 16; 32; 64; 128; 256 ] in
-  let reps = 3 in
-  let time domains =
-    Lv_exec.Pool.with_pool ~domains @@ fun pool ->
-    let t0 = Lv_telemetry.Clock.now_ns () in
-    let last = ref None in
-    for _ = 1 to reps do
-      last :=
-        Some (Predict.of_dataset ~ctx:(Lv_context.Context.make ~pool ()) ~cores ds)
-    done;
-    ( Lv_telemetry.Clock.seconds_between ~start:t0
-        ~stop:(Lv_telemetry.Clock.now_ns ()),
-      Option.get !last )
-  in
-  let pooled_domains = Domain.recommended_domain_count () in
-  let serial_s, serial_p = time 1 in
-  let pooled_s, pooled_p = time pooled_domains in
-  let identical =
-    List.for_all2
-      (fun (a : Speedup.point) (b : Speedup.point) ->
-        a.Speedup.cores = b.Speedup.cores
-        && a.Speedup.speedup = b.Speedup.speedup)
-      serial_p.Predict.curve pooled_p.Predict.curve
-  in
-  (* One span per variant so both wall-clocks land as phases in
-     BENCH_telemetry.json, plus a summary event with the ratio. *)
-  Lv_telemetry.Span.emit telemetry ~name:"serial" ~duration:serial_s
-    ~fields:[ ("domains", Lv_telemetry.Json.Int 1) ]
-    ();
-  Lv_telemetry.Span.emit telemetry ~name:"pooled" ~duration:pooled_s
-    ~fields:[ ("domains", Lv_telemetry.Json.Int pooled_domains) ]
-    ();
-  Lv_telemetry.Span.emit telemetry ~name:"summary"
-    ~fields:
-      [
-        ("serial_s", Lv_telemetry.Json.Float serial_s);
-        ("pooled_s", Lv_telemetry.Json.Float pooled_s);
-        ("pooled_domains", Lv_telemetry.Json.Int pooled_domains);
-        ( "speedup",
-          Lv_telemetry.Json.Float
-            (if pooled_s > 0. then serial_s /. pooled_s else 1.) );
-        ("identical_curves", Lv_telemetry.Json.Bool identical);
-      ]
-    ();
-  let header = [ "variant"; "domains"; "wall (s)"; "vs serial" ] in
-  let rows =
-    [
-      [ "serial"; "1"; Printf.sprintf "%.3f" serial_s; "1.00x" ];
-      [
-        "pooled";
-        string_of_int pooled_domains;
-        Printf.sprintf "%.3f" pooled_s;
-        Printf.sprintf "%.2fx"
-          (if pooled_s > 0. then serial_s /. pooled_s else 1.);
-      ];
-    ]
-  in
-  print_string
-    (Report.table
-       ~title:
-         (Printf.sprintf "%d x fit+predict, %d observations, %d core counts%s"
-            reps 650 (List.length cores)
-            (if identical then "" else "  [CURVES DIVERGE]"))
-       ~header ~rows);
-  if not identical then
-    printf "WARNING: pooled and serial predictions differ!@."
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one per table/figure kernel              *)
 (* ------------------------------------------------------------------ *)
 
@@ -835,7 +755,6 @@ let () =
   phase "ablation_family" (fun () -> ablation_family campaigns);
   phase "ablation_shift" (fun () -> ablation_shift campaigns);
   phase "ablation_solver_params" ablation_solver_params;
-  phase "pool_vs_serial" pool_vs_serial;
   if micro then phase "micro_benchmarks" micro_benchmarks;
   write_telemetry_summary "BENCH_telemetry.json";
   printf "@.done.@."

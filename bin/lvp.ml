@@ -63,7 +63,7 @@ let runs_arg =
 let cores_arg =
   Arg.(
     value
-    & opt (list int) [ 16; 32; 64; 128; 256 ]
+    & opt (list positive_int) [ 16; 32; 64; 128; 256 ]
     & info [ "cores"; "k" ] ~docv:"K,K,..." ~doc:"Core counts to evaluate.")
 
 let walk_arg =
@@ -99,7 +99,7 @@ let timeout_arg =
 let max_iters_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "max-iters" ] ~docv:"N"
         ~doc:
           "Per-run iteration budget.  A run that exhausts it is recorded as \
@@ -147,9 +147,10 @@ let pool_domains_arg =
     & info [ "pool-domains" ] ~docv:"N"
         ~doc:
           "Number of worker domains in the execution pool (default: the \
-           runtime's recommended domain count).  All parallel phases — \
-           campaign runs, race walkers, candidate fits, per-core-count \
-           quadratures — multiplex over this one pool; results are \
+           runtime's recommended domain count).  The independent units of \
+           work — campaign runs, race walkers, bootstrap replicates, \
+           held-out folds and oracle trials — multiplex over this one \
+           pool; fits and predictions run serially.  Results are \
            identical for any value.")
 
 let quiet_arg =
@@ -162,12 +163,10 @@ let verbose_arg =
     & info [ "verbose"; "v" ]
         ~doc:"Pretty-print every telemetry event to stderr as it happens.")
 
-(* The context a data-producing subcommand's flags ask for: the sink
-   (JSONL file and/or console), one pool scoped around the work and fed
-   that sink (so a --trace file ends with the pool.* counter events), and
-   the artifact cache.  The JSONL file is flushed and closed even if [f]
+(* The sink a data-producing subcommand's flags ask for (JSONL file
+   and/or console).  The JSONL file is flushed and closed even if [f]
    raises. *)
-let with_ctx ~trace ~verbose ~pool_domains ?cache f =
+let with_sink ~trace ~verbose f =
   let file =
     match trace with
     | Some path -> (
@@ -182,9 +181,29 @@ let with_ctx ~trace ~verbose ~pool_domains ?cache f =
       (if verbose then Lv_telemetry.Sink.console () else Lv_telemetry.Sink.null)
   in
   Fun.protect ~finally:(fun () -> Lv_telemetry.Sink.close telemetry)
-  @@ fun () ->
+  @@ fun () -> f telemetry
+
+(* The sink, one pool scoped around the work and fed that sink (so a
+   --trace file ends with the pool.* counter events), and the artifact
+   cache. *)
+let with_ctx ~trace ~verbose ~pool_domains ?cache f =
+  with_sink ~trace ~verbose @@ fun telemetry ->
   Lv_exec.Pool.with_pool ~telemetry ?domains:pool_domains @@ fun pool ->
   f (Lv_context.Context.make ~pool ~telemetry ?cache_dir:cache ())
+
+(* A subcommand whose term yields its body as a thunk.  The library
+   rejects values it cannot work with by raising [Invalid_argument] (an
+   instance size the problem does not have, an empty dataset, a campaign
+   in which no run solved); here that becomes one line on stderr and
+   exit 1 rather than an uncaught-exception crash. *)
+let command name ~doc term =
+  let guarded body =
+    try body ()
+    with Invalid_argument msg ->
+      Format.eprintf "lvp %s: %s@." name msg;
+      1
+  in
+  Cmd.v (Cmd.info name ~doc) Term.(const guarded $ term)
 
 let params_of ~walk ~max_iter name size =
   let base = Lv_problems.Defaults.params name size in
@@ -199,7 +218,7 @@ let params_of ~walk ~max_iter name size =
 (* ------------------------------------------------------------------ *)
 
 let solve_cmd =
-  let run make size seed walk max_iter =
+  let run make size seed walk max_iter () =
     let packed = make size in
     let name = Lv_search.Csp.packed_name packed in
     let params = params_of ~walk ~max_iter name size in
@@ -217,14 +236,12 @@ let solve_cmd =
       result.Lv_search.Adaptive_search.stats;
     if Lv_search.Adaptive_search.solved result then 0 else 1
   in
-  let term =
+  command "solve" ~doc:"Run Adaptive Search once on a benchmark instance."
     Term.(const run $ problem_arg $ size_arg $ seed_arg $ walk_arg $ max_iter_arg)
-  in
-  Cmd.v (Cmd.info "solve" ~doc:"Run Adaptive Search once on a benchmark instance.") term
 
 let campaign_cmd =
   let run make size seed walk max_iter runs out timeout max_iters checkpoint
-      retries pool_domains trace quiet verbose =
+      retries pool_domains trace quiet verbose () =
     let packed0 = make size in
     let name = Lv_search.Csp.packed_name packed0 in
     let params = params_of ~walk ~max_iter name size in
@@ -279,52 +296,39 @@ let campaign_cmd =
     | None -> ());
     0
   in
-  let term =
+  command "campaign"
+    ~doc:
+      "Collect sequential runtimes over many independent runs, with \
+       per-run budgets, crash-safe checkpoint/resume and \
+       retry-with-backoff."
     Term.(
       const run $ problem_arg $ size_arg $ seed_arg $ walk_arg $ max_iter_arg
       $ runs_arg $ out_arg $ timeout_arg $ max_iters_arg $ checkpoint_arg
       $ retries_arg $ pool_domains_arg $ trace_arg $ quiet_arg $ verbose_arg)
-  in
-  Cmd.v
-    (Cmd.info "campaign"
-       ~doc:
-         "Collect sequential runtimes over many independent runs, with \
-          per-run budgets, crash-safe checkpoint/resume and \
-          retry-with-backoff.")
-    term
 
 let fit_cmd =
-  let run path alpha pool_domains trace quiet verbose =
+  let run path alpha trace quiet verbose () =
     let ds = Lv_multiwalk.Dataset.load_csv path in
-    with_ctx ~trace ~verbose ~pool_domains @@ fun ctx ->
-    match
-      Lv_core.Fit.fit ~ctx ~alpha
+    with_sink ~trace ~verbose @@ fun telemetry ->
+    let report =
+      Lv_core.Fit.fit ~ctx:(Lv_context.Context.make ~telemetry ()) ~alpha
         ~n_censored:(Lv_multiwalk.Dataset.n_censored ds)
         ds.Lv_multiwalk.Dataset.values
-    with
-    | exception Invalid_argument msg ->
-      Format.eprintf "lvp fit: %s@." msg;
-      1
-    | report ->
-      if not quiet then Format.printf "%a@." Lv_core.Fit.pp_report report;
-      0
+    in
+    if not quiet then Format.printf "%a@." Lv_core.Fit.pp_report report;
+    0
   in
   let alpha =
     Arg.(value & opt float 0.05 & info [ "alpha" ] ~docv:"A" ~doc:"KS significance level.")
   in
-  let term =
-    Term.(
-      const run $ dataset_arg $ alpha $ pool_domains_arg $ trace_arg
-      $ quiet_arg $ verbose_arg)
-  in
-  Cmd.v
-    (Cmd.info "fit" ~doc:"Fit candidate runtime distributions and KS-test them.")
-    term
+  command "fit" ~doc:"Fit candidate runtime distributions and KS-test them."
+    Term.(const run $ dataset_arg $ alpha $ trace_arg $ quiet_arg $ verbose_arg)
 
 let predict_cmd =
-  let run path cores out pool_domains trace quiet verbose =
+  let run path cores out trace quiet verbose () =
     let ds = Lv_multiwalk.Dataset.load_csv path in
-    with_ctx ~trace ~verbose ~pool_domains @@ fun ctx ->
+    with_sink ~trace ~verbose @@ fun telemetry ->
+    let ctx = Lv_context.Context.make ~telemetry () in
     let p = Lv_core.Predict.of_dataset ~ctx ~cores ds in
     if not quiet then Format.printf "%a@." Lv_core.Predict.pp_prediction p;
     (match out with
@@ -334,17 +338,13 @@ let predict_cmd =
     | None -> ());
     0
   in
-  let term =
+  command "predict" ~doc:"Predict multi-walk speed-ups from a runtime dataset."
     Term.(
-      const run $ dataset_arg $ cores_arg $ out_arg $ pool_domains_arg
-      $ trace_arg $ quiet_arg $ verbose_arg)
-  in
-  Cmd.v
-    (Cmd.info "predict" ~doc:"Predict multi-walk speed-ups from a runtime dataset.")
-    term
+      const run $ dataset_arg $ cores_arg $ out_arg $ trace_arg $ quiet_arg
+      $ verbose_arg)
 
 let run_cmd =
-  let run path cache out_dir pool_domains trace quiet verbose =
+  let run path cache out_dir pool_domains trace quiet verbose () =
     match Lv_engine.Scenario.of_file path with
     | exception Failure msg ->
       Format.eprintf "lvp run: %s@." msg;
@@ -393,21 +393,17 @@ let run_cmd =
             "Write the dataset/prediction CSVs under $(docv), overriding the \
              scenario's own $(b,output) key.")
   in
-  let term =
+  command "run"
+    ~doc:
+      "Run a declarative experiment scenario end to end (campaign, fit, \
+       predict, simulate, compare), with optional artifact caching."
     Term.(
       const run $ scenario_arg $ cache_arg $ out_dir_arg $ pool_domains_arg
       $ trace_arg $ quiet_arg $ verbose_arg)
-  in
-  Cmd.v
-    (Cmd.info "run"
-       ~doc:
-         "Run a declarative experiment scenario end to end (campaign, fit, \
-          predict, simulate, compare), with optional artifact caching.")
-    term
 
 let validate_cmd =
   let run path replicates folds level trials cache json_out csv_out
-      pool_domains trace quiet verbose =
+      pool_domains trace quiet verbose () =
     match Lv_engine.Scenario.of_file path with
     | exception Failure msg ->
       Format.eprintf "lvp validate: %s@." msg;
@@ -428,51 +424,47 @@ let validate_cmd =
           trials = Option.value trials ~default:base.Lv_validate.Validate.trials;
         }
       in
-      (match Lv_validate.Validate.check_config cfg with
-      | exception Invalid_argument msg ->
-        Format.eprintf "lvp validate: %s@." msg;
+      Lv_validate.Validate.check_config cfg;
+      (* Force the stages validation needs; keep whatever else the
+         scenario asked for, in pipeline order. *)
+      let wanted =
+        [ Campaign; Fit; Validate ]
+        @ List.filter
+            (fun st -> not (List.mem st [ Campaign; Fit; Validate ]))
+            scenario.stages
+      in
+      let stages = List.filter (fun st -> List.mem st wanted) all_stages in
+      let scenario = { scenario with stages; validate = Some cfg } in
+      with_ctx ~trace ~verbose ~pool_domains ?cache @@ fun ctx ->
+      let outcome = Lv_engine.Engine.run ~ctx scenario in
+      match outcome.Lv_engine.Engine.validation with
+      | None ->
+        Format.eprintf "lvp validate: engine produced no validation report@.";
         1
-      | () ->
-        (* Force the stages validation needs; keep whatever else the
-           scenario asked for, in pipeline order. *)
-        let wanted =
-          [ Campaign; Fit; Validate ]
-          @ List.filter
-              (fun st -> not (List.mem st [ Campaign; Fit; Validate ]))
-              scenario.stages
-        in
-        let stages = List.filter (fun st -> List.mem st wanted) all_stages in
-        let scenario = { scenario with stages; validate = Some cfg } in
-        with_ctx ~trace ~verbose ~pool_domains ?cache @@ fun ctx ->
-        let outcome = Lv_engine.Engine.run ~ctx scenario in
-        (match outcome.Lv_engine.Engine.validation with
-        | None ->
-          Format.eprintf "lvp validate: engine produced no validation report@.";
-          1
-        | Some report ->
-          if quiet then
-            (* Keep the cache counters greppable even under --quiet: CI's
-               second-run assertion keys on this line. *)
-            Format.printf "engine cache: hits=%d misses=%d@."
-              outcome.Lv_engine.Engine.cache_hits
-              outcome.Lv_engine.Engine.cache_misses
-          else begin
-            Format.printf "%a@." Lv_validate.Validate.pp_report report;
-            Format.printf "engine cache: hits=%d misses=%d@."
-              outcome.Lv_engine.Engine.cache_hits
-              outcome.Lv_engine.Engine.cache_misses
-          end;
-          (match json_out with
-          | Some file ->
-            Lv_validate.Validate.save_json report file;
-            if not quiet then Format.printf "saved validation report to %s@." file
-          | None -> ());
-          (match csv_out with
-          | Some file ->
-            Lv_validate.Validate.save_csv report file;
-            if not quiet then Format.printf "saved validation table to %s@." file
-          | None -> ());
-          0))
+      | Some report ->
+        if quiet then
+          (* Keep the cache counters greppable even under --quiet: CI's
+             second-run assertion keys on this line. *)
+          Format.printf "engine cache: hits=%d misses=%d@."
+            outcome.Lv_engine.Engine.cache_hits
+            outcome.Lv_engine.Engine.cache_misses
+        else begin
+          Format.printf "%a@." Lv_validate.Validate.pp_report report;
+          Format.printf "engine cache: hits=%d misses=%d@."
+            outcome.Lv_engine.Engine.cache_hits
+            outcome.Lv_engine.Engine.cache_misses
+        end;
+        (match json_out with
+        | Some file ->
+          Lv_validate.Validate.save_json report file;
+          if not quiet then Format.printf "saved validation report to %s@." file
+        | None -> ());
+        (match csv_out with
+        | Some file ->
+          Lv_validate.Validate.save_csv report file;
+          if not quiet then Format.printf "saved validation table to %s@." file
+        | None -> ());
+        0
   in
   let scenario_arg =
     Arg.(
@@ -537,36 +529,31 @@ let validate_cmd =
       & info [ "csv" ] ~docv:"FILE"
           ~doc:"Write the flat band/fold/oracle table as CSV to $(docv).")
   in
-  let term =
+  command "validate"
+    ~doc:
+      "Validate a scenario's fit and predictions: bootstrap confidence \
+       bands over the whole fit-and-predict pipeline, held-out \
+       cross-validation, and an optional simulation-based calibration \
+       oracle."
     Term.(
       const run $ scenario_arg $ replicates_arg $ folds_arg $ level_arg
       $ trials_arg $ cache_arg $ json_arg $ csv_arg $ pool_domains_arg
       $ trace_arg $ quiet_arg $ verbose_arg)
-  in
-  Cmd.v
-    (Cmd.info "validate"
-       ~doc:
-         "Validate a scenario's fit and predictions: bootstrap confidence \
-          bands over the whole fit-and-predict pipeline, held-out \
-          cross-validation, and an optional simulation-based calibration \
-          oracle.")
-    term
 
 let simulate_cmd =
-  let run path cores =
+  let run path cores () =
     let ds = Lv_multiwalk.Dataset.load_csv path in
     let rows = Lv_multiwalk.Sim.table ds ~cores in
     List.iter (fun r -> Format.printf "%a@." Lv_multiwalk.Sim.pp_row r) rows;
     0
   in
-  let term = Term.(const run $ dataset_arg $ cores_arg) in
-  Cmd.v
-    (Cmd.info "simulate"
-       ~doc:"Measure multi-walk speed-ups from a dataset (exact plug-in minimum).")
-    term
+  command "simulate"
+    ~doc:"Measure multi-walk speed-ups from a dataset (exact plug-in minimum)."
+    Term.(const run $ dataset_arg $ cores_arg)
 
 let race_cmd =
-  let run make size seed walk max_iter walkers pool_domains trace quiet verbose =
+  let run make size seed walk max_iter walkers pool_domains trace quiet verbose
+      () =
     let packed0 = make size in
     let name = Lv_search.Csp.packed_name packed0 in
     let params = params_of ~walk ~max_iter name size in
@@ -582,17 +569,13 @@ let race_cmd =
   let walkers =
     Arg.(value & opt positive_int 4 & info [ "walkers"; "w" ] ~docv:"N" ~doc:"Parallel walkers.")
   in
-  let term =
+  command "race" ~doc:"Race parallel walkers on OCaml domains; first solution wins."
     Term.(
       const run $ problem_arg $ size_arg $ seed_arg $ walk_arg $ max_iter_arg
       $ walkers $ pool_domains_arg $ trace_arg $ quiet_arg $ verbose_arg)
-  in
-  Cmd.v
-    (Cmd.info "race" ~doc:"Race parallel walkers on OCaml domains; first solution wins.")
-    term
 
 let ttt_cmd =
-  let run path =
+  let run path () =
     let ds = Lv_multiwalk.Dataset.load_csv path in
     let values = ds.Lv_multiwalk.Dataset.values in
     print_string (Lv_core.Ttt.render values);
@@ -607,11 +590,8 @@ let ttt_cmd =
       report.Lv_core.Fit.fits;
     0
   in
-  let term = Term.(const run $ dataset_arg) in
-  Cmd.v
-    (Cmd.info "ttt"
-       ~doc:"Time-to-target plot and Q-Q straightness scores for a dataset.")
-    term
+  command "ttt" ~doc:"Time-to-target plot and Q-Q straightness scores for a dataset."
+    Term.(const run $ dataset_arg)
 
 let paper_cmd =
   let run () =
@@ -630,14 +610,12 @@ let paper_cmd =
       Paper_data.benchmarks;
     0
   in
-  let term = Term.(const run $ const ()) in
-  Cmd.v
-    (Cmd.info "paper"
-       ~doc:"Replay the paper's Table 5 from its published fitted parameters.")
-    term
+  command "paper"
+    ~doc:"Replay the paper's Table 5 from its published fitted parameters."
+    Term.(const run)
 
 let trace_cmd =
-  let run path json =
+  let run path json () =
     match Lv_telemetry.Report.load_jsonl path with
     | exception Lv_telemetry.Json.Parse_error msg ->
       Format.eprintf "lvp trace: %s is not a valid trace: %s@." path msg;
@@ -658,11 +636,9 @@ let trace_cmd =
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON instead of a table.")
   in
-  let term = Term.(const run $ path $ json) in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:"Re-aggregate a --trace JSONL file into a per-phase report.")
-    term
+  command "trace"
+    ~doc:"Re-aggregate a --trace JSONL file into a per-phase report."
+    Term.(const run $ path $ json)
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in

@@ -2,16 +2,15 @@
 
     A {!t} holds what every stage of one invocation shares: the executor,
     the telemetry sink, the default significance level and the artifact
-    cache.  Build one with {!make} (or {!default} and the [with_*]
-    combinators) and pass it as [?ctx] to a pipeline entry point:
-    [Lv_multiwalk.Campaign.run]/[run_fn], [Lv_core.Fit.fit],
+    cache.  Build one with {!make} and pass it as [?ctx] to a pipeline
+    entry point: [Lv_multiwalk.Campaign.run]/[run_fn], [Lv_core.Fit.fit],
     [Lv_core.Predict.of_report]/[of_dataset]/[of_distribution],
     [Lv_multiwalk.Race.wall_clock]/[iteration_metric],
     [Lv_validate.Validate.run] and [Lv_engine.Engine.run].
 
     Each setting has exactly one way in.  Entry points take the pool and
     the sink from [?ctx] only.  Single-computation primitives
-    ([Lv_core.Fit.fit_one], [Lv_core.Speedup.curve],
+    ([Lv_core.Fit.fit_one],
     [Lv_validate.Validate.bootstrap_bands]/[holdout]/[oracle]) take no
     context: they receive [?pool]/[?telemetry]/[?alpha] explicitly.
     Per-call settings — budgets, checkpoints, retries, solver parameters,
@@ -20,9 +19,11 @@
 
 type t = {
   pool : Lv_exec.Pool.t option;
-      (** executor shared by every parallel phase; [None] = the callee's
-          default (the process-wide shared pool, or a campaign-scoped
-          one-worker pool) *)
+      (** executor for the parallel phases (campaign runs, race
+          walkers, validation replicates, folds and trials).  [None]:
+          validation runs serially, a campaign scopes a private
+          one-worker pool and a race a pool of up to one worker per
+          recommended domain.  Fits and predictions never use it. *)
   telemetry : Lv_telemetry.Sink.t;  (** default: the null sink *)
   alpha : float;
       (** KS significance level used when a call gives none (0.05) *)
@@ -41,9 +42,3 @@ val make :
   unit ->
   t
 (** {!default} with the given fields set. *)
-
-(** {2 Builder} — each returns an updated copy. *)
-
-val with_pool : Lv_exec.Pool.t -> t -> t
-val with_telemetry : Lv_telemetry.Sink.t -> t -> t
-val with_cache_dir : string -> t -> t

@@ -103,10 +103,9 @@ let estimator = function
   | Gamma -> Mle.gamma
   | Levy -> Mle.levy
 
-(* [path] is the full, pre-resolved event path: candidates are fitted on
-   pool workers, whose domain-local span stack is empty, so the enclosing
-   "fit" span's path must be baked in by the caller rather than recovered
-   from nesting. *)
+(* [path] is the full event path, fixed by the caller rather than
+   recovered from nesting, so a candidate span reads "fit/fit.candidate"
+   whichever domain the fit runs on (a pool task's span stack is empty). *)
 let fit_one_at ?alpha ~telemetry ~path candidate xs =
   let traced = not (Lv_telemetry.Sink.is_null telemetry) in
   let start = if traced then Lv_telemetry.Clock.now_ns () else 0L in
@@ -156,7 +155,7 @@ let compare_by_p_value a b =
 
 let fit ?(ctx = Lv_context.Context.default) ?alpha
     ?(candidates = all_candidates) ?(n_censored = 0) xs =
-  let { Lv_context.Context.pool; telemetry; _ } = ctx in
+  let { Lv_context.Context.telemetry; _ } = ctx in
   let alpha = Option.value alpha ~default:ctx.alpha in
   if Array.length xs = 0 then invalid_arg "Fit.fit: empty sample";
   if n_censored < 0 then invalid_arg "Fit.fit: n_censored must be nonnegative";
@@ -170,13 +169,10 @@ let fit ?(ctx = Lv_context.Context.default) ?alpha
         ("accepted", Lv_telemetry.Json.Int !accepted_cell);
       ])
   @@ fun () ->
-  let p = match pool with Some p -> p | None -> Lv_exec.Pool.default () in
   let fits =
-    Lv_exec.Pool.parallel_map p
+    List.filter_map
       (fun c -> fit_one_at ~alpha ~telemetry ~path:"fit/fit.candidate" c xs)
-      (Array.of_list candidates)
-    |> Array.to_list
-    |> List.filter_map Fun.id
+      candidates
   in
   (* Two candidates can estimate the same law (e.g. a shifted lognormal whose
      best shift is 0); keep the first occurrence only. *)

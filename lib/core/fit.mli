@@ -104,17 +104,17 @@ val fit :
   report
 (** Run the whole pool (default {!all_candidates}) at significance [alpha]
     (default [ctx.alpha]; [Invalid_argument] unless [0 < alpha < 1]).
-    Candidates are fitted in parallel on [ctx.pool] (default
-    {!Lv_exec.Pool.default}); the report is deterministic regardless of
-    pool size.  Candidates that estimate the {e same} law (e.g. a shifted
-    family whose best shift degenerates to 0) appear once in [fits].
+    Candidates are fitted one after another on the calling domain
+    ([ctx.pool] is not used), in list order.  Candidates that estimate
+    the {e same} law (e.g. a shifted family whose best shift degenerates
+    to 0) appear once in [fits].
     [n_censored] (default 0) declares how many budget-censored runs the
     sample excludes; it feeds the report's censoring fields and warning
     rather than the estimators themselves.  The whole run is wrapped in a
     ["fit"] telemetry span on [ctx.telemetry] (sample size, censored
     count, candidate count, number accepted); the per-candidate spans are
-    emitted under the fixed path ["fit/fit.candidate"] whatever worker
-    they ran on. *)
+    emitted under the fixed path ["fit/fit.candidate"], one per
+    candidate, whatever domain the fit runs on. *)
 
 val pp_fitted : Format.formatter -> fitted -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -6,17 +6,16 @@ type prediction = {
   limit : float;
 }
 
-(* On a null sink this is exactly [Speedup.curve ~pool]; otherwise each
-   core count's quadrature gets its own timed "predict.speedup" span, under
-   a fixed path because the quadratures run on pool workers (outside the
-   "predict" span's domain). *)
-let traced_curve telemetry pool law ~cores =
-  if Lv_telemetry.Sink.is_null telemetry then Speedup.curve ~pool law ~cores
-  else
-    Lv_exec.Pool.parallel_map pool
-      (fun n ->
-        let start = Lv_telemetry.Clock.now_ns () in
-        let s = Speedup.at law ~cores:n in
+(* One quadrature per core count, in input order.  On a live sink each
+   gets its own timed "predict.speedup" span under a fixed path, so the
+   path does not depend on which domain runs the prediction. *)
+let traced_curve telemetry law ~cores =
+  let traced = not (Lv_telemetry.Sink.is_null telemetry) in
+  List.map
+    (fun n ->
+      let start = if traced then Lv_telemetry.Clock.now_ns () else 0L in
+      let s = Speedup.at law ~cores:n in
+      if traced then
         Lv_telemetry.Span.record telemetry ~start ~path:"predict/predict.speedup"
           ~fields:
             [
@@ -24,14 +23,12 @@ let traced_curve telemetry pool law ~cores =
               ("speedup", Lv_telemetry.Json.Float s);
             ]
           ();
-        { Speedup.cores = n; speedup = s })
-      (Array.of_list cores)
-    |> Array.to_list
+      { Speedup.cores = n; speedup = s })
+    cores
 
 let of_fit ?(ctx = Lv_context.Context.default) ~label ~cores
     (report : Fit.report) law =
-  let { Lv_context.Context.pool; telemetry; _ } = ctx in
-  let pool = match pool with Some p -> p | None -> Lv_exec.Pool.default () in
+  let { Lv_context.Context.telemetry; _ } = ctx in
   Lv_telemetry.Span.run telemetry ~name:"predict"
     ~fields:(fun () ->
       [
@@ -44,7 +41,7 @@ let of_fit ?(ctx = Lv_context.Context.default) ~label ~cores
     label;
     fit = report;
     law;
-    curve = traced_curve telemetry pool law ~cores;
+    curve = traced_curve telemetry law ~cores;
     limit = Speedup.limit law;
   }
 

@@ -19,14 +19,14 @@ val of_dataset :
   prediction
 (** Fit the dataset (keeping the best accepted candidate, or the highest
     p-value fit when nothing clears [alpha], default [ctx.alpha]) and
-    predict speed-ups at [cores].  Both the candidate fits and the
-    per-core-count quadratures run on [ctx.pool] (default
-    {!Lv_exec.Pool.default}); results are deterministic regardless of pool
-    size.  With a live [ctx.telemetry] sink
-    the fit emits its spans (see {!Fit.fit}) and the prediction wraps in a
+    predict speed-ups at [cores].  The candidate fits and the
+    per-core-count quadratures run serially on the calling domain
+    ([ctx.pool] is not used).  With a live [ctx.telemetry] sink the fit
+    emits its spans (see {!Fit.fit}) and the prediction wraps in a
     ["predict"] span containing one timed ["predict/predict.speedup"]
-    event per core count (the quadrature cost of each {!Speedup.at}
-    evaluation), emitted under that fixed path whatever worker ran it. *)
+    event per core count, in input order (the quadrature cost of each
+    {!Speedup.at} evaluation), emitted under that fixed path whatever
+    domain runs it. *)
 
 val of_report :
   ?ctx:Lv_context.Context.t ->

@@ -12,11 +12,8 @@ type point = { cores : int; speedup : float }
 val at : Lv_stats.Distribution.t -> cores:int -> float
 (** Predicted [G_n] at one core count.  [G_1 = 1] by construction. *)
 
-val curve :
-  ?pool:Lv_exec.Pool.t -> Lv_stats.Distribution.t -> cores:int list -> point list
-(** One {!at} evaluation per core count.  With [pool] the quadratures run
-    as one pool task each (they are independent integrals); the result is
-    identical to the serial evaluation, in input order. *)
+val curve : Lv_stats.Distribution.t -> cores:int list -> point list
+(** One {!at} evaluation per core count, in input order. *)
 
 val limit : Lv_stats.Distribution.t -> float
 (** [lim_{n→∞} G_n]: [E[Y] / inf support] when the support's lower end

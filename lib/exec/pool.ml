@@ -11,7 +11,6 @@ type t = {
   lock : Mutex.t;  (* guards [stopping] and the sleep protocol *)
   work_cond : Condition.t;
   mutable stopping : bool;
-  rr : int Atomic.t;  (* round-robin cursor for [submit] *)
   telemetry : Lv_telemetry.Sink.t;
   tasks_executed : int Atomic.t;
   steals : int Atomic.t;
@@ -39,14 +38,14 @@ let size t = t.size
 let exec pool w task =
   let worker = pool.workers.(w) in
   (* Count before running: barriers are released from *inside* the thunk
-     ([finish_one] in [parallel_map]/[submit]), so accounting done after
+     ([finish_one] in [parallel_map]), so accounting done after
      the call races with a caller reading [stats] right after its barrier
      — the final task could still be uncounted. *)
   worker.executed <- worker.executed + 1;
   Atomic.incr pool.tasks_executed;
   let start = Lv_telemetry.Clock.now_ns () in
-  (* Queued thunks catch their own user exceptions (see [parallel_map] /
-     [submit]); a raise here would be a pool bug, and letting it kill the
+  (* Queued thunks catch their own user exceptions (see [parallel_map]);
+     a raise here would be a pool bug, and letting it kill the
      worker would hang every subsequent barrier, so it is contained. *)
   (try task () with _ -> ());
   worker.busy_s <-
@@ -123,7 +122,6 @@ let create ?(telemetry = Lv_telemetry.Sink.null) ?domains () =
       lock = Mutex.create ();
       work_cond = Condition.create ();
       stopping = false;
-      rr = Atomic.make 0;
       telemetry;
       tasks_executed = Atomic.make 0;
       steals = Atomic.make 0;
@@ -202,23 +200,6 @@ let shutdown pool =
 let with_pool ?telemetry ?domains f =
   let pool = create ?telemetry ?domains () in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
-
-let default_lock = Mutex.create ()
-let default_pool = ref None
-
-let default () =
-  Mutex.lock default_lock;
-  let pool =
-    match !default_pool with
-    | Some p -> p
-    | None ->
-      let p = create () in
-      default_pool := Some p;
-      at_exit (fun () -> try shutdown p with _ -> ());
-      p
-  in
-  Mutex.unlock default_lock;
-  pool
 
 (* ------------------------------------------------------------------ *)
 (* Submission                                                          *)
@@ -327,58 +308,3 @@ let parallel_map (type b) ?cancel ?(skipped : b option) pool (f : _ -> b) xs =
           | None -> assert false (* every non-aborted task filled its slot *))
         results
   end
-
-let parallel_iter ?cancel pool f xs =
-  ignore (parallel_map ?cancel ~skipped:() pool f xs)
-
-type 'a state = Pending | Returned of 'a | Raised of exn * Printexc.raw_backtrace
-
-type 'a promise = {
-  owner : t;
-  plock : Mutex.t;
-  pcond : Condition.t;
-  mutable state : 'a state;
-}
-
-let submit pool f =
-  check_live pool;
-  let promise =
-    { owner = pool; plock = Mutex.create (); pcond = Condition.create ();
-      state = Pending }
-  in
-  let task () =
-    let outcome =
-      match f () with
-      | v -> Returned v
-      | exception exn -> Raised (exn, Printexc.get_raw_backtrace ())
-    in
-    Mutex.lock promise.plock;
-    promise.state <- outcome;
-    Condition.broadcast promise.pcond;
-    Mutex.unlock promise.plock
-  in
-  let w = Atomic.fetch_and_add pool.rr 1 mod pool.size in
-  Deque.push pool.workers.(w).deque task;
-  wake_all pool;
-  promise
-
-let await promise =
-  let pool = promise.owner in
-  let pending () =
-    Mutex.lock promise.plock;
-    let p = match promise.state with Pending -> true | _ -> false in
-    Mutex.unlock promise.plock;
-    p
-  in
-  (match my_slot pool with
-  | Some w -> help_while pool w pending
-  | None ->
-    Mutex.lock promise.plock;
-    while (match promise.state with Pending -> true | _ -> false) do
-      Condition.wait promise.pcond promise.plock
-    done;
-    Mutex.unlock promise.plock);
-  match promise.state with
-  | Returned v -> v
-  | Raised (exn, bt) -> Printexc.raise_with_backtrace exn bt
-  | Pending -> assert false

@@ -1,12 +1,19 @@
-(** Shared work-stealing executor over OCaml 5 domains.
+(** Work-stealing executor over OCaml 5 domains.
 
-    One fixed-size pool of worker domains serves every parallel phase of
-    the pipeline — campaign runs, multi-walk races, candidate fits,
-    per-core-count quadratures — instead of each layer spawning its own
-    domains (the seed spawned one domain {e per walker}, so a 256-walker
-    race meant 256 domains on an 8-core box).  Each worker owns a
+    A pool is a fixed set of worker domains that the caller creates, hands
+    to the work, and shuts down: {!create}/{!shutdown}, or {!with_pool} to
+    scope both.  There is no process-wide pool; code that is given none
+    either runs serially or scopes a pool of its own.  Each worker owns a
     {!Deque}: it pushes and pops its own work LIFO and steals FIFO from
     the others when it runs dry.
+
+    {2 Which phases use a pool}
+
+    Only the coarse, independent units of work: the runs of a campaign,
+    the walkers of a race, bootstrap replicates, held-out folds and
+    calibration-oracle trials.  Candidate fits and per-core-count
+    quadratures take milliseconds each and run serially on the calling
+    domain: pooling them measured slower than serial on 2 cores.
 
     {2 Sizing}
 
@@ -22,8 +29,8 @@
 
     [parallel_map] writes result [i] into slot [i] regardless of which
     worker executed it and in which order, so outputs are byte-identical
-    for any pool size — the property the campaign/fit/predict layers rely
-    on (same seed ⇒ same dataset ⇒ same figures, pool of 1 or 16).
+    for any pool size — the property the campaign and validation layers
+    rely on (same seed ⇒ same dataset ⇒ same figures, pool of 1 or 16).
 
     {2 Exceptions}
 
@@ -36,10 +43,10 @@
 
     Callers never execute tasks themselves; work runs only on the pool's
     domains.  The exception is re-entrancy: a task that itself calls
-    [parallel_map]/[await] on its own pool helps execute queued tasks
-    instead of blocking, so nested parallelism cannot deadlock, even on a
-    pool of one.  A pool may be shared by several calling domains; each
-    call's barrier is independent.
+    [parallel_map] on its own pool helps execute queued tasks instead of
+    blocking, so nested parallelism cannot deadlock, even on a pool of
+    one.  A pool may be shared by several calling domains; each call's
+    barrier is independent.
 
     [shutdown] must not race in-flight calls: finish (or cancel) your
     jobs, then shut down — {!with_pool} scopes this for you. *)
@@ -56,12 +63,6 @@ val create : ?telemetry:Lv_telemetry.Sink.t -> ?domains:int -> unit -> t
 val with_pool :
   ?telemetry:Lv_telemetry.Sink.t -> ?domains:int -> (t -> 'a) -> 'a
 (** [with_pool f] = create, run [f], always {!shutdown} (also on raise). *)
-
-val default : unit -> t
-(** The process-wide shared pool, created on first use at the default
-    size and shut down via [at_exit].  Every library entry point that
-    takes [?pool] falls back to this, so independent call sites share one
-    set of worker domains. *)
 
 val size : t -> int
 (** Number of worker domains. *)
@@ -83,20 +84,6 @@ val parallel_map :
     consult the token itself and return quickly.  Tasks already running
     are never interrupted (cooperative model); the barrier waits for
     them. *)
-
-val parallel_iter : ?cancel:Cancel.t -> t -> ('a -> unit) -> 'a array -> unit
-(** [parallel_map] without results.  With [cancel] set, unstarted tasks
-    are skipped. *)
-
-type 'a promise
-
-val submit : t -> (unit -> 'a) -> 'a promise
-(** Queue one task; raises [Invalid_argument] on a shut-down pool. *)
-
-val await : 'a promise -> 'a
-(** Block until the task completes; re-raises its exception (with
-    backtrace) if it raised.  Safe from a worker of the same pool: the
-    waiter helps execute queued tasks instead of blocking. *)
 
 type stats = {
   domains : int;

@@ -34,12 +34,9 @@ let wall_clock ?(ctx = Lv_context.Context.default) ?params ~seed ~walkers
     make_instance =
   if walkers <= 0 then invalid_arg "Race.wall_clock: walkers must be positive";
   let { Lv_context.Context.pool; telemetry; _ } = ctx in
-  let p = match pool with Some p -> p | None -> Lv_exec.Pool.default () in
   let traced = not (Lv_telemetry.Sink.is_null telemetry) in
   let found = Atomic.make (-1) in
   let cancel = Lv_exec.Cancel.create () in
-  (* Monotonic: gettimeofday can step under NTP and skew race durations. *)
-  let t0 = Lv_telemetry.Clock.now_ns () in
   let walker w =
     let packed = make_instance () in
     let rng = Lv_stats.Rng.create ~seed:(seed + w) in
@@ -64,13 +61,28 @@ let wall_clock ?(ctx = Lv_context.Context.default) ?params ~seed ~walkers
   in
   let outcome_cell = ref None in
   let body () =
-    let iters =
-      Lv_exec.Pool.parallel_map ~cancel ~skipped:None p walker
-        (Array.init walkers Fun.id)
+    (* Timed inside the pool's scope: a pool the race creates for itself
+       is not part of its wall-clock.  Monotonic: gettimeofday can step
+       under NTP and skew race durations. *)
+    let race p =
+      let t0 = Lv_telemetry.Clock.now_ns () in
+      let iters =
+        Lv_exec.Pool.parallel_map ~cancel ~skipped:None p walker
+          (Array.init walkers Fun.id)
+      in
+      let seconds =
+        Lv_telemetry.Clock.seconds_between ~start:t0
+          ~stop:(Lv_telemetry.Clock.now_ns ())
+      in
+      (iters, seconds)
     in
-    let seconds =
-      Lv_telemetry.Clock.seconds_between ~start:t0
-        ~stop:(Lv_telemetry.Clock.now_ns ())
+    let iters, seconds =
+      match pool with
+      | Some p -> race p
+      | None ->
+        Lv_exec.Pool.with_pool
+          ~domains:(min walkers (Domain.recommended_domain_count ()))
+          race
     in
     let w = Atomic.get found in
     let o =

@@ -29,8 +29,10 @@ val wall_clock :
   walkers:int ->
   (unit -> Lv_search.Csp.packed) ->
   outcome
-(** Race the walkers on [ctx.pool] (default: {!Lv_exec.Pool.default}) instead
-    of one domain each.  The first solver to finish flips a shared flag:
+(** Race the walkers on [ctx.pool] instead of one domain each.  Without
+    a pool the race scopes its own, of
+    [min walkers (Domain.recommended_domain_count ())] domains, and shuts
+    it down before returning.  The first solver to finish flips a shared flag:
     walkers already running poll it and abandon; walkers not yet started
     are skipped via the pool's cancellation token and report no
     iterations.  [make_instance] is called once per walker that runs.

@@ -34,8 +34,9 @@ let simpson_adaptive ?(rel_tol = 1e-10) ?(abs_tol = 1e-12) ?(max_depth = 48) f ~
 
 (* Nodes and weights on [-1,1] computed once per order by Newton iteration
    on Legendre polynomials (standard gauleg construction).  The cache is
-   shared by every domain running quadratures concurrently (pooled fits and
-   per-core-count predictions), so all access is serialized by [gauss_lock];
+   shared by every domain running quadratures concurrently (bootstrap
+   replicates, held-out folds and oracle trials each fit and predict on
+   their own pool worker), so all access is serialized by [gauss_lock];
    the arrays themselves are published once and only ever read after that.
    The Newton construction runs under the lock — it is a few microseconds,
    once per distinct order per process. *)

@@ -216,10 +216,8 @@ let kfold_indices ~seed ~folds n =
       done;
       Array.of_list !members)
 
-let holdout_fold ~alpha ~pool ~candidates ~cores ~fold ~train ~test =
-  let fit =
-    Fit.fit ~ctx:(Lv_context.Context.make ?pool ()) ~alpha ?candidates train
-  in
+let holdout_fold ~alpha ~candidates ~cores ~fold ~train ~test =
+  let fit = Fit.fit ~alpha ?candidates train in
   let f = chosen_fit fit in
   let law = f.Fit.dist in
   let ks = Kolmogorov.test ~alpha test law.Distribution.cdf in
@@ -263,9 +261,10 @@ let holdout ?pool ?(telemetry = Lv_telemetry.Sink.null)
   @@ fun () ->
   let fold_sets = kfold_indices ~seed ~folds n in
   let reports =
-    (* Folds are few; each fold's fit already fans its candidates out on
-       the pool, so the folds themselves run serially. *)
-    List.init folds (fun j ->
+    (* One pool task per fold: each fits and checks its own split, and the
+       reports are slotted by fold index. *)
+    parallel_map pool
+      (fun j ->
         let test = Array.map (fun i -> xs.(i)) fold_sets.(j) in
         let in_test = Array.make n false in
         Array.iter (fun i -> in_test.(i) <- true) fold_sets.(j);
@@ -275,7 +274,9 @@ let holdout ?pool ?(telemetry = Lv_telemetry.Sink.null)
                (fun i -> if in_test.(i) then None else Some xs.(i))
                (Seq.init n Fun.id))
         in
-        holdout_fold ~alpha ~pool ~candidates ~cores ~fold:j ~train ~test)
+        holdout_fold ~alpha ~candidates ~cores ~fold:j ~train ~test)
+      (Array.init folds Fun.id)
+    |> Array.to_list
   in
   let rejections =
     List.length

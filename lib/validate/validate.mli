@@ -10,11 +10,12 @@
       bootstrap the {e whole} pipeline — resample the dataset, refit,
       repredict — attaching a {!Lv_stats.Bootstrap.interval} to every
       fitted parameter and every point of the speed-up curve.  Replicates
-      run in parallel on the shared {!Lv_exec.Pool} with a deterministic
+      run in parallel on the given {!Lv_exec.Pool} with a deterministic
       RNG stream per replicate derived from the seed, so the bands are
       byte-identical for any pool size.
     - {e Held-out cross-validation} ({!holdout}): seeded k-fold split;
-      fit on the train split, report the KS statistic/p-value of the
+      fit on the train split (one pool task per fold), report the KS
+      statistic/p-value of the
       fitted law against the held-out split and the predicted-vs-
       empirical speed-up error on held-out plug-in races.
     - {e Simulation-based calibration oracle} ({!oracle}): sample
@@ -120,7 +121,9 @@ val holdout :
 (** [holdout ~seed ~cores xs] permutes [xs] with a generator derived from
     [seed] (deterministic: same seed, same split), partitions it into
     [folds] folds, and for each fold fits the candidate pool on the other
-    folds and scores the fit on the held-out one.  Raises
+    folds and scores the fit on the held-out one.  With [pool] the folds
+    run as one pool task each (each fold's fit is serial inside its
+    task); the report is the same for any pool size.  Raises
     [Invalid_argument] when [folds < 2] or [xs] has fewer than
     [2 * folds] observations. *)
 

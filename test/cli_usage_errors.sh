@@ -8,6 +8,7 @@ lvp=$1
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 printf '1\n2\n3\n5\n8\n13\n21\n34\n' > "$work/data.csv"
+: > "$work/empty.csv"
 failures=0
 
 expect_usage_error() {
@@ -25,14 +26,37 @@ expect_usage_error campaign n-queens 8 --runs 5 --pool-domains 0 -q
 expect_usage_error campaign n-queens 8 --runs 5 --retries -1 -q
 expect_usage_error race n-queens 8 -w 0 -q
 expect_usage_error fit "$work/data.csv" --alpha 1.5
+expect_usage_error predict "$work/data.csv" -k 0 -q
+expect_usage_error simulate "$work/data.csv" -k 0
+expect_usage_error campaign n-queens 8 --runs 3 --max-iters 0 -q
+expect_usage_error solve n-queens 0
+expect_usage_error campaign n-queens 0 --runs 3 -q
+expect_usage_error race n-queens 3 -q
+expect_usage_error fit "$work/empty.csv" -q
+expect_usage_error predict "$work/empty.csv" -q
+expect_usage_error simulate "$work/empty.csv"
+expect_usage_error ttt "$work/empty.csv"
+# No run solves within a zero wall-time budget.
+expect_usage_error campaign n-queens 8 --runs 3 --timeout 0 -q
 
-# The alpha error is one line, not a backtrace.
-"$lvp" fit "$work/data.csv" --alpha 1.5 > /dev/null 2> "$work/err"
-if [ "$(wc -l < "$work/err")" -ne 1 ]; then
-  echo "FAIL: lvp fit --alpha 1.5 printed more than one line:"
-  cat "$work/err"
-  failures=$((failures + 1))
-fi
+# Errors the library raises are one line naming the subcommand, exit 1.
+expect_one_line() {
+  "$lvp" "$@" > /dev/null 2> "$work/err"
+  code=$?
+  if [ "$code" -ne 1 ] || [ "$(wc -l < "$work/err")" -ne 1 ] \
+     || ! grep -q "^lvp $1: " "$work/err"; then
+    echo "FAIL (exit $code): lvp $* did not print one 'lvp $1:' line:"
+    cat "$work/err"
+    failures=$((failures + 1))
+  fi
+}
+
+expect_one_line fit "$work/data.csv" --alpha 1.5
+expect_one_line solve n-queens 0
+expect_one_line race n-queens 3 -q
+expect_one_line fit "$work/empty.csv" -q
+expect_one_line ttt "$work/empty.csv"
+expect_one_line campaign n-queens 8 --runs 3 --timeout 0 -q
 
 # The same commands with sane values still succeed.
 "$lvp" campaign n-queens 8 --runs 5 --pool-domains 1 --retries 0 -q > /dev/null \

@@ -265,23 +265,28 @@ let test_golden_speedup_tables () =
     golden_speedups
 
 let test_golden_speedups_pool_invariant () =
-  (* The figures behind 9/11/13 must not depend on the executor: the curve
-     computed serially, on a pool of 1 and on a pool of 4 must be equal to
-     the last bit (same quadrature calls, slotted by index). *)
+  (* The figures behind 9/11/13 must not depend on the executor: the
+     prediction made under a context without a pool, with a pool of 1 and
+     with a pool of 4 must equal the bare curve to the last bit. *)
   List.iter
     (fun (b, table) ->
       let law = Paper_data.fitted_law b in
       let cores = List.map fst table in
       let serial = Speedup.curve law ~cores in
+      let predicted ctx =
+        (Predict.of_distribution ?ctx ~label:"golden" ~cores law).Predict.curve
+      in
       Lv_exec.Pool.with_pool ~domains:1 @@ fun p1 ->
       Lv_exec.Pool.with_pool ~domains:4 @@ fun p4 ->
       let name tag =
         Printf.sprintf "%s %s" (Paper_data.benchmark_name b) tag
       in
+      Alcotest.(check bool) (name "no pool bit-identical") true
+        (serial = predicted None);
       Alcotest.(check bool) (name "pool=1 bit-identical") true
-        (serial = Speedup.curve ~pool:p1 law ~cores);
+        (serial = predicted (Some (Lv_context.Context.make ~pool:p1 ())));
       Alcotest.(check bool) (name "pool=4 bit-identical") true
-        (serial = Speedup.curve ~pool:p4 law ~cores))
+        (serial = predicted (Some (Lv_context.Context.make ~pool:p4 ()))))
     golden_speedups
 
 let test_golden_speedups_cover_paper_cores () =
@@ -618,6 +623,125 @@ let test_report_speedup_series () =
 (* qcheck properties                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Where the work runs: serial fits and quadratures, no stray domains   *)
+(* ------------------------------------------------------------------ *)
+
+(* Threads of this process, from /proc/self/status; [None] where that
+   file does not exist. *)
+let threads () =
+  match
+    In_channel.with_open_text "/proc/self/status" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.find_map (fun l -> Scanf.sscanf_opt l "Threads: %d" Fun.id)
+  with
+  | n -> n
+  | exception Sys_error _ -> None
+
+(* A joined domain's threads may take a moment to exit: poll until the
+   count is at most [at_most], or until it has held still for three
+   readings when [at_most] is not given. *)
+let settled_threads ?at_most () =
+  let rec go prev still tries =
+    let settled =
+      match (at_most, prev) with
+      | Some m, Some n -> n <= m
+      | None, _ -> still >= 3
+      | Some _, None -> true
+    in
+    if settled || tries = 0 then prev
+    else begin
+      Unix.sleepf 0.02;
+      let n = threads () in
+      go n (if n = prev then still + 1 else 0) (tries - 1)
+    end
+  in
+  go (threads ()) 0 100
+
+let test_no_pool_spawns_no_domains () =
+  (* The first spawned domain starts a backup thread for the main domain
+     that lives until exit; start it before counting. *)
+  Domain.join (Domain.spawn ignore);
+  match settled_threads () with
+  | None -> Alcotest.skip ()
+  | Some before ->
+    let check what f =
+      ignore (f ());
+      Alcotest.(check (option int))
+        (what ^ " leaves the thread count unchanged") (Some before)
+        (settled_threads ~at_most:before ())
+    in
+    let rng = Rng.create ~seed:211 in
+    let ds =
+      Lv_multiwalk.Dataset.synthetic ~label:"threads"
+        (Exponential.create ~rate:0.01) ~rng 200
+    in
+    check "Fit.fit" (fun () -> Fit.fit ds.Lv_multiwalk.Dataset.values);
+    check "Predict.of_dataset" (fun () ->
+        Predict.of_dataset ~cores:[ 2; 16; 256 ] ds);
+    check "Race.wall_clock" (fun () ->
+        Lv_multiwalk.Race.wall_clock ~seed:29 ~walkers:2 (fun () ->
+            Lv_problems.Queens.pack 15))
+
+let test_predict_speedup_spans_in_input_order () =
+  let sink = Lv_telemetry.Sink.memory () in
+  let cores = [ 256; 2; 32; 1; 8 ] in
+  let law = Lognormal.create ~mu:8. ~sigma:1.2 in
+  let p =
+    Predict.of_distribution ~ctx:(Lv_context.Context.make ~telemetry:sink ())
+      ~label:"spans" ~cores law
+  in
+  let spans =
+    List.filter
+      (fun e -> e.Lv_telemetry.Event.path = "predict/predict.speedup")
+      (Lv_telemetry.Sink.events sink)
+  in
+  let field name e =
+    Option.get (Lv_telemetry.Event.field name e)
+  in
+  Alcotest.(check (list int)) "one span per core count, in input order" cores
+    (List.map
+       (fun e -> Option.get (Lv_telemetry.Json.to_int (field "cores" e)))
+       spans);
+  Alcotest.(check bool) "each span carries its curve point" true
+    (List.for_all2
+       (fun e (pt : Speedup.point) ->
+         field "speedup" e = Lv_telemetry.Json.Float pt.Speedup.speedup)
+       spans p.Predict.curve)
+
+let test_fit_candidate_spans_keep_path_and_count () =
+  (* One span per requested candidate, inapplicable ones included, under
+     the fixed path "fit/fit.candidate" even when the fit is nested in
+     another span. *)
+  let sink = Lv_telemetry.Sink.memory () in
+  let xs = [| -1.; 2.; 3.; 5.; 8.; 13.; 21.; 34. |] in
+  let candidates = [ Fit.Normal; Fit.Exponential; Fit.Lognormal; Fit.Levy ] in
+  ignore
+    (Lv_telemetry.Span.run sink ~name:"outer" (fun () ->
+         Fit.fit ~ctx:(Lv_context.Context.make ~telemetry:sink ()) ~candidates xs));
+  let spans =
+    List.filter
+      (fun e -> Lv_telemetry.Event.name e = "fit.candidate")
+      (Lv_telemetry.Sink.events sink)
+  in
+  Alcotest.(check (list string)) "paths"
+    (List.map (fun _ -> "fit/fit.candidate") candidates)
+    (List.map (fun e -> e.Lv_telemetry.Event.path) spans);
+  Alcotest.(check (list string)) "one per candidate, in order"
+    (List.map Fit.candidate_name candidates)
+    (List.map
+       (fun e ->
+         match Lv_telemetry.Event.field "candidate" e with
+         | Some (Lv_telemetry.Json.String c) -> c
+         | _ -> "?")
+       spans);
+  Alcotest.(check bool) "some candidate inapplicable" true
+    (List.exists
+       (fun e ->
+         Lv_telemetry.Event.field "outcome" e
+         = Some (Lv_telemetry.Json.String "inapplicable"))
+       spans)
+
 let qcheck_props =
   let open QCheck in
   [
@@ -653,6 +777,16 @@ let qcheck_props =
 let () =
   Alcotest.run "lv_core"
     [
+      ( "where work runs",
+        [
+          (* First: nothing before it may have started a domain. *)
+          Alcotest.test_case "no pool spawns no domains" `Quick
+            test_no_pool_spawns_no_domains;
+          Alcotest.test_case "predict.speedup spans in input order" `Quick
+            test_predict_speedup_spans_in_input_order;
+          Alcotest.test_case "fit.candidate spans keep path and count" `Quick
+            test_fit_candidate_spans_keep_path_and_count;
+        ] );
       ( "min_dist",
         [
           Alcotest.test_case "cdf formula" `Quick test_min_dist_cdf_formula;

@@ -46,21 +46,13 @@ let test_context_defaults () =
 let test_context_builders_compose () =
   Lv_exec.Pool.with_pool ~domains:1 @@ fun pool ->
   let sink = Lv_telemetry.Sink.memory () in
-  let c =
-    Ctx.default |> Ctx.with_pool pool |> Ctx.with_telemetry sink
-    |> Ctx.with_cache_dir "/tmp/c"
-  in
   let m = Ctx.make ~pool ~telemetry:sink ~cache_dir:"/tmp/c" () in
-  (* make with the same settings agrees with the builder chain (field by
-     field: pools and sinks are compared physically). *)
-  List.iter
-    (fun (x : Ctx.t) ->
-      Alcotest.(check bool) "pool" true
-        (match x.Ctx.pool with Some p -> p == pool | None -> false);
-      Alcotest.(check bool) "telemetry" true (x.Ctx.telemetry == sink);
-      Alcotest.(check (float 0.)) "alpha" 0.05 x.Ctx.alpha;
-      Alcotest.(check bool) "cache dir" true (x.Ctx.cache_dir = Some "/tmp/c"))
-    [ c; m ]
+  (* Field by field: pools and sinks are compared physically. *)
+  Alcotest.(check bool) "pool" true
+    (match m.Ctx.pool with Some p -> p == pool | None -> false);
+  Alcotest.(check bool) "telemetry" true (m.Ctx.telemetry == sink);
+  Alcotest.(check (float 0.)) "alpha" 0.05 m.Ctx.alpha;
+  Alcotest.(check bool) "cache dir" true (m.Ctx.cache_dir = Some "/tmp/c")
 
 let test_context_validation () =
   (* A context's alpha is checked where it is used: the record can be

@@ -98,19 +98,6 @@ let test_pool_exception_barrier () =
   Alcotest.(check bool) "some tasks were skipped after the raise" true
     (Atomic.get ran <= 100)
 
-let test_pool_submit_await () =
-  Pool.with_pool ~domains:2 @@ fun p ->
-  let a = Pool.submit p (fun () -> 6 * 7) in
-  let b = Pool.submit p (fun () -> raise (Task_failed 1)) in
-  Alcotest.(check int) "await value" 42 (Pool.await a);
-  (match Pool.await b with
-  | _ -> Alcotest.fail "await must re-raise"
-  | exception Task_failed 1 -> ());
-  Pool.shutdown p;
-  Alcotest.check_raises "submit after shutdown"
-    (Invalid_argument "Lv_exec.Pool: pool is shut down") (fun () ->
-      ignore (Pool.submit p (fun () -> ())))
-
 let test_pool_nested_map_no_deadlock () =
   (* A task that itself maps on the same pool must help execute queued
      tasks instead of blocking — even on a pool of one. *)
@@ -300,7 +287,6 @@ let () =
           Alcotest.test_case "map preserves order" `Quick test_pool_map_preserves_order;
           Alcotest.test_case "sizing and worker index" `Quick test_pool_sizing;
           Alcotest.test_case "exception barrier" `Quick test_pool_exception_barrier;
-          Alcotest.test_case "submit/await" `Quick test_pool_submit_await;
           Alcotest.test_case "nested map, pool of one" `Quick
             test_pool_nested_map_no_deadlock;
         ] );

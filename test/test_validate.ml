@@ -204,7 +204,16 @@ let test_holdout_deterministic_split () =
     Validate.holdout ~candidates:[ Fit.Exponential ] ~seed:10 ~cores xs
   in
   Alcotest.(check bool) "different seed, different split" true
-    (compare (run ()) other <> 0)
+    (compare (run ()) other <> 0);
+  (* Folds are pool tasks: the report, fold order included, is the
+     serial one. *)
+  let folds4 ?pool () =
+    Validate.holdout ?pool ~candidates:[ Fit.Exponential ] ~folds:4 ~seed:9
+      ~cores xs
+  in
+  Lv_exec.Pool.with_pool ~domains:4 @@ fun pool ->
+  Alcotest.(check bool) "pool of 4 = serial" true
+    (compare (folds4 ~pool ()) (folds4 ()) = 0)
 
 let test_holdout_accepts_own_law () =
   (* Data genuinely exponential, exponential candidate: the held-out KS
