@@ -23,10 +23,33 @@ let exponential_params (d : Distribution.t) =
     | _ -> None)
   | _ -> None
 
+(* Families with a closed form or a dedicated kernel, detected by name and
+   parameters like [exponential_params]; [None] sends the law to the
+   generic quadrature. *)
+let fast_expectation (d : Distribution.t) n =
+  let param k = List.assoc_opt k d.Distribution.params in
+  let lognormal x0 =
+    match (param "mu", param "sigma") with
+    | Some mu, Some sigma when Order_stats.lognormal_kernel_covers ~sigma n ->
+      Some (Order_stats.lognormal_expected_min ~mu ~sigma ~x0 n)
+    | _ -> None
+  in
+  match (d.Distribution.name, param "x0") with
+  | "lognormal", _ -> lognormal 0.
+  | "shifted-lognormal", Some x0 -> lognormal x0
+  | "weibull", _ -> (
+    match (param "shape", param "scale") with
+    | Some shape, Some scale -> Some (Order_stats.weibull_expected_min ~shape ~scale n)
+    | _ -> None)
+  | _ ->
+    Option.map
+      (fun (x0, rate) -> Order_stats.exponential_expected_min ~rate ~x0 n)
+      (exponential_params d)
+
 let expectation (d : Distribution.t) ~n =
   check_n n;
-  match exponential_params d with
-  | Some (x0, rate) -> Order_stats.exponential_expected_min ~rate ~x0 n
+  match fast_expectation d n with
+  | Some e -> e
   | None -> Order_stats.expected_min d n
 
 let distribution (d : Distribution.t) ~n =

@@ -4,7 +4,8 @@
     [F_Z(x) = 1 - (1 - F_Y(x))^n]
     [f_Z(x) = n f_Y(x) (1 - F_Y(x))^(n-1)]
 
-    Expectations use the closed form for (shifted) exponential laws and the
+    Expectations use closed forms or a fixed-grid kernel for the (shifted)
+    exponential, Weibull and (shifted) lognormal laws, and the
     order-statistics quadrature otherwise. *)
 
 val cdf : Lv_stats.Distribution.t -> n:int -> float -> float
@@ -15,9 +16,13 @@ val distribution : Lv_stats.Distribution.t -> n:int -> Lv_stats.Distribution.t
     [F⁻¹(1 - (1-p)^(1/n))], sampling by racing [n] draws). *)
 
 val expectation : Lv_stats.Distribution.t -> n:int -> float
-(** [E[Z^(n)]].  Detects the exponential family by name and uses
-    [x0 + 1/(nλ)]; anything else goes through
-    {!Lv_stats.Order_stats.expected_min}. *)
+(** [E[Z^(n)]].  Detects three families by name and parameters: the
+    (shifted) exponential uses [x0 + 1/(nλ)], the Weibull its closed form
+    {!Lv_stats.Order_stats.weibull_expected_min}, and the (shifted)
+    lognormal the fixed-grid kernel
+    {!Lv_stats.Order_stats.lognormal_expected_min} wherever
+    {!Lv_stats.Order_stats.lognormal_kernel_covers} its [sigma] and [n].
+    Anything else goes through {!Lv_stats.Order_stats.expected_min}. *)
 
 val exponential_params : Lv_stats.Distribution.t -> (float * float) option
 (** [(x0, λ)] when the distribution is a (shifted) exponential, else

@@ -1,6 +1,6 @@
 (* Bump whenever an artifact format or a producing stage's algorithm
    changes: the salt lands in every key, so old artifacts miss cleanly. *)
-let code_version = "lv-engine-2"
+let code_version = "lv-engine-3"
 
 type t = {
   dir : string;
@@ -65,8 +65,13 @@ let with_cache t ~stage ~key ~ext ~load ~save compute =
   let cached =
     if Sys.file_exists file then
       (* A load failure (torn write, foreign or stale file) must never fail
-         the run: fall through to a recompute that overwrites it. *)
-      match load file with v -> Some v | exception _ -> None
+         the run: fall through to a recompute that overwrites it.  Resource
+         exhaustion and user interrupts are not load failures. *)
+      match load file with
+      | v -> Some v
+      | exception ((Out_of_memory | Stack_overflow | Sys.Break) as fatal) ->
+        raise fatal
+      | exception _ -> None
     else None
   in
   match cached with

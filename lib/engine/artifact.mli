@@ -54,7 +54,8 @@ val with_cache :
     loaded value; otherwise count a miss, run [compute], persist its
     result atomically with [save], and return it.  Exceptions from
     [compute] and [save] propagate (nothing is cached); exceptions from
-    [load] turn into a recompute that overwrites the bad artifact. *)
+    [load] turn into a recompute that overwrites the bad artifact, except
+    [Out_of_memory], [Stack_overflow] and [Sys.Break], which propagate. *)
 
 val mkdir_p : string -> unit
 (** Create a directory and its parents ([mkdir -p]); raises [Unix_error]

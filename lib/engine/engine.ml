@@ -93,24 +93,26 @@ let result_of_observations ~label observations =
   }
 
 let load_campaign ~seed ~runs ~label file =
-  let entries = Checkpoint.load file in
-  if List.length entries <> runs then
-    failwith "campaign artifact: incomplete run-log";
   let slots = Array.make runs None in
-  List.iter
-    (fun (e : Checkpoint.entry) ->
-      if e.run < 0 || e.run >= runs then
-        failwith "campaign artifact: run index out of range";
-      if e.seed <> seed + e.run then
-        failwith "campaign artifact: seed mismatch";
-      slots.(e.run) <- Some (Checkpoint.observation_of_entry e))
-    entries;
+  let loaded =
+    List.fold_left
+      (fun count (e : Checkpoint.entry) ->
+        if e.run < 0 || e.run >= runs then
+          failwith "campaign artifact: run index out of range";
+        if e.seed <> seed + e.run then
+          failwith "campaign artifact: seed mismatch";
+        slots.(e.run) <- Some (Checkpoint.observation_of_entry e);
+        count + 1)
+      0 (Checkpoint.load file)
+  in
+  if loaded <> runs then failwith "campaign artifact: incomplete run-log";
   let observations =
-    Array.to_list
-      (Array.map
-         (function
-           | Some o -> o | None -> failwith "campaign artifact: missing run")
-         slots)
+    Array.fold_right
+      (fun slot acc ->
+        match slot with
+        | Some o -> o :: acc
+        | None -> failwith "campaign artifact: missing run")
+      slots []
   in
   result_of_observations ~label observations
 

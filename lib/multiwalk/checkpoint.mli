@@ -48,7 +48,12 @@ val load : string -> entry list
     ([0] reads as [0.]); [solved] is [true] or [false].  Everything else
     is malformed, including [null], reordered, missing or extra keys,
     any whitespace and trailing garbage.  Every line it accepts decodes
-    to the entry that a generic JSON parse of the line would give. *)
+    to the entry that a generic JSON parse of the line would give.
+
+    [load] reads the whole file at once and decodes it with one cursor,
+    parsing integers in place; the lines it accepts, the torn-last-line
+    rule and the line-numbered [Failure] are those of the earlier
+    line-by-line decoder, which the tests keep as the reference. *)
 
 type writer
 (** An append handle; serialized internally, safe from any domain. *)

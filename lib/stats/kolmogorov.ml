@@ -1,4 +1,4 @@
-let statistic sample cdf =
+let sorted_copy sample =
   if Array.length sample = 0 then invalid_arg "Kolmogorov.statistic: empty sample";
   Array.iter
     (fun x ->
@@ -9,6 +9,9 @@ let statistic sample cdf =
   (* Float.compare's order, not the polymorphic compare's: the latter
      puts NaN at an unspecified rank, silently mis-sorting the ECDF. *)
   Float_sort.sort xs;
+  xs
+
+let statistic_sorted xs cdf =
   let n = Array.length xs in
   let fn = float_of_int n in
   let d = ref 0. in
@@ -25,6 +28,8 @@ let statistic sample cdf =
     if below > !d then d := below
   done;
   !d
+
+let statistic sample cdf = statistic_sorted (sorted_copy sample) cdf
 
 let kolmogorov_cdf x =
   if x <= 0. then 0.

@@ -9,6 +9,16 @@ val statistic : float array -> (float -> float) -> float
     [cdf] that returns NaN at a jump point — a silent NaN would otherwise
     leave the supremum at 0 and make any fit look perfect. *)
 
+val sorted_copy : float array -> float array
+(** The sample in ascending order, as {!statistic} sees it: a fresh copy,
+    with the same [Invalid_argument] on an empty sample or one containing
+    NaN.  Score several laws against one sample with
+    {!statistic_sorted} on this copy to sort only once. *)
+
+val statistic_sorted : float array -> (float -> float) -> float
+(** {!statistic} of a sample already returned by {!sorted_copy}: the same
+    bits, without the copy, the NaN check and the sort. *)
+
 val kolmogorov_cdf : float -> float
 (** CDF of the Kolmogorov distribution,
     [K(x) = 1 - 2 Σ_{k≥1} (-1)^(k-1) e^(-2 k² x²)] for [x > 0], with the

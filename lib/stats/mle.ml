@@ -83,12 +83,15 @@ let shifted_lognormal ?(shift_fraction = 1.0) xs =
       let mu, sigma = log_fit "Mle.shifted_lognormal" xs x0 in
       Lognormal.shifted ~x0 ~mu ~sigma
     in
+    let unshifted = lognormal xs in
+    (* Every candidate is scored against the same sample: sort it once. *)
+    let sorted = Kolmogorov.sorted_copy xs in
+    let n = Array.length xs in
     let score d =
-      let r = Kolmogorov.test xs d.Distribution.cdf in
-      r.Kolmogorov.p_value
+      Kolmogorov.p_value ~n (Kolmogorov.statistic_sorted sorted d.Distribution.cdf)
     in
     let candidates = 48 in
-    let best = ref (0., score (lognormal xs)) in
+    let best = ref (0., score unshifted) in
     for i = 1 to candidates do
       (* Push candidates toward xmin: the admissible boundary is where the
          paper's Mathematica fit landed (x0 = observed min). *)

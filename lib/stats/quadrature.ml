@@ -32,58 +32,54 @@ let simpson_adaptive ?(rel_tol = 1e-10) ?(abs_tol = 1e-12) ?(max_depth = 48) f ~
 (* Gauss–Legendre                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Nodes and weights on [-1,1] computed once per order by Newton iteration
-   on Legendre polynomials (standard gauleg construction).  The cache is
-   shared by every domain running quadratures concurrently (bootstrap
-   replicates, held-out folds and oracle trials each fit and predict on
-   their own pool worker), so all access is serialized by [gauss_lock];
-   the arrays themselves are published once and only ever read after that.
-   The Newton construction runs under the lock — it is a few microseconds,
-   once per distinct order per process. *)
-let gauss_tables : (int, float array * float array) Hashtbl.t = Hashtbl.create 8
-let gauss_lock = Mutex.create ()
+(* Nodes and weights on [-1,1] by Newton iteration on Legendre polynomials
+   (standard gauleg construction). *)
+let newton_nodes n =
+  let x = Array.make n 0. and w = Array.make n 0. in
+  let m = (n + 1) / 2 in
+  for i = 0 to m - 1 do
+    (* Initial guess: Chebyshev-like approximation to the i-th root. *)
+    let z = ref (cos (Float.pi *. (float_of_int i +. 0.75) /. (float_of_int n +. 0.5))) in
+    let pp = ref 0. in
+    let continue = ref true in
+    while !continue do
+      let p1 = ref 1. and p2 = ref 0. in
+      for j = 0 to n - 1 do
+        let p3 = !p2 in
+        p2 := !p1;
+        let fj = float_of_int j in
+        p1 := (((2. *. fj +. 1.) *. !z *. !p2) -. (fj *. p3)) /. (fj +. 1.)
+      done;
+      pp := float_of_int n *. ((!z *. !p1) -. !p2) /. ((!z *. !z) -. 1.);
+      let z1 = !z in
+      z := z1 -. (!p1 /. !pp);
+      if abs_float (!z -. z1) <= 1e-15 then continue := false
+    done;
+    x.(i) <- -. !z;
+    x.(n - 1 - i) <- !z;
+    let wi = 2. /. ((1. -. (!z *. !z)) *. !pp *. !pp) in
+    w.(i) <- wi;
+    w.(n - 1 - i) <- wi
+  done;
+  (x, w)
+
+(* The orders production uses get their tables once, at module
+   initialisation: 48 for [integrate_decaying]'s panels and 320 for the
+   lognormal order-statistic kernel's grid.  Nothing writes to them after
+   that, so any domain may read them without a lock. *)
+let table_48 = newton_nodes 48
+let table_320 = newton_nodes 320
+
+let table = function 48 -> table_48 | 320 -> table_320 | order -> newton_nodes order
 
 let gauss_nodes order =
-  Mutex.lock gauss_lock;
-  match Hashtbl.find_opt gauss_tables order with
-  | Some tbl ->
-    Mutex.unlock gauss_lock;
-    tbl
-  | None ->
-    let n = order in
-    let x = Array.make n 0. and w = Array.make n 0. in
-    let m = (n + 1) / 2 in
-    for i = 0 to m - 1 do
-      (* Initial guess: Chebyshev-like approximation to the i-th root. *)
-      let z = ref (cos (Float.pi *. (float_of_int i +. 0.75) /. (float_of_int n +. 0.5))) in
-      let pp = ref 0. in
-      let continue = ref true in
-      while !continue do
-        let p1 = ref 1. and p2 = ref 0. in
-        for j = 0 to n - 1 do
-          let p3 = !p2 in
-          p2 := !p1;
-          let fj = float_of_int j in
-          p1 := (((2. *. fj +. 1.) *. !z *. !p2) -. (fj *. p3)) /. (fj +. 1.)
-        done;
-        pp := float_of_int n *. ((!z *. !p1) -. !p2) /. ((!z *. !z) -. 1.);
-        let z1 = !z in
-        z := z1 -. (!p1 /. !pp);
-        if abs_float (!z -. z1) <= 1e-15 then continue := false
-      done;
-      x.(i) <- -. !z;
-      x.(n - 1 - i) <- !z;
-      let wi = 2. /. ((1. -. (!z *. !z)) *. !pp *. !pp) in
-      w.(i) <- wi;
-      w.(n - 1 - i) <- wi
-    done;
-    Hashtbl.replace gauss_tables order (x, w);
-    Mutex.unlock gauss_lock;
-    (x, w)
+  if order < 2 then invalid_arg "Quadrature.gauss_nodes: order must be >= 2";
+  let x, w = table order in
+  (Array.copy x, Array.copy w)
 
 let gauss_legendre ?(order = 64) f ~lo ~hi =
   if order < 2 then invalid_arg "Quadrature.gauss_legendre: order must be >= 2";
-  let x, w = gauss_nodes order in
+  let x, w = table order in
   let xm = 0.5 *. (hi +. lo) and xr = 0.5 *. (hi -. lo) in
   let acc = ref 0. in
   for i = 0 to order - 1 do

@@ -11,9 +11,8 @@
       is the engine behind the semi-infinite transforms.
 
     Every function here is safe to call from multiple domains concurrently:
-    the only shared state is the Gauss–Legendre node/weight cache, whose
-    access is mutex-serialized (the tables themselves are immutable once
-    published).  Integrands are called outside any lock and must be
+    the only shared state is the node tables of {!gauss_nodes}, built at
+    module initialisation and only read after that.  Integrands must be
     re-entrant if shared. *)
 
 val simpson_adaptive :
@@ -24,6 +23,18 @@ val simpson_adaptive :
 
 val gauss_legendre : ?order:int -> (float -> float) -> lo:float -> hi:float -> float
 (** Composite Gauss–Legendre with [order] nodes (default 64) on one panel. *)
+
+val gauss_nodes : int -> float array * float array
+(** Nodes and weights of the [order]-point rule on [\[-1, 1\]], as fresh
+    arrays.  The two orders production uses, 48 ({!integrate_decaying}'s
+    panels) and 320 (the lognormal kernel of
+    {!Order_stats.lognormal_expected_min}), are copies of tables built once
+    at module initialisation; any other order is built by {!newton_nodes}
+    on each call. *)
+
+val newton_nodes : int -> float array * float array
+(** The Newton-iteration construction of the Gauss–Legendre nodes (roots
+    of the Legendre polynomial) and weights, computed afresh. *)
 
 val tanh_sinh :
   ?rel_tol:float -> ?max_level:int -> (float -> float) -> lo:float -> hi:float -> float

@@ -69,6 +69,61 @@ let test_min_dist_expectation_closed_vs_numeric () =
         (Min_dist.expectation d ~n))
     [ 1; 16; 256 ]
 
+let test_min_dist_routes_to_fast_paths () =
+  (* Lognormal and Weibull laws are detected by name and parameters, like
+     the exponential; anything the kernel does not cover falls back to the
+     generic quadrature. *)
+  let bits = Int64.bits_of_float in
+  let same name expected actual =
+    Alcotest.(check int64) name (bits expected) (bits actual)
+  in
+  let ln = Lognormal.create ~mu:1.3 ~sigma:0.8 in
+  same "lognormal -> kernel"
+    (Order_stats.lognormal_expected_min ~mu:1.3 ~sigma:0.8 64)
+    (Min_dist.expectation ln ~n:64);
+  same "shifted lognormal -> kernel"
+    (Order_stats.lognormal_expected_min ~mu:1.3 ~sigma:0.8 ~x0:7. 64)
+    (Min_dist.expectation (Lognormal.shifted ~x0:7. ~mu:1.3 ~sigma:0.8) ~n:64);
+  let wide = Lognormal.create ~mu:0. ~sigma:3.5 in
+  same "sigma outside the kernel's domain -> quadrature"
+    (Order_stats.expected_min wide 64)
+    (Min_dist.expectation wide ~n:64);
+  let n = (1 lsl 20) + 1 in
+  same "n outside the kernel's domain -> quadrature"
+    (Order_stats.expected_min ln n) (Min_dist.expectation ln ~n);
+  same "weibull -> closed form"
+    (Order_stats.weibull_expected_min ~shape:1.5 ~scale:40. 64)
+    (Min_dist.expectation (Weibull.create ~shape:1.5 ~scale:40.) ~n:64);
+  let g = Gamma_dist.create ~shape:2. ~rate:0.1 in
+  same "gamma -> quadrature" (Order_stats.expected_min g 64) (Min_dist.expectation g ~n:64)
+
+let test_min_dist_weibull_closed_vs_integrator () =
+  (* The closed form against the survival quadrature it replaces: 1e-8
+     relative for n = 1..4096.  Where they differ by more, the quadrature
+     must be the one that is off, against the exact value
+     scale·n^(-1/k)·Γ(1 + 1/k) with Γ taken from its known values. *)
+  let scale = 1.7 in
+  List.iter
+    (fun (shape, gamma) ->
+      let law = Weibull.create ~shape ~scale in
+      let off = ref 0 in
+      for n = 1 to 4096 do
+        let closed = Min_dist.expectation law ~n in
+        let q = Order_stats.expected_min law n in
+        if rel_err q closed > 1e-8 then begin
+          incr off;
+          let exact = scale *. (float_of_int n ** (-1. /. shape)) *. gamma in
+          if not (rel_err exact closed <= 1e-12 && rel_err exact q > 1e-8) then
+            Alcotest.failf "shape %g n %d: closed %.17g, quadrature %.17g, exact %.17g"
+              shape n closed q exact
+        end
+      done;
+      (* The quadrature stops its panels about 1.9e-8 short on the heavy
+         tail of shape 0.5; it is within 1e-8 on the others. *)
+      if shape <> 0.5 then
+        Alcotest.(check int) (Printf.sprintf "shape %g: quadrature off" shape) 0 !off)
+    [ (0.5, 2.); (1., 1.); (2., sqrt Float.pi /. 2.); (5., 0.91816874239976061064) ]
+
 let test_min_dist_expectation_matches_mc () =
   let d = Lognormal.shifted ~x0:100. ~mu:4. ~sigma:1.2 in
   let exact = Min_dist.expectation d ~n:16 in
@@ -797,6 +852,10 @@ let () =
           Alcotest.test_case "expectation vs Monte Carlo" `Slow test_min_dist_expectation_matches_mc;
           Alcotest.test_case "quantile of the min law" `Quick test_min_dist_quantile_sampling;
           Alcotest.test_case "exponential detection" `Quick test_exponential_params_detection;
+          Alcotest.test_case "lognormal and weibull fast paths" `Quick
+            test_min_dist_routes_to_fast_paths;
+          Alcotest.test_case "weibull closed form vs quadrature" `Quick
+            test_min_dist_weibull_closed_vs_integrator;
         ] );
       ( "speedup",
         [

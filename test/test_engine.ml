@@ -369,6 +369,35 @@ let test_artifact_cache_hit_miss () =
   Alcotest.(check int) "then served again" 43 (call ());
   Alcotest.(check int) "misses counted" 2 (Artifact.misses t)
 
+let test_artifact_fatal_load_propagates () =
+  (* A [Failure] from [load] is a bad artifact: a miss and a recompute.
+     An interrupt is not, and must reach the caller with nothing counted
+     or computed. *)
+  let t = Artifact.create ~dir:(tmp_dir ()) () in
+  let file = Artifact.path t ~stage:"s" ~key:"k" ~ext:"txt" in
+  let oc = open_out file in
+  output_string oc "1\n";
+  close_out oc;
+  let computed = ref 0 in
+  let call load =
+    Artifact.with_cache t ~stage:"s" ~key:"k" ~ext:"txt" ~load
+      ~save:(fun v tmp ->
+        let oc = open_out tmp in
+        Printf.fprintf oc "%d\n" v;
+        close_out oc)
+      (fun () ->
+        incr computed;
+        7)
+  in
+  (match call (fun _ -> raise Sys.Break) with
+  | _ -> Alcotest.fail "Sys.Break from load was swallowed"
+  | exception Sys.Break -> ());
+  Alcotest.(check int) "nothing computed after the interrupt" 0 !computed;
+  Alcotest.(check int) "no miss counted" 0 (Artifact.misses t);
+  Alcotest.(check int) "Failure from load is a miss" 7 (call (fun _ -> failwith "bad"));
+  Alcotest.(check int) "computed once" 1 !computed;
+  Alcotest.(check int) "one miss" 1 (Artifact.misses t)
+
 let test_artifact_telemetry_counters () =
   let sink = Lv_telemetry.Sink.memory () in
   let t = Artifact.create ~telemetry:sink ~dir:(tmp_dir ()) () in
@@ -496,9 +525,9 @@ let test_engine_scenario_budget_solves () =
    store filled by an earlier build would then silently miss. *)
 let pinned_artifacts =
   [
-    "campaign-261a4805128b39ca57ce14bb96018e2c.jsonl";
-    "fit-77cbac87d32abc01e15a7312a937fb63.json";
-    "validate-9dca4f5df80ee0c00459614102e971af.json";
+    "campaign-88475299d0f8fa87962fef921626d7ba.jsonl";
+    "fit-44401b873ec4a4f3b117ef7698dcd3af.json";
+    "validate-7396f9ae6f7ac4828107c79fa9f183ba.json";
   ]
 
 let test_engine_artifact_keys_pinned () =
@@ -559,6 +588,8 @@ let () =
         [
           Alcotest.test_case "key stability" `Quick test_artifact_key_stable;
           Alcotest.test_case "hit/miss/corrupt" `Quick test_artifact_cache_hit_miss;
+          Alcotest.test_case "fatal load exceptions propagate" `Quick
+            test_artifact_fatal_load_propagates;
           Alcotest.test_case "telemetry counters" `Quick test_artifact_telemetry_counters;
         ] );
       ( "engine",

@@ -892,6 +892,126 @@ let test_race_validation () =
         (Lv_multiwalk.Race.wall_clock ~seed:1 ~walkers:0 (fun () ->
              Lv_problems.Queens.pack 10)))
 
+(* The line-by-line [Checkpoint.load] that the whole-file decoder
+   replaced, kept verbatim (bar names) as the reference: every file must
+   give the same entries or the same [Failure] text under both. *)
+module Line_by_line = struct
+  open Lv_multiwalk.Checkpoint
+
+  exception Malformed of string
+
+  type cursor = { line : string; mutable pos : int }
+
+  let malformed at what =
+    raise (Malformed (Printf.sprintf "expected %s at offset %d" what at))
+
+  let rec matches_from line pos lit j =
+    j = String.length lit
+    || String.unsafe_get line (pos + j) = String.unsafe_get lit j
+       && matches_from line pos lit (j + 1)
+
+  let looking_at c lit =
+    c.pos + String.length lit <= String.length c.line
+    && matches_from c.line c.pos lit 0
+
+  let literal c lit =
+    if looking_at c lit then c.pos <- c.pos + String.length lit
+    else malformed c.pos lit
+
+  let number_token c =
+    let n = String.length c.line and start = c.pos in
+    (match if start < n then c.line.[start] else ' ' with
+    | '-' | '0' .. '9' -> ()
+    | _ -> malformed start "a number");
+    while
+      c.pos < n
+      &&
+      match String.unsafe_get c.line c.pos with
+      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+      | _ -> false
+    do
+      c.pos <- c.pos + 1
+    done;
+    String.sub c.line start (c.pos - start)
+
+  let int_of_token tok =
+    if String.exists (fun ch -> ch = '.' || ch = 'e' || ch = 'E') tok then None
+    else int_of_string_opt tok
+
+  let int_field c key =
+    literal c key;
+    let start = c.pos in
+    match int_of_token (number_token c) with
+    | Some i -> i
+    | None -> malformed start "an integer"
+
+  let float_field c key =
+    literal c key;
+    let start = c.pos in
+    let tok = number_token c in
+    match int_of_token tok with
+    | Some i -> float_of_int i
+    | None -> (
+      match float_of_string_opt tok with
+      | Some f -> f
+      | None -> malformed start "a number")
+
+  let bool_field c key =
+    literal c key;
+    if looking_at c "true" then (c.pos <- c.pos + 4; true)
+    else if looking_at c "false" then (c.pos <- c.pos + 5; false)
+    else malformed c.pos "true or false"
+
+  let of_line line =
+    let c = { line; pos = 0 } in
+    let run = int_field c "{\"run\":" in
+    let seed = int_field c ",\"seed\":" in
+    let iterations = int_field c ",\"iterations\":" in
+    let seconds = float_field c ",\"seconds\":" in
+    let solved = bool_field c ",\"solved\":" in
+    literal c "}";
+    if c.pos <> String.length line then malformed c.pos "end of line";
+    { run; seed; iterations; seconds; solved }
+
+  let load path =
+    match open_in path with
+    | exception Sys_error _ -> []
+    | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () ->
+          let rec loop lineno entries torn =
+            match input_line ic with
+            | exception End_of_file -> List.rev entries
+            | "" -> loop (lineno + 1) entries torn
+            | line -> (
+              (match torn with
+              | Some (n, msg) ->
+                failwith (Printf.sprintf "Checkpoint.load: %s:%d: %s" path n msg)
+              | None -> ());
+              match of_line line with
+              | e -> loop (lineno + 1) (e :: entries) None
+              | exception Malformed msg ->
+                loop (lineno + 1) entries (Some (lineno, msg)))
+          in
+          loop 1 [] None)
+end
+
+(* Delete ([op = 0]), insert ([1]) or overwrite ([2]) one character. *)
+let edit_line line (op, at, ch) =
+  let n = String.length line in
+  match op with
+  | 0 when n > 0 ->
+    let at = at mod n in
+    String.sub line 0 at ^ String.sub line (at + 1) (n - at - 1)
+  | 1 ->
+    let at = at mod (n + 1) in
+    String.sub line 0 at ^ String.make 1 ch ^ String.sub line at (n - at)
+  | _ when n > 0 ->
+    let at = at mod n in
+    String.mapi (fun i c -> if i = at then ch else c) line
+  | _ -> line
+
 let checkpoint_props =
   let open QCheck in
   let entry_gen =
@@ -973,6 +1093,55 @@ let checkpoint_props =
         | None -> true
         | Some d -> (
           match generic_decode line with Some g -> same_entry d g | None -> false));
+    (* Whole files mixing valid, empty, corrupt and CRLF-terminated lines,
+       with or without a trailing newline, possibly torn anywhere. *)
+    Test.make ~name:"whole-file decoder agrees with the line-by-line load"
+      ~count:500
+      (make
+         ~print:(fun (lines, trailing, tear) ->
+           Printf.sprintf "%S trailing=%b tear=%s" (String.concat "\n" lines) trailing
+             (match tear with Some k -> string_of_int k | None -> "none"))
+         Gen.(
+           let edit =
+             triple (int_range 0 2) nat
+               (oneofl (String.to_seq ({|{}":,.-+eE0123456789 tfalsnu|} ^ "\r") |> List.of_seq))
+           in
+           let line =
+             frequency
+               [
+                 (6, map (fun e -> List.hd (lines_of_entries [ e ])) entry_gen);
+                 (1, return "");
+                 (1, map (fun e -> List.hd (lines_of_entries [ e ]) ^ "\r") entry_gen);
+                 ( 2,
+                   map2
+                     (fun e edits ->
+                       List.fold_left edit_line (List.hd (lines_of_entries [ e ])) edits)
+                     entry_gen
+                     (list_size (int_range 1 3) edit) );
+               ]
+           in
+           triple (list_size (int_range 0 12) line) bool (opt nat)))
+      (fun (lines, trailing, tear) ->
+        let text = String.concat "\n" lines ^ if trailing then "\n" else "" in
+        let text =
+          match tear with
+          | Some k -> String.sub text 0 (k mod (String.length text + 1))
+          | None -> text
+        in
+        let path = tmp_log () in
+        write_file path text;
+        let outcome load =
+          match load path with
+          | entries -> Ok entries
+          | exception Failure msg -> Error msg
+        in
+        let whole = outcome Lv_multiwalk.Checkpoint.load
+        and reference = outcome Line_by_line.load in
+        Sys.remove path;
+        match (whole, reference) with
+        | Ok a, Ok b -> List.length a = List.length b && List.for_all2 same_entry a b
+        | Error a, Error b -> String.equal a b
+        | _ -> false);
   ]
 
 (* ------------------------------------------------------------------ *)
