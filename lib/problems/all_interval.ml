@@ -94,6 +94,66 @@ let cost_after_swap t i j =
 
 let do_swap t i j = if i <> j then ignore (eval_swap t (Int.min i j) (Int.max i j) ~commit:true)
 
+(* One scan for every partner of culprit [i], on the same plan as
+   [Costas.best_partners] with a single row of differences: the culprit's
+   (at most two) differences leave [counts] once per scan; per partner, its
+   differences that do not join it to the culprit leave, the new ones
+   arrive and [counts] is rolled back.  The cost is a function of [counts]
+   alone, so each cost equals [cost_after_swap t i j] exactly.  The
+   culprit's differences are restored at the end. *)
+let best_partners t i buf =
+  let n = t.n and x = t.x and counts = t.counts in
+  let xi = x.(i) in
+  let has_cl = i > 0 and has_cr = i < n - 1 in
+  let old_cl = if has_cl then abs (x.(i - 1) - xi) else 0 in
+  let old_cr = if has_cr then abs (xi - x.(i + 1)) else 0 in
+  let removed = ref 0 in
+  if has_cl then removed := !removed + Surplus.remove counts old_cl;
+  if has_cr then removed := !removed + Surplus.remove counts old_cr;
+  let cost0 = t.cost + !removed in
+  let best = ref max_int and k = ref 0 in
+  for j = 0 to n - 1 do
+    if j <> i then begin
+      let xj = x.(j) in
+      let has_l = j > 0 && j - 1 <> i and has_r = j < n - 1 && j + 1 <> i in
+      let old_l = if has_l then abs (x.(j - 1) - xj) else 0 in
+      let new_l = if has_l then abs (x.(j - 1) - xi) else 0 in
+      let old_r = if has_r then abs (xj - x.(j + 1)) else 0 in
+      let new_r = if has_r then abs (xi - x.(j + 1)) else 0 in
+      let new_cl =
+        if not has_cl then 0 else if i - 1 = j then abs (xj - xi) else abs (x.(i - 1) - xj)
+      in
+      let new_cr =
+        if not has_cr then 0 else if i + 1 = j then abs (xi - xj) else abs (xj - x.(i + 1))
+      in
+      let r = ref 0 in
+      if has_l then r := !r + Surplus.remove counts old_l;
+      if has_r then r := !r + Surplus.remove counts old_r;
+      if has_cl then r := !r + Surplus.add counts new_cl;
+      if has_cr then r := !r + Surplus.add counts new_cr;
+      if has_l then r := !r + Surplus.add counts new_l;
+      if has_r then r := !r + Surplus.add counts new_r;
+      if has_l then (counts.(new_l) <- counts.(new_l) - 1; counts.(old_l) <- counts.(old_l) + 1);
+      if has_r then (counts.(new_r) <- counts.(new_r) - 1; counts.(old_r) <- counts.(old_r) + 1);
+      if has_cl then counts.(new_cl) <- counts.(new_cl) - 1;
+      if has_cr then counts.(new_cr) <- counts.(new_cr) - 1;
+      let c = cost0 + !r in
+      if c < !best then begin
+        best := c;
+        buf.(1) <- j;
+        k := 1
+      end
+      else if c = !best then begin
+        incr k;
+        buf.(!k) <- j
+      end
+    end
+  done;
+  if has_cl then counts.(old_cl) <- counts.(old_cl) + 1;
+  if has_cr then counts.(old_cr) <- counts.(old_cr) + 1;
+  buf.(0) <- !k;
+  !best
+
 let check x =
   let n = Array.length x in
   n >= 3
@@ -126,6 +186,7 @@ let pack n =
         let cost = cost
         let var_error = var_error
         let cost_after_swap = cost_after_swap
+        let best_partners = best_partners
         let do_swap = do_swap
         let is_solution = is_solution
       end),

@@ -120,6 +120,77 @@ let cost_after_swap t i j =
 
 let do_swap t i j = if i <> j then ignore (eval_swap t (Int.min i j) (Int.max i j) ~commit:true)
 
+(* One scan for every partner of culprit [i].  Swapping [i] with [j]
+   replaces, in each triangle row [d], the pairs through [i] and those
+   through [j]; the pair joining them (when [|i - j| = d]) is one pair,
+   counted as the culprit's.  The culprit's pairs leave [counts] once per
+   scan.  Per partner and row, the partner's other pairs leave, the (at most
+   four) new differences arrive and the row is rolled back.  The cost is a
+   function of [counts] alone, so these surplus changes sum to the same
+   total as [eval_swap]'s, and each cost equals [cost_after_swap t i j]
+   exactly.  The culprit's pairs are restored at the end. *)
+let best_partners t i buf =
+  let n = t.n and x = t.x and counts = t.counts and w = t.width in
+  let xi = x.(i) in
+  let removed = ref 0 in
+  for d = 1 to n - 1 do
+    let base = ((d - 1) * w) + n - 1 in
+    if i - d >= 0 then removed := !removed + Surplus.remove counts (base + xi - x.(i - d));
+    if i + d < n then removed := !removed + Surplus.remove counts (base + x.(i + d) - xi)
+  done;
+  let cost0 = t.cost + !removed in
+  let best = ref max_int and k = ref 0 in
+  for j = 0 to n - 1 do
+    if j <> i then begin
+      let xj = x.(j) in
+      let delta = ref 0 in
+      for d = 1 to n - 1 do
+        let base = ((d - 1) * w) + n - 1 in
+        let has_l = j - d >= 0 && j - d <> i and has_r = j + d < n && j + d <> i in
+        let has_cl = i - d >= 0 and has_cr = i + d < n in
+        let old_l = if has_l then base + xj - x.(j - d) else 0 in
+        let new_l = if has_l then base + xi - x.(j - d) else 0 in
+        let old_r = if has_r then base + x.(j + d) - xj else 0 in
+        let new_r = if has_r then base + x.(j + d) - xi else 0 in
+        let new_cl =
+          if not has_cl then 0 else if i - d = j then base + xj - xi else base + xj - x.(i - d)
+        in
+        let new_cr =
+          if not has_cr then 0 else if i + d = j then base + xi - xj else base + x.(i + d) - xj
+        in
+        let r = ref 0 in
+        if has_l then r := !r + Surplus.remove counts old_l;
+        if has_r then r := !r + Surplus.remove counts old_r;
+        if has_cl then r := !r + Surplus.add counts new_cl;
+        if has_cr then r := !r + Surplus.add counts new_cr;
+        if has_l then r := !r + Surplus.add counts new_l;
+        if has_r then r := !r + Surplus.add counts new_r;
+        delta := !delta + !r;
+        if has_l then (counts.(new_l) <- counts.(new_l) - 1; counts.(old_l) <- counts.(old_l) + 1);
+        if has_r then (counts.(new_r) <- counts.(new_r) - 1; counts.(old_r) <- counts.(old_r) + 1);
+        if has_cl then counts.(new_cl) <- counts.(new_cl) - 1;
+        if has_cr then counts.(new_cr) <- counts.(new_cr) - 1
+      done;
+      let c = cost0 + !delta in
+      if c < !best then begin
+        best := c;
+        buf.(1) <- j;
+        k := 1
+      end
+      else if c = !best then begin
+        incr k;
+        buf.(!k) <- j
+      end
+    end
+  done;
+  for d = 1 to n - 1 do
+    let base = ((d - 1) * w) + n - 1 in
+    if i - d >= 0 then (let v = base + xi - x.(i - d) in counts.(v) <- counts.(v) + 1);
+    if i + d < n then (let v = base + x.(i + d) - xi in counts.(v) <- counts.(v) + 1)
+  done;
+  buf.(0) <- !k;
+  !best
+
 let check x =
   let n = Array.length x in
   n >= 3
@@ -158,6 +229,7 @@ let pack n =
         let cost = cost
         let var_error = var_error
         let cost_after_swap = cost_after_swap
+        let best_partners = best_partners
         let do_swap = do_swap
         let is_solution = is_solution
       end),

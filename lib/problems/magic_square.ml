@@ -108,6 +108,56 @@ let cost_after_swap t i j =
     else acc
   end
 
+(* One scan for every partner of culprit [i]: the deviations of the
+   culprit's row, column and diagonals from [magic] are read once, and each
+   partner [j] (row [r], column [c]) evaluates only its own lines.  The terms
+   are those of [cost_after_swap] and integer sums do not depend on their
+   order, so each cost equals [cost_after_swap t i j] exactly. *)
+let best_partners t i buf =
+  let n = t.n and m = t.magic and x = t.x and cost = t.cost in
+  let xi = x.(i) and ri = t.row.(i) and ci = t.col.(i) in
+  let di = t.on_diag.(i) and ai = t.on_anti.(i) in
+  let rsi = t.row_sum.(ri) - m and csi = t.col_sum.(ci) - m in
+  let ds = t.diag_sum - m and an = t.anti_sum - m in
+  let e_ri = abs rsi and e_ci = abs csi and e_d = abs ds and e_a = abs an in
+  let best = ref max_int and k = ref 0 in
+  for r = 0 to n - 1 do
+    let rsj = t.row_sum.(r) - m in
+    let e_rj = abs rsj in
+    for c = 0 to n - 1 do
+      let j = (r * n) + c in
+      if j <> i then begin
+        let d = x.(j) - xi in
+        let acc = if r <> ri then cost + abs (rsi + d) - e_ri + abs (rsj - d) - e_rj else cost in
+        let acc =
+          if c <> ci then begin
+            let csj = t.col_sum.(c) - m in
+            acc + abs (csi + d) - e_ci + abs (csj - d) - abs csj
+          end
+          else acc
+        in
+        let dj = r = c and aj = r + c = n - 1 in
+        let acc =
+          if di = dj then acc else if di then acc + abs (ds + d) - e_d else acc + abs (ds - d) - e_d
+        in
+        let acc =
+          if ai = aj then acc else if ai then acc + abs (an + d) - e_a else acc + abs (an - d) - e_a
+        in
+        if acc < !best then begin
+          best := acc;
+          buf.(1) <- j;
+          k := 1
+        end
+        else if acc = !best then begin
+          incr k;
+          buf.(!k) <- j
+        end
+      end
+    done
+  done;
+  buf.(0) <- !k;
+  !best
+
 let do_swap t i j =
   if i <> j then begin
     let d = t.x.(j) - t.x.(i) in
@@ -183,6 +233,7 @@ let pack n =
         let cost = cost
         let var_error = var_error
         let cost_after_swap = cost_after_swap
+        let best_partners = best_partners
         let do_swap = do_swap
         let is_solution = is_solution
       end),

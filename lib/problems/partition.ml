@@ -69,6 +69,9 @@ let cost_after_swap t i j =
     cost_of t sum1 sumsq1
   end
 
+let best_partners t culprit buf =
+  Lv_search.Csp.best_partners_by cost_after_swap t.n t culprit buf
+
 let do_swap t i j =
   let side_i = i < t.half and side_j = j < t.half in
   if side_i <> side_j then begin
@@ -122,6 +125,7 @@ let pack n =
         let cost = cost
         let var_error = var_error
         let cost_after_swap = cost_after_swap
+        let best_partners = best_partners
         let do_swap = do_swap
         let is_solution = is_solution
       end),

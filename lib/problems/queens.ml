@@ -82,6 +82,9 @@ let eval_swap t i j ~commit =
 let cost_after_swap t i j = if i = j then t.cost else eval_swap t i j ~commit:false
 let do_swap t i j = if i <> j then ignore (eval_swap t i j ~commit:true)
 
+let best_partners t culprit buf =
+  Lv_search.Csp.best_partners_by cost_after_swap t.n t culprit buf
+
 let check x =
   let n = Array.length x in
   n >= 4
@@ -117,6 +120,7 @@ let pack n =
         let cost = cost
         let var_error = var_error
         let cost_after_swap = cost_after_swap
+        let best_partners = best_partners
         let do_swap = do_swap
         let is_solution = is_solution
       end),

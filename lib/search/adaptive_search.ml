@@ -25,7 +25,7 @@ module Make (P : Csp.PROBLEM) = struct
     n : int;
     mutable frozen_until : int array;  (* iteration until which var i is tabu *)
     mutable n_frozen : int;
-    candidates : int array;            (* scratch for tie-breaking *)
+    candidates : int array;            (* scratch for tie-breaking, n + 1 cells *)
   }
 
   let fresh_config st rng = Lv_stats.Rng.permutation rng st.n
@@ -60,25 +60,6 @@ module Make (P : Csp.PROBLEM) = struct
     if !n_ties = 0 then -1
     else st.candidates.(Lv_stats.Rng.int rng !n_ties)
 
-  (* Best swap partner for the culprit by min-conflict; ties uniform. *)
-  let select_partner st inst rng culprit =
-    let best_cost = ref max_int and n_ties = ref 0 in
-    for j = 0 to st.n - 1 do
-      if j <> culprit then begin
-        let c = P.cost_after_swap inst culprit j in
-        if c < !best_cost then begin
-          best_cost := c;
-          st.candidates.(0) <- j;
-          n_ties := 1
-        end
-        else if c = !best_cost then begin
-          st.candidates.(!n_ties) <- j;
-          incr n_ties
-        end
-      end
-    done;
-    (st.candidates.(Lv_stats.Rng.int rng !n_ties), !best_cost)
-
   (* Partial reset: reshuffle the values held by a random subset of
      positions, clear every freeze. *)
   let partial_reset st inst rng fraction =
@@ -95,7 +76,9 @@ module Make (P : Csp.PROBLEM) = struct
   let solve ?(params = Params.default) ?(stop = fun () -> false) ~rng inst =
     let n = P.size inst in
     let params = Params.validate ~n_vars:n params in
-    let st = { n; frozen_until = Array.make n 0; n_frozen = 0; candidates = Array.make n 0 } in
+    let st =
+      { n; frozen_until = Array.make n 0; n_frozen = 0; candidates = Array.make (n + 1) 0 }
+    in
     P.set_config inst (fresh_config st rng);
     let iter = ref 0 in
     let swaps = ref 0 and plateau = ref 0 and locmin = ref 0 in
@@ -103,7 +86,7 @@ module Make (P : Csp.PROBLEM) = struct
     let since_restart = ref 0 in
     let best_cost = ref (P.cost inst) in
     let outcome = ref None in
-    while !outcome = None do
+    while Option.is_none !outcome do
       let cost = P.cost inst in
       if cost < !best_cost then best_cost := cost;
       if cost = 0 then outcome := Some (Solved (Array.copy (P.config inst)))
@@ -128,7 +111,10 @@ module Make (P : Csp.PROBLEM) = struct
             incr resets
           end
           else begin
-            let partner, new_cost = select_partner st inst rng culprit in
+            (* Best partner by min-conflict, ties uniform: the scan leaves
+               the tie count in [candidates.(0)] and the ties after it. *)
+            let new_cost = P.best_partners inst culprit st.candidates in
+            let partner = st.candidates.(1 + Lv_stats.Rng.int rng st.candidates.(0)) in
             if new_cost < cost then begin
               P.do_swap inst culprit partner;
               incr swaps

@@ -5,8 +5,10 @@
     permutation problems: a configuration is a permutation of [0 .. n-1]
     (interpreted problem-specifically) and the only move is swapping two
     positions.  A problem implementation maintains incremental state so that
-    the solver's inner loop ([cost_after_swap] over all candidate partners)
-    stays cheap. *)
+    the solver's inner loop stays cheap.  That loop is one [best_partners]
+    call per iteration: a problem-owned scan of every swap partner of the
+    culprit, which may share the culprit's part of the work across partners
+    (see {!best_partners_by} for the reference scan it must match). *)
 
 module type PROBLEM = sig
   type t
@@ -36,6 +38,15 @@ module type PROBLEM = sig
   (** Total cost the configuration would have after swapping positions [i]
       and [j].  Must not change observable state. *)
 
+  val best_partners : t -> int -> int array -> int
+  (** [best_partners t culprit buf] scores the swap of [culprit] with every
+      other position [j] and returns the minimum cost after swap.  It writes
+      the number [k] of partners reaching that minimum to [buf.(0)] and those
+      partners, in ascending [j], to [buf.(1) .. buf.(k)].  [buf] has at
+      least [size t + 1] cells.  Must not change observable state and must
+      agree exactly with [best_partners_by cost_after_swap]: the solver draws
+      its partner from the tie list, so the list fixes the trajectory. *)
+
   val do_swap : t -> int -> int -> unit
   (** Swap positions [i] and [j] and update incremental state. *)
 
@@ -48,6 +59,15 @@ end
 (** A problem packaged with an instance, hiding the concrete type — what the
     multi-walk layer and the CLI pass around. *)
 type packed = Packed : (module PROBLEM with type t = 'a) * 'a -> packed
+
+val best_partners_by :
+  ('t -> int -> int -> int) -> int -> 't -> int -> int array -> int
+(** [best_partners_by cost_after_swap n t culprit buf] is the reference
+    partner scan over positions [0 .. n-1]: one [cost_after_swap t culprit j]
+    call per partner [j <> culprit], with the result and [buf] layout of
+    [PROBLEM.best_partners].  Problems with no cheaper shared scan implement
+    [best_partners] as this, fully applied (a partial application would
+    allocate a closure per call). *)
 
 val packed_name : packed -> string
 val packed_size : packed -> int

@@ -88,79 +88,8 @@ let gauss_legendre ?(order = 64) f ~lo ~hi =
   xr *. !acc
 
 (* ------------------------------------------------------------------ *)
-(* tanh–sinh (double exponential)                                      *)
-(* ------------------------------------------------------------------ *)
-
-let tanh_sinh ?(rel_tol = 1e-12) ?(max_level = 12) f ~lo ~hi =
-  if lo = hi then 0.
-  else begin
-    let c = 0.5 *. (hi -. lo) and d = 0.5 *. (hi +. lo) in
-    let pi_half = Float.pi /. 2. in
-    (* Abscissa/weight for parameter t: x = tanh(π/2 · sinh t),
-       w = (π/2) · cosh t / cosh²(π/2 · sinh t). *)
-    let point t =
-      let s = pi_half *. sinh t in
-      let x = tanh s in
-      let ch = cosh s in
-      let w = pi_half *. cosh t /. (ch *. ch) in
-      (x, w)
-    in
-    let eval x w =
-      let v = f (d +. (c *. x)) in
-      if Float.is_finite v then w *. v else 0.
-    in
-    let t_max = 4.0 in
-    (* Level 0: trapezoid with step 1 in t. *)
-    let h0 = 1.0 in
-    let sum = ref (let _, w = point 0. in eval 0. w) in
-    let k = ref 1 in
-    while float_of_int !k *. h0 <= t_max do
-      let t = float_of_int !k *. h0 in
-      let x, w = point t in
-      sum := !sum +. eval x w +. eval (-.x) w;
-      incr k
-    done;
-    let estimate = ref (!sum *. h0) in
-    let level = ref 1 in
-    let finished = ref false in
-    while (not !finished) && !level <= max_level do
-      let h = h0 /. float_of_int (1 lsl !level) in
-      (* Add the new midpoints of the halved grid (odd multiples of h). *)
-      let add = ref 0. in
-      let j = ref 1 in
-      while float_of_int !j *. h <= t_max do
-        let t = float_of_int !j *. h in
-        let x, w = point t in
-        add := !add +. eval x w +. eval (-.x) w;
-        j := !j + 2
-      done;
-      sum := !sum +. !add;
-      let new_estimate = !sum *. h in
-      if
-        abs_float (new_estimate -. !estimate)
-        <= rel_tol *. Float.max (abs_float new_estimate) 1e-300
-      then finished := true;
-      estimate := new_estimate;
-      incr level
-    done;
-    c *. !estimate
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Semi-infinite intervals                                             *)
 (* ------------------------------------------------------------------ *)
-
-let integrate_to_infinity ?(rel_tol = 1e-10) f ~lo =
-  (* t = lo + u/(1-u), dt = du/(1-u)^2 maps [0,1) onto [lo, ∞). *)
-  let g u =
-    if u >= 1. then 0.
-    else begin
-      let one_minus = 1. -. u in
-      let t = lo +. (u /. one_minus) in
-      f t /. (one_minus *. one_minus)
-    end
-  in
-  tanh_sinh ~rel_tol g ~lo:0. ~hi:1.
 
 let integrate_decaying ?(rel_tol = 1e-10) ?(scale = 1.0) f ~lo =
   if scale <= 0. then invalid_arg "Quadrature.integrate_decaying: scale must be positive";

@@ -3,12 +3,12 @@
     The prediction model needs `E[Z^(n)] = ∫ t·n·f(t)·(1-F(t))^(n-1) dt` and
     the equivalent survival form `∫ (1-F(t))^n dt` over semi-infinite
     intervals, for integrands that are smooth but sharply peaked (the
-    lognormal case of the paper).  Three complementary rules are provided:
+    lognormal case of the paper).  Two rules are provided:
 
     - adaptive Simpson, robust default on finite intervals;
-    - fixed-order Gauss–Legendre, cheap and accurate for smooth integrands;
-    - tanh–sinh (double-exponential), excels with endpoint singularities and
-      is the engine behind the semi-infinite transforms.
+    - fixed-order Gauss–Legendre, cheap and accurate for smooth integrands,
+      which {!integrate_decaying} sums over growing panels for semi-infinite
+      intervals.
 
     Every function here is safe to call from multiple domains concurrently:
     the only shared state is the node tables of {!gauss_nodes}, built at
@@ -35,16 +35,6 @@ val gauss_nodes : int -> float array * float array
 val newton_nodes : int -> float array * float array
 (** The Newton-iteration construction of the Gauss–Legendre nodes (roots
     of the Legendre polynomial) and weights, computed afresh. *)
-
-val tanh_sinh :
-  ?rel_tol:float -> ?max_level:int -> (float -> float) -> lo:float -> hi:float -> float
-(** Double-exponential quadrature on a finite interval.  Tolerates integrable
-    endpoint singularities. *)
-
-val integrate_to_infinity :
-  ?rel_tol:float -> (float -> float) -> lo:float -> float
-(** ∫_lo^∞ f.  Maps [\[lo, ∞)] to [\[0, 1)] by [t = lo + u/(1-u)] and applies
-    {!tanh_sinh}; suited to integrands decaying at least polynomially. *)
 
 val integrate_decaying :
   ?rel_tol:float -> ?scale:float -> (float -> float) -> lo:float -> float

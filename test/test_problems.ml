@@ -205,6 +205,51 @@ let test_self_swap () =
       done)
     packs
 
+(* [best_partners] against the reference scan over [cost_after_swap], for
+   every culprit of 40 random configurations: the best cost and the ordered
+   tie list must agree, and the scan must leave the cost, every variable
+   error and every pairwise swap cost as it found them.  The minimal sizes
+   reach the edge cases where a triangle row holds a single pair. *)
+let test_best_partners_matches_reference () =
+  let minimal =
+    [
+      ("costas-array 3", fun () -> Lv_problems.Costas.pack 3);
+      ("all-interval 3", fun () -> Lv_problems.All_interval.pack 3);
+      ("magic-square 3", fun () -> Lv_problems.Magic_square.pack 3);
+    ]
+  in
+  List.iter
+    (fun (name, pack) ->
+      let (Lv_search.Csp.Packed ((module P), inst)) = pack () in
+      let r = rng () in
+      let sz = P.size inst in
+      let fused = Array.make (sz + 1) 0 and reference = Array.make (sz + 1) 0 in
+      let snapshot () =
+        ( P.cost inst,
+          Array.init sz (P.var_error inst),
+          Array.init sz (fun i -> Array.init sz (P.cost_after_swap inst i)) )
+      in
+      for _ = 1 to 40 do
+        P.set_config inst (Lv_stats.Rng.permutation r sz);
+        let cost, errs, pairs = snapshot () in
+        for culprit = 0 to sz - 1 do
+          let what = Printf.sprintf "%s culprit %d" name culprit in
+          let best = P.best_partners inst culprit fused in
+          let best_ref =
+            Lv_search.Csp.best_partners_by P.cost_after_swap sz inst culprit reference
+          in
+          Alcotest.(check int) (what ^ ": best cost") best_ref best;
+          Alcotest.(check (array int)) (what ^ ": ties")
+            (Array.sub reference 0 (reference.(0) + 1))
+            (Array.sub fused 0 (fused.(0) + 1));
+          let cost', errs', pairs' = snapshot () in
+          Alcotest.(check int) (what ^ ": cost unchanged") cost cost';
+          Alcotest.(check (array int)) (what ^ ": errors unchanged") errs errs';
+          Alcotest.(check (array (array int))) (what ^ ": swap costs unchanged") pairs pairs'
+        done
+      done)
+    (packs @ minimal)
+
 let test_do_swap_swaps_config () =
   List.iter
     (fun (name, pack) ->
@@ -401,6 +446,8 @@ let () =
           Alcotest.test_case "do_swap swaps config" `Quick test_do_swap_swaps_config;
           Alcotest.test_case "swap edge cases" `Quick test_swap_edge_cases;
           Alcotest.test_case "self swap" `Quick test_self_swap;
+          Alcotest.test_case "best_partners matches the reference scan" `Quick
+            test_best_partners_matches_reference;
         ] );
       ( "errors",
         [

@@ -370,23 +370,6 @@ let test_gauss_tables_match_newton () =
         (same_bits x x' && same_bits w w'))
     [ 48; 320 ]
 
-let test_tanh_sinh () =
-  check_rel ~tol:1e-10 "TS x^2 [0,1]" (1. /. 3.)
-    (Quadrature.tanh_sinh (fun x -> x *. x) ~lo:0. ~hi:1.);
-  (* Endpoint singularity: int 1/sqrt(x) on [0,1] = 2. *)
-  check_rel ~tol:1e-8 "TS 1/sqrt(x)" 2.
-    (Quadrature.tanh_sinh (fun x -> 1. /. sqrt x) ~lo:0. ~hi:1.);
-  check_rel ~tol:1e-9 "TS log(x)" (-1.)
-    (Quadrature.tanh_sinh log ~lo:0. ~hi:1.)
-
-let test_integrate_to_infinity () =
-  check_rel ~tol:1e-8 "int e^-x [0,inf)" 1.
-    (Quadrature.integrate_to_infinity (fun x -> exp (-.x)) ~lo:0.);
-  check_rel ~tol:1e-8 "int e^-x [2,inf)" (exp (-2.))
-    (Quadrature.integrate_to_infinity (fun x -> exp (-.x)) ~lo:2.);
-  check_rel ~tol:1e-7 "int x e^-x [0,inf)" 1.
-    (Quadrature.integrate_to_infinity (fun x -> x *. exp (-.x)) ~lo:0.)
-
 let test_integrate_decaying () =
   check_rel ~tol:1e-8 "decaying e^-x" 1.
     (Quadrature.integrate_decaying (fun x -> exp (-.x)) ~lo:0.);
@@ -1556,8 +1539,6 @@ let () =
           Alcotest.test_case "gauss-legendre" `Quick test_gauss_legendre;
           Alcotest.test_case "gauss tables match Newton construction" `Quick
             test_gauss_tables_match_newton;
-          Alcotest.test_case "tanh-sinh" `Quick test_tanh_sinh;
-          Alcotest.test_case "semi-infinite transform" `Quick test_integrate_to_infinity;
           Alcotest.test_case "decaying panels" `Quick test_integrate_decaying;
         ] );
       ( "rootfind",
