@@ -1,5 +1,4 @@
 type worker = {
-  deque : (unit -> unit) Deque.t;
   mutable busy_s : float;  (* written only by the executing worker *)
   mutable executed : int;  (* idem *)
 }
@@ -8,26 +7,25 @@ type t = {
   size : int;
   workers : worker array;
   mutable spawned : unit Domain.t array;
-  lock : Mutex.t;  (* guards [stopping] and the sleep protocol *)
+  lock : Mutex.t;  (* guards [queue], [high_water] and [stopping] *)
   work_cond : Condition.t;
+  queue : (unit -> unit) Queue.t;
+  mutable high_water : int;
   mutable stopping : bool;
   telemetry : Lv_telemetry.Sink.t;
   tasks_executed : int Atomic.t;
-  steals : int Atomic.t;
 }
 
-(* Which pool/worker the current domain belongs to, for re-entrant calls
-   and worker-local state.  Set once per worker domain, never for callers. *)
+(* Which pool/worker the current domain belongs to, for nested calls and
+   worker-local state.  Set once per worker domain, never for callers. *)
 let slot_key : (t * int) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
 let worker_index () =
   match Domain.DLS.get slot_key with Some (_, w) -> Some w | None -> None
 
-let my_slot pool =
-  match Domain.DLS.get slot_key with
-  | Some (p, w) when p == pool -> Some w
-  | _ -> None
+let on_own_worker pool =
+  match Domain.DLS.get slot_key with Some (p, _) -> p == pool | None -> false
 
 let size t = t.size
 
@@ -53,47 +51,20 @@ let exec pool w task =
     +. Lv_telemetry.Clock.seconds_between ~start
          ~stop:(Lv_telemetry.Clock.now_ns ())
 
-let find_task pool w =
-  match Deque.pop pool.workers.(w).deque with
-  | Some _ as t -> t
-  | None ->
-    let n = pool.size in
-    let rec try_steal k =
-      if k >= n then None
-      else
-        match Deque.steal pool.workers.((w + k) mod n).deque with
-        | Some _ as t ->
-          Atomic.incr pool.steals;
-          t
-        | None -> try_steal (k + 1)
-    in
-    try_steal 1
-
-let has_work pool =
-  Array.exists (fun worker -> Deque.size worker.deque > 0) pool.workers
-
+(* Take tasks in FIFO order until the pool stops and the queue is empty. *)
 let worker_main pool w () =
   Domain.DLS.set slot_key (Some (pool, w));
   let rec loop () =
-    match find_task pool w with
+    Mutex.lock pool.lock;
+    while Queue.is_empty pool.queue && not pool.stopping do
+      Condition.wait pool.work_cond pool.lock
+    done;
+    match Queue.take_opt pool.queue with
     | Some task ->
+      Mutex.unlock pool.lock;
       exec pool w task;
       loop ()
-    | None ->
-      Mutex.lock pool.lock;
-      (* Recheck under the lock: a producer pushes, then takes the lock to
-         broadcast, so work pushed after our failed scan is visible here
-         and the wakeup cannot be lost. *)
-      if pool.stopping then Mutex.unlock pool.lock (* drained: exit *)
-      else if has_work pool then begin
-        Mutex.unlock pool.lock;
-        loop ()
-      end
-      else begin
-        Condition.wait pool.work_cond pool.lock;
-        Mutex.unlock pool.lock;
-        loop ()
-      end
+    | None -> Mutex.unlock pool.lock (* stopping and drained: exit *)
   in
   loop ()
 
@@ -115,16 +86,15 @@ let create ?(telemetry = Lv_telemetry.Sink.null) ?domains () =
   let pool =
     {
       size;
-      workers =
-        Array.init size (fun _ ->
-            { deque = Deque.create (); busy_s = 0.; executed = 0 });
+      workers = Array.init size (fun _ -> { busy_s = 0.; executed = 0 });
       spawned = [||];
       lock = Mutex.create ();
       work_cond = Condition.create ();
+      queue = Queue.create ();
+      high_water = 0;
       stopping = false;
       telemetry;
       tasks_executed = Atomic.make 0;
-      steals = Atomic.make 0;
     }
   in
   pool.spawned <- Array.init size (fun w -> Domain.spawn (worker_main pool w));
@@ -143,11 +113,8 @@ let stats pool =
   {
     domains = pool.size;
     tasks = Atomic.get pool.tasks_executed;
-    steals = Atomic.get pool.steals;
-    queue_high_water =
-      Array.fold_left
-        (fun acc worker -> Int.max acc (Deque.high_water worker.deque))
-        0 pool.workers;
+    steals = 0;
+    queue_high_water = pool.high_water;
     busy_seconds = Array.map (fun worker -> worker.busy_s) pool.workers;
     worker_tasks = Array.map (fun worker -> worker.executed) pool.workers;
   }
@@ -164,7 +131,6 @@ let emit_stats pool =
     in
     count "pool.tasks" s.tasks
       [ ("domains", Lv_telemetry.Json.Int s.domains) ];
-    count "pool.steals" s.steals [];
     count "pool.queue_hwm" s.queue_high_water [];
     Array.iteri
       (fun w busy ->
@@ -205,25 +171,6 @@ let with_pool ?telemetry ?domains f =
 (* Submission                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let check_live pool =
-  if pool.stopping then invalid_arg "Lv_exec.Pool: pool is shut down"
-
-let wake_all pool =
-  Mutex.lock pool.lock;
-  Condition.broadcast pool.work_cond;
-  Mutex.unlock pool.lock
-
-(* Blocking from inside a worker would starve the pool (deadlock on a pool
-   of one), so a worker that must wait runs queued tasks instead; the brief
-   cpu_relax spin only happens while the last stragglers of the awaited job
-   are in flight on other workers. *)
-let help_while pool w not_done =
-  while not_done () do
-    match find_task pool w with
-    | Some task -> exec pool w task
-    | None -> Domain.cpu_relax ()
-  done
-
 type job = {
   jlock : Mutex.t;
   jcond : Condition.t;
@@ -231,12 +178,6 @@ type job = {
   mutable first_error : (exn * Printexc.raw_backtrace) option;
   aborted : bool Atomic.t;
 }
-
-let job_done job =
-  Mutex.lock job.jlock;
-  let d = job.remaining = 0 in
-  Mutex.unlock job.jlock;
-  d
 
 let finish_one job =
   Mutex.lock job.jlock;
@@ -250,21 +191,29 @@ let record_error job exn bt =
   if job.first_error = None then job.first_error <- Some (exn, bt);
   Mutex.unlock job.jlock
 
-let wait_job pool job =
-  match my_slot pool with
-  | Some w -> help_while pool w (fun () -> not (job_done job))
-  | None ->
-    Mutex.lock job.jlock;
-    while job.remaining > 0 do
-      Condition.wait job.jcond job.jlock
-    done;
-    Mutex.unlock job.jlock
+let wait_job job =
+  Mutex.lock job.jlock;
+  while job.remaining > 0 do
+    Condition.wait job.jcond job.jlock
+  done;
+  Mutex.unlock job.jlock
+
+(* Queue the whole batch under one lock and wake every worker once. *)
+let submit pool tasks =
+  Mutex.lock pool.lock;
+  if pool.stopping then begin
+    Mutex.unlock pool.lock;
+    invalid_arg "Lv_exec.Pool: pool is shut down"
+  end;
+  Array.iter (fun task -> Queue.add task pool.queue) tasks;
+  pool.high_water <- Int.max pool.high_water (Queue.length pool.queue);
+  Condition.broadcast pool.work_cond;
+  Mutex.unlock pool.lock
 
 let parallel_map (type b) ?cancel ?(skipped : b option) pool (f : _ -> b) xs =
   let n = Array.length xs in
   if n = 0 then [||]
   else begin
-    check_live pool;
     let results = Array.make n None in
     let job =
       {
@@ -292,13 +241,16 @@ let parallel_map (type b) ?cancel ?(skipped : b option) pool (f : _ -> b) xs =
       end;
       finish_one job
     in
-    (* Deterministic round-robin distribution; results are slotted by
-       index, so placement affects only load balance, never output. *)
-    for i = 0 to n - 1 do
-      Deque.push pool.workers.(i mod pool.size).deque (task i)
-    done;
-    wake_all pool;
-    wait_job pool job;
+    (* A worker waiting on its own pool could starve it (a pool of one
+       would deadlock), so a nested call runs its batch inline. *)
+    if on_own_worker pool then
+      for i = 0 to n - 1 do
+        task i ()
+      done
+    else begin
+      submit pool (Array.init n task);
+      wait_job job
+    end;
     match job.first_error with
     | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
     | None ->

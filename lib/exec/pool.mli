@@ -1,11 +1,12 @@
-(** Work-stealing executor over OCaml 5 domains.
+(** Task-queue executor over OCaml 5 domains.
 
     A pool is a fixed set of worker domains that the caller creates, hands
     to the work, and shuts down: {!create}/{!shutdown}, or {!with_pool} to
     scope both.  There is no process-wide pool; code that is given none
-    either runs serially or scopes a pool of its own.  Each worker owns a
-    {!Deque}: it pushes and pops its own work LIFO and steals FIFO from
-    the others when it runs dry.
+    either runs serially or scopes a pool of its own.  The workers share
+    one first-in, first-out queue of tasks: every parallel phase is a flat
+    batch of independent tasks, so there is nothing to balance beyond
+    taking the next task when one is done.
 
     {2 Which phases use a pool}
 
@@ -42,11 +43,13 @@
     {2 Thread model}
 
     Callers never execute tasks themselves; work runs only on the pool's
-    domains.  The exception is re-entrancy: a task that itself calls
-    [parallel_map] on its own pool helps execute queued tasks instead of
-    blocking, so nested parallelism cannot deadlock, even on a pool of
-    one.  A pool may be shared by several calling domains; each call's
-    barrier is independent.
+    domains.  The exception is a nested call: a task that itself calls
+    [parallel_map] on its own pool runs that batch inline, one element
+    after another on its own worker, so nesting cannot deadlock, even on a
+    pool of one.  Inline elements follow the same cancellation and
+    exception rules but are not counted in [stats.tasks].  A pool may be
+    shared by several calling domains; each call's barrier is
+    independent.
 
     [shutdown] must not race in-flight calls: finish (or cancel) your
     jobs, then shut down — {!with_pool} scopes this for you. *)
@@ -87,9 +90,11 @@ val parallel_map :
 
 type stats = {
   domains : int;
-  tasks : int;  (** tasks executed in total *)
-  steals : int;  (** tasks a worker took from another worker's deque *)
-  queue_high_water : int;  (** deepest any single deque ever got *)
+  tasks : int;  (** tasks executed in total (nested inline calls excluded) *)
+  steals : int;
+      (** always 0: the workers share one queue, so no task is stolen.
+          Kept for readers of the record. *)
+  queue_high_water : int;  (** deepest the shared queue ever got *)
   busy_seconds : float array;  (** per-worker time spent inside tasks *)
   worker_tasks : int array;  (** per-worker executed-task counts *)
 }
@@ -99,8 +104,8 @@ val stats : t -> stats
     passed); a snapshot while tasks run may lag the in-flight ones. *)
 
 val shutdown : t -> unit
-(** Stop the workers (they drain their deques first), join every domain,
+(** Stop the workers (they drain the queue first), join every domain,
     then flush the counters to the pool's telemetry sink under fixed
-    paths: ["pool.tasks"], ["pool.steals"], ["pool.queue_hwm"] as counts
+    paths: ["pool.tasks"] and ["pool.queue_hwm"] as counts
     and one ["pool.worker"] span per worker whose duration is that
     worker's busy seconds (fields: [worker], [tasks]).  Idempotent. *)

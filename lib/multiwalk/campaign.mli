@@ -102,7 +102,6 @@ val run_fn :
   result
 (** Generic campaign over any Las Vegas algorithm: [make_runner ()] is
     called at most once per pool worker and must return a function
-    performing one independent run from the given generator (e.g. a WalkSAT
-    solve or a randomized-quicksort measurement).  Same seeding,
+    performing one independent run from the given generator.  Same seeding,
     determinism, checkpoint and retry guarantees as {!run}; budgets are the
     runner's own business here. *)

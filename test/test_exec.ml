@@ -1,48 +1,11 @@
-(* Tests for the lib/exec executor: the work-stealing deque in isolation,
-   then the pool's contracts — deterministic result ordering, the exception
-   barrier, cooperative cancellation, re-entrancy, telemetry accounting —
-   and the end-to-end determinism guarantee campaigns rely on. *)
+(* Tests for the lib/exec executor: the pool's contracts — deterministic
+   result ordering, several callers sharing one pool, the exception
+   barrier, nested calls run inline, cooperative cancellation, telemetry
+   accounting — and the end-to-end determinism guarantee campaigns rely
+   on. *)
 
 module Pool = Lv_exec.Pool
-module Deque = Lv_exec.Deque
 module Cancel = Lv_exec.Cancel
-
-(* ------------------------------------------------------------------ *)
-(* Deque                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_deque_lifo_fifo () =
-  let d = Deque.create () in
-  List.iter (fun x -> Deque.push d x) [ 1; 2; 3; 4 ];
-  Alcotest.(check int) "size" 4 (Deque.size d);
-  (* Owner pops newest first... *)
-  Alcotest.(check (option int)) "pop LIFO" (Some 4) (Deque.pop d);
-  (* ...thieves steal oldest first. *)
-  Alcotest.(check (option int)) "steal FIFO" (Some 1) (Deque.steal d);
-  Alcotest.(check (option int)) "steal next" (Some 2) (Deque.steal d);
-  Alcotest.(check (option int)) "pop last" (Some 3) (Deque.pop d);
-  Alcotest.(check (option int)) "pop empty" None (Deque.pop d);
-  Alcotest.(check (option int)) "steal empty" None (Deque.steal d)
-
-let test_deque_growth_and_high_water () =
-  (* Push far past the initial capacity, with interleaved pops so the ring
-     wraps around before it grows. *)
-  let d = Deque.create ~capacity:4 () in
-  for i = 1 to 3 do Deque.push d i done;
-  ignore (Deque.steal d);
-  ignore (Deque.steal d);
-  for i = 4 to 1001 do Deque.push d i done;
-  (* Queued now: 3..1001. *)
-  Alcotest.(check int) "size" 999 (Deque.size d);
-  Alcotest.(check int) "high water" 999 (Deque.high_water d);
-  (* FIFO order of everything still queued survives the reallocations. *)
-  for i = 3 to 1001 do
-    match Deque.steal d with
-    | Some v -> if v <> i then Alcotest.failf "steal %d: got %d" i v
-    | None -> Alcotest.failf "deque dry at %d" i
-  done;
-  Alcotest.(check (option int)) "drained" None (Deque.steal d);
-  Alcotest.(check int) "empty" 0 (Deque.size d)
 
 (* ------------------------------------------------------------------ *)
 (* Pool basics                                                         *)
@@ -98,9 +61,31 @@ let test_pool_exception_barrier () =
   Alcotest.(check bool) "some tasks were skipped after the raise" true
     (Atomic.get ran <= 100)
 
+let test_pool_shared_by_two_callers () =
+  (* Two domains map on one pool at the same time: each call's barrier
+     and result slots are its own, and the pool counts every task once. *)
+  Pool.with_pool ~domains:2 @@ fun p ->
+  let n = 500 in
+  let call offset () =
+    Pool.parallel_map p (fun x -> x + offset) (Array.init n Fun.id)
+  in
+  let other = Domain.spawn (call 1_000_000) in
+  let mine = call 0 () in
+  let theirs = Domain.join other in
+  Array.iteri
+    (fun i y -> if y <> i then Alcotest.failf "caller 1: slot %d holds %d" i y)
+    mine;
+  Array.iteri
+    (fun i y ->
+      if y <> i + 1_000_000 then
+        Alcotest.failf "caller 2: slot %d holds %d" i y)
+    theirs;
+  Alcotest.(check int) "every task counted once" (2 * n) (Pool.stats p).Pool.tasks
+
 let test_pool_nested_map_no_deadlock () =
-  (* A task that itself maps on the same pool must help execute queued
-     tasks instead of blocking — even on a pool of one. *)
+  (* A task that itself maps on the same pool runs the inner batch inline
+     instead of blocking — even on a pool of one — with the same
+     cancellation and exception rules as an outer call. *)
   Pool.with_pool ~domains:1 @@ fun p ->
   let ys =
     Pool.parallel_map p
@@ -115,7 +100,35 @@ let test_pool_nested_map_no_deadlock () =
     (fun i s ->
       Alcotest.(check int) (Printf.sprintf "nested sum %d" i)
         ((40 * i) + 6) s)
-    ys
+    ys;
+  (* An inner map with a pre-set token returns the skipped value. *)
+  let cancel = Cancel.create () in
+  Cancel.set cancel;
+  let skipped =
+    Pool.parallel_map p
+      (fun () ->
+        Pool.parallel_map ~cancel ~skipped:(-1) p
+          (fun _ -> Alcotest.fail "cancelled inner task ran")
+          (Array.init 3 Fun.id))
+      [| () |]
+  in
+  Alcotest.(check (array int)) "inner skipped slots" [| -1; -1; -1 |]
+    skipped.(0);
+  (* An inner raise surfaces as the outer call's exception... *)
+  (match
+     Pool.parallel_map p
+       (fun i ->
+         Pool.parallel_map p
+           (fun j -> if i = 2 && j = 1 then raise (Task_failed j) else j)
+           (Array.init 3 Fun.id))
+       (Array.init 4 Fun.id)
+   with
+  | _ -> Alcotest.fail "inner exception was swallowed"
+  | exception Task_failed 1 -> ());
+  (* ...and the pool stays usable afterwards. *)
+  Alcotest.(check (array int)) "pool alive after an inner raise"
+    [| 1; 2; 3 |]
+    (Pool.parallel_map p succ [| 0; 1; 2 |])
 
 (* ------------------------------------------------------------------ *)
 (* Cancellation                                                        *)
@@ -232,8 +245,8 @@ let test_pool_stats_sum_to_task_count () =
       events
   in
   Alcotest.(check (option int)) "pool.tasks event" (Some n) (count "pool.tasks");
-  Alcotest.(check bool) "pool.steals event present" true
-    (count "pool.steals" <> None);
+  Alcotest.(check bool) "no pool.steals event" true
+    (count "pool.steals" = None);
   Alcotest.(check bool) "pool.queue_hwm event present" true
     (count "pool.queue_hwm" <> None);
   let worker_spans =
@@ -276,16 +289,12 @@ let test_campaign_identical_on_pool_sizes () =
 let () =
   Alcotest.run "lv_exec"
     [
-      ( "deque",
-        [
-          Alcotest.test_case "owner LIFO, thief FIFO" `Quick test_deque_lifo_fifo;
-          Alcotest.test_case "growth and high water" `Quick
-            test_deque_growth_and_high_water;
-        ] );
       ( "pool",
         [
           Alcotest.test_case "map preserves order" `Quick test_pool_map_preserves_order;
           Alcotest.test_case "sizing and worker index" `Quick test_pool_sizing;
+          Alcotest.test_case "two callers share a pool" `Quick
+            test_pool_shared_by_two_callers;
           Alcotest.test_case "exception barrier" `Quick test_pool_exception_barrier;
           Alcotest.test_case "nested map, pool of one" `Quick
             test_pool_nested_map_no_deadlock;
