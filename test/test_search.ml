@@ -270,6 +270,38 @@ let golden_runs =
         true, [| 1; 4; 8; 5; 6; 2; 0; 7; 9; 3 |] );
     ]
 
+(* Fixed-seed runs with non-default restart and reset settings, so the
+   restart path and the partial reset at a large fraction are pinned too.
+   Each entry adjusts the tuned per-problem parameters. *)
+let golden_runs_params =
+  Adaptive_search.
+    [
+      ( "costas-array", 12, 1,
+        (fun p -> { p with Params.restart_limit = 40 }),
+        { iterations = 256; swaps = 183; plateau_moves = 19;
+          local_minima = 140; resets = 30; restarts = 6 },
+        true, [| 8; 6; 5; 10; 0; 4; 1; 9; 11; 7; 2; 3 |] );
+      ( "all-interval", 14, 1,
+        (fun p -> { p with Params.restart_limit = 300 }),
+        { iterations = 1130; swaps = 955; plateau_moves = 554;
+          local_minima = 857; resets = 79; restarts = 3 },
+        true, [| 5; 9; 3; 12; 0; 13; 2; 10; 8; 7; 4; 11; 1; 6 |] );
+      ( "n-queens", 30, 3,
+        (fun p -> { p with Params.reset_limit = 3; reset_fraction = 0.5 }),
+        { iterations = 62; swaps = 46; plateau_moves = 5;
+          local_minima = 20; resets = 5; restarts = 0 },
+        true,
+        [|
+          28; 7; 4; 13; 15; 12; 1; 11; 26; 17; 22; 2; 29; 14; 23; 9; 6; 3; 5;
+          16; 18; 10; 27; 19; 24; 0; 25; 20; 8; 21
+        |] );
+      ( "all-interval", 14, 2,
+        (fun p -> { p with Params.reset_limit = 3; reset_fraction = 0.5 }),
+        { iterations = 533; swaps = 455; plateau_moves = 249;
+          local_minima = 412; resets = 16; restarts = 0 },
+        true, [| 7; 6; 9; 5; 10; 4; 2; 11; 3; 13; 0; 12; 1; 8 |] );
+    ]
+
 let golden_instance name size =
   match name with
   | "costas-array" -> Lv_problems.Costas.pack size
@@ -280,9 +312,9 @@ let golden_instance name size =
 
 let test_golden_trajectories () =
   List.iter
-    (fun (name, size, seed, stats, solved, final) ->
+    (fun (name, size, seed, adjust, stats, solved, final) ->
       let label = Printf.sprintf "%s %d seed %d" name size seed in
-      let params = Lv_problems.Defaults.params name size in
+      let params = adjust (Lv_problems.Defaults.params name size) in
       let params =
         if name = "magic-square" then { params with Params.max_iterations = 15_000 } else params
       in
@@ -299,7 +331,10 @@ let test_golden_trajectories () =
           [ s.iterations; s.swaps; s.plateau_moves; s.local_minima; s.resets; s.restarts ];
       Alcotest.(check bool) (label ^ " solved") solved (Adaptive_search.solved r);
       Alcotest.(check (array int)) (label ^ " final configuration") final (P.config inst))
-    golden_runs
+    (List.map (fun (name, size, seed, stats, solved, final) ->
+         (name, size, seed, Fun.id, stats, solved, final))
+       golden_runs
+    @ golden_runs_params)
 
 (* ------------------------------------------------------------------ *)
 (* Defaults registry                                                   *)

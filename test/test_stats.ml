@@ -291,6 +291,27 @@ let test_rng_known_answers () =
       3484287702129654782
     |]
     (draws (fun r -> Rng.int r max_int));
+  Alcotest.(check (array int)) "int 1" (Array.make 16 0) (draws (fun r -> Rng.int r 1));
+  (* Bound 1 still consumes one word: every other [int 1000] answer above. *)
+  Alcotest.(check (array int)) "int 1 then int 1000"
+    [|
+      551; 96; 292; 203; 542; 946; 521; 685; 778; 949; 997; 307; 944; 892;
+      805; 541
+    |]
+    (draws (fun r ->
+         ignore (Rng.int r 1);
+         Rng.int r 1000));
+  Alcotest.(check (array int)) "int 64"
+    [| 11; 63; 16; 16; 50; 28; 25; 3; 63; 30; 56; 50; 27; 33; 38; 61 |]
+    (draws (fun r -> Rng.int r 64));
+  Alcotest.(check (array int)) "int 2^40"
+    [|
+      648642257803; 838433545535; 657615637712; 702258196560; 274633994034;
+      654994876700; 286373637849; 695616077891; 245740843583; 754768141854;
+      661526158520; 877143770290; 913083425627; 218277483425; 128738673638;
+      224893549565
+    |]
+    (draws (fun r -> Rng.int r (1 lsl 40)));
   Alcotest.(check (array (float 0.))) "uniform"
     [|
       0x1.5780b2e0c2ecp-4; 0x1.84136619b444ep-2; 0x1.5c2ea66473c93p-1;
