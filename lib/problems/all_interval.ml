@@ -47,6 +47,18 @@ let var_error t i =
   if i < t.n - 1 then e := !e + surplus t (abs (t.x.(i) - t.x.(i + 1)));
   !e
 
+(* Difference [i] (between positions [i] and [i+1]) is the right term of
+   variable [i] and the left term of variable [i+1], so each surplus is read
+   once and carried over. *)
+let errors t buf =
+  let x = t.x and left = ref 0 in
+  for i = 0 to t.n - 2 do
+    let right = surplus t (abs (x.(i) - x.(i + 1))) in
+    buf.(i) <- !left + right;
+    left := right
+  done;
+  buf.(t.n - 1) <- !left
+
 (* Swapping positions [lo < hi] changes the differences at [lo-1], [lo],
    [hi-1] and [hi] (when in range).  Only [lo] and [hi-1] can coincide, when
    [hi = lo + 1]: that difference is scored once, as [lo], and keeps its
@@ -185,6 +197,7 @@ let pack n =
         let config = config
         let cost = cost
         let var_error = var_error
+        let errors = errors
         let cost_after_swap = cost_after_swap
         let best_partners = best_partners
         let do_swap = do_swap

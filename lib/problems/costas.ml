@@ -64,6 +64,7 @@ let create n =
   t
 
 let var_error t i = t.err.(i)
+let errors t buf = Array.blit t.err 0 buf 0 t.n
 
 (* Swapping positions [lo < hi] changes, in each triangle row [d], the pairs
    whose left end is [lo-d], [lo], [hi-d] or [hi] (when in range).  Only
@@ -228,6 +229,7 @@ let pack n =
         let config = config
         let cost = cost
         let var_error = var_error
+        let errors = errors
         let cost_after_swap = cost_after_swap
         let best_partners = best_partners
         let do_swap = do_swap

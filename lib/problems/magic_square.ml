@@ -77,6 +77,31 @@ let var_error t i =
   let e = if t.on_diag.(i) then e + abs (t.diag_sum - t.magic) else e in
   if t.on_anti.(i) then e + abs (t.anti_sum - t.magic) else e
 
+(* Each line's deviation is read once and added to every cell on it: rows
+   first, then columns, then the two diagonals (a cell on both, the centre
+   of an odd square, gets both). *)
+let errors t buf =
+  let n = t.n and m = t.magic in
+  for r = 0 to n - 1 do
+    let e = abs (t.row_sum.(r) - m) in
+    for c = 0 to n - 1 do
+      buf.((r * n) + c) <- e
+    done
+  done;
+  for c = 0 to n - 1 do
+    let e = abs (t.col_sum.(c) - m) in
+    for r = 0 to n - 1 do
+      let j = (r * n) + c in
+      buf.(j) <- buf.(j) + e
+    done
+  done;
+  let ed = abs (t.diag_sum - m) and ea = abs (t.anti_sum - m) in
+  for r = 0 to n - 1 do
+    let d = (r * n) + r and a = (r * n) + (n - 1 - r) in
+    buf.(d) <- buf.(d) + ed;
+    buf.(a) <- buf.(a) + ea
+  done
+
 (* [acc] updated for a line whose sum moves from [sum] to [sum + delta]. *)
 let adjust magic sum delta acc = acc - abs (sum - magic) + abs (sum + delta - magic)
 
@@ -232,6 +257,7 @@ let pack n =
         let config = config
         let cost = cost
         let var_error = var_error
+        let errors = errors
         let cost_after_swap = cost_after_swap
         let best_partners = best_partners
         let do_swap = do_swap

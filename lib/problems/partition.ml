@@ -57,6 +57,8 @@ let create n =
    implementation of this benchmark. *)
 let var_error t _ = t.cost
 
+let errors t buf = Lv_search.Csp.errors_by var_error t.n t buf
+
 let cost_after_swap t i j =
   let side_i = i < t.half and side_j = j < t.half in
   if side_i = side_j then t.cost
@@ -124,6 +126,7 @@ let pack n =
         let config = config
         let cost = cost
         let var_error = var_error
+        let errors = errors
         let cost_after_swap = cost_after_swap
         let best_partners = best_partners
         let do_swap = do_swap

@@ -48,6 +48,13 @@ let var_error t i =
   let u = t.x.(i) + i and d = t.x.(i) - i + t.n - 1 in
   surplus t.up.(u) + surplus t.down.(d)
 
+let errors t buf =
+  let x = t.x and up = t.up and down = t.down and m = t.n - 1 in
+  for i = 0 to m do
+    let xi = x.(i) in
+    buf.(i) <- surplus up.(xi + i) + surplus down.(xi - i + m)
+  done
+
 let eval_swap t i j ~commit =
   (* Remove both queens' diagonals and add them back swapped. *)
   let xi = t.x.(i) and xj = t.x.(j) and m = t.n - 1 in
@@ -119,6 +126,7 @@ let pack n =
         let config = config
         let cost = cost
         let var_error = var_error
+        let errors = errors
         let cost_after_swap = cost_after_swap
         let best_partners = best_partners
         let do_swap = do_swap

@@ -1,9 +1,9 @@
-let remove counts k =
+let[@inline] remove counts k =
   let c = counts.(k) in
   counts.(k) <- c - 1;
   if c > 1 then -1 else 0
 
-let add counts k =
+let[@inline] add counts k =
   let c = counts.(k) in
   counts.(k) <- c + 1;
   if c >= 1 then 1 else 0

@@ -20,64 +20,86 @@ let pp_stats ppf s =
     s.swaps s.plateau_moves s.local_minima s.resets s.restarts
 
 module Make (P : Csp.PROBLEM) = struct
-  (* Mutable solver state, allocated once per solve. *)
+  (* Mutable solver state, allocated once per solve, except [reset_cfg]:
+     it is allocated on the first partial reset, since most short runs never
+     reset. *)
   type state = {
     n : int;
-    mutable frozen_until : int array;  (* iteration until which var i is tabu *)
-    mutable n_frozen : int;
+    frozen_until : int array;          (* iteration until which var i is tabu *)
+    mutable n_frozen : int;            (* live freezes, recounted every scan *)
+    errs : int array;                  (* [P.errors] buffer, n cells *)
     candidates : int array;            (* scratch for tie-breaking, n + 1 cells *)
+    mutable reset_cfg : int array;     (* next configuration, n cells *)
   }
 
   let fresh_config st rng = Lv_stats.Rng.permutation rng st.n
 
-  let unfreeze_expired st iter =
-    if st.n_frozen > 0 then begin
-      let live = ref 0 in
-      for i = 0 to st.n - 1 do
-        if st.frozen_until.(i) > iter then incr live
-      done;
-      st.n_frozen <- !live
-    end
-
   (* Worst non-frozen variable by projected error; ties broken uniformly.
-     Returns -1 when every positive-error variable is frozen. *)
+     Returns -1 when every positive-error variable is frozen.  The same pass
+     recounts the live freezes: a variable is frozen at [iter] exactly when
+     it is skipped here. *)
   let select_culprit st inst rng iter =
-    let best_err = ref 0 and n_ties = ref 0 in
+    let errs = st.errs and frozen_until = st.frozen_until and candidates = st.candidates in
+    P.errors inst errs;
+    let best_err = ref 0 and n_ties = ref 0 and live = ref 0 in
     for i = 0 to st.n - 1 do
-      if st.frozen_until.(i) <= iter then begin
-        let e = P.var_error inst i in
+      if frozen_until.(i) <= iter then begin
+        let e = errs.(i) in
         if e > !best_err then begin
           best_err := e;
-          st.candidates.(0) <- i;
+          candidates.(0) <- i;
           n_ties := 1
         end
         else if e = !best_err && e > 0 then begin
-          st.candidates.(!n_ties) <- i;
+          candidates.(!n_ties) <- i;
           incr n_ties
         end
       end
+      else incr live
     done;
+    st.n_frozen <- !live;
     if !n_ties = 0 then -1
-    else st.candidates.(Lv_stats.Rng.int rng !n_ties)
+    else candidates.(Lv_stats.Rng.int rng !n_ties)
 
   (* Partial reset: reshuffle the values held by a random subset of
-     positions, clear every freeze. *)
+     positions, clear every freeze.  The subset is the first [k] entries of
+     a random permutation and the values get a second shuffle, the draws of
+     [Array.sub (Rng.permutation rng n) 0 k] and of a [k]-value shuffle.
+     Both run in [candidates] and [errs], which the next iteration rewrites
+     before reading. *)
   let partial_reset st inst rng fraction =
-    let k = Int.max 2 (int_of_float (ceil (fraction *. float_of_int st.n))) in
-    let pos = Array.sub (Lv_stats.Rng.permutation rng st.n) 0 k in
-    let cfg = Array.copy (P.config inst) in
-    let vals = Array.map (fun p -> cfg.(p)) pos in
-    Lv_stats.Rng.shuffle_in_place rng vals;
-    Array.iteri (fun idx p -> cfg.(p) <- vals.(idx)) pos;
+    let n = st.n in
+    let k = Int.max 2 (int_of_float (ceil (fraction *. float_of_int n))) in
+    if Array.length st.reset_cfg = 0 then st.reset_cfg <- Array.make n 0;
+    let pos = st.candidates and vals = st.errs and cfg = st.reset_cfg in
+    for i = 0 to n - 1 do
+      pos.(i) <- i
+    done;
+    Lv_stats.Rng.shuffle_prefix rng pos n;
+    Array.blit (P.config inst) 0 cfg 0 n;
+    for idx = 0 to k - 1 do
+      vals.(idx) <- cfg.(pos.(idx))
+    done;
+    Lv_stats.Rng.shuffle_prefix rng vals k;
+    for idx = 0 to k - 1 do
+      cfg.(pos.(idx)) <- vals.(idx)
+    done;
     P.set_config inst cfg;
-    Array.fill st.frozen_until 0 st.n 0;
+    Array.fill st.frozen_until 0 n 0;
     st.n_frozen <- 0
 
   let solve ?(params = Params.default) ?(stop = fun () -> false) ~rng inst =
     let n = P.size inst in
     let params = Params.validate ~n_vars:n params in
     let st =
-      { n; frozen_until = Array.make n 0; n_frozen = 0; candidates = Array.make (n + 1) 0 }
+      {
+        n;
+        frozen_until = Array.make n 0;
+        n_frozen = 0;
+        errs = Array.make n 0;
+        candidates = Array.make (n + 1) 0;
+        reset_cfg = [||];
+      }
     in
     P.set_config inst (fresh_config st rng);
     let iter = ref 0 in
@@ -103,7 +125,6 @@ module Make (P : Csp.PROBLEM) = struct
           incr restarts
         end
         else begin
-          unfreeze_expired st !iter;
           let culprit = select_culprit st inst rng !iter in
           if culprit < 0 then begin
             (* Everything in error is frozen: force a reset. *)

@@ -7,6 +7,7 @@ module type PROBLEM = sig
   val config : t -> int array
   val cost : t -> int
   val var_error : t -> int -> int
+  val errors : t -> int array -> unit
   val cost_after_swap : t -> int -> int -> int
   val best_partners : t -> int -> int array -> int
   val do_swap : t -> int -> int -> unit
@@ -14,6 +15,11 @@ module type PROBLEM = sig
 end
 
 type packed = Packed : (module PROBLEM with type t = 'a) * 'a -> packed
+
+let errors_by var_error n t buf =
+  for i = 0 to n - 1 do
+    buf.(i) <- var_error t i
+  done
 
 let best_partners_by cost_after_swap n t culprit buf =
   let best = ref max_int and k = ref 0 in

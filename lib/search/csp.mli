@@ -5,10 +5,13 @@
     permutation problems: a configuration is a permutation of [0 .. n-1]
     (interpreted problem-specifically) and the only move is swapping two
     positions.  A problem implementation maintains incremental state so that
-    the solver's inner loop stays cheap.  That loop is one [best_partners]
-    call per iteration: a problem-owned scan of every swap partner of the
-    culprit, which may share the culprit's part of the work across partners
-    (see {!best_partners_by} for the reference scan it must match). *)
+    the solver's inner loop stays cheap.  That loop makes two calls into the
+    problem per iteration: one [errors] scan of every variable's projected
+    error, to pick the culprit, and one [best_partners] scan of every swap
+    partner of the culprit.  Each is problem-owned, so it may share work
+    across variables or partners; each must match a reference built from the
+    per-item function ({!errors_by} over [var_error], {!best_partners_by}
+    over [cost_after_swap]). *)
 
 module type PROBLEM = sig
   type t
@@ -32,7 +35,16 @@ module type PROBLEM = sig
 
   val var_error : t -> int -> int
   (** Projected error of variable [i] ≥ 0: the solver repairs the variable
-      with the largest error (Adaptive Search's "culprit" selection). *)
+      with the largest error (Adaptive Search's "culprit" selection).  The
+      solver reads all errors at once through [errors]; this is the
+      per-variable reference it must match. *)
+
+  val errors : t -> int array -> unit
+  (** [errors t buf] writes [var_error t i] to [buf.(i)] for every variable
+      [i], in one pass.  [buf] has at least [size t] cells.  Must not change
+      observable state and must agree exactly with [errors_by var_error]:
+      the solver picks its culprit from these values, so they fix the
+      trajectory. *)
 
   val cost_after_swap : t -> int -> int -> int
   (** Total cost the configuration would have after swapping positions [i]
@@ -59,6 +71,11 @@ end
 (** A problem packaged with an instance, hiding the concrete type — what the
     multi-walk layer and the CLI pass around. *)
 type packed = Packed : (module PROBLEM with type t = 'a) * 'a -> packed
+
+val errors_by : ('t -> int -> int) -> int -> 't -> int array -> unit
+(** [errors_by var_error n t buf] is the reference error scan over variables
+    [0 .. n-1]: [buf.(i) <- var_error t i] for each [i].  Problems with no
+    cheaper shared scan implement [errors] as this, fully applied. *)
 
 val best_partners_by :
   ('t -> int -> int -> int) -> int -> 't -> int -> int array -> int

@@ -2,7 +2,9 @@
    public-domain reference algorithms.  The four state words live in a
    32-byte buffer read and written with the unboxed 64-bit bytes primitives,
    so a draw keeps its intermediates in registers and [int] allocates
-   nothing. *)
+   nothing.  [uniform] is inlined so that a caller that only compares its
+   result boxes no float, and seeding computes each splitmix64 output from
+   the seed directly, so it boxes nothing either. *)
 
 type t = Bytes.t
 
@@ -12,14 +14,14 @@ external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 let[@inline] ( <<< ) x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let splitmix64_next state =
-  state := Int64.add !state 0x9E3779B97F4A7C15L;
-  let z = !state in
+(* The k-th splitmix64 output from [seed] mixes [seed + k * golden]. *)
+let[@inline] splitmix64 seed k =
+  let z = Int64.add seed (Int64.mul (Int64.of_int k) 0x9E3779B97F4A7C15L) in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let of_words s0 s1 s2 s3 =
+let[@inline] of_words s0 s1 s2 s3 =
   let t = Bytes.create 32 in
   set t 0 s0;
   set t 8 s1;
@@ -28,11 +30,8 @@ let of_words s0 s1 s2 s3 =
   t
 
 let of_seed64 seed =
-  let st = ref seed in
-  let s0 = splitmix64_next st in
-  let s1 = splitmix64_next st in
-  let s2 = splitmix64_next st in
-  let s3 = splitmix64_next st in
+  let s0 = splitmix64 seed 1 and s1 = splitmix64 seed 2 in
+  let s2 = splitmix64 seed 3 and s3 = splitmix64 seed 4 in
   (* xoshiro must not start in the all-zero state; splitmix64 output makes
      this essentially impossible, but guard anyway. *)
   if Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L then of_words 1L 2L 3L 4L
@@ -64,12 +63,14 @@ let int t bound =
   let b = Int64.of_int bound in
   let limit = Int64.sub (Int64.sub Int64.max_int b) 1L in
   let r = ref (Int64.shift_right_logical (next t) 1) in
-  while Int64.sub !r (Int64.rem !r b) > limit do
-    r := Int64.shift_right_logical (next t) 1
+  let v = ref (Int64.rem !r b) in
+  while Int64.sub !r !v > limit do
+    r := Int64.shift_right_logical (next t) 1;
+    v := Int64.rem !r b
   done;
-  Int64.to_int (Int64.rem !r b)
+  Int64.to_int !v
 
-let uniform t =
+let[@inline] uniform t =
   (* 53 random bits scaled to [0,1). *)
   let r = Int64.shift_right_logical (next t) 11 in
   Int64.to_float r *. 0x1.0p-53
@@ -93,8 +94,8 @@ let exponential t ~rate =
 
 let lognormal t ~mu ~sigma = exp (mu +. (sigma *. normal t))
 
-let shuffle_in_place t a =
-  for i = Array.length a - 1 downto 1 do
+let shuffle_prefix t a k =
+  for i = k - 1 downto 1 do
     let j = int t (i + 1) in
     let x = a.(i) in
     a.(i) <- a.(j);
@@ -103,5 +104,5 @@ let shuffle_in_place t a =
 
 let permutation t n =
   let a = Array.init n (fun i -> i) in
-  shuffle_in_place t a;
+  shuffle_prefix t a n;
   a

@@ -46,8 +46,9 @@ val exponential : t -> rate:float -> float
 val lognormal : t -> mu:float -> sigma:float -> float
 (** Lognormal draw: [exp (mu + sigma * normal)]. *)
 
-val shuffle_in_place : t -> 'a array -> unit
-(** Fisher–Yates shuffle. *)
+val shuffle_prefix : t -> 'a array -> int -> unit
+(** [shuffle_prefix rng a k] is a Fisher–Yates shuffle of [a.(0) .. a.(k-1)]
+    in place, drawing [int rng i] for [i = k] down to [2]. *)
 
 val permutation : t -> int -> int array
 (** [permutation rng n] is a uniform random permutation of [0 .. n-1]. *)

@@ -78,6 +78,24 @@ let packs : (string * (unit -> Lv_search.Csp.packed)) list =
     ("number-partitioning", fun () -> Lv_problems.Partition.pack 16);
   ]
 
+(* The smallest instances: a Costas or All-Interval triangle row with a
+   single pair, and a 3x3 square whose centre lies on both diagonals. *)
+let minimal_packs : (string * (unit -> Lv_search.Csp.packed)) list =
+  [
+    ("costas-array 3", fun () -> Lv_problems.Costas.pack 3);
+    ("all-interval 3", fun () -> Lv_problems.All_interval.pack 3);
+    ("magic-square 3", fun () -> Lv_problems.Magic_square.pack 3);
+  ]
+
+(* [P.errors] must fill its buffer with exactly [var_error] of each
+   variable. *)
+let check_errors (type a) (module P : Lv_search.Csp.PROBLEM with type t = a) (inst : a) what =
+  let sz = P.size inst in
+  let buf = Array.make sz (-1) in
+  P.errors inst buf;
+  Alcotest.(check (array int)) (what ^ ": errors = var_error")
+    (Array.init sz (P.var_error inst)) buf
+
 let test_zero_cost_iff_solution () =
   List.iter
     (fun (name, pack) ->
@@ -154,6 +172,7 @@ let test_swap_edge_cases () =
       let sz = P.size inst in
       let errors () = Array.init sz (P.var_error inst) in
       let check_against_rebuild what =
+        check_errors (module P) inst (Printf.sprintf "%s %s" name what);
         let cost = P.cost inst and errs = errors () in
         P.set_config inst (Array.copy (P.config inst));
         Alcotest.(check int) (Printf.sprintf "%s %s: cost" name what) (P.cost inst) cost;
@@ -211,13 +230,6 @@ let test_self_swap () =
    error and every pairwise swap cost as it found them.  The minimal sizes
    reach the edge cases where a triangle row holds a single pair. *)
 let test_best_partners_matches_reference () =
-  let minimal =
-    [
-      ("costas-array 3", fun () -> Lv_problems.Costas.pack 3);
-      ("all-interval 3", fun () -> Lv_problems.All_interval.pack 3);
-      ("magic-square 3", fun () -> Lv_problems.Magic_square.pack 3);
-    ]
-  in
   List.iter
     (fun (name, pack) ->
       let (Lv_search.Csp.Packed ((module P), inst)) = pack () in
@@ -225,8 +237,10 @@ let test_best_partners_matches_reference () =
       let sz = P.size inst in
       let fused = Array.make (sz + 1) 0 and reference = Array.make (sz + 1) 0 in
       let snapshot () =
+        let errs = Array.make sz 0 in
+        P.errors inst errs;
         ( P.cost inst,
-          Array.init sz (P.var_error inst),
+          errs,
           Array.init sz (fun i -> Array.init sz (P.cost_after_swap inst i)) )
       in
       for _ = 1 to 40 do
@@ -248,7 +262,20 @@ let test_best_partners_matches_reference () =
           Alcotest.(check (array (array int))) (what ^ ": swap costs unchanged") pairs pairs'
         done
       done)
-    (packs @ minimal)
+    (packs @ minimal_packs)
+
+(* [errors] against [var_error] on 40 random configurations per problem,
+   minimal sizes included. *)
+let test_errors_matches_var_error () =
+  List.iter
+    (fun (name, pack) ->
+      let (Lv_search.Csp.Packed ((module P), inst)) = pack () in
+      let r = rng () in
+      for k = 1 to 40 do
+        P.set_config inst (Lv_stats.Rng.permutation r (P.size inst));
+        check_errors (module P) inst (Printf.sprintf "%s config %d" name k)
+      done)
+    (packs @ minimal_packs)
 
 let test_do_swap_swaps_config () =
   List.iter
@@ -453,6 +480,7 @@ let () =
         [
           Alcotest.test_case "zero at solutions" `Quick test_var_error_sanity;
           Alcotest.test_case "positive when broken" `Quick test_var_error_positive_when_broken;
+          Alcotest.test_case "errors matches var_error" `Quick test_errors_matches_var_error;
         ] );
       ( "validation",
         [
