@@ -17,7 +17,6 @@
    Environment knobs:
      LV_BENCH_RUNS=N    sequential runs per campaign   (default 400)
      LV_BENCH_FAST=1    shortcut: 120 runs and smaller instances
-     LV_BENCH_MICRO=0   skip the bechamel micro-benchmarks
      LV_BENCH_CACHE=DIR serve unchanged campaigns from the engine's
                         artifact store in DIR (an interrupted run resumes
                         its campaigns, a repeated run skips them)
@@ -35,7 +34,6 @@ let getenv_int name default =
 
 let fast = Sys.getenv_opt "LV_BENCH_FAST" = Some "1"
 let runs = getenv_int "LV_BENCH_RUNS" (if fast then 120 else 400)
-let micro = Sys.getenv_opt "LV_BENCH_MICRO" <> Some "0"
 
 let paper_cores = Paper_data.cores
 let fc = Report.float_cell
@@ -640,98 +638,8 @@ let ttt_diagnostics campaigns =
     (fun (p, c) ->
       let values = c.Lv_multiwalk.Campaign.iterations.Lv_multiwalk.Dataset.values in
       printf "--- %s ---@." p.label;
-      print_string (Ttt.render values);
-      let report =
-        Fit.fit ~candidates:Fit.paper_candidates values
-      in
-      List.iter
-        (fun f ->
-          printf "Q-Q straightness vs %-24s r = %.4f%s@."
-            (Lv_stats.Distribution.to_string f.Fit.dist)
-            (Ttt.qq_correlation values f.Fit.dist)
-            (if f.Fit.ks.Lv_stats.Kolmogorov.accept then "" else "   (KS rejected)"))
-        report.Fit.fits)
+      print_string (Ttt.report values))
     campaigns
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one per table/figure kernel              *)
-(* ------------------------------------------------------------------ *)
-
-let micro_benchmarks () =
-  print_string
-    (Report.section "bechamel micro-benchmarks (one kernel per table/figure)");
-  let open Bechamel in
-  let ds_pool =
-    let rng = Lv_stats.Rng.create ~seed:99 in
-    Lv_multiwalk.Dataset.synthetic ~label:"pool"
-      (Lv_stats.Exponential.create ~rate:1e-5)
-      ~rng 650
-  in
-  let emp = Lv_multiwalk.Dataset.empirical ds_pool in
-  let lognormal = Paper_data.fitted_law Paper_data.MS200 in
-  let exp_cdf = (Lv_stats.Exponential.create ~rate:1e-5).Lv_stats.Distribution.cdf in
-  let solver_kernel pack =
-    Staged.stage (fun () ->
-        let params =
-          { Lv_search.Params.default with Lv_search.Params.max_iterations = 200 }
-        in
-        let rng = Lv_stats.Rng.create ~seed:1 in
-        ignore (Lv_search.Adaptive_search.solve_packed ~params ~rng (pack ())))
-  in
-  let tests =
-    [
-      Test.make ~name:"fig1-2-4:min_dist_pdf"
-        (Staged.stage (fun () -> ignore (Min_dist.pdf lognormal ~n:100 50_000.)));
-      Test.make ~name:"fig3:speedup_closed_form"
-        (Staged.stage (fun () ->
-             ignore
-               (Speedup.exponential_curve ~x0:100. ~rate:0.001 ~cores:paper_cores)));
-      Test.make ~name:"fig5-11:speedup_quadrature"
-        (Staged.stage (fun () -> ignore (Speedup.at lognormal ~cores:64)));
-      Test.make ~name:"table1-2:as_kernel_ms10"
-        (solver_kernel (fun () -> Lv_problems.Magic_square.pack 10));
-      Test.make ~name:"table1-2:as_kernel_ai18"
-        (solver_kernel (fun () -> Lv_problems.All_interval.pack 18));
-      Test.make ~name:"table1-2:as_kernel_costas14"
-        (solver_kernel (fun () -> Lv_problems.Costas.pack 14));
-      Test.make ~name:"table3-4:plugin_min_650x256"
-        (Staged.stage (fun () ->
-             ignore (Lv_stats.Empirical.expected_min_exact emp 256)));
-      Test.make ~name:"fig8-10-12:ks_test_650"
-        (Staged.stage (fun () ->
-             ignore (Lv_stats.Kolmogorov.test ds_pool.Lv_multiwalk.Dataset.values exp_cdf)));
-      Test.make ~name:"table5:predict_5_core_counts"
-        (Staged.stage (fun () ->
-             ignore
-               (Speedup.curve (Paper_data.fitted_law Paper_data.AI700) ~cores:paper_cores)));
-      Test.make ~name:"fig14:plugin_min_8192"
-        (Staged.stage (fun () ->
-             ignore (Lv_stats.Empirical.expected_min_exact emp 8192)));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.3) ~kde:None () in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let header = [ "kernel"; "ns/run" ] in
-  let rows =
-    List.map
-      (fun test ->
-        let name = Test.Elt.name (List.hd (Test.elements test)) in
-        let results = Benchmark.all cfg instances test in
-        let ols =
-          Analyze.all
-            (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-            Toolkit.Instance.monotonic_clock results
-        in
-        let estimate =
-          Hashtbl.fold
-            (fun _ v acc ->
-              match Analyze.OLS.estimates v with Some [ e ] -> e | _ -> acc)
-            ols 0.
-        in
-        [ name; Printf.sprintf "%.0f" estimate ])
-      tests
-  in
-  print_string (Report.table ~title:"kernel timings (OLS ns per run)" ~header ~rows)
 
 (* ------------------------------------------------------------------ *)
 
@@ -755,6 +663,5 @@ let () =
   phase "ablation_family" (fun () -> ablation_family campaigns);
   phase "ablation_shift" (fun () -> ablation_shift campaigns);
   phase "ablation_solver_params" ablation_solver_params;
-  if micro then phase "micro_benchmarks" micro_benchmarks;
   write_telemetry_summary "BENCH_telemetry.json";
   printf "@.done.@."

@@ -5,16 +5,19 @@
      campaign   collect a sequential runtime dataset (CSV)
      fit        fit candidate distributions to a dataset and KS-test them
      predict    predict multi-walk speed-ups from a dataset
-     run        execute a declarative scenario file end to end (cached)
-     validate   bootstrap bands + held-out CV + calibration oracle
+     run        execute a declarative scenario file end to end (cached);
+                a scenario's validate key or stage adds bootstrap bands,
+                held-out CV and the calibration oracle
      simulate   measure multi-walk speed-ups from a dataset (plug-in min)
      race       run a real parallel multi-walk race on OCaml domains
      paper      print the paper's published tables next to model output
      trace      re-aggregate a --trace JSONL file into a phase report
 
-   The data-producing subcommands (campaign, race, fit, predict) accept
-   --trace FILE.jsonl to record structured telemetry, --verbose to mirror
-   events to stderr as they happen, and --quiet to silence progress. *)
+   The data-producing subcommands (campaign, race, fit, predict, run)
+   accept --trace FILE.jsonl to record structured telemetry, --verbose to
+   mirror events to stderr as they happen, and --quiet to silence
+   progress.  Solver parameters resolve through Lv_problems.Defaults.params
+   for every subcommand and for scenario files alike. *)
 
 open Cmdliner
 
@@ -73,13 +76,6 @@ let walk_arg =
     & info [ "walk" ] ~docv:"P"
         ~doc:"Probability of walking through a local minimum (default: per-problem).")
 
-let max_iter_arg =
-  Arg.(
-    value
-    & opt int 0
-    & info [ "max-iterations" ] ~docv:"N"
-        ~doc:"Iteration budget per run (0 = unlimited).")
-
 let out_arg =
   Arg.(
     value
@@ -102,8 +98,9 @@ let max_iters_arg =
     & opt (some positive_int) None
     & info [ "max-iters" ] ~docv:"N"
         ~doc:
-          "Per-run iteration budget.  A run that exhausts it is recorded as \
-           a censored observation.")
+          "Per-run iteration budget.  A campaign records a run that exhausts \
+           it as a censored observation; $(b,solve) and $(b,race) report it \
+           unsolved.")
 
 let checkpoint_arg =
   Arg.(
@@ -205,23 +202,15 @@ let command name ~doc term =
   in
   Cmd.v (Cmd.info name ~doc) Term.(const guarded $ term)
 
-let params_of ~walk ~max_iter name size =
-  let base = Lv_problems.Defaults.params name size in
-  let base =
-    match walk with
-    | Some p -> { base with Lv_search.Params.prob_select_loc_min = p }
-    | None -> base
-  in
-  if max_iter > 0 then { base with Lv_search.Params.max_iterations = max_iter }
-  else base
-
 (* ------------------------------------------------------------------ *)
 
 let solve_cmd =
-  let run make size seed walk max_iter () =
+  let run make size seed walk max_iterations () =
     let packed = make size in
     let name = Lv_search.Csp.packed_name packed in
-    let params = params_of ~walk ~max_iter name size in
+    let params =
+      Lv_problems.Defaults.params ?walk ?max_iterations name size
+    in
     let rng = Lv_stats.Rng.create ~seed in
     let t0 = Lv_telemetry.Clock.now_ns () in
     let result = Lv_search.Adaptive_search.solve_packed ~params ~rng packed in
@@ -237,14 +226,14 @@ let solve_cmd =
     if Lv_search.Adaptive_search.solved result then 0 else 1
   in
   command "solve" ~doc:"Run Adaptive Search once on a benchmark instance."
-    Term.(const run $ problem_arg $ size_arg $ seed_arg $ walk_arg $ max_iter_arg)
+    Term.(const run $ problem_arg $ size_arg $ seed_arg $ walk_arg $ max_iters_arg)
 
 let campaign_cmd =
-  let run make size seed walk max_iter runs out timeout max_iters checkpoint
-      retries pool_domains trace quiet verbose () =
+  let run make size seed walk runs out timeout max_iters checkpoint retries
+      pool_domains trace quiet verbose () =
     let packed0 = make size in
     let name = Lv_search.Csp.packed_name packed0 in
-    let params = params_of ~walk ~max_iter name size in
+    let params = Lv_problems.Defaults.params ?walk name size in
     let label = Printf.sprintf "%s-%d" name size in
     let budget =
       Lv_multiwalk.Run.budget ?max_seconds:timeout ?max_iterations:max_iters ()
@@ -302,8 +291,8 @@ let campaign_cmd =
        per-run budgets, crash-safe checkpoint/resume and \
        retry-with-backoff."
     Term.(
-      const run $ problem_arg $ size_arg $ seed_arg $ walk_arg $ max_iter_arg
-      $ runs_arg $ out_arg $ timeout_arg $ max_iters_arg $ checkpoint_arg
+      const run $ problem_arg $ size_arg $ seed_arg $ walk_arg $ runs_arg
+      $ out_arg $ timeout_arg $ max_iters_arg $ checkpoint_arg
       $ retries_arg $ pool_domains_arg $ trace_arg $ quiet_arg $ verbose_arg)
 
 let fit_cmd =
@@ -390,154 +379,17 @@ let run_cmd =
       & opt (some string) None
       & info [ "out-dir" ] ~docv:"DIR"
           ~doc:
-            "Write the dataset/prediction CSVs under $(docv), overriding the \
-             scenario's own $(b,output) key.")
+            "Write the dataset and prediction CSVs, and a validated \
+             scenario's validation CSV and JSON report, under $(docv), \
+             overriding the scenario's own $(b,output) key.")
   in
   command "run"
     ~doc:
       "Run a declarative experiment scenario end to end (campaign, fit, \
-       predict, simulate, compare), with optional artifact caching."
+       predict, simulate, compare and, when the scenario asks for it, \
+       validate), with optional artifact caching."
     Term.(
       const run $ scenario_arg $ cache_arg $ out_dir_arg $ pool_domains_arg
-      $ trace_arg $ quiet_arg $ verbose_arg)
-
-let validate_cmd =
-  let run path replicates folds level trials cache json_out csv_out
-      pool_domains trace quiet verbose () =
-    match Lv_engine.Scenario.of_file path with
-    | exception Failure msg ->
-      Format.eprintf "lvp validate: %s@." msg;
-      1
-    | scenario ->
-      let open Lv_engine.Scenario in
-      (* Flag > scenario [validate] key > default, per field. *)
-      let base =
-        Option.value scenario.validate
-          ~default:Lv_validate.Validate.default_config
-      in
-      let cfg =
-        {
-          Lv_validate.Validate.replicates =
-            Option.value replicates ~default:base.Lv_validate.Validate.replicates;
-          folds = Option.value folds ~default:base.Lv_validate.Validate.folds;
-          level = Option.value level ~default:base.Lv_validate.Validate.level;
-          trials = Option.value trials ~default:base.Lv_validate.Validate.trials;
-        }
-      in
-      Lv_validate.Validate.check_config cfg;
-      (* Force the stages validation needs; keep whatever else the
-         scenario asked for, in pipeline order. *)
-      let wanted =
-        [ Campaign; Fit; Validate ]
-        @ List.filter
-            (fun st -> not (List.mem st [ Campaign; Fit; Validate ]))
-            scenario.stages
-      in
-      let stages = List.filter (fun st -> List.mem st wanted) all_stages in
-      let scenario = { scenario with stages; validate = Some cfg } in
-      with_ctx ~trace ~verbose ~pool_domains ?cache @@ fun ctx ->
-      let outcome = Lv_engine.Engine.run ~ctx scenario in
-      match outcome.Lv_engine.Engine.validation with
-      | None ->
-        Format.eprintf "lvp validate: engine produced no validation report@.";
-        1
-      | Some report ->
-        if quiet then
-          (* Keep the cache counters greppable even under --quiet: CI's
-             second-run assertion keys on this line. *)
-          Format.printf "engine cache: hits=%d misses=%d@."
-            outcome.Lv_engine.Engine.cache_hits
-            outcome.Lv_engine.Engine.cache_misses
-        else begin
-          Format.printf "%a@." Lv_validate.Validate.pp_report report;
-          Format.printf "engine cache: hits=%d misses=%d@."
-            outcome.Lv_engine.Engine.cache_hits
-            outcome.Lv_engine.Engine.cache_misses
-        end;
-        (match json_out with
-        | Some file ->
-          Lv_validate.Validate.save_json report file;
-          if not quiet then Format.printf "saved validation report to %s@." file
-        | None -> ());
-        (match csv_out with
-        | Some file ->
-          Lv_validate.Validate.save_csv report file;
-          if not quiet then Format.printf "saved validation table to %s@." file
-        | None -> ());
-        0
-  in
-  let scenario_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"SCENARIO.CONF"
-          ~doc:"Scenario file ([scenario] section of key = value lines).")
-  in
-  let replicates_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "replicates" ] ~docv:"N"
-          ~doc:
-            "Bootstrap resamples per confidence band (overrides the \
-             scenario's $(b,validate) key; default 200).")
-  in
-  let folds_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "folds" ] ~docv:"K"
-          ~doc:"Cross-validation folds (default 2 = split-half).")
-  in
-  let level_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "level" ] ~docv:"L"
-          ~doc:"Confidence level of the bootstrap bands (default 0.95).")
-  in
-  let trials_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "trials" ] ~docv:"T"
-          ~doc:
-            "Calibration-oracle trials: sample $(docv) synthetic datasets \
-             from the fitted law and check parameter recovery, band \
-             coverage and the KS false-rejection rate (0 disables).")
-  in
-  let cache_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache" ] ~docv:"DIR"
-          ~doc:
-            "Artifact store shared with $(b,lvp run): an unchanged \
-             campaign/fit/validation is restored instead of recomputed.")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the full validation report as JSON to $(docv).")
-  in
-  let csv_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "csv" ] ~docv:"FILE"
-          ~doc:"Write the flat band/fold/oracle table as CSV to $(docv).")
-  in
-  command "validate"
-    ~doc:
-      "Validate a scenario's fit and predictions: bootstrap confidence \
-       bands over the whole fit-and-predict pipeline, held-out \
-       cross-validation, and an optional simulation-based calibration \
-       oracle."
-    Term.(
-      const run $ scenario_arg $ replicates_arg $ folds_arg $ level_arg
-      $ trials_arg $ cache_arg $ json_arg $ csv_arg $ pool_domains_arg
       $ trace_arg $ quiet_arg $ verbose_arg)
 
 let simulate_cmd =
@@ -552,11 +404,13 @@ let simulate_cmd =
     Term.(const run $ dataset_arg $ cores_arg)
 
 let race_cmd =
-  let run make size seed walk max_iter walkers pool_domains trace quiet verbose
-      () =
+  let run make size seed walk max_iterations walkers pool_domains trace quiet
+      verbose () =
     let packed0 = make size in
     let name = Lv_search.Csp.packed_name packed0 in
-    let params = params_of ~walk ~max_iter name size in
+    let params =
+      Lv_problems.Defaults.params ?walk ?max_iterations name size
+    in
     with_ctx ~trace ~verbose ~pool_domains @@ fun ctx ->
     let outcome =
       Lv_multiwalk.Race.wall_clock ~ctx ~params ~seed ~walkers (fun () ->
@@ -571,23 +425,13 @@ let race_cmd =
   in
   command "race" ~doc:"Race parallel walkers on OCaml domains; first solution wins."
     Term.(
-      const run $ problem_arg $ size_arg $ seed_arg $ walk_arg $ max_iter_arg
+      const run $ problem_arg $ size_arg $ seed_arg $ walk_arg $ max_iters_arg
       $ walkers $ pool_domains_arg $ trace_arg $ quiet_arg $ verbose_arg)
 
 let ttt_cmd =
   let run path () =
     let ds = Lv_multiwalk.Dataset.load_csv path in
-    let values = ds.Lv_multiwalk.Dataset.values in
-    print_string (Lv_core.Ttt.render values);
-    let report = Lv_core.Fit.fit ~candidates:Lv_core.Fit.paper_candidates values in
-    List.iter
-      (fun f ->
-        Format.printf "Q-Q straightness vs %-28s r = %.4f%s@."
-          (Lv_stats.Distribution.to_string f.Lv_core.Fit.dist)
-          (Lv_core.Ttt.qq_correlation values f.Lv_core.Fit.dist)
-          (if f.Lv_core.Fit.ks.Lv_stats.Kolmogorov.accept then ""
-           else "   (KS rejected)"))
-      report.Lv_core.Fit.fits;
+    print_string (Lv_core.Ttt.report ds.Lv_multiwalk.Dataset.values);
     0
   in
   command "ttt" ~doc:"Time-to-target plot and Q-Q straightness scores for a dataset."
@@ -650,5 +494,5 @@ let () =
     (Cmd.eval'
        (Cmd.group ~default info
           [ solve_cmd; campaign_cmd; fit_cmd; predict_cmd; run_cmd;
-            validate_cmd; simulate_cmd; race_cmd; ttt_cmd; paper_cmd;
+            simulate_cmd; race_cmd; ttt_cmd; paper_cmd;
             trace_cmd ]))

@@ -60,3 +60,15 @@ let render ?(width = 50) xs =
       (Printf.sprintf "t <= %12.4g  p=%4.2f |%s\n" s.(i) p (String.make bar '='))
   done;
   Buffer.contents buf
+
+let report xs =
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf (render xs);
+  List.iter
+    (fun (f : Fit.fitted) ->
+      Printf.bprintf buf "Q-Q straightness vs %-28s r = %.4f%s\n"
+        (Lv_stats.Distribution.to_string f.Fit.dist)
+        (qq_correlation xs f.Fit.dist)
+        (if f.Fit.ks.Lv_stats.Kolmogorov.accept then "" else "   (KS rejected)"))
+    (Fit.fit ~candidates:Fit.paper_candidates xs).Fit.fits;
+  Buffer.contents buf

@@ -22,3 +22,8 @@ val qq_correlation : float array -> Lv_stats.Distribution.t -> float
 val render : ?width:int -> float array -> string
 (** ASCII TTT plot: one line per observation decile, cumulative probability
     as bar length. *)
+
+val report : float array -> string
+(** {!render}, then one line per paper candidate ({!Fit.paper_candidates})
+    fitted to the sample: the law, its {!qq_correlation} and whether the
+    KS test rejected it — what [lvp ttt] prints. *)

@@ -127,9 +127,8 @@ let save_campaign ~seed (c : Campaign.result) tmp =
 let run_campaign ctx store (sc : Scenario.t) =
   let params = Scenario.params sc in
   let budget =
-    match (sc.Scenario.timeout, sc.Scenario.max_iters) with
-    | None, None -> None
-    | s, i -> Some (Lv_multiwalk.Run.budget ?max_seconds:s ?max_iterations:i ())
+    Lv_multiwalk.Run.budget ?max_seconds:sc.Scenario.timeout
+      ?max_iterations:sc.Scenario.max_iters ()
   in
   let make =
     match Lv_problems.Registry.find sc.Scenario.problem with
@@ -140,7 +139,7 @@ let run_campaign ctx store (sc : Scenario.t) =
   and seed = sc.Scenario.seed
   and runs = sc.Scenario.runs in
   let execute ?checkpoint () =
-    Campaign.run ~ctx ~params ?budget ?checkpoint ~label ~seed ~runs make
+    Campaign.run ~ctx ~params ~budget ?checkpoint ~label ~seed ~runs make
   in
   match store with
   | None -> execute ()
@@ -416,11 +415,13 @@ let run ?(ctx = Ctx.default) (sc : Scenario.t) =
       in
       (match validation with
       | Some v ->
-        let validation_path =
-          Filename.concat dir (sc.Scenario.name ^ "-validation.csv")
+        let path ext =
+          Filename.concat dir (sc.Scenario.name ^ "-validation." ^ ext)
         in
-        Validate.save_csv v validation_path;
-        outputs @ [ ("validation", validation_path) ]
+        Validate.save_csv v (path "csv");
+        Validate.save_json v (path "json");
+        outputs
+        @ [ ("validation", path "csv"); ("validation-json", path "json") ]
       | None -> outputs)
   in
   {

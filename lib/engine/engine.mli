@@ -50,7 +50,10 @@ type outcome = {
   cache_misses : int;  (** artifact-store lookups that recomputed *)
   outputs : (string * string) list;
       (** files written under the scenario's [output] dir, as
-          [(kind, path)] — e.g. [("dataset", "results/x-dataset.csv")] *)
+          [(kind, path)] — e.g. [("dataset", "results/x-dataset.csv")];
+          a validated scenario adds [<name>-validation.csv] and the full
+          {!Lv_validate.Validate.to_json} report as
+          [<name>-validation.json] *)
 }
 
 val run : ?ctx:Lv_context.Context.t -> Scenario.t -> outcome

@@ -366,14 +366,7 @@ let to_string t =
   Buffer.contents b
 
 let params t =
-  let base = Lv_problems.Defaults.params t.problem t.size in
-  let base =
-    match t.walk with
-    | Some w -> { base with Lv_search.Params.prob_select_loc_min = w }
-    | None -> base
-  in
-  match t.iteration_cap with
-  | Some cap -> { base with Lv_search.Params.max_iterations = cap }
-  | None -> base
+  Lv_problems.Defaults.params ?walk:t.walk ?max_iterations:t.iteration_cap
+    t.problem t.size
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)

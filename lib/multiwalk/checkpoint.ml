@@ -142,6 +142,8 @@ let entry_at c =
     malformed c c.pos "end of line";
   { run; seed; iterations; seconds; solved }
 
+(* The entries, and the length of the text they were read from: the
+   start of a dropped torn final line, or the whole text. *)
 let decode path text =
   let len = String.length text in
   let c = { text; line = 0; pos = 0; int = 0 } in
@@ -150,14 +152,16 @@ let decode path text =
      crash mid-append and is dropped, but a bad line with entries after it
      means the file is corrupt and must not be trusted. *)
   let rec loop lineno entries torn =
-    if c.line >= len then List.rev entries
+    if c.line >= len then
+      ( List.rev entries,
+        match torn with Some (_, _, start) -> start | None -> len )
     else if String.unsafe_get text c.line = '\n' then begin
       c.line <- c.line + 1;
       loop (lineno + 1) entries torn
     end
     else begin
       (match torn with
-      | Some (n, msg) ->
+      | Some (n, msg, _) ->
         failwith (Printf.sprintf "Checkpoint.load: %s:%d: %s" path n msg)
       | None -> ());
       c.pos <- c.line;
@@ -166,30 +170,43 @@ let decode path text =
         c.line <- c.pos + 1;
         loop (lineno + 1) (e :: entries) None
       | exception Malformed msg ->
+        let start = c.line in
         c.line <-
           (match String.index_from_opt text c.pos '\n' with
           | Some i -> i + 1
           | None -> len);
-        loop (lineno + 1) entries (Some (lineno, msg))
+        loop (lineno + 1) entries (Some (lineno, msg, start))
     end
   in
   loop 1 [] None
 
-let load path =
+let read path =
   match open_in_bin path with
-  | exception Sys_error _ -> []
+  | exception Sys_error _ -> None
   | ic ->
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    decode path text
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> Some (really_input_string ic (in_channel_length ic)))
+
+let load path =
+  match read path with None -> [] | Some text -> fst (decode path text)
 
 type writer = { oc : out_channel; wlock : Mutex.t }
 
 let with_writer path f =
+  (* Appends go after what [load] keeps: a torn final line is cut off,
+     and a final entry whose newline never reached the file gets one, so
+     the next entry starts a line of its own. *)
+  let newline =
+    match read path with
+    | None -> false
+    | Some text ->
+      let kept = snd (decode path text) in
+      if kept < String.length text then Unix.truncate path kept;
+      kept > 0 && text.[kept - 1] <> '\n'
+  in
   let oc = open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path in
+  if newline then output_char oc '\n';
   let w = { oc; wlock = Mutex.create () } in
   Fun.protect ~finally:(fun () -> close_out w.oc) (fun () -> f w)
 

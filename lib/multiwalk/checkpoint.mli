@@ -59,7 +59,10 @@ type writer
 (** An append handle; serialized internally, safe from any domain. *)
 
 val with_writer : string -> (writer -> 'a) -> 'a
-(** Open (creating if needed) for append, run, always close. *)
+(** Open (creating if needed) for append, run, always close.  Appends
+    continue what {!load} reads: a torn final line is cut off the file
+    first, and a final entry that lacks its newline gets one.  Raises
+    [Failure] as {!load} does on a file corrupt before its last line. *)
 
 val append : writer -> entry -> unit
 (** Serialize, write one line, flush.  Safe from any domain. *)

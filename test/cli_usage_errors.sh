@@ -8,6 +8,8 @@ lvp=$1
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 printf '1\n2\n3\n5\n8\n13\n21\n34\n' > "$work/data.csv"
+printf '[scenario]\nproblem = n-queens\nsize = 8\nvalidate = replicates=1\n' \
+  > "$work/bad-validate.conf"
 : > "$work/empty.csv"
 failures=0
 
@@ -29,6 +31,8 @@ expect_usage_error fit "$work/data.csv" --alpha 1.5
 expect_usage_error predict "$work/data.csv" -k 0 -q
 expect_usage_error simulate "$work/data.csv" -k 0
 expect_usage_error campaign n-queens 8 --runs 3 --max-iters 0 -q
+expect_usage_error solve n-queens 8 --max-iters 0
+expect_usage_error race n-queens 8 --max-iters 0 -q
 expect_usage_error solve n-queens 0
 expect_usage_error campaign n-queens 0 --runs 3 -q
 expect_usage_error race n-queens 3 -q
@@ -57,6 +61,8 @@ expect_one_line race n-queens 3 -q
 expect_one_line fit "$work/empty.csv" -q
 expect_one_line ttt "$work/empty.csv"
 expect_one_line campaign n-queens 8 --runs 3 --timeout 0 -q
+# A scenario the parser rejects (too few bootstrap replicates).
+expect_one_line run "$work/bad-validate.conf" -q
 
 # The same commands with sane values still succeed.
 "$lvp" campaign n-queens 8 --runs 5 --pool-domains 1 --retries 0 -q > /dev/null \

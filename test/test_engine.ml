@@ -474,6 +474,28 @@ let test_engine_cache_second_run_free () =
   Alcotest.(check int) "dataset+prediction written" 2
     (List.length o1.Engine.outputs)
 
+let test_engine_validation_json_output () =
+  (* A validated scenario with an output dir writes the full report as
+     JSON next to the validation CSV. *)
+  let out = tmp_dir () in
+  let sc =
+    Scenario.make ~problem:"n-queens" ~size:20 ~runs:12 ~seed:3
+      ~cores:[ 2; 4 ] ~candidates:[ "exponential"; "shifted-exponential" ]
+      ~validate:
+        { Lv_validate.Validate.replicates = 20; folds = 2; level = 0.9; trials = 2 }
+      ~output_dir:out ()
+  in
+  let o = Engine.run sc in
+  match (List.assoc_opt "validation-json" o.Engine.outputs, o.Engine.validation) with
+  | Some path, Some v ->
+    Alcotest.(check string) "file name"
+      (Filename.concat out "n-queens-20-validation.json") path;
+    Alcotest.(check string) "the report's JSON, one line"
+      (Lv_telemetry.Json.to_string (Lv_validate.Validate.to_json v) ^ "\n")
+      (read_file path)
+  | None, _ -> Alcotest.fail "validation JSON not listed among the outputs"
+  | _, None -> Alcotest.fail "no validation report"
+
 let test_engine_cache_key_sensitivity () =
   let cache = tmp_dir () in
   let ctx = Ctx.make ~cache_dir:cache () in
@@ -598,6 +620,8 @@ let () =
           Alcotest.test_case "stage subset" `Quick test_engine_stage_subset;
           Alcotest.test_case "second run served from cache" `Quick
             test_engine_cache_second_run_free;
+          Alcotest.test_case "validation JSON written" `Quick
+            test_engine_validation_json_output;
           Alcotest.test_case "cache key sensitivity" `Quick
             test_engine_cache_key_sensitivity;
           Alcotest.test_case "scenario budget censors" `Quick

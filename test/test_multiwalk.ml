@@ -629,6 +629,58 @@ let test_checkpoint_resume_byte_identical () =
     [ 1; 4 ];
   Sys.remove log
 
+let test_checkpoint_resume_after_torn_line () =
+  (* A crash mid-append leaves a torn final line, or a final entry whose
+     newline never reached the file.  Resuming must append after what
+     [load] keeps, so that the completed log loads whole and a second
+     resume restores every run. *)
+  let runs = 6 in
+  let make () = Lv_problems.Queens.pack 12 in
+  let log = tmp_log () in
+  let clean =
+    Lv_multiwalk.Campaign.run ~checkpoint:log ~label:"torn" ~seed:5 ~runs make
+  in
+  let reference = iterations_csv clean in
+  let lines =
+    String.split_on_char '\n' (read_file log) |> List.filter (( <> ) "")
+  in
+  let first_3 = String.concat "\n" (List.filteri (fun i _ -> i < 3) lines) in
+  let fourth = List.nth lines 3 in
+  List.iter
+    (fun (what, text) ->
+      let log_t = tmp_log () in
+      write_file log_t text;
+      let kept = Lv_multiwalk.Checkpoint.load log_t in
+      Lv_multiwalk.Checkpoint.with_writer log_t (fun _ -> ());
+      Alcotest.(check bool)
+        (what ^ ": opening the writer keeps what load reads") true
+        (Lv_multiwalk.Checkpoint.load log_t = kept);
+      let resumed =
+        Lv_multiwalk.Campaign.run ~checkpoint:log_t ~label:"torn" ~seed:5 ~runs
+          make
+      in
+      Alcotest.(check int) (what ^ ": restored 3") 3
+        resumed.Lv_multiwalk.Campaign.n_restored;
+      Alcotest.(check string) (what ^ ": byte-identical") reference
+        (iterations_csv resumed);
+      Alcotest.(check int) (what ^ ": the completed log loads whole") runs
+        (List.length (Lv_multiwalk.Checkpoint.load log_t));
+      let again =
+        Lv_multiwalk.Campaign.run ~checkpoint:log_t ~label:"torn" ~seed:5 ~runs
+          make
+      in
+      Alcotest.(check int) (what ^ ": second resume restores all") runs
+        again.Lv_multiwalk.Campaign.n_restored;
+      Alcotest.(check string) (what ^ ": still byte-identical") reference
+        (iterations_csv again);
+      Sys.remove log_t)
+    [
+      ( "torn fourth line",
+        first_3 ^ "\n" ^ String.sub fourth 0 (String.length fourth / 2) );
+      ("third line without its newline", first_3);
+    ];
+  Sys.remove log
+
 let test_checkpoint_survives_runner_crash () =
   (* The abort path: a runner crash aborts the campaign through the pool's
      barrier, but the runs completed before (and joined during) the abort
@@ -1229,6 +1281,8 @@ let () =
             test_checkpoint_observation_roundtrip;
           Alcotest.test_case "resume byte-identical" `Quick
             test_checkpoint_resume_byte_identical;
+          Alcotest.test_case "resume after a torn final line" `Quick
+            test_checkpoint_resume_after_torn_line;
           Alcotest.test_case "survives runner crash" `Quick
             test_checkpoint_survives_runner_crash;
           Alcotest.test_case "seed mismatch rejected" `Quick
