@@ -191,12 +191,13 @@ let with_ctx ~trace ~verbose ~pool_domains ?cache f =
 (* A subcommand whose term yields its body as a thunk.  The library
    rejects values it cannot work with by raising [Invalid_argument] (an
    instance size the problem does not have, an empty dataset, a campaign
-   in which no run solved); here that becomes one line on stderr and
-   exit 1 rather than an uncaught-exception crash. *)
+   in which no run solved) or [Campaign.Unusable_checkpoint] (a run-log
+   that is corrupt or belongs to another campaign); here that becomes one
+   line on stderr and exit 1 rather than an uncaught-exception crash. *)
 let command name ~doc term =
   let guarded body =
     try body ()
-    with Invalid_argument msg ->
+    with Invalid_argument msg | Lv_multiwalk.Campaign.Unusable_checkpoint msg ->
       Format.eprintf "lvp %s: %s@." name msg;
       1
   in

@@ -20,10 +20,10 @@
 type t = {
   pool : Lv_exec.Pool.t option;
       (** executor for the parallel phases (campaign runs, race
-          walkers, validation replicates, folds and trials).  [None]:
-          validation runs serially, a campaign scopes a private
-          one-worker pool and a race a pool of up to one worker per
-          recommended domain.  Fits and predictions never use it. *)
+          walkers, validation replicates, folds and trials).  [None]
+          means serial on the calling domain for validation and
+          campaigns, but a race scopes its own pool of up to one worker
+          per recommended domain.  Fits and predictions never use it. *)
   telemetry : Lv_telemetry.Sink.t;  (** default: the null sink *)
   alpha : float;
       (** KS significance level used when a call gives none (0.05) *)

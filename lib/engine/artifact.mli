@@ -6,10 +6,15 @@
     sorted [key=value] pairs), the seed, and a {!code_version} salt bumped
     whenever the serialized formats or the producing algorithms change —
     and stores its result at [<dir>/<stage>-<key>.<ext>] using the
-    pipeline's existing serializations (the campaign run-log JSONL, fit
-    reports as JSON, prediction curves as CSV).  Same scenario, same
-    code ⇒ same key ⇒ the stage is served from disk; any parameter change
-    ⇒ a different key ⇒ a clean recompute, never a stale read.
+    pipeline's existing serializations (fit and validation reports as
+    JSON).  Same scenario, same code ⇒ same key ⇒ the stage is served from
+    disk; any parameter change ⇒ a different key ⇒ a clean recompute,
+    never a stale read.
+
+    The campaign artifact is the exception to {!with_cache}: it is the
+    checkpoint run-log at {!path}, which {!Lv_multiwalk.Campaign.run}
+    alone reads, resumes and appends to, and the engine records its
+    lookup with {!count}.
 
     Lookups are counted and, with a live telemetry sink, published as
     running ["engine.cache.hit"] / ["engine.cache.miss"] counters.  Writes
@@ -39,6 +44,10 @@ val path : t -> stage:string -> key:string -> ext:string -> string
 val hits : t -> int
 val misses : t -> int
 (** Lookup counters since {!create}. *)
+
+val count : t -> hit:bool -> unit
+(** Count one lookup that did not go through {!with_cache}, as a hit or a
+    miss, and publish the running counter as {!with_cache} does. *)
 
 val with_cache :
   t ->

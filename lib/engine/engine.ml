@@ -1,6 +1,5 @@
 module Ctx = Lv_context.Context
 module Campaign = Lv_multiwalk.Campaign
-module Checkpoint = Lv_multiwalk.Checkpoint
 module Dataset = Lv_multiwalk.Dataset
 module Fit = Lv_core.Fit
 module Predict = Lv_core.Predict
@@ -77,52 +76,9 @@ let validate_key ctx (sc : Scenario.t) (cfg : Validate.config) =
       ]
 
 (* ------------------------------------------------------------------ *)
-(* Campaign stage: the artifact IS the checkpoint run-log.             *)
+(* Campaign stage: the artifact IS the checkpoint run-log, and         *)
+(* [Campaign.run] is its only reader and writer.                       *)
 (* ------------------------------------------------------------------ *)
-
-let result_of_observations ~label observations =
-  {
-    Campaign.observations;
-    iterations = Dataset.of_observations ~label ~metric:`Iterations observations;
-    seconds = Dataset.of_observations ~label ~metric:`Seconds observations;
-    n_censored =
-      List.length
-        (List.filter (fun o -> not o.Lv_multiwalk.Run.solved) observations);
-    n_retried = 0;
-    n_restored = List.length observations;
-  }
-
-let load_campaign ~seed ~runs ~label file =
-  let slots = Array.make runs None in
-  let loaded =
-    List.fold_left
-      (fun count (e : Checkpoint.entry) ->
-        if e.run < 0 || e.run >= runs then
-          failwith "campaign artifact: run index out of range";
-        if e.seed <> seed + e.run then
-          failwith "campaign artifact: seed mismatch";
-        slots.(e.run) <- Some (Checkpoint.observation_of_entry e);
-        count + 1)
-      0 (Checkpoint.load file)
-  in
-  if loaded <> runs then failwith "campaign artifact: incomplete run-log";
-  let observations =
-    Array.fold_right
-      (fun slot acc ->
-        match slot with
-        | Some o -> o :: acc
-        | None -> failwith "campaign artifact: missing run")
-      slots []
-  in
-  result_of_observations ~label observations
-
-let save_campaign ~seed (c : Campaign.result) tmp =
-  Checkpoint.with_writer tmp (fun w ->
-      List.iteri
-        (fun i o ->
-          Checkpoint.append w
-            (Checkpoint.entry_of_observation ~run:i ~seed:(seed + i) o))
-        c.Campaign.observations)
 
 let run_campaign ctx store (sc : Scenario.t) =
   let params = Scenario.params sc in
@@ -135,24 +91,28 @@ let run_campaign ctx store (sc : Scenario.t) =
     | Some f -> fun () -> f sc.Scenario.size
     | None -> failwith ("engine: unknown problem " ^ sc.Scenario.problem)
   in
-  let label = sc.Scenario.name
-  and seed = sc.Scenario.seed
-  and runs = sc.Scenario.runs in
   let execute ?checkpoint () =
-    Campaign.run ~ctx ~params ~budget ?checkpoint ~label ~seed ~runs make
+    Campaign.run ~ctx ~params ~budget ?checkpoint ~label:sc.Scenario.name
+      ~seed:sc.Scenario.seed ~runs:sc.Scenario.runs make
   in
   match store with
   | None -> execute ()
   | Some t ->
-    let key = campaign_key sc in
-    (* The in-progress campaign checkpoints straight into the artifact
-       path: a crash mid-campaign leaves a partial run-log that fails the
-       completeness check (a miss), and the recompute resumes from it. *)
-    let file = Artifact.path t ~stage:"campaign" ~key ~ext:"jsonl" in
-    Artifact.with_cache t ~stage:"campaign" ~key ~ext:"jsonl"
-      ~load:(load_campaign ~seed ~runs ~label)
-      ~save:(save_campaign ~seed)
-      (fun () -> execute ~checkpoint:file ())
+    (* The campaign checkpoints straight into the artifact path: a log
+       that restores every run is a hit; a partial one (a crash
+       mid-campaign) is a miss that resumes; a rejected one is a miss
+       that starts over. *)
+    let file =
+      Artifact.path t ~stage:"campaign" ~key:(campaign_key sc) ~ext:"jsonl"
+    in
+    let c =
+      try execute ~checkpoint:file ()
+      with Campaign.Unusable_checkpoint _ ->
+        Sys.remove file;
+        execute ~checkpoint:file ()
+    in
+    Artifact.count t ~hit:(c.Campaign.n_restored = sc.Scenario.runs);
+    c
 
 (* ------------------------------------------------------------------ *)
 (* Fit stage: JSON artifact, laws rebuilt with [Fit.instantiate].      *)
@@ -305,8 +265,7 @@ let run_validate (ctx : Ctx.t) store (sc : Scenario.t) (cfg : Validate.config)
     let key = validate_key ctx sc cfg in
     Artifact.with_cache t ~stage:"validate" ~key ~ext:"json"
       ~load:(fun file -> Validate.of_json (Json.of_string (read_file file)))
-      ~save:(fun r tmp ->
-        write_file tmp (Json.to_string (Validate.to_json r) ^ "\n"))
+      ~save:Validate.save_json
       compute
 
 (* ------------------------------------------------------------------ *)

@@ -17,8 +17,9 @@
 
     With [ctx.cache_dir] set, the expensive stages are served from an
     {!Artifact} store: the campaign artifact is the {!Lv_multiwalk.Checkpoint}
-    run-log itself (so a crashed engine run resumes where it stopped, and a
-    completed one is a pure cache hit), the fit artifact is a JSON rendering
+    run-log, read and written only by {!Lv_multiwalk.Campaign.run} (a log
+    holding every run is a hit, a partial one a miss that resumes, a
+    rejected one a miss that is deleted and recomputed), the fit artifact is a JSON rendering
     of the report (laws are rebuilt with {!Lv_core.Fit.instantiate}), and
     the validation artifact is the {!Lv_validate.Validate.to_json} report
     (keyed on the fit key plus the validation config, cores and seed).  Cache
@@ -63,8 +64,8 @@ val run : ?ctx:Lv_context.Context.t -> Scenario.t -> outcome
     are byte-identical whatever the pool size and whether stages were
     computed or served from cache.  Raises [Failure] / [Invalid_argument]
     on an invalid scenario-context combination, and lets stage exceptions
-    propagate (nothing half-written: artifact and output writes are
-    atomic). *)
+    propagate (fit and validation artifacts are written atomically, and
+    the campaign run-log holds only completed runs). *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 (** Human-readable digest: dataset summary, fit verdict, prediction curve,

@@ -7,24 +7,31 @@ type result = {
   n_restored : int;
 }
 
-(* Observations restored from a checkpoint, slotted by run index.  A
-   checkpoint written by a different campaign (seed mismatch) is rejected:
-   mixing foreign runs in silently would corrupt the dataset. *)
+exception Unusable_checkpoint of string
+
+(* Observations restored from a checkpoint, slotted by run index.  A log
+   corrupt before its last line, or written by a different campaign (seed
+   mismatch), is rejected before any run starts: mixing unreadable or
+   foreign runs in silently would corrupt the dataset. *)
 let restore_slots ~path ~seed ~runs =
+  let entries =
+    try Checkpoint.load path with Failure msg -> raise (Unusable_checkpoint msg)
+  in
   let slots = Array.make runs None in
   List.iter
     (fun e ->
       let r = e.Checkpoint.run in
       if r >= 0 && r < runs then begin
         if e.Checkpoint.seed <> seed + r then
-          invalid_arg
-            (Printf.sprintf
-               "Campaign.run: checkpoint %s belongs to a different campaign \
-                (run %d recorded with seed %d, expected %d)"
-               path r e.Checkpoint.seed (seed + r));
+          raise
+            (Unusable_checkpoint
+               (Printf.sprintf
+                  "Campaign.run: checkpoint %s belongs to a different \
+                   campaign (run %d recorded with seed %d, expected %d)"
+                  path r e.Checkpoint.seed (seed + r)));
         slots.(r) <- Some (Checkpoint.observation_of_entry e)
       end)
-    (Checkpoint.load path);
+    entries;
   slots
 
 let run_fn ?(ctx = Lv_context.Context.default) ?progress ?checkpoint
@@ -37,19 +44,19 @@ let run_fn ?(ctx = Lv_context.Context.default) ?progress ?checkpoint
   let n_censored_cell = ref 0 in
   let retries = Atomic.make 0 in
   let retried_runs = Atomic.make 0 in
-  let restored =
+  let slots =
     match checkpoint with
     | Some path -> restore_slots ~path ~seed ~runs
     | None -> Array.make runs None
   in
   let n_restored =
-    Array.fold_left (fun n s -> if s = None then n else n + 1) 0 restored
+    Array.fold_left (fun n s -> if s = None then n else n + 1) 0 slots
   in
   let body () =
-    let with_p f =
-      match pool with
-      | Some p -> f p
-      | None -> Lv_exec.Pool.with_pool ~domains:1 f
+    (* Only the runs missing from the log execute. *)
+    let missing =
+      Array.of_seq
+        (Seq.filter (fun r -> slots.(r) = None) (Seq.init runs Fun.id))
     in
     let with_log f =
       (* Nothing left to append when every run was restored — and opening
@@ -60,15 +67,20 @@ let run_fn ?(ctx = Lv_context.Context.default) ?progress ?checkpoint
       | _ -> f None
     in
     with_log @@ fun log ->
-    with_p @@ fun p ->
-    (* One runner per pool worker, created lazily on that worker's first
-       run: instances are mutable and must not be shared, but they are
-       profitably reused across the runs one worker executes.  Each slot is
-       only ever touched by its own worker. *)
-    let runners = Array.make (Lv_exec.Pool.size p) None in
-    let completed = Atomic.make 0 in
+    (* One runner per pool worker (one without a pool), created lazily on
+       that worker's first run: instances are mutable and must not be
+       shared, but they are profitably reused across the runs one worker
+       executes.  Each slot is only ever touched by its own worker. *)
+    let runners =
+      Array.make (match pool with Some p -> Lv_exec.Pool.size p | None -> 1) None
+    in
+    let completed = Atomic.make n_restored in
     let fresh_run r =
-      let w = Option.value (Lv_exec.Pool.worker_index ()) ~default:0 in
+      let w =
+        match pool with
+        | Some _ -> Option.value (Lv_exec.Pool.worker_index ()) ~default:0
+        | None -> 0
+      in
       let runner =
         match runners.(w) with
         | Some f -> f
@@ -129,26 +141,25 @@ let run_fn ?(ctx = Lv_context.Context.default) ?progress ?checkpoint
                  ("iterations", Lv_telemetry.Json.Int obs.Run.iterations);
                  ("solved", Lv_telemetry.Json.Bool obs.Run.solved);
                ]);
-      obs
-    in
-    let one_run r =
-      let obs =
-        match restored.(r) with Some obs -> obs | None -> fresh_run r
-      in
       let done_ = Atomic.fetch_and_add completed 1 + 1 in
       (match progress with Some f -> f done_ | None -> ());
       obs
     in
-    (* Result slot [r] is filled by run [r] wherever it executed, so the
-       dataset is byte-identical for every pool size; a runner exception
-       that survives the retry policy aborts the campaign — the pool joins
-       every in-flight run first, then re-raises it here (no leaked
-       domains, no unclaimed slots).  With a checkpoint, completed runs
-       were already logged, so the aborted campaign resumes where it
-       died. *)
-    let observations =
-      Array.to_list (Lv_exec.Pool.parallel_map p one_run (Array.init runs Fun.id))
+    (* Result [i] is run [missing.(i)] wherever it executed, so the
+       dataset is byte-identical for every pool size; without a pool the
+       runs execute in order on the calling domain, and with nothing
+       missing the pool is not touched.  A runner exception that survives
+       the retry policy aborts the campaign — the pool joins every
+       in-flight run first, then re-raises it here (no leaked domains, no
+       unclaimed slots).  With a checkpoint, completed runs were already
+       logged, so the aborted campaign resumes where it died. *)
+    let fresh =
+      match pool with
+      | Some p -> Lv_exec.Pool.parallel_map p fresh_run missing
+      | None -> Array.map fresh_run missing
     in
+    Array.iteri (fun i r -> slots.(r) <- Some fresh.(i)) missing;
+    let observations = Array.to_list (Array.map Option.get slots) in
     let n_censored =
       List.length (List.filter (fun o -> not o.Run.solved) observations)
     in

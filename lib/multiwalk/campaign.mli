@@ -5,8 +5,8 @@
     Runs are independent, so campaigns optionally spread across OCaml 5
     domains — this parallelism only accelerates data *collection*; each
     observation is still a sequential run.  Execution goes through the
-    {!Lv_exec.Pool} of [?ctx]; a context without a pool makes the campaign
-    scope a private one-worker pool for its duration.
+    {!Lv_exec.Pool} of [?ctx]; without a pool the runs execute serially on
+    the calling domain.
 
     {2 Robustness}
 
@@ -22,10 +22,16 @@
     - {e Checkpoint/resume} ([?checkpoint]): every completed run is
       appended (and flushed) to a JSONL run-log ({!Checkpoint}).  On
       restart with the same [~seed]/[~runs], logged runs are restored
-      instead of re-executed, and the resumed dataset is byte-identical
-      to an uninterrupted campaign (per-run seeding [seed + r] makes
-      iteration counts exact; restored seconds are the genuinely measured
-      ones).  A checkpoint recorded under a different seed is rejected.
+      instead of re-executed — only the runs missing from the log go to
+      the executor, and a complete log opens neither the executor nor
+      the writer — and the resumed dataset is byte-identical to an
+      uninterrupted campaign (per-run seeding [seed + r] makes iteration
+      counts exact; restored seconds are the genuinely measured ones).
+      A log that is corrupt before its last line, or that was recorded
+      under a different seed, raises {!Unusable_checkpoint} before any
+      run starts.  This is the one reader and writer of run-logs: the
+      engine's campaign artifact is such a log, passed here as
+      [?checkpoint].
     - {e Retry-with-backoff} ([?retry], default {!Retry.none}): a run
       whose runner raises is re-attempted under the policy before the
       campaign aborts.  Retried runs recreate their generator from the
@@ -41,6 +47,12 @@
     telemetry sink come from [?ctx] (an {!Lv_context.Context.t}) and
     nowhere else.  Budget, checkpoint path and retry policy are per-call
     settings and stay explicit arguments. *)
+
+exception Unusable_checkpoint of string
+(** Raised by {!run}/{!run_fn} before any run executes when the
+    [?checkpoint] log cannot be resumed: a line before the last one is
+    malformed, or an entry's seed is not [seed + run].  The message names
+    the file. *)
 
 type result = {
   observations : Run.observation list;
@@ -70,12 +82,13 @@ val run :
   (unit -> Lv_search.Csp.packed) ->
   result
 (** [run ~label ~seed ~runs make_instance] performs [runs] independent
-    solves.  [make_instance] is called at most once per pool worker, on that
-    worker's first run (instances are mutable and must not be shared).
-    [ctx.pool] selects the executor; when it is [None] a private
-    one-worker pool is created for the campaign and shut down after.
-    [progress] is called with the number of completed runs after each
-    completion (restored runs count as completed).  Seeding is per-run
+    solves.  [make_instance] is called at most once per pool worker (once
+    in all without a pool), on that worker's first run, and never when
+    every run is restored (instances are mutable and must not be shared).
+    [ctx.pool] selects the executor; when it is [None] the runs execute
+    one after another on the calling domain.  [progress] is called with
+    the number of completed runs after each executed run (restored runs
+    count as completed, but are not reported one by one).  Seeding is per-run
     ([seed + run index]) and results are slotted by run index, so the
     datasets are byte-identical whatever the pool size.
 
@@ -101,7 +114,7 @@ val run_fn :
   (unit -> Lv_stats.Rng.t -> Run.observation) ->
   result
 (** Generic campaign over any Las Vegas algorithm: [make_runner ()] is
-    called at most once per pool worker and must return a function
+    called at most once per pool worker (as in {!run}) and must return a function
     performing one independent run from the given generator.  Same seeding,
     determinism, checkpoint and retry guarantees as {!run}; budgets are the
     runner's own business here. *)

@@ -11,6 +11,8 @@ printf '1\n2\n3\n5\n8\n13\n21\n34\n' > "$work/data.csv"
 printf '[scenario]\nproblem = n-queens\nsize = 8\nvalidate = replicates=1\n' \
   > "$work/bad-validate.conf"
 : > "$work/empty.csv"
+printf 'garbage\n{"run":0,"seed":1,"iterations":3,"seconds":0.001,"solved":true}\n' \
+  > "$work/bad-log.jsonl"
 failures=0
 
 expect_usage_error() {
@@ -63,6 +65,11 @@ expect_one_line ttt "$work/empty.csv"
 expect_one_line campaign n-queens 8 --runs 3 --timeout 0 -q
 # A scenario the parser rejects (too few bootstrap replicates).
 expect_one_line run "$work/bad-validate.conf" -q
+# A run-log with a bad line before a valid entry cannot be resumed; the
+# line names the file.
+expect_one_line campaign n-queens 8 --runs 3 --checkpoint "$work/bad-log.jsonl" -q
+grep -q "bad-log.jsonl" "$work/err" \
+  || { echo "FAIL: the unusable checkpoint is not named"; failures=$((failures + 1)); }
 
 # The same commands with sane values still succeed.
 "$lvp" campaign n-queens 8 --runs 5 --pool-domains 1 --retries 0 -q > /dev/null \

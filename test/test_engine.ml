@@ -472,7 +472,50 @@ let test_engine_cache_second_run_free () =
       Alcotest.(check string) ("identical " ^ k1) (read_file p1) (read_file p2))
     o1.Engine.outputs o2.Engine.outputs;
   Alcotest.(check int) "dataset+prediction written" 2
-    (List.length o1.Engine.outputs)
+    (List.length o1.Engine.outputs);
+  let same_outputs what (o : Engine.outcome) =
+    List.iter2
+      (fun (k1, p1) (_, p2) ->
+        Alcotest.(check string)
+          (what ^ ": identical " ^ k1)
+          (read_file p1) (read_file p2))
+      o1.Engine.outputs o.Engine.outputs
+  in
+  let log =
+    match
+      List.filter
+        (fun f -> String.starts_with ~prefix:"campaign-" f)
+        (Array.to_list (Sys.readdir cache))
+    with
+    | [ f ] -> Filename.concat cache f
+    | _ -> Alcotest.fail "expected exactly one campaign artifact"
+  in
+  let full = read_file log in
+  let write text =
+    let oc = open_out_bin log in
+    output_string oc text;
+    close_out oc
+  in
+  (* A run-log corrupt before its last line is rejected, deleted and
+     recomputed: a campaign miss, never an exception. *)
+  write ("garbage\n" ^ full);
+  let o3 = run (tmp_dir ()) in
+  Alcotest.(check int) "corrupt log: fit hit" 1 o3.Engine.cache_hits;
+  Alcotest.(check int) "corrupt log: campaign miss" 1 o3.Engine.cache_misses;
+  Alcotest.(check int) "corrupt log: nothing restored" 0
+    o3.Engine.campaign.Lv_multiwalk.Campaign.n_restored;
+  same_outputs "corrupt log" o3;
+  (* A log cut to its first k whole lines is a miss that resumes. *)
+  let k = 5 in
+  write
+    (String.concat "\n"
+       (List.filteri (fun i _ -> i < k) (String.split_on_char '\n' full))
+    ^ "\n");
+  let o4 = run (tmp_dir ()) in
+  Alcotest.(check int) "truncated log: campaign miss" 1 o4.Engine.cache_misses;
+  Alcotest.(check int) "truncated log: k runs restored" k
+    o4.Engine.campaign.Lv_multiwalk.Campaign.n_restored;
+  same_outputs "truncated log" o4
 
 let test_engine_validation_json_output () =
   (* A validated scenario with an output dir writes the full report as

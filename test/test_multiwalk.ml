@@ -228,6 +228,30 @@ let test_campaign_run_fn_generic () =
     (c.Lv_multiwalk.Campaign.iterations.Lv_multiwalk.Dataset.values
     = c2.Lv_multiwalk.Campaign.iterations.Lv_multiwalk.Dataset.values)
 
+let test_campaign_serial_on_caller () =
+  (* Without a pool the runs execute one after another on the calling
+     domain, and the dataset is the one a pool of 3 gives. *)
+  let off_caller = Atomic.make 0 in
+  let runner () =
+    let packed = Lv_problems.Queens.pack 12 in
+    fun rng ->
+      if Lv_exec.Pool.worker_index () <> None then Atomic.incr off_caller;
+      Lv_multiwalk.Run.once ~rng packed
+  in
+  let serial =
+    Lv_multiwalk.Campaign.run_fn ~label:"s" ~seed:800 ~runs:20 runner
+  in
+  Alcotest.(check int) "every run on the calling domain" 0
+    (Atomic.get off_caller);
+  let pooled =
+    on_pool 3 @@ fun ctx ->
+    Lv_multiwalk.Campaign.run_fn ~ctx ~label:"s" ~seed:800 ~runs:20 runner
+  in
+  Alcotest.(check int) "pooled runs on workers" 20 (Atomic.get off_caller);
+  let values c = c.Lv_multiwalk.Campaign.iterations.Lv_multiwalk.Dataset.values in
+  Alcotest.(check (array (float 0.))) "identical dataset" (values serial)
+    (values pooled)
+
 exception Runner_failed of int
 
 let test_campaign_worker_exception_propagates () =
@@ -731,8 +755,72 @@ let test_checkpoint_seed_mismatch_rejected () =
      Lv_multiwalk.Campaign.run ~checkpoint:log ~label:"a" ~seed:501 ~runs:4 make
    with
   | _ -> Alcotest.fail "foreign checkpoint silently mixed in"
-  | exception Invalid_argument _ -> ());
+  | exception Lv_multiwalk.Campaign.Unusable_checkpoint _ -> ());
   Sys.remove log
+
+let test_checkpoint_complete_log_restores () =
+  (* A log that holds every run is the whole campaign: nothing executes,
+     so no instance is ever built, and the log is left as it was. *)
+  let log = tmp_log () in
+  let built = Atomic.make 0 in
+  let make () =
+    Atomic.incr built;
+    Lv_problems.Queens.pack 12
+  in
+  let clean =
+    Lv_multiwalk.Campaign.run ~checkpoint:log ~label:"ck" ~seed:600 ~runs:8 make
+  in
+  let bytes = read_file log in
+  Atomic.set built 0;
+  let again =
+    on_pool 2 @@ fun ctx ->
+    Lv_multiwalk.Campaign.run ~ctx ~checkpoint:log ~label:"ck" ~seed:600
+      ~runs:8 make
+  in
+  Alcotest.(check int) "no instance built" 0 (Atomic.get built);
+  Alcotest.(check int) "every run restored" 8
+    again.Lv_multiwalk.Campaign.n_restored;
+  Alcotest.(check string) "identical dataset" (iterations_csv clean)
+    (iterations_csv again);
+  Alcotest.(check string) "log untouched" bytes (read_file log);
+  Sys.remove log
+
+let test_checkpoint_unusable_raises_first () =
+  (* A log corrupt before its last line, or one from another campaign, is
+     rejected before any run executes: no instance is built and the file
+     is not touched. *)
+  let built = Atomic.make 0 in
+  let make () =
+    Atomic.incr built;
+    Lv_problems.Queens.pack 10
+  in
+  List.iter
+    (fun (what, text) ->
+      let log = tmp_log () in
+      write_file log text;
+      (match
+         Lv_multiwalk.Campaign.run ~checkpoint:log ~label:"u" ~seed:700 ~runs:4
+           make
+       with
+      | _ -> Alcotest.failf "%s: log accepted" what
+      | exception Lv_multiwalk.Campaign.Unusable_checkpoint msg ->
+        let n = String.length log in
+        Alcotest.(check bool) (what ^ ": message names the file") true
+          (List.exists
+             (fun i -> String.sub msg i n = log)
+             (List.init (max 0 (String.length msg - n + 1)) Fun.id)));
+      Alcotest.(check int) (what ^ ": no instance built") 0 (Atomic.get built);
+      Alcotest.(check string) (what ^ ": log untouched") text (read_file log);
+      Sys.remove log)
+    [
+      ( "garbage first line",
+        "garbage\n"
+        ^ {|{"run":0,"seed":700,"iterations":5,"seconds":0.5,"solved":true}|}
+        ^ "\n" );
+      ( "foreign seed",
+        {|{"run":0,"seed":1,"iterations":5,"seconds":0.5,"solved":true}|} ^ "\n"
+      );
+    ]
 
 (* The generic decode the checkpoint used before its direct line decoder:
    a [Json.t] tree, then field lookup.  Kept as the reference that every
@@ -1245,6 +1333,8 @@ let () =
           Alcotest.test_case "dataset identical across domains" `Quick
             test_campaign_dataset_identical_across_domains;
           Alcotest.test_case "progress hook" `Quick test_campaign_progress_called;
+          Alcotest.test_case "serial on the calling domain" `Quick
+            test_campaign_serial_on_caller;
           Alcotest.test_case "generic runner" `Quick test_campaign_run_fn_generic;
           Alcotest.test_case "worker exception propagates" `Quick
             test_campaign_worker_exception_propagates;
@@ -1287,6 +1377,10 @@ let () =
             test_checkpoint_survives_runner_crash;
           Alcotest.test_case "seed mismatch rejected" `Quick
             test_checkpoint_seed_mismatch_rejected;
+          Alcotest.test_case "complete log restores without instances" `Quick
+            test_checkpoint_complete_log_restores;
+          Alcotest.test_case "unusable log raises before any run" `Quick
+            test_checkpoint_unusable_raises_first;
           Alcotest.test_case "decoder strictness" `Quick
             test_checkpoint_decoder_strict;
         ]
