@@ -221,6 +221,11 @@ let fit ?(ctx = Lv_context.Context.default) ?alpha
   in
   { sample_size; n_censored; censored_fraction; fits; accepted; best }
 
+let chosen r =
+  match (r.best, r.fits) with
+  | Some f, _ | None, f :: _ -> f
+  | None, [] -> invalid_arg "Fit.chosen: no candidate could be fitted"
+
 let pp_fitted ppf f =
   Format.fprintf ppf "%-36s %a"
     (Distribution.to_string f.dist)
@@ -238,3 +243,110 @@ let pp_report ppf r =
   | Some w -> Format.fprintf ppf "@,warning: %s" w
   | None -> ());
   Format.fprintf ppf "@]"
+
+(* ------------------------------------------------------------------ *)
+(* JSON: the fit artifact, and the KS result it shares with the        *)
+(* validation artifact.                                                *)
+(* ------------------------------------------------------------------ *)
+
+module Json = Lv_telemetry.Json
+
+let decode_error what = failwith ("artifact JSON: " ^ what)
+
+let get m o =
+  match Json.member m o with Some v -> v | None -> decode_error m
+
+(* The encoder spells nan/inf as null (no JSON number for them); a null
+   float field reads back as nan. *)
+let to_f = function
+  | Json.Null -> nan
+  | v -> (
+    match Json.to_float v with Some f -> f | None -> decode_error "float")
+
+let to_i v = match Json.to_int v with Some i -> i | None -> decode_error "int"
+
+let to_s v =
+  match Json.to_str v with Some s -> s | None -> decode_error "string"
+
+let ks_to_json (k : Kolmogorov.result) =
+  Json.Obj
+    [
+      ("statistic", Json.Float k.Kolmogorov.statistic);
+      ("p_value", Json.Float k.Kolmogorov.p_value);
+      ("n", Json.Int k.Kolmogorov.n);
+      ("accept", Json.Bool k.Kolmogorov.accept);
+      ("alpha", Json.Float k.Kolmogorov.alpha);
+    ]
+
+let ks_of_json j =
+  {
+    Kolmogorov.statistic = to_f (get "statistic" j);
+    p_value = to_f (get "p_value" j);
+    n = to_i (get "n" j);
+    accept =
+      (match Json.to_bool (get "accept" j) with
+      | Some b -> b
+      | None -> decode_error "bool");
+    alpha = to_f (get "alpha" j);
+  }
+
+let to_json r =
+  let candidate f = Json.String (candidate_name f.candidate) in
+  let fitted f =
+    Json.Obj
+      [
+        ("candidate", candidate f);
+        ( "params",
+          Json.Obj
+            (List.map
+               (fun (k, v) -> (k, Json.Float v))
+               f.dist.Distribution.params) );
+        ("ks", ks_to_json f.ks);
+      ]
+  in
+  Json.Obj
+    [
+      ("sample_size", Json.Int r.sample_size);
+      ("n_censored", Json.Int r.n_censored);
+      ("censored_fraction", Json.Float r.censored_fraction);
+      ("fits", Json.List (List.map fitted r.fits));
+      ("accepted", Json.List (List.map candidate r.accepted));
+      ("best", match r.best with Some f -> candidate f | None -> Json.Null);
+    ]
+
+let of_json j =
+  let list what = function Json.List l -> l | _ -> decode_error what in
+  let fitted_of j =
+    let candidate =
+      let name = to_s (get "candidate" j) in
+      match candidate_of_string name with
+      | Some c -> c
+      | None -> decode_error ("unknown candidate " ^ name)
+    in
+    let params =
+      match get "params" j with
+      | Json.Obj kvs -> List.map (fun (k, v) -> (k, to_f v)) kvs
+      | _ -> decode_error "params"
+    in
+    {
+      candidate;
+      dist = instantiate candidate params;
+      ks = ks_of_json (get "ks" j);
+    }
+  in
+  let fits = List.map fitted_of (list "fits" (get "fits" j)) in
+  let by_name v =
+    let name = to_s v in
+    match List.find_opt (fun f -> candidate_name f.candidate = name) fits with
+    | Some f -> f
+    | None ->
+      decode_error ("accepted/best candidate " ^ name ^ " not among fits")
+  in
+  {
+    sample_size = to_i (get "sample_size" j);
+    n_censored = to_i (get "n_censored" j);
+    censored_fraction = to_f (get "censored_fraction" j);
+    fits;
+    accepted = List.map by_name (list "accepted" (get "accepted" j));
+    best = (match get "best" j with Json.Null -> None | v -> Some (by_name v));
+  }

@@ -47,7 +47,7 @@ type report = {
   censored_fraction : float;
       (** [n_censored / (sample_size + n_censored)] — above
           {!censoring_warn_threshold} the fitted law is materially
-          truncated and {!censoring_warning} fires *)
+          truncated and {!pp_report} prints a warning *)
   fits : fitted list;      (** every candidate that could be estimated,
                                sorted by decreasing p-value *)
   accepted : fitted list;  (** the subset passing the KS test *)
@@ -89,12 +89,6 @@ val compare_by_p_value : fitted -> fitted -> int
 val censoring_warn_threshold : float
 (** Censored fraction above which a fit is flagged as truncated (0.05). *)
 
-val censoring_warning : report -> string option
-(** A human-readable warning when [censored_fraction] exceeds
-    {!censoring_warn_threshold}: the fit ignored the censored runs, so it
-    understates the upper tail and the speed-up predictions built on it
-    are optimistic.  [None] below the threshold.  {!pp_report} prints it. *)
-
 val fit :
   ?ctx:Lv_context.Context.t ->
   ?alpha:float ->
@@ -116,5 +110,30 @@ val fit :
     emitted under the fixed path ["fit/fit.candidate"], one per
     candidate, whatever domain the fit runs on. *)
 
-val pp_fitted : Format.formatter -> fitted -> unit
+val chosen : report -> fitted
+(** The fit that predictions and validation use: [best] when a candidate
+    was accepted, else the highest-p-value fit even though the KS test
+    rejected it.  Raises [Invalid_argument] on a report with no fits. *)
+
 val pp_report : Format.formatter -> report -> unit
+(** The fits, the best one, and — when [censored_fraction] exceeds
+    {!censoring_warn_threshold} — a warning that the fit ignored the
+    censored runs, so it understates the upper tail and the speed-ups
+    predicted from it are optimistic. *)
+
+(** {2 JSON} *)
+
+val to_json : report -> Lv_telemetry.Json.t
+(** The fit artifact: every fit's candidate, parameters and KS result, the
+    accepted and best candidates by name, and the sample counts. *)
+
+val of_json : Lv_telemetry.Json.t -> report
+(** Inverse of {!to_json}, rebuilding each law with {!instantiate}; raises
+    [Failure] (or [Invalid_argument] from {!instantiate}) on malformed
+    input. *)
+
+val ks_to_json : Lv_stats.Kolmogorov.result -> Lv_telemetry.Json.t
+val ks_of_json : Lv_telemetry.Json.t -> Lv_stats.Kolmogorov.result
+(** The KS-result object both the fit and the validation artifacts embed;
+    a null statistic or p-value (the encoder's spelling of nan) reads back
+    as nan. *)

@@ -45,11 +45,23 @@ let of_fit ?(ctx = Lv_context.Context.default) ~label ~cores
     limit = Speedup.limit law;
   }
 
+(* The chosen law must have a curve; say which law it is, whether the KS
+   test accepted it, and how to keep such laws out of the pool. *)
 let chosen_law (report : Fit.report) ~who =
-  match (report.Fit.best, report.Fit.fits) with
-  | Some f, _ -> f.Fit.dist
-  | None, f :: _ -> f.Fit.dist
-  | None, [] -> invalid_arg (who ^ ": no candidate could be fitted")
+  let f = Fit.chosen report in
+  let law = f.Fit.dist in
+  if not (Speedup.has_curve law) then
+    invalid_arg
+      (Printf.sprintf
+         "%s: the chosen law %s %s and has no speed-up curve (it needs a \
+          nonnegative support and a finite mean); restrict the fit with the \
+          scenario key candidates, e.g. candidates = \
+          exponential,shifted-exponential,lognormal,shifted-lognormal"
+         who
+         (Lv_stats.Distribution.to_string law)
+         (if f.Fit.ks.Lv_stats.Kolmogorov.accept then "was accepted"
+          else "was not accepted (no candidate passed the KS test)"));
+  law
 
 let of_report ?ctx ~label ~cores (report : Fit.report) =
   of_fit ?ctx ~label ~cores report (chosen_law report ~who:"Predict.of_report")

@@ -17,9 +17,12 @@ val of_dataset :
   cores:int list ->
   Lv_multiwalk.Dataset.t ->
   prediction
-(** Fit the dataset (keeping the best accepted candidate, or the highest
-    p-value fit when nothing clears [alpha], default [ctx.alpha]) and
-    predict speed-ups at [cores].  The candidate fits and the
+(** Fit the dataset (keeping {!Fit.chosen}: the best accepted candidate,
+    or the highest p-value fit when nothing clears [alpha], default
+    [ctx.alpha]) and predict speed-ups at [cores].  Raises
+    [Invalid_argument] when the chosen law has no speed-up curve
+    ({!Speedup.has_curve}); the message names the law, says whether the KS
+    test accepted it, and points at the scenario key [candidates].  The candidate fits and the
     per-core-count quadratures run serially on the calling domain
     ([ctx.pool] is not used).  With a live [ctx.telemetry] sink the fit
     emits its spans (see {!Fit.fit}) and the prediction wraps in a
@@ -34,11 +37,11 @@ val of_report :
   cores:int list ->
   Fit.report ->
   prediction
-(** Predict from an already-computed fit report (the law is the report's
-    [best] accepted fit, or its highest-p-value fit when nothing cleared
-    alpha) — the entry point for pipelines that fit once and predict many
-    times, or restore the fit from an artifact cache.  Raises
-    [Invalid_argument] on a report with no fits. *)
+(** Predict from an already-computed fit report (the law is
+    {!Fit.chosen}) — the entry point for pipelines that fit once and
+    predict many times, or restore the fit from an artifact cache.  Raises
+    [Invalid_argument] on a report with no fits, or as {!of_dataset} when
+    the chosen law has no speed-up curve. *)
 
 val of_distribution :
   ?ctx:Lv_context.Context.t ->

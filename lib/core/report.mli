@@ -8,12 +8,9 @@ val table :
 val float_cell : ?decimals:int -> float -> string
 (** Human-friendly float: fixed decimals below 1e6, scientific beyond. *)
 
-val series :
-  title:string -> ?y_label:string -> (float * float) list -> string
-(** A figure as aligned (x, y) pairs plus a side bar chart — how the
-    reproduction prints speed-up curves and densities. *)
-
 val speedup_series : title:string -> Speedup.point list -> string
+(** A speed-up curve as aligned (cores, speed-up) pairs plus a side bar
+    chart — how the reproduction prints its figures. *)
 
 val section : string -> string
 (** Banner line separating bench sections. *)

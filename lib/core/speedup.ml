@@ -17,12 +17,18 @@ let at d ~cores =
 
 let curve d ~cores = List.map (fun n -> { cores = n; speedup = at d ~cores:n }) cores
 
+let has_curve (d : Distribution.t) =
+  fst d.Distribution.support >= 0. && Float.is_finite d.Distribution.mean
+
 let limit (d : Distribution.t) =
-  let mean = mean_of d in
+  if not (has_curve d) then
+    invalid_arg
+      (Printf.sprintf
+         "Speedup.limit: %s has no speed-up curve (it needs a nonnegative \
+          support and a finite mean)"
+         (Distribution.to_string d));
   let lo, _ = d.Distribution.support in
-  if not (Float.is_finite lo) || lo < 0. then
-    invalid_arg "Speedup.limit: runtime law must have nonnegative support";
-  if lo = 0. then infinity else mean /. lo
+  if lo = 0. then infinity else d.Distribution.mean /. lo
 
 let tangent_at_origin d =
   match Min_dist.exponential_params d with
@@ -39,25 +45,5 @@ let exponential_curve ~x0 ~rate ~cores =
       let ez = x0 +. (1. /. (float_of_int n *. rate)) in
       { cores = n; speedup = ey /. ez })
     cores
-
-let efficiency d ~cores = at d ~cores /. float_of_int cores
-
-let cores_for_efficiency ?(max_cores = 1 lsl 20) d ~threshold =
-  if not (threshold > 0. && threshold <= 1.) then
-    invalid_arg "Speedup.cores_for_efficiency: threshold must lie in (0, 1]";
-  if max_cores < 1 then
-    invalid_arg "Speedup.cores_for_efficiency: max_cores must be positive";
-  if efficiency d ~cores:max_cores >= threshold then max_cores
-  else begin
-    (* Efficiency is nonincreasing in n (E[Z^(n)] can shrink at most like
-       1/n), so binary search for the last n meeting the threshold. *)
-    let lo = ref 1 and hi = ref max_cores in
-    (* Invariant: eff(lo) >= threshold > eff(hi). *)
-    while !hi - !lo > 1 do
-      let mid = !lo + ((!hi - !lo) / 2) in
-      if efficiency d ~cores:mid >= threshold then lo := mid else hi := mid
-    done;
-    !lo
-  end
 
 let pp_point ppf p = Format.fprintf ppf "(%d, %.3f)" p.cores p.speedup

@@ -15,10 +15,17 @@ val at : Lv_stats.Distribution.t -> cores:int -> float
 val curve : Lv_stats.Distribution.t -> cores:int list -> point list
 (** One {!at} evaluation per core count, in input order. *)
 
+val has_curve : Lv_stats.Distribution.t -> bool
+(** Whether the law has a speed-up curve: the multi-walk transform needs a
+    nonnegative support and a finite mean.  Laws outside that class
+    (gaussian, Lévy) can still be fitted and validated, but not
+    predicted. *)
+
 val limit : Lv_stats.Distribution.t -> float
 (** [lim_{n→∞} G_n]: [E[Y] / inf support] when the support's lower end
     [x0 > 0] (finite ceiling), [infinity] when [x0 = 0] — the paper's
-    dichotomy between saturating and linearly-scaling problems. *)
+    dichotomy between saturating and linearly-scaling problems.  Raises
+    [Invalid_argument] unless {!has_curve}. *)
 
 val tangent_at_origin : Lv_stats.Distribution.t -> float
 (** Closed form [x0·λ + 1] for exponential laws; first-difference
@@ -28,18 +35,5 @@ val tangent_at_origin : Lv_stats.Distribution.t -> float
 val exponential_curve : x0:float -> rate:float -> cores:int list -> point list
 (** The Section 3.3 closed form, without constructing a distribution (used
     by benches to regenerate Figure 3 exactly). *)
-
-val efficiency : Lv_stats.Distribution.t -> cores:int -> float
-(** Parallel efficiency [G_n / n] in (0, 1]: 1 for a perfectly linear law,
-    sliding toward 0 as the speed-up saturates. *)
-
-val cores_for_efficiency :
-  ?max_cores:int -> Lv_stats.Distribution.t -> threshold:float -> int
-(** Largest core count whose efficiency still meets [threshold] (in (0, 1]):
-    the provisioning question the prediction model answers — "how many
-    cores are worth racing on this workload?".  Efficiency is
-    nonincreasing in [n], so this is a binary search; returns [max_cores]
-    (default 1,048,576) when the law never drops below the threshold (the
-    linear case). *)
 
 val pp_point : Format.formatter -> point -> unit

@@ -12,12 +12,10 @@ val points : float array -> point list
     empty sample or one containing a non-finite value (NaN would sort at
     an unspecified rank and scramble the probability axis). *)
 
-val qq : float array -> Lv_stats.Distribution.t -> (float * float) list
-(** Q–Q pairs: (theoretical quantile at [p_i], observed [t_(i)]). *)
-
 val qq_correlation : float array -> Lv_stats.Distribution.t -> float
-(** Pearson correlation of the Q–Q pairs — a scalar straightness score in
-    [−1, 1]; values near 1 support the fitted law. *)
+(** Pearson correlation of the Q–Q pairs (theoretical quantile at [p_i],
+    observed [t_(i)]) — a scalar straightness score in [−1, 1]; values
+    near 1 support the fitted law. *)
 
 val render : ?width:int -> float array -> string
 (** ASCII TTT plot: one line per observation decile, cumulative probability

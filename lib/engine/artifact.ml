@@ -1,5 +1,6 @@
 (* Bump whenever an artifact format or a producing stage's algorithm
-   changes: the salt lands in every key, so old artifacts miss cleanly. *)
+   changes: the salt lands in every key, so old artifacts miss cleanly
+   instead of being deserialized wrongly or replaying stale results. *)
 let code_version = "lv-engine-3"
 
 type t = {
@@ -21,7 +22,6 @@ let create ?(telemetry = Lv_telemetry.Sink.null) ~dir () =
   mkdir_p dir;
   { dir; telemetry; hits = Atomic.make 0; misses = Atomic.make 0 }
 
-let dir t = t.dir
 let hits t = Atomic.get t.hits
 let misses t = Atomic.get t.misses
 

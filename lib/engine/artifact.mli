@@ -3,7 +3,7 @@
 
     Every cacheable pipeline stage derives a {!key} from everything that
     determines its output — the stage name, its parameters (rendered as
-    sorted [key=value] pairs), the seed, and a {!code_version} salt bumped
+    sorted [key=value] pairs), the seed, and a code-version salt bumped
     whenever the serialized formats or the producing algorithms change —
     and stores its result at [<dir>/<stage>-<key>.<ext>] using the
     pipeline's existing serializations (fit and validation reports as
@@ -24,18 +24,11 @@
 
 type t
 
-val code_version : string
-(** Salt folded into every {!key}.  Bump it when an artifact format or a
-    stage's algorithm changes: old artifacts then miss instead of being
-    deserialized wrongly or replaying stale results. *)
-
 val create : ?telemetry:Lv_telemetry.Sink.t -> dir:string -> unit -> t
 (** Open (creating, recursively) the store directory. *)
 
-val dir : t -> string
-
 val key : stage:string -> params:(string * string) list -> seed:int -> string
-(** Stable content hash (hex) of [(code_version, stage, seed, params)];
+(** Stable content hash (hex) of [(salt, stage, seed, params)];
     [params] order does not matter (pairs are sorted). *)
 
 val path : t -> stage:string -> key:string -> ext:string -> string

@@ -115,158 +115,45 @@ let run_campaign ctx store (sc : Scenario.t) =
     c
 
 (* ------------------------------------------------------------------ *)
-(* Fit stage: JSON artifact, laws rebuilt with [Fit.instantiate].      *)
+(* Fit and validate stages: one JSON artifact each, in the format of  *)
+(* [Fit.to_json] and [Validate.to_json].                              *)
 (* ------------------------------------------------------------------ *)
 
-let json_of_report (r : Fit.report) =
-  let candidate f = Json.String (Fit.candidate_name f.Fit.candidate) in
-  let fitted (f : Fit.fitted) =
-    let ks = f.Fit.ks in
-    Json.Obj
-      [
-        ("candidate", candidate f);
-        ( "params",
-          Json.Obj
-            (List.map
-               (fun (k, v) -> (k, Json.Float v))
-               f.Fit.dist.Lv_stats.Distribution.params) );
-        ( "ks",
-          Json.Obj
-            [
-              ("statistic", Json.Float ks.Lv_stats.Kolmogorov.statistic);
-              ("p_value", Json.Float ks.Lv_stats.Kolmogorov.p_value);
-              ("n", Json.Int ks.Lv_stats.Kolmogorov.n);
-              ("accept", Json.Bool ks.Lv_stats.Kolmogorov.accept);
-              ("alpha", Json.Float ks.Lv_stats.Kolmogorov.alpha);
-            ] );
-      ]
-  in
-  Json.Obj
-    [
-      ("sample_size", Json.Int r.Fit.sample_size);
-      ("n_censored", Json.Int r.Fit.n_censored);
-      ("censored_fraction", Json.Float r.Fit.censored_fraction);
-      ("fits", Json.List (List.map fitted r.Fit.fits));
-      ("accepted", Json.List (List.map candidate r.Fit.accepted));
-      ( "best",
-        match r.Fit.best with Some f -> candidate f | None -> Json.Null );
-    ]
-
-let report_of_json j =
-  let fail what = failwith ("fit artifact: " ^ what) in
-  let get m o = match Json.member m o with Some v -> v | None -> fail m in
-  let to_f v = match Json.to_float v with Some f -> f | None -> fail "float" in
-  let to_i v = match Json.to_int v with Some i -> i | None -> fail "int" in
-  let to_b v = match Json.to_bool v with Some b -> b | None -> fail "bool" in
-  let to_s v = match Json.to_str v with Some s -> s | None -> fail "string" in
-  let fitted_of j =
-    let candidate =
-      let name = to_s (get "candidate" j) in
-      match Fit.candidate_of_string name with
-      | Some c -> c
-      | None -> fail ("unknown candidate " ^ name)
-    in
-    let params =
-      match get "params" j with
-      | Json.Obj kvs -> List.map (fun (k, v) -> (k, to_f v)) kvs
-      | _ -> fail "params"
-    in
-    let ksj = get "ks" j in
-    {
-      Fit.candidate;
-      dist = Fit.instantiate candidate params;
-      ks =
-        {
-          Lv_stats.Kolmogorov.statistic = to_f (get "statistic" ksj);
-          p_value = to_f (get "p_value" ksj);
-          n = to_i (get "n" ksj);
-          accept = to_b (get "accept" ksj);
-          alpha = to_f (get "alpha" ksj);
-        };
-    }
-  in
-  let fits =
-    match get "fits" j with
-    | Json.List l -> List.map fitted_of l
-    | _ -> fail "fits"
-  in
-  let by_name v =
-    let name = to_s v in
-    match
-      List.find_opt (fun f -> Fit.candidate_name f.Fit.candidate = name) fits
-    with
-    | Some f -> f
-    | None -> fail ("accepted/best candidate " ^ name ^ " not among fits")
-  in
-  let accepted =
-    match get "accepted" j with
-    | Json.List l -> List.map by_name l
-    | _ -> fail "accepted"
-  in
-  let best =
-    match get "best" j with Json.Null -> None | v -> Some (by_name v)
-  in
-  {
-    Fit.sample_size = to_i (get "sample_size" j);
-    n_censored = to_i (get "n_censored" j);
-    censored_fraction = to_f (get "censored_fraction" j);
-    fits;
-    accepted;
-    best;
-  }
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path s =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc s)
+let cached store ~stage ~key ~to_json ~of_json compute =
+  match store with
+  | None -> compute ()
+  | Some t ->
+    Artifact.with_cache t ~stage ~key ~ext:"json"
+      ~load:(fun file ->
+        of_json
+          (Json.of_string (In_channel.with_open_bin file In_channel.input_all)))
+      ~save:(fun v tmp ->
+        Out_channel.with_open_bin tmp (fun oc ->
+            Out_channel.output_string oc (Json.to_string (to_json v) ^ "\n")))
+      compute
 
 (* Names were validated by [Scenario.make]. *)
 let candidates (sc : Scenario.t) =
   Option.map (List.filter_map Fit.candidate_of_string) sc.Scenario.candidates
 
 let run_fit (ctx : Ctx.t) store (sc : Scenario.t) (ds : Dataset.t) =
-  let compute () =
-    Fit.fit ~ctx ?alpha:sc.Scenario.alpha ?candidates:(candidates sc)
-      ~n_censored:(Dataset.n_censored ds)
-      ds.Dataset.values
-  in
-  match store with
-  | None -> compute ()
-  | Some t ->
-    let key = fit_key ctx sc in
-    Artifact.with_cache t ~stage:"fit" ~key ~ext:"json"
-      ~load:(fun file -> report_of_json (Json.of_string (read_file file)))
-      ~save:(fun report tmp ->
-        write_file tmp (Json.to_string (json_of_report report) ^ "\n"))
-      compute
-
-(* ------------------------------------------------------------------ *)
-(* Validate stage: the whole Validate.report as one JSON artifact.     *)
-(* ------------------------------------------------------------------ *)
+  cached store ~stage:"fit"
+    ~key:(fit_key ctx sc)
+    ~to_json:Fit.to_json ~of_json:Fit.of_json
+    (fun () ->
+      Fit.fit ~ctx ?alpha:sc.Scenario.alpha ?candidates:(candidates sc)
+        ~n_censored:(Dataset.n_censored ds)
+        ds.Dataset.values)
 
 let run_validate (ctx : Ctx.t) store (sc : Scenario.t) (cfg : Validate.config)
     (ds : Dataset.t) (report : Fit.report) =
-  let compute () =
-    Validate.run ~ctx ?alpha:sc.Scenario.alpha ?candidates:(candidates sc)
-      ~config:cfg
-      ~seed:sc.Scenario.seed ~cores:sc.Scenario.cores ~label:sc.Scenario.name
-      ~report ds.Dataset.values
-  in
-  match store with
-  | None -> compute ()
-  | Some t ->
-    let key = validate_key ctx sc cfg in
-    Artifact.with_cache t ~stage:"validate" ~key ~ext:"json"
-      ~load:(fun file -> Validate.of_json (Json.of_string (read_file file)))
-      ~save:Validate.save_json
-      compute
+  cached store ~stage:"validate"
+    ~key:(validate_key ctx sc cfg)
+    ~to_json:Validate.to_json ~of_json:Validate.of_json
+    (fun () ->
+      Validate.run ~ctx ?alpha:sc.Scenario.alpha ?candidates:(candidates sc)
+        ~config:cfg ~seed:sc.Scenario.seed ~cores:sc.Scenario.cores
+        ~label:sc.Scenario.name ~report ds.Dataset.values)
 
 (* ------------------------------------------------------------------ *)
 (* The pipeline                                                        *)

@@ -325,12 +325,7 @@ let of_string ?(path = "<scenario>") text =
   with Failure m -> failwith (Printf.sprintf "%s: %s" path m)
 
 let of_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let text = really_input_string ic (in_channel_length ic) in
-      of_string ~path text)
+  of_string ~path (In_channel.with_open_bin path In_channel.input_all)
 
 (* ------------------------------------------------------------------ *)
 (* Canonical rendering                                                 *)
@@ -368,5 +363,3 @@ let to_string t =
 let params t =
   Lv_problems.Defaults.params ?walk:t.walk ?max_iterations:t.iteration_cap
     t.problem t.size
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

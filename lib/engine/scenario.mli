@@ -74,7 +74,6 @@ val default_stages : stage list
     validation is opt-in. *)
 
 val stage_name : stage -> string
-val stage_of_string : string -> stage option
 
 val make :
   ?name:string ->
@@ -114,12 +113,11 @@ val of_file : string -> t
 
 val to_string : t -> string
 (** Canonical scenario text: parses back ({!of_string}) to an equal [t],
-    with every field explicit — the normal form used in cache-key
-    derivation and for writing scenario files. *)
+    with every field explicit.  Cache keys do not use it: each stage's key
+    lists its own inputs (see {!Engine}). *)
 
 val params : t -> Lv_search.Params.t
 (** The resolved solver parameters: the problem's tuned defaults with
     [walk]/[iteration_cap] applied. *)
 
 val has_stage : t -> stage -> bool
-val pp : Format.formatter -> t -> unit

@@ -181,12 +181,9 @@ let decode path text =
   loop 1 [] None
 
 let read path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> Some (really_input_string ic (in_channel_length ic)))
+  if Sys.file_exists path then
+    Some (In_channel.with_open_bin path In_channel.input_all)
+  else None
 
 let load path =
   match read path with None -> [] | Some text -> fst (decode path text)

@@ -18,9 +18,6 @@ type policy = {
 val none : policy
 (** One attempt, no retries — the default campaign behaviour. *)
 
-val default : policy
-(** 3 attempts, 10 ms base delay, doubling, capped at 1 s. *)
-
 val policy :
   ?base_delay_s:float ->
   ?multiplier:float ->
@@ -28,7 +25,8 @@ val policy :
   max_attempts:int ->
   unit ->
   policy
-(** Validated constructor; raises [Invalid_argument] on nonsense. *)
+(** Validated constructor; raises [Invalid_argument] on nonsense.  The
+    backoff defaults to a 10 ms base delay, doubling, capped at 1 s. *)
 
 val delay_for : policy -> attempt:int -> float
 (** Backoff before retrying after failed attempt number [attempt]

@@ -14,8 +14,6 @@ let budget ?max_seconds ?max_iterations () =
   | _ -> ());
   { max_seconds; max_iterations }
 
-let is_unlimited b = b.max_seconds = None && b.max_iterations = None
-
 let once ?params ?(budget = unlimited) ~rng packed =
   let params =
     match budget.max_iterations with
@@ -49,8 +47,3 @@ let once ?params ?(budget = unlimited) ~rng packed =
     iterations = Lv_search.Adaptive_search.iterations result;
     solved = Lv_search.Adaptive_search.solved result;
   }
-
-let pp_observation ppf o =
-  Format.fprintf ppf "%s %.4fs %d iters"
-    (if o.solved then "solved" else "censored")
-    o.seconds o.iterations

@@ -23,14 +23,9 @@ type budget = {
   max_iterations : int option;   (** iteration cap *)
 }
 
-val unlimited : budget
-(** No limits — the default. *)
-
 val budget : ?max_seconds:float -> ?max_iterations:int -> unit -> budget
 (** Validated constructor.  Raises [Invalid_argument] on a negative or
     non-finite [max_seconds], or a nonpositive [max_iterations]. *)
-
-val is_unlimited : budget -> bool
 
 val once :
   ?params:Lv_search.Params.t ->
@@ -40,11 +35,9 @@ val once :
   observation
 (** Run the solver once on a fresh random configuration.  Durations are
     measured on the monotonic {!Lv_telemetry.Clock} and are therefore
-    always nonnegative.  [budget] (default {!unlimited}) caps the run:
+    always nonnegative.  [budget] (default: no limits) caps the run:
     [max_iterations] tightens the solver's own iteration budget,
     [max_seconds] arms a {!Lv_exec.Cancel.with_deadline} token polled by
     the solver's stop hook (every 1024 iterations, so the overrun is at
     most one polling interval).  A budget-struck run returns with
     [solved = false]. *)
-
-val pp_observation : Format.formatter -> observation -> unit

@@ -16,23 +16,6 @@ let table ds ~cores =
 
 let race_once emp ~rng ~cores = Lv_stats.Empirical.min_of_draws emp rng cores
 
-let speedup_mc ?(replicates = 1000) emp ~rng ~cores =
-  if replicates <= 0 then invalid_arg "Sim.speedup_mc: replicates must be positive";
-  let mean = Lv_stats.Empirical.mean emp in
-  let mins = Array.init replicates (fun _ -> race_once emp ~rng ~cores) in
-  (* Bootstrap the mean of the simulated parallel runtimes, then invert into
-     speed-ups (a monotone transform, so the percentile interval maps
-     through with endpoints exchanged). *)
-  let iv =
-    Lv_stats.Bootstrap.confidence_interval ~rng ~stat:Lv_stats.Summary.mean mins
-  in
-  {
-    Lv_stats.Bootstrap.estimate = mean /. iv.Lv_stats.Bootstrap.estimate;
-    lo = mean /. iv.Lv_stats.Bootstrap.hi;
-    hi = mean /. iv.Lv_stats.Bootstrap.lo;
-    level = iv.Lv_stats.Bootstrap.level;
-  }
-
 let pp_row ppf r =
   Format.fprintf ppf "cores=%4d E[runtime]=%.6g speedup=%.2f" r.cores
     r.expected_runtime r.speedup

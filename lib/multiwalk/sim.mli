@@ -4,11 +4,11 @@
     The independent multi-walk scheme has zero communication, so its runtime
     on [n] cores is *exactly* the minimum of [n] i.i.d. sequential runtimes.
     Given a pool of observed runtimes, the expected parallel runtime is the
-    expectation of the minimum of [n] draws — computable in closed form from
-    the sorted pool ({!Lv_stats.Empirical.expected_min_exact}), or by
-    Monte-Carlo resampling when a distribution of outcomes (not just the
-    mean) is wanted.  This module is what stands in for the paper's
-    256-core Grid'5000 runs (Tables 3–4, Figures 6–7 and 14). *)
+    expectation of the minimum of [n] draws, computed in closed form from
+    the sorted pool ({!Lv_stats.Empirical.expected_min_exact}) with no
+    Monte-Carlo noise; {!race_once} draws one simulated race.  This module
+    is what stands in for the paper's 256-core Grid'5000 runs (Tables 3–4,
+    Figures 6–7 and 14). *)
 
 type row = {
   cores : int;
@@ -26,15 +26,5 @@ val table : Dataset.t -> cores:int list -> row list
 
 val race_once : Lv_stats.Empirical.t -> rng:Lv_stats.Rng.t -> cores:int -> float
 (** One simulated multi-walk execution: min of [cores] resampled runtimes. *)
-
-val speedup_mc :
-  ?replicates:int ->
-  Lv_stats.Empirical.t ->
-  rng:Lv_stats.Rng.t ->
-  cores:int ->
-  Lv_stats.Bootstrap.interval
-(** Monte-Carlo speed-up with a percentile interval over [replicates]
-    simulated races (default 1000) — matches the paper's protocol of
-    averaging 50 parallel runs, plus the error bar the paper omits. *)
 
 val pp_row : Format.formatter -> row -> unit

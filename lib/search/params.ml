@@ -30,11 +30,3 @@ let validate ~n_vars p =
     if p.reset_limit > 0 then p.reset_limit else Int.max 2 (n_vars / 10)
   in
   { p with reset_limit }
-
-let pp ppf p =
-  Format.fprintf ppf
-    "tenure=%d reset_limit=%d reset_frac=%.2f restart=%s max_iter=%s p_walk=%.2f"
-    p.tabu_tenure p.reset_limit p.reset_fraction
-    (if p.restart_limit = max_int then "none" else string_of_int p.restart_limit)
-    (if p.max_iterations = max_int then "none" else string_of_int p.max_iterations)
-    p.prob_select_loc_min

@@ -31,5 +31,3 @@ val validate : n_vars:int -> t -> t
 (** Resolve instance-dependent defaults ([reset_limit = 0] →
     [max 2 (n/10)]) and sanity-check ranges, raising [Invalid_argument] on
     nonsense (negative tenure, fractions outside (0, 1], ...). *)
-
-val pp : Format.formatter -> t -> unit

@@ -95,7 +95,6 @@ let shift d x0 =
   end
 
 let numeric_mean d = numeric_mean_of ~support:d.support ~pdf:d.pdf ~cdf:d.cdf
-let numeric_quantile d p = numeric_quantile_of ~support:d.support ~cdf:d.cdf p
 let sample_array d rng n = Array.init n (fun _ -> d.sample rng)
 
 let pp ppf d =

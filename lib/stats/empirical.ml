@@ -66,17 +66,3 @@ let expected_min_exact t n =
     pa := pb
   done;
   !acc
-
-let to_distribution t =
-  let n = size t in
-  let lo = min t and hi = max t in
-  Distribution.make ~name:"empirical"
-    ~params:[ ("n", float_of_int n) ]
-    ~support:(lo, hi)
-    ~pdf:(fun _ -> nan)
-    ~cdf:(cdf t)
-    ~quantile:(quantile t)
-    ~sample:(fun rng -> t.xs.(Rng.int rng n))
-    ~mean:(mean t)
-    ~variance:(Summary.variance t.xs)
-    ()

@@ -34,7 +34,3 @@ val expected_min_exact : t -> int -> float
     [Σ x_(i) · ((N-i+1)^n - (N-i)^n) / N^n] over the sorted sample — the
     plug-in estimator of [E[Z^(n)]], no Monte-Carlo noise.  Computed in log
     space so it is stable for any [n]. *)
-
-val to_distribution : t -> Distribution.t
-(** The ECDF wrapped as a {!Distribution.t} (piecewise-constant CDF, uniform
-    atoms as sampler); lets the whole prediction pipeline run nonparametrically. *)

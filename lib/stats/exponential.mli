@@ -9,7 +9,3 @@ val create : rate:float -> Distribution.t
 
 val shifted : x0:float -> rate:float -> Distribution.t
 (** Shifted exponential starting at [x0 >= 0]. *)
-
-val pdf : rate:float -> float -> float
-val cdf : rate:float -> float -> float
-val quantile : rate:float -> float -> float

@@ -2,5 +2,3 @@
     formulas exist (cited in the paper's conclusion as future candidates). *)
 
 val create : shape:float -> rate:float -> Distribution.t
-val pdf : shape:float -> rate:float -> float -> float
-val cdf : shape:float -> rate:float -> float -> float

@@ -42,14 +42,8 @@ let make ?(binning = Freedman_diaconis) xs =
 let n_bins t = Array.length t.counts
 let bin_center t i = t.lo +. ((float_of_int i +. 0.5) *. t.width)
 
-let bin_edges t i =
-  let a = t.lo +. (float_of_int i *. t.width) in
-  (a, a +. t.width)
-
 let density t i =
   float_of_int t.counts.(i) /. (float_of_int t.total *. t.width)
-
-let densities t = Array.init (n_bins t) (fun i -> (bin_center t i, density t i))
 
 let render ?(max_width = 60) ?pdf t =
   let buf = Buffer.create 1024 in

@@ -20,14 +20,10 @@ val make : ?binning:binning -> float array -> t
 
 val n_bins : t -> int
 val bin_center : t -> int -> float
-val bin_edges : t -> int -> float * float
 
 val density : t -> int -> float
 (** Normalized density of bin [i]: count / (total · width), so the histogram
     integrates to 1 and is directly comparable with a pdf. *)
-
-val densities : t -> (float * float) array
-(** All (bin center, density) pairs, for plotting against a fitted pdf. *)
 
 val render : ?max_width:int -> ?pdf:(float -> float) -> t -> string
 (** ASCII bar chart; when [pdf] is given, each line also shows the fitted

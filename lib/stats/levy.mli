@@ -5,6 +5,3 @@
 val create : scale:float -> Distribution.t
 (** Lévy at location 0 with scale [c > 0].  [mean] and [variance] are [nan]
     (they diverge). *)
-
-val pdf : scale:float -> float -> float
-val cdf : scale:float -> float -> float

@@ -7,7 +7,3 @@
 
 val create : mu:float -> sigma:float -> Distribution.t
 val shifted : x0:float -> mu:float -> sigma:float -> Distribution.t
-
-val pdf : mu:float -> sigma:float -> float -> float
-val cdf : mu:float -> sigma:float -> float -> float
-val quantile : mu:float -> sigma:float -> float -> float

@@ -6,7 +6,3 @@ val create : mu:float -> sigma:float -> Distribution.t
 val truncated_positive : mu:float -> sigma:float -> Distribution.t
 (** Normal conditioned on [X >= 0]: density rescaled by [1 / (1 - Φ(-μ/σ))]
     on the nonnegative half-line — a proper runtime law for Figure 1. *)
-
-val pdf : mu:float -> sigma:float -> float -> float
-val cdf : mu:float -> sigma:float -> float -> float
-val quantile : mu:float -> sigma:float -> float -> float

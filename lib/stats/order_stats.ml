@@ -101,28 +101,6 @@ let variance_min d n =
   let m2 = moment_min d ~n ~k:2 in
   m2 -. (m1 *. m1)
 
-let cdf_kth (d : Distribution.t) ~n ~k t =
-  check_n n;
-  if k < 1 || k > n then invalid_arg "Order_stats.cdf_kth: k must lie in [1, n]";
-  let f = d.Distribution.cdf t in
-  if f <= 0. then 0.
-  else if f >= 1. then 1.
-  else Special.beta_inc (float_of_int k) (float_of_int (n - k + 1)) f
-
-let expected_kth (d : Distribution.t) ~n ~k =
-  check_n n;
-  if k < 1 || k > n then invalid_arg "Order_stats.expected_kth: k must lie in [1, n]";
-  let lo, _ = d.Distribution.support in
-  if lo < 0. then invalid_arg "Order_stats.expected_kth: support must be nonnegative";
-  (* Scale from the base quantile at the k-th order statistic's median
-     (approximately p = k/(n+1)). *)
-  let p = float_of_int k /. float_of_int (n + 1) in
-  let p = Float.max 1e-12 (Float.min (1. -. 1e-12) p) in
-  let q = d.Distribution.quantile p in
-  let scale = if Float.is_finite q && q > lo then Float.max ((q -. lo) /. 2.) 1e-9 else 1. in
-  let _, hi = d.Distribution.support in
-  expectation_from_survival ~lo ~hi ~scale (fun t -> 1. -. cdf_kth d ~n ~k t)
-
 let exponential_expected_min ~rate ?(x0 = 0.) n =
   check_n n;
   if rate <= 0. then invalid_arg "Order_stats.exponential_expected_min: rate must be positive";

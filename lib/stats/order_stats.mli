@@ -2,13 +2,9 @@
 
     The multi-walk runtime on [n] cores is the *first* order statistic (the
     minimum) of [n] draws of the sequential runtime, so predicting speed-ups
-    reduces to computing [E[X_(1:n)]] — and, following Nadarajah's
-    moment formulas the paper relies on for the lognormal case, any moment of
-    any order statistic reduces to one numerical integration over the CDF:
-
-    [F_(k:n)(t) = I_{F(t)}(k, n - k + 1)]   (regularized incomplete beta)
-
-    so [E[X_(k:n)]] needs only the base CDF, never the pdf. *)
+    reduces to computing [E[X_(1:n)]]: one numerical integration of the
+    survival function [(1 - F(t))^n], which needs only the base CDF, never
+    the pdf. *)
 
 val survival_power : (float -> float) -> int -> float -> float
 (** [survival_power cdf n t] = [(1 - F(t))^n], computed as
@@ -35,13 +31,6 @@ val moment_min : Distribution.t -> n:int -> k:int -> float
     [E[Z^k] = ∫ k t^(k-1) (1-F)^n dt]. *)
 
 val variance_min : Distribution.t -> int -> float
-
-val cdf_kth : Distribution.t -> n:int -> k:int -> float -> float
-(** CDF of the [k]-th order statistic of [n] draws. *)
-
-val expected_kth : Distribution.t -> n:int -> k:int -> float
-(** Expectation of the [k]-th order statistic, via the incomplete-beta CDF
-    and survival-function quadrature. *)
 
 val exponential_expected_min : rate:float -> ?x0:float -> int -> float
 (** Closed form for the (shifted) exponential: [x0 + 1/(nλ)] — the paper's

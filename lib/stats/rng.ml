@@ -55,8 +55,6 @@ let[@inline] next t =
 
 let bits64 t = next t
 
-let split t = of_seed64 (next t)
-
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection sampling on the top 63 bits to avoid modulo bias. *)

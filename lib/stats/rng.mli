@@ -1,14 +1,13 @@
-(** Deterministic, splittable pseudo-random number generator.
+(** Deterministic pseudo-random number generator.
 
     The core generator is xoshiro256** seeded through splitmix64, which gives
     high-quality 64-bit streams from any integer seed.  Generators are
     explicit values: every sampling function threads a [t], so runs are
-    reproducible and independent streams can be handed to parallel domains
-    via {!split} without sharing mutable state. *)
+    reproducible, and each parallel task builds its own stream from its own
+    seed instead of sharing mutable state. *)
 
 type t
-(** Mutable generator state.  Not thread-safe: use one [t] per domain,
-    obtained with {!split}. *)
+(** Mutable generator state.  Not thread-safe: use one [t] per domain. *)
 
 val create : seed:int -> t
 (** [create ~seed] builds a generator from a 63-bit seed.  Equal seeds give
@@ -16,10 +15,6 @@ val create : seed:int -> t
 
 val copy : t -> t
 (** Independent copy with identical current state. *)
-
-val split : t -> t
-(** [split rng] draws fresh state from [rng] and returns a new generator
-    statistically independent of the parent's subsequent output. *)
 
 val bits64 : t -> int64
 (** Next raw 64-bit output word. *)

@@ -1,28 +1,3 @@
-let bisect ?(tol = 1e-12) ?(max_iter = 200) f ~lo ~hi =
-  let flo = f lo and fhi = f hi in
-  if flo = 0. then lo
-  else if fhi = 0. then hi
-  else if flo *. fhi > 0. then invalid_arg "Rootfind.bisect: interval does not bracket a root"
-  else begin
-    let lo = ref lo and hi = ref hi and flo = ref flo in
-    let iter = ref 0 in
-    while !hi -. !lo > tol *. Float.max 1. (abs_float !lo) && !iter < max_iter do
-      let mid = 0.5 *. (!lo +. !hi) in
-      let fmid = f mid in
-      if fmid = 0. then begin
-        lo := mid;
-        hi := mid
-      end
-      else if !flo *. fmid < 0. then hi := mid
-      else begin
-        lo := mid;
-        flo := fmid
-      end;
-      incr iter
-    done;
-    0.5 *. (!lo +. !hi)
-  end
-
 let brent ?(tol = 1e-13) ?(max_iter = 100) f ~lo ~hi =
   let a = ref lo and b = ref hi in
   let fa = ref (f !a) and fb = ref (f !b) in
@@ -89,26 +64,3 @@ let brent ?(tol = 1e-13) ?(max_iter = 100) f ~lo ~hi =
     done;
     if Float.is_nan !result then !b else !result
   end
-
-let expand_bracket ?(grow = 1.6) ?(max_iter = 60) f ~lo ~hi =
-  if lo >= hi then invalid_arg "Rootfind.expand_bracket: lo must be < hi";
-  let lo = ref lo and hi = ref hi in
-  let flo = ref (f !lo) and fhi = ref (f !hi) in
-  let rec go n =
-    if !flo *. !fhi <= 0. then Some (!lo, !hi)
-    else if n = 0 then None
-    else begin
-      (* Expand the endpoint whose value is closer to zero — the root is more
-         likely just beyond it. *)
-      if abs_float !flo < abs_float !fhi then begin
-        lo := !lo -. (grow *. (!hi -. !lo));
-        flo := f !lo
-      end
-      else begin
-        hi := !hi +. (grow *. (!hi -. !lo));
-        fhi := f !hi
-      end;
-      go (n - 1)
-    end
-  in
-  go max_iter

@@ -1,20 +1,7 @@
 (** Scalar root finding, used for distribution quantiles that have no closed
     form (the generic quantile solves [cdf x = p]). *)
 
-val bisect :
-  ?tol:float -> ?max_iter:int -> (float -> float) -> lo:float -> hi:float -> float
-(** Bisection on a bracketing interval ([f lo] and [f hi] of opposite signs,
-    else [Invalid_argument]).  [tol] bounds the final interval width
-    (default 1e-12 relative to the magnitude of the root). *)
-
 val brent :
   ?tol:float -> ?max_iter:int -> (float -> float) -> lo:float -> hi:float -> float
 (** Brent's method: inverse quadratic interpolation with bisection fallback.
-    Same bracketing contract as {!bisect}, typically far fewer evaluations. *)
-
-val expand_bracket :
-  ?grow:float -> ?max_iter:int -> (float -> float) -> lo:float -> hi:float ->
-  (float * float) option
-(** Geometrically expand [\[lo, hi\]] outward until it brackets a sign change
-    of [f]; [None] if none is found within [max_iter] (default 60)
-    expansions. *)
+    [f lo] and [f hi] must have opposite signs, else [Invalid_argument]. *)

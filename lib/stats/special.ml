@@ -108,7 +108,7 @@ let erfc x =
   else 2. -. gamma_q 0.5 (x *. x)
 
 (* ------------------------------------------------------------------ *)
-(* Inverse normal CDF and inverse erf                                  *)
+(* Inverse normal CDF and inverse erfc                                *)
 (* ------------------------------------------------------------------ *)
 
 let norm_cdf x = 0.5 *. erfc (-.x /. sqrt 2.)
@@ -160,11 +160,6 @@ let norm_quantile p =
   let e = norm_cdf x -. p in
   let u = e *. sqrt (2. *. pi) *. exp (x *. x /. 2.) in
   x -. (u /. (1. +. (x *. u /. 2.)))
-
-let erf_inv y =
-  if not (y > -1. && y < 1.) then
-    invalid_arg "Special.erf_inv: argument must lie in (-1, 1)";
-  if y = 0. then 0. else norm_quantile ((y +. 1.) /. 2.) /. sqrt 2.
 
 let erfc_inv y =
   if not (y > 0. && y < 2.) then

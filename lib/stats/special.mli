@@ -14,9 +14,6 @@ val erfc : float -> float
 (** Complementary error function [1 - erf x], computed without cancellation
     for large [x] (relative error below 1e-12 up to [x = 26]). *)
 
-val erf_inv : float -> float
-(** Inverse of {!erf} on (-1, 1).  Raises [Invalid_argument] outside. *)
-
 val erfc_inv : float -> float
 (** Inverse of {!erfc} on (0, 2). *)
 

@@ -27,7 +27,4 @@ val quantile : float array -> float -> float
 
 val median : float array -> float
 
-val coefficient_of_variation : float array -> float
-(** std / mean; a quick diagnostic — an exponential sample has CV ≈ 1. *)
-
 val pp : Format.formatter -> t -> unit

@@ -2,5 +2,3 @@
     statistics have simple closed forms: [E[min of n] = lo + range/(n+1)]). *)
 
 val create : lo:float -> hi:float -> Distribution.t
-val pdf : lo:float -> hi:float -> float -> float
-val cdf : lo:float -> hi:float -> float -> float

@@ -3,5 +3,3 @@
     (scale divided by n^(1/shape)), a useful closed-form test oracle. *)
 
 val create : shape:float -> scale:float -> Distribution.t
-val pdf : shape:float -> scale:float -> float -> float
-val cdf : shape:float -> scale:float -> float -> float

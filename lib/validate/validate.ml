@@ -74,20 +74,6 @@ type bootstrap_report = {
   curve : curve_band list;
 }
 
-let chosen_fit (report : Fit.report) =
-  match report.Fit.best with
-  | Some f -> f
-  | None -> (
-    match report.Fit.fits with
-    | f :: _ -> f
-    | [] -> invalid_arg "Validate: fit report has no fits")
-
-(* The multi-walk transform needs a nonnegative support and a finite mean;
-   laws outside that class (gaussian, Lévy) have parameter bands but no
-   predictable speed-up curve. *)
-let curve_predictable (d : Distribution.t) =
-  fst d.Distribution.support >= 0. && Float.is_finite d.Distribution.mean
-
 (* Missing "x0" in a replicate means the shifted family collapsed to its
    unshifted special case on that resample: the shift is genuinely 0
    there, not missing data. *)
@@ -102,7 +88,7 @@ let bands_for ~pool ~replicates ~level ~seed ~cores
     invalid_arg "Validate.bootstrap_bands: need at least 2 observations";
   let emp = Empirical.of_array xs in
   let n = Array.length xs in
-  let with_curve = curve_predictable base in
+  let with_curve = Speedup.has_curve base in
   let replicate i =
     let rng = stream_rng ~seed ~salt:salt_bootstrap i in
     let sample = Empirical.resample emp rng n in
@@ -111,7 +97,7 @@ let bands_for ~pool ~replicates ~level ~seed ~cores
     | Some f ->
       let d = f.Fit.dist in
       let speedups =
-        if with_curve && curve_predictable d then
+        if with_curve && Speedup.has_curve d then
           List.map (fun c -> Speedup.at d ~cores:c) cores
         else List.map (fun _ -> nan) cores
       in
@@ -171,7 +157,7 @@ let bootstrap_bands ?pool ?(telemetry = Lv_telemetry.Sink.null) ?replicates
   in
   let level = Option.value level ~default:default_config.level in
   check_config { default_config with replicates; level };
-  let base = chosen_fit report in
+  let base = Fit.chosen report in
   Lv_telemetry.Span.run telemetry ~name:"validate.bootstrap"
     ~fields:(fun () ->
       [
@@ -218,11 +204,11 @@ let kfold_indices ~seed ~folds n =
 
 let holdout_fold ~alpha ~candidates ~cores ~fold ~train ~test =
   let fit = Fit.fit ~alpha ?candidates train in
-  let f = chosen_fit fit in
+  let f = Fit.chosen fit in
   let law = f.Fit.dist in
   let ks = Kolmogorov.test ~alpha test law.Distribution.cdf in
   let speedup_err =
-    if not (curve_predictable law) then nan
+    if not (Speedup.has_curve law) then nan
     else begin
       let emp = Empirical.of_array test in
       let mean = Empirical.mean emp in
@@ -335,7 +321,7 @@ let oracle ?pool ?(telemetry = Lv_telemetry.Sink.null)
         ("runs", Json.Int runs);
       ])
   @@ fun () ->
-  let with_curve = curve_predictable truth in
+  let with_curve = Speedup.has_curve truth in
   let true_curve =
     if with_curve then List.map (fun c -> Speedup.at truth ~cores:c) cores
     else List.map (fun _ -> nan) cores
@@ -536,7 +522,7 @@ let run ?(ctx = Lv_context.Context.default) ?alpha ?candidates ~config ~seed
       (* Self-calibration: take the law the base fit selected as ground
          truth and check that the machinery recovers it from synthetic
          datasets of the same size. *)
-      let base = chosen_fit report in
+      let base = Fit.chosen report in
       Some
         (oracle ?pool ~telemetry ~alpha ~replicates:config.replicates
            ~level:config.level ~trials:config.trials ~seed ~cores
@@ -567,16 +553,6 @@ let json_of_interval (i : Bootstrap.interval) =
       ("lo", Json.Float i.Bootstrap.lo);
       ("hi", Json.Float i.Bootstrap.hi);
       ("level", Json.Float i.Bootstrap.level);
-    ]
-
-let json_of_ks (k : Kolmogorov.result) =
-  Json.Obj
-    [
-      ("statistic", Json.Float k.Kolmogorov.statistic);
-      ("p_value", Json.Float k.Kolmogorov.p_value);
-      ("n", Json.Int k.Kolmogorov.n);
-      ("accept", Json.Bool k.Kolmogorov.accept);
-      ("alpha", Json.Float k.Kolmogorov.alpha);
     ]
 
 let json_of_pairs pairs =
@@ -634,7 +610,7 @@ let to_json r =
                          ("train_size", Json.Int f.train_size);
                          ("test_size", Json.Int f.test_size);
                          ("family", Json.String f.family);
-                         ("ks", json_of_ks f.ks);
+                         ("ks", Fit.ks_to_json f.ks);
                          ("speedup_err", Json.Float f.speedup_err);
                        ])
                    r.cross_validation.folds) );
@@ -673,7 +649,6 @@ let of_json j =
       match Json.to_float v with Some f -> f | None -> fail "float")
   in
   let to_i v = match Json.to_int v with Some i -> i | None -> fail "int" in
-  let to_b v = match Json.to_bool v with Some b -> b | None -> fail "bool" in
   let to_s v = match Json.to_str v with Some s -> s | None -> fail "string" in
   let pairs_of = function
     | Json.Obj kvs -> List.map (fun (k, v) -> (k, to_f v)) kvs
@@ -685,15 +660,6 @@ let of_json j =
       lo = to_f (get "lo" v);
       hi = to_f (get "hi" v);
       level = to_f (get "level" v);
-    }
-  in
-  let ks_of v =
-    {
-      Kolmogorov.statistic = to_f (get "statistic" v);
-      p_value = to_f (get "p_value" v);
-      n = to_i (get "n" v);
-      accept = to_b (get "accept" v);
-      alpha = to_f (get "alpha" v);
     }
   in
   let cj = get "config" j in
@@ -743,7 +709,7 @@ let of_json j =
                 train_size = to_i (get "train_size" v);
                 test_size = to_i (get "test_size" v);
                 family = to_s (get "family" v);
-                ks = ks_of (get "ks" v);
+                ks = Fit.ks_of_json (get "ks" v);
                 speedup_err = to_f (get "speedup_err" v);
               })
             l
@@ -788,10 +754,7 @@ let of_json j =
   }
 
 let write_file path s =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc s)
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
 let save_json r path = write_file path (Json.to_string (to_json r) ^ "\n")
 

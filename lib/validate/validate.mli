@@ -78,9 +78,9 @@ val bootstrap_bands :
   bootstrap_report
 (** [bootstrap_bands ~seed ~cores ~report xs] resamples [xs] with
     replacement [replicates] times, refits the family [report] selected
-    ([best] accepted fit, or the highest-p-value fit when nothing cleared
-    alpha) on each resample, repredicts the speed-up at every core count,
-    and reduces to percentile intervals around the base fit's estimates.
+    ({!Lv_core.Fit.chosen}) on each resample, repredicts the speed-up at
+    every core count, and reduces to percentile intervals around the base
+    fit's estimates.
     Replicate [i] draws from its own generator seeded by a splitmix of
     [(seed, i)], so results do not depend on pool size or scheduling.
     Raises [Invalid_argument] on a report with no fits, a sample smaller
@@ -144,8 +144,8 @@ type oracle_report = {
           (should be ≈ [oracle_level]) *)
   curve_coverage : float;
       (** fraction of (trial, core) band points covering the true
-          speed-up; [nan] when the law has no predictable curve (no
-          finite mean or negative support) *)
+          speed-up; [nan] when the law has no speed-up curve
+          ({!Lv_core.Speedup.has_curve}) *)
   mean_abs_rel_error : (string * float) list;
       (** per parameter: mean [|fitted - truth| / |truth|] over trials
           (absolute error when the truth is exactly zero) — the

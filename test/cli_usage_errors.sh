@@ -71,6 +71,20 @@ expect_one_line campaign n-queens 8 --runs 3 --checkpoint "$work/bad-log.jsonl" 
 grep -q "bad-log.jsonl" "$work/err" \
   || { echo "FAIL: the unusable checkpoint is not named"; failures=$((failures + 1)); }
 
+# A law with no speed-up curve (here the closest fit, a rejected normal)
+# is named, with its KS verdict and the candidates key that avoids it.
+"$lvp" campaign n-queens 5 --runs 30 -o "$work/q5.csv" -q > /dev/null
+printf '[scenario]\nproblem = n-queens\nsize = 5\nruns = 30\ncores = 2,4\n' \
+  > "$work/q5.conf"
+for cmd in "predict $work/q5.csv -k 2,4" "run $work/q5.conf -q"; do
+  # shellcheck disable=SC2086
+  expect_one_line $cmd
+  grep -q "normal(mu=1.5, sigma=0.973795) was not accepted" "$work/err" \
+    && grep -q "candidates" "$work/err" \
+    || { echo "FAIL: lvp $cmd does not name the law, its verdict and candidates"
+         failures=$((failures + 1)); }
+done
+
 # The same commands with sane values still succeed.
 "$lvp" campaign n-queens 8 --runs 5 --pool-domains 1 --retries 0 -q > /dev/null \
   || { echo "FAIL: valid campaign"; failures=$((failures + 1)); }

@@ -229,26 +229,6 @@ let test_speedup_exponential_curve_helper () =
         p.Speedup.speedup)
     pts
 
-let test_speedup_efficiency () =
-  (* Linear law: efficiency 1 everywhere, so the search hits max_cores. *)
-  let linear = Exponential.create ~rate:0.001 in
-  check_rel ~tol:1e-9 "linear efficiency" 1. (Speedup.efficiency linear ~cores:64);
-  Alcotest.(check int) "linear never drops" 4096
-    (Speedup.cores_for_efficiency ~max_cores:4096 linear ~threshold:0.9);
-  (* Saturating law (Figure 3's parameters): closed-form cross-check.
-     eff(n) = 1100 / (100 n + 1000) >= 0.4  ⇔  n <= 17.5, so 17. *)
-  let saturating = Exponential.shifted ~x0:100. ~rate:0.001 in
-  Alcotest.(check int) "saturating threshold 0.4" 17
-    (Speedup.cores_for_efficiency saturating ~threshold:0.4);
-  (* Efficiency at the boundary really straddles the threshold. *)
-  Alcotest.(check bool) "eff(17) >= 0.4" true
-    (Speedup.efficiency saturating ~cores:17 >= 0.4);
-  Alcotest.(check bool) "eff(18) < 0.4" true
-    (Speedup.efficiency saturating ~cores:18 < 0.4);
-  (match Speedup.cores_for_efficiency saturating ~threshold:1.5 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "threshold 1.5 accepted")
-
 let test_speedup_rejects_infinite_mean () =
   match Speedup.at (Levy.create ~scale:1.) ~cores:4 with
   | exception Invalid_argument _ -> ()
@@ -515,6 +495,46 @@ let test_fit_span_counts_accepted () =
       (Option.bind (Lv_telemetry.Event.field "accepted" e)
          Lv_telemetry.Json.to_int)
   | es -> Alcotest.failf "expected one fit span, got %d" (List.length es)
+
+let test_fit_json_roundtrip () =
+  (* The fit artifact is Fit.to_json, read back by Fit.of_json.  On shifted
+     exponential data the pool yields shifted and unshifted laws, so both
+     the "x0" parameter and its absence go through the codec, as bytes. *)
+  let rng = Rng.create ~seed:206 in
+  let xs =
+    Distribution.sample_array (Exponential.shifted ~x0:50. ~rate:0.02) rng 200
+  in
+  let r = Fit.fit ~candidates:Fit.paper_candidates ~n_censored:3 xs in
+  let has_x0 f = List.mem_assoc "x0" f.Fit.dist.Distribution.params in
+  Alcotest.(check bool) "shifted and unshifted laws" true
+    (List.exists has_x0 r.Fit.fits
+    && List.exists (fun f -> not (has_x0 f)) r.Fit.fits);
+  (* Laws hold closures, so compare what defines them. *)
+  let view (r : Fit.report) =
+    let fitted f =
+      ( f.Fit.candidate,
+        f.Fit.dist.Distribution.name,
+        f.Fit.dist.Distribution.params,
+        f.Fit.ks )
+    in
+    ( (r.Fit.sample_size, r.Fit.n_censored, r.Fit.censored_fraction),
+      List.map fitted r.Fit.fits,
+      List.map fitted r.Fit.accepted,
+      Option.map fitted r.Fit.best )
+  in
+  let direct = Fit.of_json (Fit.to_json r) in
+  let text = Lv_telemetry.Json.to_string (Fit.to_json r) in
+  let reread = Fit.of_json (Lv_telemetry.Json.of_string text) in
+  Alcotest.(check bool) "of_json (to_json r) = r" true (view direct = view r);
+  Alcotest.(check bool) "through the bytes" true (view reread = view r);
+  Alcotest.(check string) "re-encodes to the same bytes" text
+    (Lv_telemetry.Json.to_string (Fit.to_json reread));
+  List.iter2
+    (fun a b ->
+      let x = a.Fit.dist.Distribution.quantile 0.3 in
+      check_rel ~tol:0. "rebuilt law's cdf" (a.Fit.dist.Distribution.cdf x)
+        (b.Fit.dist.Distribution.cdf x))
+    r.Fit.fits reread.Fit.fits
 
 let test_fit_instantiate_roundtrips_every_candidate () =
   (* The artifact cache persists a fit as (candidate, dist.params) and
@@ -866,7 +886,6 @@ let () =
           Alcotest.test_case "monotone" `Quick test_speedup_monotone_nondecreasing;
           Alcotest.test_case "bounded by limit" `Quick test_speedup_bounded_by_limit;
           Alcotest.test_case "curve helper" `Quick test_speedup_exponential_curve_helper;
-          Alcotest.test_case "efficiency and provisioning" `Quick test_speedup_efficiency;
           Alcotest.test_case "infinite mean rejected" `Quick test_speedup_rejects_infinite_mean;
         ] );
       ( "table5 regression",
@@ -893,6 +912,7 @@ let () =
           Alcotest.test_case "span counts accepted" `Quick test_fit_span_counts_accepted;
           Alcotest.test_case "instantiate round-trips every candidate" `Quick
             test_fit_instantiate_roundtrips_every_candidate;
+          Alcotest.test_case "json round-trip" `Quick test_fit_json_roundtrip;
         ] );
       ( "predict",
         [

@@ -619,6 +619,29 @@ let test_engine_artifact_keys_pinned () =
   Alcotest.(check (list string)) "artifact names" pinned_artifacts
     (List.sort compare (Array.to_list (Sys.readdir cache)))
 
+(* The bytes of the fit artifact for the pinned scenario: a store filled
+   by an earlier build serves this file, so the codec must read it, and a
+   fresh fit must write it back unchanged. *)
+let pinned_fit_artifact =
+  {|{"sample_size":40,"n_censored":0,"censored_fraction":0.0,"fits":[{"candidate":"shifted-lognormal","params":{"x0":7.745966692414834,"mu":1.9886859638744081,"sigma":1.3083953596343481},"ks":{"statistic":0.085872666792429886,"p_value":0.91780613780071651,"n":40,"accept":true,"alpha":0.050000000000000003}},{"candidate":"shifted-exponential","params":{"x0":7.6442307692307692,"lambda":0.070270270270270274},"ks":{"statistic":0.13636113675954681,"p_value":0.41926416636122033,"n":40,"accept":true,"alpha":0.050000000000000003}},{"candidate":"lognormal","params":{"mu":2.893935577969029,"sigma":0.60054173106942332},"ks":{"statistic":0.15809078953558203,"p_value":0.24758748780280193,"n":40,"accept":true,"alpha":0.050000000000000003}},{"candidate":"normal","params":{"mu":21.875,"sigma":14.625561571510724},"ks":{"statistic":0.20584657511452237,"p_value":0.058100505965267057,"n":40,"accept":true,"alpha":0.050000000000000003}},{"candidate":"exponential","params":{"lambda":0.045714285714285714},"ks":{"statistic":0.30629902682382293,"p_value":0.00079115436147092488,"n":40,"accept":false,"alpha":0.050000000000000003}},{"candidate":"levy","params":{"c":6.8240463467935779},"ks":{"statistic":0.35570340182438165,"p_value":5.1527446355281725e-05,"n":40,"accept":false,"alpha":0.050000000000000003}}],"accepted":["shifted-lognormal","shifted-exponential","lognormal","normal"],"best":"shifted-lognormal"}
+|}
+
+let test_engine_fit_artifact_pinned () =
+  let conf =
+    List.find Sys.file_exists
+      [
+        "../examples/scenarios/ci-smoke.conf";
+        "examples/scenarios/ci-smoke.conf";
+      ]
+  in
+  let sc = Scenario.of_file conf in
+  let sc = { sc with Scenario.stages = [ Scenario.Campaign; Scenario.Fit ] } in
+  let cache = tmp_dir () in
+  ignore (Engine.run ~ctx:(Ctx.make ~cache_dir:cache ()) sc);
+  let file = Filename.concat cache "fit-44401b873ec4a4f3b117ef7698dcd3af.json" in
+  Alcotest.(check string) "fit artifact bytes" pinned_fit_artifact
+    (read_file file)
+
 let test_engine_deterministic_across_ctx_pool () =
   (* Same scenario, pool of 1 vs pool of 3: identical datasets. *)
   let sc = small_scenario ~stages:[ Scenario.Campaign ] () in
@@ -673,6 +696,8 @@ let () =
             test_engine_scenario_budget_solves;
           Alcotest.test_case "artifact keys pinned" `Quick
             test_engine_artifact_keys_pinned;
+          Alcotest.test_case "fit artifact bytes pinned" `Quick
+            test_engine_fit_artifact_pinned;
           Alcotest.test_case "pool-size invariant" `Quick
             test_engine_deterministic_across_ctx_pool;
         ] );

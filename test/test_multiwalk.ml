@@ -291,10 +291,6 @@ let test_campaign_rejects_bad_args () =
 (* ------------------------------------------------------------------ *)
 
 let test_budget_validation () =
-  Alcotest.(check bool) "default is unlimited" true
-    (Lv_multiwalk.Run.is_unlimited (Lv_multiwalk.Run.budget ()));
-  Alcotest.(check bool) "a cap is not unlimited" false
-    (Lv_multiwalk.Run.is_unlimited (Lv_multiwalk.Run.budget ~max_iterations:1 ()));
   let rejects f =
     match f () with
     | exception Invalid_argument _ -> ()
@@ -955,17 +951,6 @@ let test_sim_race_once_bounds () =
     if v < 5. || v > 20. then Alcotest.failf "race value %g out of sample range" v
   done
 
-let test_sim_speedup_mc_brackets_exact () =
-  let rng = Lv_stats.Rng.create ~seed:19 in
-  let d = Lv_stats.Exponential.create ~rate:0.01 in
-  let ds = Lv_multiwalk.Dataset.synthetic ~label:"exp" d ~rng 1_000 in
-  let exact = (List.hd (Lv_multiwalk.Sim.table ds ~cores:[ 8 ])).Lv_multiwalk.Sim.speedup in
-  let emp = Lv_multiwalk.Dataset.empirical ds in
-  let iv = Lv_multiwalk.Sim.speedup_mc ~replicates:3000 emp ~rng ~cores:8 in
-  Alcotest.(check bool) "MC interval brackets exact" true
-    (iv.Lv_stats.Bootstrap.lo <= exact && exact <= iv.Lv_stats.Bootstrap.hi
-    || abs_float (iv.Lv_stats.Bootstrap.estimate -. exact) /. exact < 0.1)
-
 (* ------------------------------------------------------------------ *)
 (* Run / Race                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -1391,7 +1376,6 @@ let () =
           Alcotest.test_case "monotone" `Quick test_sim_speedup_monotone;
           Alcotest.test_case "exponential linear" `Slow test_sim_exponential_near_linear;
           Alcotest.test_case "race bounds" `Quick test_sim_race_once_bounds;
-          Alcotest.test_case "MC brackets exact" `Slow test_sim_speedup_mc_brackets_exact;
         ] );
       ( "race",
         [
