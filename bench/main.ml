@@ -8,14 +8,19 @@
                  parameters* (pure math; should match the paper's predicted
                  rows to its printed precision);
      measured  — this library's own experiments: scaled-down instances
-                 (MS 10, AI 18, Costas 14 by default — the cluster-scale
-                 originals are hours per run), ~400 sequential runs each,
-                 multi-walk speed-ups via the exact plug-in minimum over the
-                 empirical runtime distribution (equivalent to the cluster
-                 race in the iteration metric; see DESIGN.md).
+                 (MS 10, AI 18, Costas 14 — the cluster-scale originals are
+                 hours per run), ~400 sequential runs each, multi-walk
+                 speed-ups via the exact plug-in minimum over the empirical
+                 runtime distribution (equivalent to the cluster race in the
+                 iteration metric; see DESIGN.md).
 
-   Environment knobs:
-     LV_BENCH_RUNS=N    sequential runs per campaign   (default 400)
+   The measured campaigns are the checked-in reference scenarios
+   examples/scenarios/reference-{ms10,ai18,costas14}.conf, read relative to
+   the working directory (run from the repository root) and executed once
+   each through Engine.run: campaign, fit, predict, simulate and compare.
+
+   Environment knobs (the only overrides of the scenario files):
+     LV_BENCH_RUNS=N    sequential runs per campaign   (default: the file's)
      LV_BENCH_FAST=1    shortcut: 120 runs and smaller instances
      LV_BENCH_CACHE=DIR serve unchanged campaigns from the engine's
                         artifact store in DIR (an interrupted run resumes
@@ -24,16 +29,17 @@
    EXPERIMENTS.md in the repository root records one reference run. *)
 
 open Lv_core
+module Engine = Lv_engine.Engine
+module Scenario = Lv_engine.Scenario
 
 let printf = Format.printf
 
-let getenv_int name default =
-  match Sys.getenv_opt name with
-  | Some v -> (match int_of_string_opt v with Some n when n > 0 -> n | _ -> default)
-  | None -> default
-
 let fast = Sys.getenv_opt "LV_BENCH_FAST" = Some "1"
-let runs = getenv_int "LV_BENCH_RUNS" (if fast then 120 else 400)
+
+let runs_override =
+  match Option.bind (Sys.getenv_opt "LV_BENCH_RUNS") int_of_string_opt with
+  | Some n when n > 0 -> Some n
+  | _ -> if fast then Some 120 else None
 
 let paper_cores = Paper_data.cores
 let fc = Report.float_cell
@@ -57,79 +63,68 @@ let write_telemetry_summary path =
     report.Lv_telemetry.Report.events
 
 (* ------------------------------------------------------------------ *)
-(* The three scaled benchmarks                                         *)
+(* The three reference campaigns                                       *)
 (* ------------------------------------------------------------------ *)
 
 type bench_problem = {
   paper : Paper_data.benchmark;
-  name : string;  (* registry name *)
-  size : int;
-  label : string;
-  iteration_cap : int;
-      (* Per-run budget, ~200x the mean runtime: the very rare run that
-         stagnates past it is dropped as unsolved (the paper's generalized
-         Definition 1 admits non-terminating runs) instead of stalling the
-         whole campaign. *)
+  label : string;  (* display label; the instance size follows it *)
+  fast_size : int;
 }
 
+(* Each paper benchmark with the scenario file of its scaled-down
+   campaign. *)
 let problems =
   [
-    {
-      paper = Paper_data.MS200;
-      name = "magic-square";
-      size = (if fast then 8 else 10);
-      label = Printf.sprintf "MS %d" (if fast then 8 else 10);
-      iteration_cap = 2_500_000;
-    };
-    {
-      paper = Paper_data.AI700;
-      name = "all-interval";
-      size = (if fast then 14 else 18);
-      label = Printf.sprintf "AI %d" (if fast then 14 else 18);
-      iteration_cap = 5_000_000;
-    };
-    {
-      paper = Paper_data.Costas21;
-      name = "costas-array";
-      size = (if fast then 12 else 14);
-      label = Printf.sprintf "Costas %d" (if fast then 12 else 14);
-      iteration_cap = 1_000_000;
-    };
+    ("reference-ms10", { paper = Paper_data.MS200; label = "MS"; fast_size = 8 });
+    ("reference-ai18", { paper = Paper_data.AI700; label = "AI"; fast_size = 14 });
+    ( "reference-costas14",
+      { paper = Paper_data.Costas21; label = "Costas"; fast_size = 12 } );
   ]
 
-(* Campaigns go through the experiment engine: with LV_BENCH_CACHE set,
-   a campaign whose inputs (problem, size, runs, seed, solver params) are
-   unchanged is restored from the artifact store instead of re-executed,
-   making repeated reference runs incremental. *)
+(* A reference campaign after Engine.run. *)
+type measured = {
+  problem : bench_problem;
+  name : string;  (* e.g. "MS 10" *)
+  outcome : Engine.outcome;
+}
+
+let iterations m = m.outcome.Engine.campaign.Lv_multiwalk.Campaign.iterations
+
+let simulated_at m k =
+  (List.find (fun r -> r.Lv_multiwalk.Sim.cores = k) m.outcome.Engine.simulated)
+    .Lv_multiwalk.Sim.speedup
+
+let load_scenario (file, p) =
+  let sc = Scenario.of_file ("examples/scenarios/" ^ file ^ ".conf") in
+  let size = if fast then p.fast_size else sc.Scenario.size in
+  (p, { sc with size; runs = Option.value runs_override ~default:sc.runs })
+
+(* With LV_BENCH_CACHE set, a campaign whose inputs (problem, size, runs,
+   seed, solver params) are unchanged is restored from the artifact store
+   instead of re-executed, making repeated reference runs incremental. *)
 let engine_ctx =
   Lv_context.Context.make ~telemetry
     ?cache_dir:(Sys.getenv_opt "LV_BENCH_CACHE") ()
 
-let engine_campaign ~label ~problem ~size ~seed ~runs ?walk ~iteration_cap () =
-  let scenario =
-    Lv_engine.Scenario.make ~name:label ~runs ~seed ?walk ~iteration_cap
-      ~stages:[ Lv_engine.Scenario.Campaign ] ~problem ~size ()
-  in
-  (Lv_engine.Engine.run ~ctx:engine_ctx scenario).Lv_engine.Engine.campaign
-
-let campaign_of p =
-  printf "  [%s] running %d sequential solves...@." p.label runs;
+let run_reference (p, sc) =
+  let name = Printf.sprintf "%s %d" p.label sc.Scenario.size in
+  let runs = sc.Scenario.runs in
+  printf "  [%s] running %d sequential solves...@." name runs;
   let t0 = Lv_telemetry.Clock.now_ns () in
-  let c =
-    engine_campaign ~label:p.label ~problem:p.name ~size:p.size ~seed:20130101
-      ~runs ~iteration_cap:p.iteration_cap ()
-  in
+  let outcome = Engine.run ~ctx:engine_ctx sc in
   let dt =
     Lv_telemetry.Clock.seconds_between ~start:t0
       ~stop:(Lv_telemetry.Clock.now_ns ())
   in
-  printf "  [%s] %d sequential runs in %.1fs (%d unsolved%s)@." p.label runs dt
+  let c = outcome.Engine.campaign in
+  printf "  [%s] %d sequential runs in %.1fs (%d unsolved%s)@." name runs dt
     c.Lv_multiwalk.Campaign.n_censored
     (if c.Lv_multiwalk.Campaign.n_restored > 0 then
        Printf.sprintf ", %d restored from cache"
          c.Lv_multiwalk.Campaign.n_restored
      else "");
-  c
+  { problem = p; name; outcome }
 
 (* ------------------------------------------------------------------ *)
 (* Section 3 figures: the model on synthetic laws                      *)
@@ -221,25 +216,26 @@ let table1_2 campaigns =
   let header = [ "problem"; "min"; "mean"; "median"; "max" ] in
   let rows =
     List.concat_map
-      (fun (p, c) ->
+      (fun m ->
         [ paper_stats_row
-            (Paper_data.benchmark_name p.paper ^ " (paper, s)")
-            (Paper_data.table1_seconds p.paper);
+            (Paper_data.benchmark_name m.problem.paper ^ " (paper, s)")
+            (Paper_data.table1_seconds m.problem.paper);
           stats_row
-            (p.label ^ " (measured, s)")
-            (Lv_multiwalk.Dataset.summary c.Lv_multiwalk.Campaign.seconds) ])
+            (m.name ^ " (measured, s)")
+            (Lv_multiwalk.Dataset.summary
+               m.outcome.Engine.campaign.Lv_multiwalk.Campaign.seconds) ])
       campaigns
   in
   print_string (Report.table ~title:"Table 1 — execution times (seconds)" ~header ~rows);
   let rows =
     List.concat_map
-      (fun (p, c) ->
+      (fun m ->
         [ paper_stats_row
-            (Paper_data.benchmark_name p.paper ^ " (paper)")
-            (Paper_data.table2_iterations p.paper);
+            (Paper_data.benchmark_name m.problem.paper ^ " (paper)")
+            (Paper_data.table2_iterations m.problem.paper);
           stats_row
-            (p.label ^ " (measured)")
-            (Lv_multiwalk.Dataset.summary c.Lv_multiwalk.Campaign.iterations) ])
+            (m.name ^ " (measured)")
+            (Lv_multiwalk.Dataset.summary (iterations m)) ])
       campaigns
   in
   print_string (Report.table ~title:"Table 2 — number of iterations" ~header ~rows);
@@ -251,39 +247,39 @@ let table1_2 campaigns =
 (* Tables 3-4 and Figures 6-7: measured multi-walk speed-ups           *)
 (* ------------------------------------------------------------------ *)
 
-let speedup_row ds =
-  List.map
-    (fun r -> fc r.Lv_multiwalk.Sim.speedup)
-    (Lv_multiwalk.Sim.table ds ~cores:paper_cores)
-
 let table3_4 campaigns =
   print_string (Report.section "Tables 3-4 — measured multi-walk speed-ups on k cores");
   let header = "problem" :: List.map (fun k -> Printf.sprintf "k=%d" k) paper_cores in
-  let block paper_row_of label_suffix ds_of =
+  let block paper_row_of measured_row =
     List.concat_map
-      (fun (p, c) ->
-        [ (Paper_data.benchmark_name p.paper ^ " (paper)")
-          :: List.map (fun (_, v) -> fc v) (paper_row_of p.paper);
-          (p.label ^ label_suffix) :: speedup_row (ds_of c) ])
+      (fun m ->
+        [ (Paper_data.benchmark_name m.problem.paper ^ " (paper)")
+          :: List.map (fun (_, v) -> fc v) (paper_row_of m.problem.paper);
+          (m.name ^ " (measured)")
+          :: List.map (fun r -> fc r.Lv_multiwalk.Sim.speedup) (measured_row m) ])
       campaigns
   in
+  (* The engine simulates the scenario's metric (iterations); the time
+     metric is simulated here at the same core counts. *)
   print_string
     (Report.table ~title:"Table 3 — speed-ups w.r.t. sequential time" ~header
        ~rows:
-         (block Paper_data.table3_speedups_time " (measured)" (fun c ->
-              c.Lv_multiwalk.Campaign.seconds)));
+         (block Paper_data.table3_speedups_time (fun m ->
+              Lv_multiwalk.Sim.table
+                m.outcome.Engine.campaign.Lv_multiwalk.Campaign.seconds
+                ~cores:m.outcome.Engine.scenario.Scenario.cores)));
   print_string
     (Report.table ~title:"Table 4 — speed-ups w.r.t. sequential iterations" ~header
        ~rows:
-         (block Paper_data.table4_speedups_iterations " (measured)" (fun c ->
-              c.Lv_multiwalk.Campaign.iterations)));
+         (block Paper_data.table4_speedups_iterations (fun m ->
+              m.outcome.Engine.simulated)));
   printf
     "shape check (paper Sect. 5.5): the CSPLib problems flatten away from \
      linear; Costas stays ~linear to 256 cores.@.";
   let dense = [ 1; 2; 4; 8; 16; 32; 64; 128; 256 ] in
   List.iter
-    (fun (p, c) ->
-      let rows = Lv_multiwalk.Sim.table c.Lv_multiwalk.Campaign.iterations ~cores:dense in
+    (fun m ->
+      let rows = Lv_multiwalk.Sim.table (iterations m) ~cores:dense in
       let pts =
         List.map
           (fun r ->
@@ -292,11 +288,11 @@ let table3_4 campaigns =
           rows
       in
       let fig =
-        match p.paper with Paper_data.Costas21 -> "Figure 7" | _ -> "Figure 6"
+        match m.problem.paper with Paper_data.Costas21 -> "Figure 7" | _ -> "Figure 6"
       in
       print_string
         (Report.speedup_series
-           ~title:(Printf.sprintf "%s — measured speed-up, %s" fig p.label)
+           ~title:(Printf.sprintf "%s — measured speed-up, %s" fig m.name)
            pts))
     campaigns
 
@@ -304,11 +300,14 @@ let table3_4 campaigns =
 (* Figures 8/10/12: histogram + fit; Figures 9/11/13: prediction       *)
 (* ------------------------------------------------------------------ *)
 
+(* Prints and returns (for ablation B) each campaign's fit over every
+   family; the prediction is the engine's, over the scenario's candidates. *)
 let fit_and_figures campaigns =
   List.map
-    (fun (p, c) ->
+    (fun m ->
+      let paper = m.problem.paper in
       let fig_hist, fig_curve =
-        match p.paper with
+        match paper with
         | Paper_data.AI700 -> ("Figure 8", "Figure 9")
         | Paper_data.MS200 -> ("Figure 10", "Figure 11")
         | Paper_data.Costas21 -> ("Figure 12", "Figure 13")
@@ -316,13 +315,18 @@ let fit_and_figures campaigns =
       print_string
         (Report.section
            (Printf.sprintf "%s / %s — %s: fit and predicted speed-up" fig_hist
-              fig_curve p.label));
-      let ds = c.Lv_multiwalk.Campaign.iterations in
-      let report = Fit.fit ds.Lv_multiwalk.Dataset.values in
+              fig_curve m.name));
+      let ds = iterations m in
+      let report =
+        Fit.fit ~n_censored:(Lv_multiwalk.Dataset.n_censored ds)
+          ds.Lv_multiwalk.Dataset.values
+      in
       printf "%a@.@." Fit.pp_report report;
       (* Capped runs are right-censored observations; show how much of the
          exponential rate the naive drop-them estimator loses. *)
-      let censored = Lv_multiwalk.Campaign.censored_iterations c in
+      let censored =
+        Lv_multiwalk.Campaign.censored_iterations m.outcome.Engine.campaign
+      in
       if Array.length censored > 0 then begin
         let with_censoring =
           Lv_stats.Mle.exponential_censored
@@ -336,12 +340,7 @@ let fit_and_figures campaigns =
           (Lv_stats.Distribution.to_string with_censoring)
           (1. /. (Lv_multiwalk.Dataset.summary ds).Lv_stats.Summary.mean)
       end;
-      (* The prediction restricts to the paper's candidate pool: gamma and
-         Weibull can win the p-value contest yet extrapolate the lower tail
-         (which the multi-walk minimum amplifies) much too optimistically. *)
-      let prediction =
-        Predict.of_dataset ~candidates:Fit.paper_candidates ~cores:paper_cores ds
-      in
+      let prediction = Option.get m.outcome.Engine.prediction in
       let law = prediction.Predict.law in
       let hist =
         Lv_stats.Histogram.make ~binning:(Lv_stats.Histogram.Bins 24)
@@ -349,11 +348,11 @@ let fit_and_figures campaigns =
       in
       print_string
         (Lv_stats.Histogram.render ~max_width:40 ~pdf:law.Lv_stats.Distribution.pdf hist);
-      let paper_law = Paper_data.fitted_law p.paper in
+      let paper_law = Paper_data.fitted_law paper in
       printf "@.paper's fitted law for %s: %s"
-        (Paper_data.benchmark_name p.paper)
+        (Paper_data.benchmark_name paper)
         (Lv_stats.Distribution.to_string paper_law);
-      (match Paper_data.fitted_p_value p.paper with
+      (match Paper_data.fitted_p_value paper with
       | Some pv -> printf " (paper KS p-value %.5f)@." pv
       | None -> printf "@.");
       let curve = Speedup.curve law ~cores:[ 1; 2; 4; 8; 16; 32; 64; 128; 256 ] in
@@ -367,60 +366,57 @@ let fit_and_figures campaigns =
       (if Float.is_finite prediction.Predict.limit then
          printf "predicted limit as n -> inf: %.2f" prediction.Predict.limit
        else printf "predicted speed-up is linear (infinite limit)");
-      (match Paper_data.predicted_limit p.paper with
+      (match Paper_data.predicted_limit paper with
       | Some l ->
-        printf "   [paper's limit for %s: %g]@." (Paper_data.benchmark_name p.paper) l
+        printf "   [paper's limit for %s: %g]@." (Paper_data.benchmark_name paper) l
       | None -> printf "   [paper: linear]@.");
-      (p, c, prediction))
+      (m, report))
     campaigns
 
 (* ------------------------------------------------------------------ *)
 (* Table 5: predicted vs experimental                                  *)
 (* ------------------------------------------------------------------ *)
 
-let table5 predictions =
+let table5 campaigns =
   print_string (Report.section "Table 5 — predicted vs experimental speed-ups");
   let header = "row" :: List.map (fun k -> Printf.sprintf "k=%d" k) paper_cores in
   let rows =
     List.concat_map
-      (fun (p, c, prediction) ->
-        let paper_name = Paper_data.benchmark_name p.paper in
+      (fun m ->
+        let paper = m.problem.paper in
+        let paper_name = Paper_data.benchmark_name paper in
         let model_row =
           List.map
-            (fun k -> fc (Speedup.at (Paper_data.fitted_law p.paper) ~cores:k))
+            (fun k -> fc (Speedup.at (Paper_data.fitted_law paper) ~cores:k))
             paper_cores
         in
-        let measured =
-          Lv_multiwalk.Sim.table c.Lv_multiwalk.Campaign.iterations ~cores:paper_cores
-          |> List.map (fun r ->
-                 (r.Lv_multiwalk.Sim.cores, r.Lv_multiwalk.Sim.speedup))
-        in
-        let comparison = Predict.compare prediction ~measured in
+        let comparison = m.outcome.Engine.comparison in
         [
           (paper_name ^ " experimental (paper)")
-          :: List.map (fun (_, v) -> fc v) (Paper_data.table5_experimental p.paper);
+          :: List.map (fun (_, v) -> fc v) (Paper_data.table5_experimental paper);
           (paper_name ^ " predicted (paper)")
-          :: List.map (fun (_, v) -> fc v) (Paper_data.table5_predicted p.paper);
+          :: List.map (fun (_, v) -> fc v) (Paper_data.table5_predicted paper);
           (paper_name ^ " predicted (model, paper params)") :: model_row;
-          (p.label ^ " measured (this machine)")
+          (m.name ^ " measured (this machine)")
           :: List.map (fun r -> fc r.Predict.measured) comparison;
-          (p.label ^ " predicted (this machine fit)")
+          (m.name ^ " predicted (this machine fit)")
           :: List.map (fun r -> fc r.Predict.predicted) comparison;
-          (p.label ^ " relative error")
+          (m.name ^ " relative error")
           :: List.map
                (fun r -> Printf.sprintf "%+.1f%%" (100. *. r.Predict.relative_error))
                comparison;
         ])
-      predictions
+      campaigns
   in
   print_string (Report.table ~title:"Table 5" ~header ~rows);
   List.iter
-    (fun (p, _, _) ->
-      let measured_paper = Paper_data.table5_experimental p.paper in
+    (fun m ->
+      let paper = m.problem.paper in
+      let measured_paper = Paper_data.table5_experimental paper in
       let model_vs_paper =
         Predict.compare
           (Predict.of_distribution ~label:"paper" ~cores:paper_cores
-             (Paper_data.fitted_law p.paper))
+             (Paper_data.fitted_law paper))
           ~measured:measured_paper
       in
       (* The paper states its deviations relative to the *predicted* value
@@ -437,10 +433,10 @@ let table5 predictions =
       printf
         "%s: model-on-paper-params vs paper's experimental: max |err| = %.1f%% \
          of measured, %.1f%% of predicted (paper reports 10-30%% of predicted)@."
-        (Paper_data.benchmark_name p.paper)
+        (Paper_data.benchmark_name paper)
         (100. *. Predict.max_abs_relative_error model_vs_paper)
         (100. *. max_err_vs_predicted))
-    predictions
+    campaigns
 
 (* ------------------------------------------------------------------ *)
 (* Figure 14: Costas scaling to 8192 cores                             *)
@@ -486,15 +482,15 @@ let ablation_observations campaigns =
   let header = [ "problem"; "runs used"; "fitted law"; "G_64"; "G_256"; "limit" ] in
   let rows =
     List.concat_map
-      (fun (p, c) ->
-        let values = c.Lv_multiwalk.Campaign.iterations.Lv_multiwalk.Dataset.values in
+      (fun m ->
+        let values = (iterations m).Lv_multiwalk.Dataset.values in
         let total = Array.length values in
         List.filter_map
           (fun k ->
             if k > total then None
             else begin
               let ds =
-                Lv_multiwalk.Dataset.create ~label:p.label ~metric:"iterations"
+                Lv_multiwalk.Dataset.create ~label:m.name ~metric:"iterations"
                   (Array.sub values 0 k)
               in
               let pr =
@@ -505,7 +501,7 @@ let ablation_observations campaigns =
                 List.find (fun pt -> pt.Speedup.cores = n) pr.Predict.curve
               in
               Some
-                [ p.label; string_of_int k;
+                [ m.name; string_of_int k;
                   pr.Predict.law.Lv_stats.Distribution.name;
                   fc (g 64).Speedup.speedup;
                   fc (g 256).Speedup.speedup;
@@ -521,19 +517,16 @@ let ablation_observations campaigns =
      the paper used ~650 runs.@."
 
 (* B: sensitivity to the fitted family — every accepted candidate's
-   prediction next to the measured value. *)
-let ablation_family campaigns =
+   prediction next to the measured value, from the all-candidates fit
+   that Figures 8/10/12 print. *)
+let ablation_family fits =
   print_string
     (Report.section "Ablation B — prediction sensitivity to the fitted family");
   let header = [ "problem"; "family"; "KS p"; "G_64 predicted"; "G_64 measured" ] in
   let rows =
     List.concat_map
-      (fun (p, c) ->
-        let ds = c.Lv_multiwalk.Campaign.iterations in
-        let measured =
-          (List.hd (Lv_multiwalk.Sim.table ds ~cores:[ 64 ])).Lv_multiwalk.Sim.speedup
-        in
-        let report = Fit.fit ds.Lv_multiwalk.Dataset.values in
+      (fun (m, report) ->
+        let measured = simulated_at m 64 in
         List.filter_map
           (fun f ->
             if not f.Fit.ks.Lv_stats.Kolmogorov.accept then None
@@ -541,12 +534,12 @@ let ablation_family campaigns =
               match Speedup.at f.Fit.dist ~cores:64 with
               | g ->
                 Some
-                  [ p.label; Fit.candidate_name f.Fit.candidate;
+                  [ m.name; Fit.candidate_name f.Fit.candidate;
                     Printf.sprintf "%.3f" f.Fit.ks.Lv_stats.Kolmogorov.p_value;
                     fc g; fc measured ]
               | exception Invalid_argument _ -> None)
           report.Fit.fits)
-      campaigns
+      fits
   in
   print_string (Report.table ~title:"accepted families, G_64" ~header ~rows);
   printf
@@ -564,11 +557,9 @@ let ablation_shift campaigns =
   in
   let rows =
     List.concat_map
-      (fun (p, c) ->
-        let ds = c.Lv_multiwalk.Campaign.iterations in
-        let measured =
-          (List.hd (Lv_multiwalk.Sim.table ds ~cores:[ 256 ])).Lv_multiwalk.Sim.speedup
-        in
+      (fun m ->
+        let ds = iterations m in
+        let measured = simulated_at m 256 in
         List.map
           (fun candidate ->
             match Fit.fit_one candidate ds.Lv_multiwalk.Dataset.values with
@@ -576,12 +567,12 @@ let ablation_shift campaigns =
               let params = f.Fit.dist.Lv_stats.Distribution.params in
               let x0 = Option.value (List.assoc_opt "x0" params) ~default:0. in
               let lambda = List.assoc "lambda" params in
-              [ p.label; fc x0; fc (1. /. lambda);
+              [ m.name; fc x0; fc (1. /. lambda);
                 fc (Speedup.at f.Fit.dist ~cores:256);
                 (let l = Speedup.limit f.Fit.dist in
                  if Float.is_finite l then fc l else "linear");
                 fc measured ]
-            | None -> [ p.label; "-"; "-"; "-"; "-"; fc measured ])
+            | None -> [ m.name; "-"; "-"; "-"; "-"; fc measured ])
           [ Fit.Shifted_exponential; Fit.Exponential ])
       campaigns
   in
@@ -605,24 +596,21 @@ let ablation_solver_params () =
   let rows =
     List.map
       (fun walk ->
-        let c =
-          engine_campaign
-            ~label:(Printf.sprintf "costas-%d w%.1f" size walk)
-            ~problem:"costas-array" ~size ~seed:777 ~runs:runs_d ~walk
-            ~iteration_cap:2_000_000 ()
+        let o =
+          Engine.run ~ctx:engine_ctx
+            (Scenario.make
+               ~name:(Printf.sprintf "costas-%d w%.1f" size walk)
+               ~runs:runs_d ~seed:777 ~cores:[ 64 ] ~walk
+               ~iteration_cap:2_000_000
+               ~candidates:(List.map Fit.candidate_name Fit.paper_candidates)
+               ~problem:"costas-array" ~size ())
         in
-        let ds = c.Lv_multiwalk.Campaign.iterations in
-        let pr =
-          Predict.of_dataset ~candidates:Fit.paper_candidates ~cores:[ 64 ] ds
-        in
-        let measured =
-          (List.hd (Lv_multiwalk.Sim.table ds ~cores:[ 64 ])).Lv_multiwalk.Sim.speedup
-        in
+        let g64 = List.hd o.Engine.comparison in
         [ Printf.sprintf "%.1f" walk;
-          fc (Lv_multiwalk.Dataset.summary ds).Lv_stats.Summary.mean;
-          pr.Predict.law.Lv_stats.Distribution.name;
-          fc (List.hd pr.Predict.curve).Speedup.speedup;
-          fc measured ])
+          fc (Lv_multiwalk.Dataset.summary o.Engine.dataset).Lv_stats.Summary.mean;
+          (Option.get o.Engine.prediction).Predict.law.Lv_stats.Distribution.name;
+          fc g64.Predict.predicted;
+          fc g64.Predict.measured ])
       [ 0.2; 0.5; 0.8 ]
   in
   print_string (Report.table ~title:(Printf.sprintf "Costas %d, %d runs per setting" size runs_d) ~header ~rows);
@@ -635,32 +623,39 @@ let ttt_diagnostics campaigns =
   print_string
     (Report.section "Time-to-target diagnostics (the paper's refs [2,3] methodology)");
   List.iter
-    (fun (p, c) ->
-      let values = c.Lv_multiwalk.Campaign.iterations.Lv_multiwalk.Dataset.values in
-      printf "--- %s ---@." p.label;
-      print_string (Ttt.report values))
+    (fun m ->
+      printf "--- %s ---@." m.name;
+      print_string (Ttt.report (iterations m).Lv_multiwalk.Dataset.values))
     campaigns
 
 (* ------------------------------------------------------------------ *)
 
 let () =
+  let scenarios =
+    try List.map load_scenario problems
+    with Sys_error msg ->
+      prerr_endline ("bench: " ^ msg ^ " (run from the repository root)");
+      exit 1
+  in
   printf "Las Vegas multi-walk speed-up prediction — reproduction harness@.";
-  printf "(runs per campaign: %d%s)@." runs (if fast then ", fast mode" else "");
+  (* test_engine pins every reference file at the same run count. *)
+  printf "(runs per campaign: %d%s)@." (snd (List.hd scenarios)).Scenario.runs
+    (if fast then ", fast mode" else "");
   phase "fig1" fig1;
   phase "fig2_3" fig2_3;
   phase "fig4_5" fig4_5;
   print_string (Report.section "Sequential campaigns (the paper's Section 5.4)");
   let campaigns =
-    phase "campaigns" (fun () -> List.map (fun p -> (p, campaign_of p)) problems)
+    phase "campaigns" (fun () -> List.map run_reference scenarios)
   in
   phase "table1_2" (fun () -> table1_2 campaigns);
   phase "table3_4" (fun () -> table3_4 campaigns);
-  let predictions = phase "fit_and_figures" (fun () -> fit_and_figures campaigns) in
-  phase "table5" (fun () -> table5 predictions);
+  let fits = phase "fit_and_figures" (fun () -> fit_and_figures campaigns) in
+  phase "table5" (fun () -> table5 campaigns);
   phase "fig14" fig14;
   phase "ttt" (fun () -> ttt_diagnostics campaigns);
   phase "ablation_observations" (fun () -> ablation_observations campaigns);
-  phase "ablation_family" (fun () -> ablation_family campaigns);
+  phase "ablation_family" (fun () -> ablation_family fits);
   phase "ablation_shift" (fun () -> ablation_shift campaigns);
   phase "ablation_solver_params" ablation_solver_params;
   write_telemetry_summary "BENCH_telemetry.json";

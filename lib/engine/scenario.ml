@@ -41,7 +41,11 @@ let has_stage t stage = List.mem stage t.stages
 
 let fail fmt = Printf.ksprintf failwith fmt
 
-let validate t =
+(* [name] defaults to <problem>-<size> after the problem name is made
+   canonical, so "queens" and "n-queens" yield the same label and output
+   files.  The name is an output file stem, so it must not leave the
+   output directory or name a subdirectory. *)
+let validate ?name t =
   let t =
     match Lv_problems.Registry.canonical t.problem with
     | Some p -> { t with problem = p }
@@ -49,6 +53,19 @@ let validate t =
       fail "scenario: unknown problem %S (known: %s)" t.problem
         (String.concat ", " Lv_problems.Registry.names)
   in
+  let t =
+    {
+      t with
+      name =
+        Option.value name ~default:(Printf.sprintf "%s-%d" t.problem t.size);
+    }
+  in
+  if
+    t.name = "" || t.name = "." || t.name = ".."
+    || String.exists (fun c -> c = '/' || c = '\\') t.name
+  then
+    fail "scenario: name %S must be a plain file stem (not empty, . or .., \
+          no / or \\)" t.name;
   if t.size <= 0 then fail "scenario: size must be positive";
   if t.runs <= 0 then fail "scenario: runs must be positive";
   if t.cores = [] then fail "scenario: cores must be non-empty";
@@ -122,31 +139,25 @@ let make ?name ?(runs = 200) ?(seed = 1) ?(cores = [ 16; 32; 64; 128; 256 ])
     ?(metric = `Iterations) ?walk ?iteration_cap ?timeout ?max_iters ?alpha
     ?candidates ?(stages = default_stages) ?validate:validate_config
     ?output_dir ~problem ~size () =
-  let t =
-    validate
-      {
-        (* Defaulted after validation, from the canonical problem name, so
-           "queens" and "n-queens" yield the same label and artifacts. *)
-        name = Option.value name ~default:"";
-        problem;
-        size;
-        runs;
-        seed;
-        cores;
-        metric;
-        walk;
-        iteration_cap;
-        timeout;
-        max_iters;
-        alpha;
-        candidates;
-        stages = normalize_stages stages;
-        validate = validate_config;
-        output_dir;
-      }
-  in
-  if t.name <> "" then t
-  else { t with name = Printf.sprintf "%s-%d" t.problem t.size }
+  validate ?name
+    {
+      name = "" (* set by [validate] *);
+      problem;
+      size;
+      runs;
+      seed;
+      cores;
+      metric;
+      walk;
+      iteration_cap;
+      timeout;
+      max_iters;
+      alpha;
+      candidates;
+      stages = normalize_stages stages;
+      validate = validate_config;
+      output_dir;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Parser                                                              *)

@@ -45,7 +45,9 @@
 type stage = Campaign | Fit | Predict | Simulate | Compare | Validate
 
 type t = {
-  name : string;  (** dataset label and artifact/output file stem *)
+  name : string;
+      (** dataset label and output file stem: not empty, [.] or [..], and
+          free of ['/'] and ['\\'] *)
   problem : string;  (** canonical {!Lv_problems.Registry} name *)
   size : int;
   runs : int;
@@ -97,7 +99,8 @@ val make :
 (** Programmatic constructor with the same defaults and validation as the
     file parser (runs 200, seed 1, cores 16..256, iteration metric,
     {!default_stages}).  Raises [Failure] on an invalid scenario —
-    unknown problem, unknown candidate name, nonpositive size/runs/cores,
+    a name that is not a plain file stem, unknown problem, unknown
+    candidate name, nonpositive size/runs/cores,
     an invalid validation config, or a stage whose prerequisite stage is
     missing ([Fit] needs [Campaign], [Predict] needs [Fit], [Simulate]
     needs [Campaign], [Compare] needs [Predict] and [Simulate],

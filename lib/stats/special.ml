@@ -1,5 +1,5 @@
 (* Standard expansions: Lanczos for log-gamma; series and Lentz continued
-   fractions for the incomplete gamma and beta functions; erf/erfc derived
+   fractions for the incomplete gamma function; erf/erfc derived
    from the incomplete gamma with direct asymptotics for the far tail.
    References: Numerical Recipes 3rd ed. ch. 6, Lanczos (1964), Acklam's
    inverse-normal approximation. *)
@@ -166,58 +166,6 @@ let erfc_inv y =
     invalid_arg "Special.erfc_inv: argument must lie in (0, 2)";
   (* erfc x = y  ⇔  Φ(-x√2) = y/2. *)
   -.norm_quantile (y /. 2.) /. sqrt 2.
-
-(* ------------------------------------------------------------------ *)
-(* Regularized incomplete beta                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Continued fraction for I_x(a,b), modified Lentz (NR betacf). *)
-let beta_cf a b x =
-  let qab = a +. b and qap = a +. 1. and qam = a -. 1. in
-  let c = ref 1. in
-  let d = ref (1. -. (qab *. x /. qap)) in
-  if abs_float !d < fpmin then d := fpmin;
-  d := 1. /. !d;
-  let h = ref !d in
-  (try
-     for m = 1 to 300 do
-       let fm = float_of_int m in
-       let m2 = 2. *. fm in
-       let aa = fm *. (b -. fm) *. x /. ((qam +. m2) *. (a +. m2)) in
-       d := 1. +. (aa *. !d);
-       if abs_float !d < fpmin then d := fpmin;
-       c := 1. +. (aa /. !c);
-       if abs_float !c < fpmin then c := fpmin;
-       d := 1. /. !d;
-       h := !h *. !d *. !c;
-       let aa = -.(a +. fm) *. (qab +. fm) *. x /. ((a +. m2) *. (qap +. m2)) in
-       d := 1. +. (aa *. !d);
-       if abs_float !d < fpmin then d := fpmin;
-       c := 1. +. (aa /. !c);
-       if abs_float !c < fpmin then c := fpmin;
-       d := 1. /. !d;
-       let del = !d *. !c in
-       h := !h *. del;
-       if abs_float (del -. 1.) < eps then raise Exit
-     done
-   with Exit -> ());
-  !h
-
-let beta_inc a b x =
-  if a <= 0. || b <= 0. then invalid_arg "Special.beta_inc: a, b must be positive";
-  if x < 0. || x > 1. then invalid_arg "Special.beta_inc: x must lie in [0, 1]";
-  if x = 0. then 0.
-  else if x = 1. then 1.
-  else begin
-    let bt =
-      exp
-        (log_gamma (a +. b) -. log_gamma a -. log_gamma b
-        +. (a *. log x)
-        +. (b *. log (1. -. x)))
-    in
-    if x < (a +. 1.) /. (a +. b +. 2.) then bt *. beta_cf a b x /. a
-    else 1. -. (bt *. beta_cf b a (1. -. x) /. b)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Digamma                                                             *)

@@ -30,10 +30,6 @@ val gamma_p : float -> float -> float
 val gamma_q : float -> float -> float
 (** [gamma_q a x = 1. -. gamma_p a x], computed directly for large [x]. *)
 
-val beta_inc : float -> float -> float -> float
-(** [beta_inc a b x] is the regularized incomplete beta function
-    I_x(a, b), for [a, b > 0] and [x] in [0, 1]. *)
-
 val digamma : float -> float
 (** Digamma (psi) function for positive arguments. *)
 

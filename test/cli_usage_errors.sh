@@ -10,6 +10,8 @@ trap 'rm -rf "$work"' EXIT
 printf '1\n2\n3\n5\n8\n13\n21\n34\n' > "$work/data.csv"
 printf '[scenario]\nproblem = n-queens\nsize = 8\nvalidate = replicates=1\n' \
   > "$work/bad-validate.conf"
+printf '[scenario]\nname = a/b\nproblem = n-queens\nsize = 8\nruns = 3\nstages = campaign\n' \
+  > "$work/bad-name.conf"
 : > "$work/empty.csv"
 printf 'garbage\n{"run":0,"seed":1,"iterations":3,"seconds":0.001,"solved":true}\n' \
   > "$work/bad-log.jsonl"
@@ -65,6 +67,9 @@ expect_one_line ttt "$work/empty.csv"
 expect_one_line campaign n-queens 8 --runs 3 --timeout 0 -q
 # A scenario the parser rejects (too few bootstrap replicates).
 expect_one_line run "$work/bad-validate.conf" -q
+# A scenario name is an output file stem: one with a '/' would write
+# into a subdirectory of --out-dir (or, as ../x, outside it).
+expect_one_line run "$work/bad-name.conf" --out-dir "$work/o" -q
 # A run-log with a bad line before a valid entry cannot be resumed; the
 # line names the file.
 expect_one_line campaign n-queens 8 --runs 3 --checkpoint "$work/bad-log.jsonl" -q

@@ -31,6 +31,14 @@ let check_fails name f =
   | exception Failure _ -> ()
   | _ -> Alcotest.failf "%s: expected Failure" name
 
+(* A checked-in scenario file: [dune runtest] runs from _build/default/test,
+   [dune exec] from the repository root. *)
+let example_scenario stem =
+  List.find Sys.file_exists
+    (List.map
+       (fun dir -> Printf.sprintf "%sexamples/scenarios/%s.conf" dir stem)
+       [ "../"; "" ])
+
 (* ------------------------------------------------------------------ *)
 (* Context                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -179,6 +187,52 @@ let test_scenario_make_validation () =
       Scenario.make ~problem:"queens" ~size:8 ~alpha:0. ());
   check_fails "empty stages" (fun () ->
       Scenario.make ~problem:"queens" ~size:8 ~stages:[] ())
+
+(* The name is the output file stem: [lvp run --out-dir o] writes
+   o/<name>-dataset.csv, so a name must not name a directory or leave o. *)
+let test_scenario_name_is_file_stem () =
+  List.iter
+    (fun name ->
+      expect_parse_error ~substring:"scenario: name"
+        (minimal ^ "name = " ^ name ^ "\n");
+      check_fails name (fun () ->
+          Scenario.make ~name ~problem:"queens" ~size:8 ()))
+    [ "a/b"; "../x"; "."; ".."; "a\\b" ];
+  check_fails "empty name" (fun () ->
+      Scenario.make ~name:"" ~problem:"queens" ~size:8 ());
+  Alcotest.(check string) "spaces and dots are fine" "costas-12 w0.2"
+    (Scenario.make ~name:"costas-12 w0.2" ~problem:"costas" ~size:12 ())
+      .Scenario.name
+
+(* bench/main.ml reads its measured campaigns from these files, so they
+   must stay the paper's reference campaigns. *)
+let test_scenario_reference_files () =
+  List.iter
+    (fun (stem, problem, size, cap) ->
+      let sc = Scenario.of_file (example_scenario stem) in
+      let check_int what = Alcotest.(check int) (stem ^ " " ^ what) in
+      Alcotest.(check string) (stem ^ " problem") problem sc.Scenario.problem;
+      check_int "size" size sc.Scenario.size;
+      check_int "seed" 20130101 sc.Scenario.seed;
+      check_int "runs" 400 sc.Scenario.runs;
+      Alcotest.(check (option int)) (stem ^ " iteration cap") (Some cap)
+        sc.Scenario.iteration_cap;
+      Alcotest.(check (list int)) (stem ^ " cores") Lv_core.Paper_data.cores
+        sc.Scenario.cores;
+      Alcotest.(check (option (list string))) (stem ^ " candidates")
+        (Some (List.map Lv_core.Fit.candidate_name Lv_core.Fit.paper_candidates))
+        sc.Scenario.candidates;
+      List.iter
+        (fun st ->
+          Alcotest.(check bool)
+            (stem ^ " stage " ^ Scenario.stage_name st)
+            true (Scenario.has_stage sc st))
+        [ Scenario.Simulate; Scenario.Compare ])
+    [
+      ("reference-ms10", "magic-square", 10, 2_500_000);
+      ("reference-ai18", "all-interval", 18, 5_000_000);
+      ("reference-costas14", "costas-array", 14, 1_000_000);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Scenario parser fuzzing                                             *)
@@ -596,14 +650,7 @@ let pinned_artifacts =
   ]
 
 let test_engine_artifact_keys_pinned () =
-  let conf =
-    List.find Sys.file_exists
-      [
-        "../examples/scenarios/ci-smoke.conf";
-        "examples/scenarios/ci-smoke.conf";
-      ]
-  in
-  let sc = Scenario.of_file conf in
+  let sc = Scenario.of_file (example_scenario "ci-smoke") in
   let sc =
     {
       sc with
@@ -627,14 +674,7 @@ let pinned_fit_artifact =
 |}
 
 let test_engine_fit_artifact_pinned () =
-  let conf =
-    List.find Sys.file_exists
-      [
-        "../examples/scenarios/ci-smoke.conf";
-        "examples/scenarios/ci-smoke.conf";
-      ]
-  in
-  let sc = Scenario.of_file conf in
+  let sc = Scenario.of_file (example_scenario "ci-smoke") in
   let sc = { sc with Scenario.stages = [ Scenario.Campaign; Scenario.Fit ] } in
   let cache = tmp_dir () in
   ignore (Engine.run ~ctx:(Ctx.make ~cache_dir:cache ()) sc);
@@ -669,6 +709,10 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_scenario_parse_errors;
           Alcotest.test_case "canonical round-trip" `Quick test_scenario_roundtrip;
           Alcotest.test_case "make validation" `Quick test_scenario_make_validation;
+          Alcotest.test_case "name is a plain file stem" `Quick
+            test_scenario_name_is_file_stem;
+          Alcotest.test_case "reference files are the paper's campaigns" `Quick
+            test_scenario_reference_files;
         ] );
       ( "scenario-fuzz",
         List.map QCheck_alcotest.to_alcotest scenario_qcheck_props );

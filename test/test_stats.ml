@@ -91,25 +91,6 @@ let test_gamma_p_q () =
   check_float ~eps:1e-15 "P(2,0)" 0. (Special.gamma_p 2. 0.);
   check_float ~eps:1e-15 "Q(2,0)" 1. (Special.gamma_q 2. 0.)
 
-let test_beta_inc () =
-  (* I_x(1,1) = x. *)
-  List.iter
-    (fun x -> check_rel ~tol:1e-12 (Printf.sprintf "I_%g(1,1)" x) x (Special.beta_inc 1. 1. x))
-    [ 0.1; 0.5; 0.9 ];
-  (* I_x(2,3) = x^2 (6 - 8x + 3x^2). *)
-  List.iter
-    (fun x ->
-      check_rel ~tol:1e-11
-        (Printf.sprintf "I_%g(2,3)" x)
-        (x *. x *. (6. -. (8. *. x) +. (3. *. x *. x)))
-        (Special.beta_inc 2. 3. x))
-    [ 0.2; 0.4; 0.7 ];
-  (* Symmetry: I_x(a,b) = 1 - I_(1-x)(b,a). *)
-  check_rel ~tol:1e-11 "beta symmetry" (1. -. Special.beta_inc 3. 5. 0.7)
-    (Special.beta_inc 5. 3. 0.3);
-  check_float ~eps:1e-15 "I_0" 0. (Special.beta_inc 2. 2. 0.);
-  check_float ~eps:1e-15 "I_1" 1. (Special.beta_inc 2. 2. 1.)
-
 let test_digamma () =
   (* ψ(1) = -γ. *)
   check_rel ~tol:1e-9 "digamma 1" (-0.5772156649015329) (Special.digamma 1.);
@@ -1466,7 +1447,6 @@ let () =
           Alcotest.test_case "erfc_inv" `Quick test_erfc_inv;
           Alcotest.test_case "log_gamma" `Quick test_log_gamma;
           Alcotest.test_case "incomplete gamma" `Quick test_gamma_p_q;
-          Alcotest.test_case "incomplete beta" `Quick test_beta_inc;
           Alcotest.test_case "digamma" `Quick test_digamma;
           Alcotest.test_case "normal cdf/quantile" `Quick test_norm_cdf_quantile;
         ] );
