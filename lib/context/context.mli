@@ -4,15 +4,17 @@
     the telemetry sink, the default significance level and the artifact
     cache.  Build one with {!make} and pass it as [?ctx] to a pipeline
     entry point: [Lv_multiwalk.Campaign.run]/[run_fn], [Lv_core.Fit.fit],
-    [Lv_core.Predict.of_report]/[of_dataset]/[of_distribution],
-    [Lv_multiwalk.Race.wall_clock]/[iteration_metric],
+    [Lv_core.Predict.of_report]/[of_dataset], [Lv_multiwalk.Race.wall_clock],
     [Lv_validate.Validate.run] and [Lv_engine.Engine.run].
 
     Each setting has exactly one way in.  Entry points take the pool and
     the sink from [?ctx] only.  Single-computation primitives
     ([Lv_core.Fit.fit_one],
     [Lv_validate.Validate.bootstrap_bands]/[holdout]/[oracle]) take no
-    context: they receive [?pool]/[?telemetry]/[?alpha] explicitly.
+    context and record no telemetry; the [Validate] pillars receive
+    [?pool] and [?alpha] explicitly, and [fit_one] tests at 0.05.
+    [Lv_core.Predict.of_distribution] and
+    [Lv_multiwalk.Race.iteration_metric] are serial and untraced.
     Per-call settings — budgets, checkpoints, retries, solver parameters,
     candidate pools and a per-scenario alpha — stay explicit arguments of
     the stage that uses them. *)

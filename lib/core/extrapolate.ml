@@ -5,7 +5,7 @@ type family_choice = {
   fits : (int * Fit.fitted) list;
 }
 
-let stable_family ?alpha ?(candidates = Fit.paper_candidates) obs =
+let stable_family ?(candidates = Fit.paper_candidates) obs =
   if List.length obs < 2 then
     invalid_arg "Extrapolate.stable_family: need at least two sizes";
   let obs = List.sort (fun a b -> compare a.size b.size) obs in
@@ -15,7 +15,7 @@ let stable_family ?alpha ?(candidates = Fit.paper_candidates) obs =
     let fits =
       List.map
         (fun o ->
-          (o.size, Fit.fit_one ?alpha candidate o.dataset.Lv_multiwalk.Dataset.values))
+          (o.size, Fit.fit_one candidate o.dataset.Lv_multiwalk.Dataset.values))
         obs
     in
     if
@@ -79,9 +79,9 @@ type prediction = {
   limit : float;
 }
 
-let predict ?alpha ?candidates ~target_size ~cores obs =
+let predict ?candidates ~target_size ~cores obs =
   if target_size <= 0 then invalid_arg "Extrapolate.predict: target_size must be positive";
-  match stable_family ?alpha ?candidates obs with
+  match stable_family ?candidates obs with
   | None -> Error "no candidate family is accepted at every training size"
   | Some { candidate; fits } ->
     (* Collect per-size values of each named parameter of the family. *)

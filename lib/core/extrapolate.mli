@@ -24,11 +24,10 @@ type family_choice = {
 }
 
 val stable_family :
-  ?alpha:float -> ?candidates:Fit.candidate list -> observation list ->
-  family_choice option
-(** The accepted candidate with the highest minimum p-value across all
-    sizes; [None] when no family is accepted at every size.  Requires at
-    least two observations. *)
+  ?candidates:Fit.candidate list -> observation list -> family_choice option
+(** The candidate accepted (KS at 0.05) at every size with the highest
+    minimum p-value across sizes; [None] when no family is accepted at
+    every size.  Requires at least two observations. *)
 
 type power_law = { coefficient : float; exponent : float }
 (** [v(size) = coefficient · size^exponent]. *)
@@ -48,7 +47,7 @@ type prediction = {
 }
 
 val predict :
-  ?alpha:float -> ?candidates:Fit.candidate list ->
+  ?candidates:Fit.candidate list ->
   target_size:int -> cores:int list -> observation list ->
   (prediction, string) result
 (** End-to-end: choose a stable family, regress its parameters in size,

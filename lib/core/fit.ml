@@ -95,18 +95,18 @@ let censoring_warning r =
 
 let estimator = function
   | Exponential -> Mle.exponential
-  | Shifted_exponential -> Mle.shifted_exponential ?bias_correct:None
+  | Shifted_exponential -> Mle.shifted_exponential
   | Lognormal -> Mle.lognormal
-  | Shifted_lognormal -> Mle.shifted_lognormal ?shift_fraction:None
+  | Shifted_lognormal -> Mle.shifted_lognormal
   | Normal -> Mle.normal
-  | Weibull -> Mle.weibull ?tol:None ?max_iter:None
+  | Weibull -> Mle.weibull
   | Gamma -> Mle.gamma
   | Levy -> Mle.levy
 
 (* [path] is the full event path, fixed by the caller rather than
    recovered from nesting, so a candidate span reads "fit/fit.candidate"
    whichever domain the fit runs on (a pool task's span stack is empty). *)
-let fit_one_at ?alpha ~telemetry ~path candidate xs =
+let fit_one_at ~alpha ~telemetry ~path candidate xs =
   let traced = not (Lv_telemetry.Sink.is_null telemetry) in
   let start = if traced then Lv_telemetry.Clock.now_ns () else 0L in
   let emit ~outcome fields =
@@ -121,7 +121,7 @@ let fit_one_at ?alpha ~telemetry ~path candidate xs =
   match (estimator candidate) xs with
   | dist ->
     let estimated = if traced then Lv_telemetry.Clock.now_ns () else 0L in
-    let ks = Kolmogorov.test ?alpha xs dist.Distribution.cdf in
+    let ks = Kolmogorov.test ~alpha xs dist.Distribution.cdf in
     emit
       ~outcome:(if ks.Kolmogorov.accept then "accepted" else "rejected")
       [
@@ -140,11 +140,9 @@ let fit_one_at ?alpha ~telemetry ~path candidate xs =
     emit ~outcome:"inapplicable" [ ("reason", Lv_telemetry.Json.String reason) ];
     None
 
-let fit_one ?(alpha = Lv_context.Context.default.alpha)
-    ?(telemetry = Lv_telemetry.Sink.null) candidate xs =
-  fit_one_at ~alpha ~telemetry
-    ~path:(Lv_telemetry.Span.path_of "fit.candidate")
-    candidate xs
+let fit_one candidate xs =
+  fit_one_at ~alpha:Lv_context.Context.default.alpha
+    ~telemetry:Lv_telemetry.Sink.null ~path:"fit.candidate" candidate xs
 
 (* Descending p-value under [Float.compare]'s total order: a NaN p-value
    (degenerate KS input) sorts below every real number instead of landing

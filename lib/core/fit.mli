@@ -66,20 +66,12 @@ val empty_report : report
     than fitted.  Use this instead of building the record literal so new
     [report] fields cannot silently desync across call sites. *)
 
-val fit_one :
-  ?alpha:float ->
-  ?telemetry:Lv_telemetry.Sink.t ->
-  candidate ->
-  float array ->
-  fitted option
-(** Fit and KS-test one candidate at [alpha] (default
-    [Lv_context.Context.default.alpha], 0.05).  [None] when the estimator
-    does not apply (e.g. lognormal on data with nonpositive values).
-    Raises [Invalid_argument] unless [0 < alpha < 1].  With a live
-    [telemetry] sink (default: the null sink), emits one
-    ["fit.candidate"] span carrying the candidate name, the split between
-    estimation and KS-test time ([estimate_s]/[ks_s]), the p-value and the
-    accept/reject/inapplicable outcome. *)
+val fit_one : candidate -> float array -> fitted option
+(** Fit and KS-test one candidate at [Lv_context.Context.default.alpha]
+    (0.05).  [None] when the estimator does not apply (e.g. lognormal on
+    data with nonpositive values, or gamma on a sample with no spread).
+    Records no telemetry: {!fit} emits the per-candidate
+    ["fit.candidate"] spans. *)
 
 val compare_by_p_value : fitted -> fitted -> int
 (** Decreasing KS p-value, under [Float.compare]'s total order: a NaN

@@ -66,17 +66,17 @@ let chosen_law (report : Fit.report) ~who =
 let of_report ?ctx ~label ~cores (report : Fit.report) =
   of_fit ?ctx ~label ~cores report (chosen_law report ~who:"Predict.of_report")
 
-let of_dataset ?ctx ?alpha ?candidates ~cores (ds : Lv_multiwalk.Dataset.t) =
+let of_dataset ?ctx ?candidates ~cores (ds : Lv_multiwalk.Dataset.t) =
   let report =
-    Fit.fit ?ctx ?alpha ?candidates
+    Fit.fit ?ctx ?candidates
       ~n_censored:(Lv_multiwalk.Dataset.n_censored ds)
       ds.Lv_multiwalk.Dataset.values
   in
   of_fit ?ctx ~label:ds.Lv_multiwalk.Dataset.label ~cores report
     (chosen_law report ~who:"Predict.of_dataset")
 
-let of_distribution ?ctx ~label ~cores law =
-  of_fit ?ctx ~label ~cores Fit.empty_report law
+let of_distribution ~label ~cores law =
+  of_fit ~label ~cores Fit.empty_report law
 
 type comparison_row = {
   cores : int;

@@ -12,18 +12,16 @@ type prediction = {
 
 val of_dataset :
   ?ctx:Lv_context.Context.t ->
-  ?alpha:float ->
   ?candidates:Fit.candidate list ->
   cores:int list ->
   Lv_multiwalk.Dataset.t ->
   prediction
 (** Fit the dataset (keeping {!Fit.chosen}: the best accepted candidate,
-    or the highest p-value fit when nothing clears [alpha], default
-    [ctx.alpha]) and predict speed-ups at [cores].  Raises
-    [Invalid_argument] when the chosen law has no speed-up curve
-    ({!Speedup.has_curve}); the message names the law, says whether the KS
-    test accepted it, and points at the scenario key [candidates].  The candidate fits and the
-    per-core-count quadratures run serially on the calling domain
+    or the highest p-value fit when nothing clears [ctx.alpha]) and
+    predict speed-ups at [cores].  Raises [Invalid_argument] when the
+    chosen law has no speed-up curve ({!Speedup.has_curve}); the message
+    names the law, says whether the KS test accepted it, and points at the
+    scenario key [candidates].  The candidate fits and the per-core-count quadratures run serially on the calling domain
     ([ctx.pool] is not used).  With a live [ctx.telemetry] sink the fit
     emits its spans (see {!Fit.fit}) and the prediction wraps in a
     ["predict"] span containing one timed ["predict/predict.speedup"]
@@ -44,14 +42,10 @@ val of_report :
     the chosen law has no speed-up curve. *)
 
 val of_distribution :
-  ?ctx:Lv_context.Context.t ->
-  label:string ->
-  cores:int list ->
-  Lv_stats.Distribution.t ->
-  prediction
+  label:string -> cores:int list -> Lv_stats.Distribution.t -> prediction
 (** Skip fitting: predict from a known law (used when replaying the paper's
     published parameters); the carried report is {!Fit.empty_report}.
-    Telemetry as in {!of_dataset}, minus the fit spans. *)
+    Records no telemetry. *)
 
 type comparison_row = {
   cores : int;

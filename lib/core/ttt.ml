@@ -46,7 +46,8 @@ let qq_correlation xs d =
     pairs;
   if !sxx <= 0. || !syy <= 0. then 0. else !sxy /. sqrt (!sxx *. !syy)
 
-let render ?(width = 50) xs =
+let render xs =
+  let width = 50 in
   let s = sorted_copy xs in
   let n = Array.length s in
   let buf = Buffer.create 512 in

@@ -17,9 +17,9 @@ val qq_correlation : float array -> Lv_stats.Distribution.t -> float
     observed [t_(i)]) — a scalar straightness score in [−1, 1]; values
     near 1 support the fitted law. *)
 
-val render : ?width:int -> float array -> string
+val render : float array -> string
 (** ASCII TTT plot: one line per observation decile, cumulative probability
-    as bar length. *)
+    as bar length (50 characters at probability 1). *)
 
 val report : float array -> string
 (** {!render}, then one line per paper candidate ({!Fit.paper_candidates})

@@ -50,7 +50,24 @@ let save_csv t path =
         (fun i v -> Printf.fprintf oc "%d,%.17g,censored\n" (base + i) v)
         t.censored)
 
-let load_csv ?label ?metric path =
+(* The last index at or before [i] at which [sub] occurs in [s]. *)
+let rec last_index s sub i =
+  if i < 0 then None
+  else if String.sub s i (String.length sub) = sub then Some i
+  else last_index s sub (i - 1)
+
+(* The header [save_csv] writes, "# label=<label> metric=<metric>".  A label
+   may hold spaces, so it runs from "label=" to the last " metric=". *)
+let read_header line ~label ~metric =
+  let n = String.length line in
+  let metric_at = last_index line " metric=" (n - 8) in
+  let label_end = Option.value metric_at ~default:n in
+  let body = String.trim (String.sub line 1 (label_end - 1)) in
+  if String.starts_with ~prefix:"label=" body then
+    label := String.sub body 6 (String.length body - 6);
+  Option.iter (fun i -> metric := String.sub line (i + 8) (n - i - 8)) metric_at
+
+let load_csv path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
@@ -62,8 +79,8 @@ let load_csv ?label ?metric path =
           fmt
       in
       let values = ref [] and censored = ref [] in
-      let file_label = ref (Option.value label ~default:(Filename.basename path)) in
-      let file_metric = ref (Option.value metric ~default:"unknown") in
+      let file_label = ref (Filename.basename path) in
+      let file_metric = ref "unknown" in
       let lineno = ref 0 in
       let saw_data = ref false and saw_header = ref false in
       (* The value column may legitimately fail to parse exactly once: on a
@@ -84,13 +101,7 @@ let load_csv ?label ?metric path =
            incr lineno;
            if String.length line = 0 then ()
            else if line.[0] = '#' then
-             (* Recover label/metric from our own header if present. *)
-             String.split_on_char ' ' line
-             |> List.iter (fun tok ->
-                    match String.split_on_char '=' tok with
-                    | [ "label"; v ] when label = None -> file_label := v
-                    | [ "metric"; v ] when metric = None -> file_metric := v
-                    | _ -> ())
+             read_header line ~label:file_label ~metric:file_metric
            else begin
              let fields = String.split_on_char ',' line |> List.map String.trim in
              match fields with

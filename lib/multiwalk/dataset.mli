@@ -46,9 +46,10 @@ val save_csv : t -> string -> unit
     [censored]; censored rows follow the solved ones.  Deterministic:
     equal datasets serialize to identical bytes. *)
 
-val load_csv : ?label:string -> ?metric:string -> string -> t
-(** Reads back files written by {!save_csv}, as well as any one- or
-    two-column CSV ([value] or [index,value]; such rows load as solved).
+val load_csv : string -> t
+(** Reads back files written by {!save_csv}, label and metric included, as
+    well as any one- or two-column CSV ([value] or [index,value]; such rows
+    load as solved, under the file's base name and metric ["unknown"]).
     At most one non-numeric header row is skipped, and only before the
     first data row; any other malformed row, and any [nan]/[inf] value,
     raises [Failure] naming the file and line — bad rows no longer vanish

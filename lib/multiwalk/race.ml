@@ -112,12 +112,11 @@ let wall_clock ?(ctx = Lv_context.Context.default) ?params ~seed ~walkers
       match !outcome_cell with Some o -> outcome_fields o | None -> [])
     body
 
-let iteration_metric ?(ctx = Lv_context.Context.default) ?params ~seed
-    ~walkers make_instance =
+let iteration_metric ?params ~seed ~walkers make_instance =
   if walkers <= 0 then invalid_arg "Race.iteration_metric: walkers must be positive";
   let t0 = Lv_telemetry.Clock.now_ns () in
   let c =
-    Campaign.run ~ctx ?params ~label:"race" ~seed ~runs:walkers make_instance
+    Campaign.run ?params ~label:"race" ~seed ~runs:walkers make_instance
   in
   let seconds =
     Lv_telemetry.Clock.seconds_between ~start:t0
@@ -131,15 +130,10 @@ let iteration_metric ?(ctx = Lv_context.Context.default) ?params ~seed
         | Some (_, it) when it <= o.Run.iterations -> ()
         | _ -> best := Some (w, o.Run.iterations))
     c.Campaign.observations;
-  let outcome =
-    match !best with
-    | Some (w, it) ->
-      { walkers; winner = Some w; seconds; min_iterations = it; solved = true }
-    | None -> { walkers; winner = None; seconds; min_iterations = 0; solved = false }
-  in
-  Lv_telemetry.Span.emit ctx.telemetry ~name:"race" ~duration:seconds
-    ~fields:(outcome_fields outcome) ();
-  outcome
+  match !best with
+  | Some (w, it) ->
+    { walkers; winner = Some w; seconds; min_iterations = it; solved = true }
+  | None -> { walkers; winner = None; seconds; min_iterations = 0; solved = false }
 
 let pp_outcome ppf o =
   Format.fprintf ppf "walkers=%d %s winner=%s %.3fs min_iters=%d" o.walkers

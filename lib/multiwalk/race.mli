@@ -7,8 +7,8 @@
     - {!wall_clock}: a true first-finisher-wins race, walkers multiplexed
       over an {!Lv_exec.Pool}.  Faithful to the cluster setup but only
       meaningful for [walkers <= pool workers <= physical cores].
-    - {!iteration_metric}: runs every walker to completion (work spread
-      over the context's pool) and reports the minimum iteration count.
+    - {!iteration_metric}: runs every walker to completion, one after
+      another on the calling domain, and reports the minimum iteration count.
       This is *exactly* the multi-walk outcome in the paper's preferred
       machine-independent metric, for any number of walkers — it is how the
       reproduction measures "speed-up on k cores" for k beyond the local
@@ -42,16 +42,13 @@ val wall_clock :
     race itself one ["race"] span carrying the outcome. *)
 
 val iteration_metric :
-  ?ctx:Lv_context.Context.t ->
   ?params:Lv_search.Params.t ->
   seed:int ->
   walkers:int ->
   (unit -> Lv_search.Csp.packed) ->
   outcome
 (** Run all [walkers] to completion and take the minimum iteration count
-    ([seconds] is the wall-clock of collecting them all).  [ctx] is
-    forwarded to the underlying {!Campaign.run} (so without a pool the
-    walkers run on a private one-worker pool), and the outcome is emitted
-    as one ["race"] span. *)
+    ([seconds] is the wall-clock of collecting them all).  The walkers are
+    the runs of one serial {!Campaign.run}; no telemetry is recorded. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -33,24 +33,6 @@ let percentile_interval ?(level = 0.95) ~estimate stats =
     level;
   }
 
-let confidence_interval ?(replicates = 1000) ?(level = 0.95) ~rng ~stat xs =
-  (match Array.length xs with
-  | 0 -> invalid_arg "Bootstrap.confidence_interval: empty sample"
-  | 1 ->
-    (* Every resample of a singleton is the singleton: the interval would
-       collapse to a width-zero band that reads as infinite precision. *)
-    invalid_arg
-      "Bootstrap.confidence_interval: sample of size 1 cannot be resampled"
-  | _ -> ());
-  if replicates <= 0 then invalid_arg "Bootstrap.confidence_interval: replicates must be positive";
-  check_level level;
-  let emp = Empirical.of_array xs in
-  let n = Array.length xs in
-  let stats =
-    Array.init replicates (fun _ -> stat (Empirical.resample emp rng n))
-  in
-  percentile_interval ~level ~estimate:(stat xs) stats
-
 let covers i x = i.lo <= x && x <= i.hi
 
 let pp_interval ppf i =

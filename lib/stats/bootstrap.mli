@@ -4,28 +4,18 @@
 
 type interval = { estimate : float; lo : float; hi : float; level : float }
 
-val confidence_interval :
-  ?replicates:int -> ?level:float ->
-  rng:Rng.t -> stat:(float array -> float) -> float array -> interval
-(** [confidence_interval ~rng ~stat xs] bootstraps [stat] over [xs]
-    ([replicates] resamples, default 1000) and returns the percentile
-    interval at [level] (default 0.95) around the point estimate
-    [stat xs].  Raises [Invalid_argument] on an empty or single-element
-    sample (a singleton resamples only to itself, so the interval would
-    collapse to a spuriously exact point), on [replicates <= 0], and on a
-    [level] outside (0, 1).  A NaN returned by [stat] on some resample
-    sorts {e last} under [Float.compare]'s total order, so it surfaces in
-    the upper percentile rather than silently corrupting the sort. *)
-
 val percentile_interval :
   ?level:float -> estimate:float -> float array -> interval
-(** [percentile_interval ~estimate stats] is the percentile interval of an
-    already-computed array of replicate statistics (sorted internally with
-    [Float.compare]; the type-7 quantile rule of {!Summary.quantile}) —
-    the reduction step of {!confidence_interval}, exposed for pipelines
-    that generate their replicates elsewhere (e.g. the whole-pipeline
-    bootstrap of [Lv_validate]).  Raises [Invalid_argument] on an empty
-    [stats] array or a [level] outside (0, 1). *)
+(** [percentile_interval ~estimate stats] is the percentile interval at
+    [level] (default 0.95) of an already-computed array of replicate
+    statistics (sorted internally with [Float.compare]; the type-7 quantile
+    rule of {!Summary.quantile}) around the point estimate — the reduction
+    step of a percentile bootstrap whose replicates are generated elsewhere
+    (the whole-pipeline bootstrap of [Lv_validate]).  A NaN replicate
+    statistic sorts {e last} under [Float.compare]'s total order, so it
+    surfaces in the upper percentile rather than silently corrupting the
+    sort.  Raises [Invalid_argument] on an empty [stats] array or a
+    [level] outside (0, 1). *)
 
 val covers : interval -> float -> bool
 (** [covers i x] is [lo <= x <= hi] — the event a calibration oracle

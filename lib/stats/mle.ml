@@ -16,7 +16,7 @@ let exponential_censored ~observed ~censored =
     invalid_arg "Mle.exponential_censored: total exposure must be positive";
   Exponential.create ~rate:(float_of_int (Array.length observed) /. total)
 
-let shifted_exponential ?(bias_correct = true) xs =
+let shifted_exponential xs =
   check_nonempty "Mle.shifted_exponential" xs;
   let xmin = Array.fold_left Float.min xs.(0) xs in
   let m = Summary.mean xs in
@@ -29,7 +29,7 @@ let shifted_exponential ?(bias_correct = true) xs =
        (the paper's AI 700 case). *)
     let n = float_of_int (Array.length xs) in
     let x0 =
-      if bias_correct && n > 1. then
+      if n > 1. then
         Float.max 0. (xmin -. ((m -. xmin) /. (n -. 1.)))
       else xmin
     in
@@ -67,13 +67,10 @@ let lognormal xs =
   let mu, sigma = log_fit "Mle.lognormal" xs 0. in
   Lognormal.create ~mu ~sigma
 
-let shifted_lognormal ?(shift_fraction = 1.0) xs =
+let shifted_lognormal xs =
   check_nonempty "Mle.shifted_lognormal" xs;
-  if not (shift_fraction >= 0. && shift_fraction <= 1.) then
-    invalid_arg "Mle.shifted_lognormal: shift_fraction must lie in [0, 1]";
   let xmin = Array.fold_left Float.min xs.(0) xs in
-  let hi = shift_fraction *. xmin in
-  if hi <= 0. then lognormal xs
+  if xmin <= 0. then lognormal xs
   else begin
     (* Score a candidate shift by the KS p-value of the resulting fit; scan a
        grid, then keep the best.  The p-value is cheap (one pass per
@@ -96,7 +93,7 @@ let shifted_lognormal ?(shift_fraction = 1.0) xs =
       (* Push candidates toward xmin: the admissible boundary is where the
          paper's Mathematica fit landed (x0 = observed min). *)
       let frac = float_of_int i /. float_of_int candidates in
-      let x0 = hi *. (frac ** 0.5) in
+      let x0 = xmin *. (frac ** 0.5) in
       let x0 = Float.min x0 (xmin *. (1. -. 1e-9)) in
       match fit_at x0 with
       | d ->
@@ -107,8 +104,9 @@ let shifted_lognormal ?(shift_fraction = 1.0) xs =
     fit_at (fst !best)
   end
 
-let weibull ?(tol = 1e-10) ?(max_iter = 100) xs =
+let weibull xs =
   check_nonempty "Mle.weibull" xs;
+  let tol = 1e-10 and max_iter = 100 in
   Array.iter (fun x -> if x <= 0. then invalid_arg "Mle.weibull: observations must be positive") xs;
   let n = float_of_int (Array.length xs) in
   let logs = Array.map log xs in
@@ -154,6 +152,7 @@ let gamma xs =
   let m = Summary.mean xs in
   let mean_log = Summary.mean (Array.map log xs) in
   let s = log m -. mean_log in
+  if not (s > 0.) then invalid_arg "Mle.gamma: sample has no spread";
   (* Minka's seed, then Newton on log k - ψ(k) = s (ψ' by finite difference
      of ψ, accurate enough for a contraction this strong). *)
   let k = ref ((3. -. s +. sqrt (((s -. 3.) ** 2.) +. (24. *. s))) /. (12. *. s)) in

@@ -17,16 +17,14 @@ val exponential_censored :
     censoring values) — dropping them, as the naive estimator must, biases
     [λ] upward and the predicted speed-up with it. *)
 
-val shifted_exponential : ?bias_correct:bool -> float array -> Distribution.t
+val shifted_exponential : float array -> Distribution.t
 (** The paper's AI 700 recipe, [x0 = min], [λ = 1/(mean - x0)], with a bias
-    correction on by default: the sample minimum of [n] exponential draws
-    overshoots the true shift by [1/(nλ)], so
-    [x0 = max 0 (min - (mean - min)/(n-1))].  This automates the paper's
-    case distinction — data with a genuine shift keeps it (AI 700), data
-    whose minimum is pure sampling noise collapses to [x0 = 0] and a plain
-    exponential (Costas 21).  Pass [~bias_correct:false] for the paper's
-    literal estimator.  Falls back to plain exponential when the sample is
-    degenerate. *)
+    correction: the sample minimum of [n] exponential draws overshoots the
+    true shift by [1/(nλ)], so [x0 = max 0 (min - (mean - min)/(n-1))].
+    This automates the paper's case distinction — data with a genuine shift
+    keeps it (AI 700), data whose minimum is pure sampling noise collapses
+    to [x0 = 0] and a plain exponential (Costas 21).  Falls back to plain
+    exponential when the sample is degenerate. *)
 
 val normal : float array -> Distribution.t
 (** Sample mean and (unbiased) standard deviation. *)
@@ -35,20 +33,21 @@ val lognormal : float array -> Distribution.t
 (** MLE on logs: [μ = mean (log x)], [σ = std (log x)].  All observations
     must be positive. *)
 
-val shifted_lognormal : ?shift_fraction:float -> float array -> Distribution.t
-(** Shift [x0 = min - shift_fraction·(min .. median gap)] chosen by a golden-
-    section search maximizing the KS p-value over
+val shifted_lognormal : float array -> Distribution.t
+(** Shift [x0] chosen by a scan maximizing the KS p-value over
     [x0 ∈ [0, min)] (the paper estimated MS 200's [x0 = 6210 = min] with
     Mathematica; searching the shift reproduces that choice on the paper's
-    data and generalizes it).  [shift_fraction] caps the search at
-    [shift_fraction · min] (default 1.0, i.e. the whole admissible range). *)
+    data and generalizes it). *)
 
-val weibull : ?tol:float -> ?max_iter:int -> float array -> Distribution.t
-(** MLE by Newton iteration on the shape equation. *)
+val weibull : float array -> Distribution.t
+(** MLE by Newton iteration on the shape equation, to a relative step of
+    1e-10 within 100 iterations. *)
 
 val gamma : float array -> Distribution.t
 (** MLE by Newton on [log k - ψ(k) = log(mean) - mean(log)], started from the
-    Minka/method-of-moments seed. *)
+    Minka/method-of-moments seed.  Raises [Invalid_argument] on a sample
+    with no spread (all observations equal), where the right-hand side is
+    0 and no finite shape solves the equation. *)
 
 val levy : float array -> Distribution.t
 (** Matches the median: [c = 2·(erfc⁻¹(1/2))²·median]. *)

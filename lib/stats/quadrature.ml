@@ -2,7 +2,11 @@
 (* Adaptive Simpson with Richardson error control                      *)
 (* ------------------------------------------------------------------ *)
 
-let simpson_adaptive ?(rel_tol = 1e-10) ?(abs_tol = 1e-12) ?(max_depth = 48) f ~lo ~hi =
+(* Both rules stop at the same relative tolerance. *)
+let rel_tol = 1e-10
+
+let simpson_adaptive f ~lo ~hi =
+  let abs_tol = 1e-12 and max_depth = 48 in
   let simpson a fa b fb =
     let m = 0.5 *. (a +. b) in
     let fm = f m in
@@ -91,7 +95,7 @@ let gauss_legendre ?(order = 64) f ~lo ~hi =
 (* Semi-infinite intervals                                             *)
 (* ------------------------------------------------------------------ *)
 
-let integrate_decaying ?(rel_tol = 1e-10) ?(scale = 1.0) f ~lo =
+let integrate_decaying ?(scale = 1.0) f ~lo =
   if scale <= 0. then invalid_arg "Quadrature.integrate_decaying: scale must be positive";
   let total = ref 0. in
   let a = ref lo in

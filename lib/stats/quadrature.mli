@@ -15,11 +15,9 @@
     module initialisation and only read after that.  Integrands must be
     re-entrant if shared. *)
 
-val simpson_adaptive :
-  ?rel_tol:float -> ?abs_tol:float -> ?max_depth:int ->
-  (float -> float) -> lo:float -> hi:float -> float
-(** Adaptive Simpson on [\[lo, hi\]].  Defaults: [rel_tol = 1e-10],
-    [abs_tol = 1e-12], [max_depth = 48]. *)
+val simpson_adaptive : (float -> float) -> lo:float -> hi:float -> float
+(** Adaptive Simpson on [\[lo, hi\]], to a relative tolerance of 1e-10
+    (absolute 1e-12) and at most 48 levels of bisection. *)
 
 val gauss_legendre : ?order:int -> (float -> float) -> lo:float -> hi:float -> float
 (** Composite Gauss–Legendre with [order] nodes (default 64) on one panel. *)
@@ -36,10 +34,9 @@ val newton_nodes : int -> float array * float array
 (** The Newton-iteration construction of the Gauss–Legendre nodes (roots
     of the Legendre polynomial) and weights, computed afresh. *)
 
-val integrate_decaying :
-  ?rel_tol:float -> ?scale:float -> (float -> float) -> lo:float -> float
+val integrate_decaying : ?scale:float -> (float -> float) -> lo:float -> float
 (** ∫_lo^∞ f for an eventually-decreasing integrand: sums panels of
-    geometrically growing width (each by {!gauss_legendre}) until a panel
-    contributes less than [rel_tol] of the running total.  [scale] sets the
+    geometrically growing width (each by {!gauss_legendre}) until two
+    panels in a row contribute less than 1e-10 of the running total.  [scale] sets the
     first panel width (default 1.0).  More reliable than a single variable
     change when the integrand's mass sits far from [lo]. *)

@@ -1,4 +1,5 @@
-let brent ?(tol = 1e-13) ?(max_iter = 100) f ~lo ~hi =
+let brent f ~lo ~hi =
+  let tol = 1e-13 and max_iter = 100 in
   let a = ref lo and b = ref hi in
   let fa = ref (f !a) and fb = ref (f !b) in
   if !fa = 0. then !a

@@ -15,8 +15,8 @@ let null = Null
 let is_null = function Null -> true | _ -> false
 let memory () = Memory { events = []; lock = Mutex.create () }
 
-let console ?(channel = stderr) () =
-  Stream { oc = channel; pretty = true; lock = Mutex.create (); owned = false }
+let console () =
+  Stream { oc = stderr; pretty = true; lock = Mutex.create (); owned = false }
 
 let jsonl path =
   Stream { oc = open_out path; pretty = false; lock = Mutex.create (); owned = true }
@@ -43,9 +43,6 @@ let rec record t ev =
   | Tee (a, b) ->
     record a ev;
     record b ev
-
-let emit t make_event =
-  match t with Null -> () | t -> record t (make_event ())
 
 let events = function
   | Memory m -> Mutex.protect m.lock (fun () -> List.rev m.events)

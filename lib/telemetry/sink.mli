@@ -2,8 +2,8 @@
 
     A sink is where telemetry events go.  All sinks are safe to share
     across OCaml 5 domains (writes are mutex-protected); the null sink is
-    the zero-overhead default — {!emit} on it is a single pattern match and
-    the event thunk is never evaluated. *)
+    the zero-overhead default — callers test {!is_null} before building an
+    event, so on it nothing is built. *)
 
 type t
 
@@ -13,9 +13,9 @@ val null : t
 val memory : unit -> t
 (** Accumulates events in memory; read them back with {!events}. *)
 
-val console : ?channel:out_channel -> unit -> t
-(** Pretty one-line-per-event rendering, flushed per event.  Defaults to
-    [stderr] so it composes with data written to [stdout]. *)
+val console : unit -> t
+(** Pretty one-line-per-event rendering on [stderr], flushed per event, so
+    it composes with data written to [stdout]. *)
 
 val jsonl : string -> t
 (** JSON Lines file sink (one {!Event.to_json} object per line).  Opens the
@@ -28,10 +28,6 @@ val tee : t -> t -> t
 val is_null : t -> bool
 (** [true] only for sinks that drop everything — hot paths use this to skip
     building field lists altogether. *)
-
-val emit : t -> (unit -> Event.t) -> unit
-(** Lazily build and record one event.  The thunk is not evaluated on the
-    null sink. *)
 
 val record : t -> Event.t -> unit
 (** Record an already-built event. *)

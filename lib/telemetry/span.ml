@@ -11,14 +11,6 @@ let path_of name =
 
 let current_path () = String.concat "/" (List.rev (Domain.DLS.get stack_key))
 
-let emit sink ~name ?duration ?(fields = []) () =
-  if not (Sink.is_null sink) then
-    let kind =
-      match duration with Some d -> Event.Span d | None -> Event.Mark
-    in
-    Sink.record sink
-      (Event.make ~fields ~ts:(Clock.elapsed ()) ~path:(path_of name) kind)
-
 let record sink ~start ~path ?(fields = []) () =
   if not (Sink.is_null sink) then
     Sink.record sink

@@ -16,19 +16,6 @@ val run :
 (** The [fields] thunk is evaluated after [f] completes, so it can read
     results out of mutable cells filled by [f]. *)
 
-val emit :
-  Sink.t ->
-  name:string ->
-  ?duration:float ->
-  ?fields:(string * Json.t) list ->
-  unit ->
-  unit
-(** Emit a single pre-timed event at the current nesting path: a span when
-    [duration] is given, a mark otherwise.  Use this from hot loops that
-    already measured their own elapsed time.  No-op on the null sink, but —
-    unlike {!run} — the [fields] list argument is built by the caller, so
-    guard the call with {!Sink.is_null} when field construction matters. *)
-
 val record :
   Sink.t ->
   start:int64 ->
@@ -41,9 +28,9 @@ val record :
     ({!Clock.now_ns}).  This is the building block for spans measured on a
     pool worker: the worker's domain-local nesting stack is empty, so the
     enclosing path must be baked in by the caller rather than recovered
-    from nesting.  No-op on the null sink — but, as with {!emit}, the
-    [fields] list is built by the caller, so guard with {!Sink.is_null}
-    when field construction matters. *)
+    from nesting.  No-op on the null sink — but the [fields] list is built
+    by the caller, so guard with {!Sink.is_null} when field construction
+    matters. *)
 
 val current_path : unit -> string
 (** The calling domain's open-span path, [""] when none (for tests). *)

@@ -150,22 +150,13 @@ let bands_for ~pool ~replicates ~level ~seed ~cores
     curve;
   }
 
-let bootstrap_bands ?pool ?(telemetry = Lv_telemetry.Sink.null) ?replicates
-    ?level ~seed ~cores ~report xs =
+let bootstrap_bands ?pool ?replicates ?level ~seed ~cores ~report xs =
   let replicates =
     Option.value replicates ~default:default_config.replicates
   in
   let level = Option.value level ~default:default_config.level in
   check_config { default_config with replicates; level };
   let base = Fit.chosen report in
-  Lv_telemetry.Span.run telemetry ~name:"validate.bootstrap"
-    ~fields:(fun () ->
-      [
-        ("family", Json.String (Fit.candidate_name base.Fit.candidate));
-        ("replicates", Json.Int replicates);
-        ("level", Json.Float level);
-      ])
-  @@ fun () ->
   bands_for ~pool ~replicates ~level ~seed ~cores
     ~candidate:base.Fit.candidate base.Fit.dist xs
 
@@ -229,9 +220,8 @@ let holdout_fold ~alpha ~candidates ~cores ~fold ~train ~test =
     speedup_err;
   }
 
-let holdout ?pool ?(telemetry = Lv_telemetry.Sink.null)
-    ?(alpha = Lv_context.Context.default.alpha) ?candidates ?folds ~seed
-    ~cores xs =
+let holdout ?pool ?(alpha = Lv_context.Context.default.alpha) ?candidates
+    ?folds ~seed ~cores xs =
   let folds = Option.value folds ~default:default_config.folds in
   if folds < 2 then invalid_arg "Validate.holdout: folds must be at least 2";
   let n = Array.length xs in
@@ -241,10 +231,6 @@ let holdout ?pool ?(telemetry = Lv_telemetry.Sink.null)
          "Validate.holdout: %d observations cannot sustain %d folds (need \
           at least %d)"
          n folds (2 * folds));
-  Lv_telemetry.Span.run telemetry ~name:"validate.holdout"
-    ~fields:(fun () ->
-      [ ("folds", Json.Int folds); ("sample_size", Json.Int n) ])
-  @@ fun () ->
   let fold_sets = kfold_indices ~seed ~folds n in
   let reports =
     (* One pool task per fold: each fits and checks its own split, and the
@@ -302,9 +288,8 @@ type trial_outcome = {
   t_rejected : bool;  (** held-out split-half KS rejected *)
 }
 
-let oracle ?pool ?(telemetry = Lv_telemetry.Sink.null)
-    ?(alpha = Lv_context.Context.default.alpha) ?replicates ?level ?trials
-    ~seed ~cores ~runs ~candidate ~(truth : Distribution.t) () =
+let oracle ?pool ?(alpha = Lv_context.Context.default.alpha) ?replicates
+    ?level ?trials ~seed ~cores ~runs ~candidate ~(truth : Distribution.t) () =
   let replicates =
     Option.value replicates ~default:default_config.replicates
   in
@@ -313,14 +298,6 @@ let oracle ?pool ?(telemetry = Lv_telemetry.Sink.null)
   check_config { default_config with replicates; level };
   if trials <= 0 then invalid_arg "Validate.oracle: trials must be positive";
   if runs < 4 then invalid_arg "Validate.oracle: runs must be at least 4";
-  Lv_telemetry.Span.run telemetry ~name:"validate.oracle"
-    ~fields:(fun () ->
-      [
-        ("family", Json.String (Fit.candidate_name candidate));
-        ("trials", Json.Int trials);
-        ("runs", Json.Int runs);
-      ])
-  @@ fun () ->
   let with_curve = Speedup.has_curve truth in
   let true_curve =
     if with_curve then List.map (fun c -> Speedup.at truth ~cores:c) cores
@@ -498,37 +475,56 @@ let run ?(ctx = Lv_context.Context.default) ?alpha ?candidates ~config ~seed
   check_config config;
   let { Lv_context.Context.pool; telemetry; _ } = ctx in
   let alpha = Option.value alpha ~default:ctx.alpha in
+  let n = Array.length xs in
   Lv_telemetry.Span.run telemetry ~name:"validate"
     ~fields:(fun () ->
       [
         ("label", Json.String label);
-        ("sample_size", Json.Int (Array.length xs));
+        ("sample_size", Json.Int n);
         ("replicates", Json.Int config.replicates);
         ("folds", Json.Int config.folds);
         ("trials", Json.Int config.trials);
       ])
   @@ fun () ->
+  let span name fields f = Lv_telemetry.Span.run telemetry ~name ~fields f in
+  let base = Fit.chosen report in
+  let family = Json.String (Fit.candidate_name base.Fit.candidate) in
   let bootstrap =
-    bootstrap_bands ?pool ~telemetry ~replicates:config.replicates
-      ~level:config.level ~seed ~cores ~report xs
+    span "validate.bootstrap"
+      (fun () ->
+        [
+          ("family", family);
+          ("replicates", Json.Int config.replicates);
+          ("level", Json.Float config.level);
+        ])
+    @@ fun () ->
+    bootstrap_bands ?pool ~replicates:config.replicates ~level:config.level
+      ~seed ~cores ~report xs
   in
   let cross_validation =
-    holdout ?pool ~telemetry ~alpha ?candidates ~folds:config.folds ~seed
-      ~cores xs
+    span "validate.holdout"
+      (fun () -> [ ("folds", Json.Int config.folds); ("sample_size", Json.Int n) ])
+    @@ fun () ->
+    holdout ?pool ~alpha ?candidates ~folds:config.folds ~seed ~cores xs
   in
   let calibration =
     if config.trials = 0 then None
-    else begin
+    else
       (* Self-calibration: take the law the base fit selected as ground
          truth and check that the machinery recovers it from synthetic
          datasets of the same size. *)
-      let base = Fit.chosen report in
+      span "validate.oracle"
+        (fun () ->
+          [
+            ("family", family);
+            ("trials", Json.Int config.trials);
+            ("runs", Json.Int n);
+          ])
+      @@ fun () ->
       Some
-        (oracle ?pool ~telemetry ~alpha ~replicates:config.replicates
-           ~level:config.level ~trials:config.trials ~seed ~cores
-           ~runs:(Array.length xs) ~candidate:base.Fit.candidate
-           ~truth:base.Fit.dist ())
-    end
+        (oracle ?pool ~alpha ~replicates:config.replicates ~level:config.level
+           ~trials:config.trials ~seed ~cores ~runs:n
+           ~candidate:base.Fit.candidate ~truth:base.Fit.dist ())
   in
   {
     label;
@@ -536,7 +532,7 @@ let run ?(ctx = Lv_context.Context.default) ?alpha ?candidates ~config ~seed
     alpha;
     cores;
     config;
-    sample_size = Array.length xs;
+    sample_size = n;
     bootstrap;
     cross_validation;
     calibration;

@@ -29,9 +29,10 @@
     format) and CSV ({!save_csv}).
 
     The three pillars are single-computation primitives: they take
-    [?pool] (absent: run serially), [?telemetry] (absent: the null sink)
-    and [?alpha] (absent: 0.05) as explicit arguments.  {!run} is the
-    pipeline entry point and takes the pool and the sink from [?ctx]. *)
+    [?pool] (absent: run serially) and [?alpha] (absent: 0.05) as explicit
+    arguments and record no telemetry.  {!run} is the pipeline entry
+    point: it takes the pool and the sink from [?ctx] and owns the spans,
+    one per pillar. *)
 
 (** {2 Configuration} *)
 
@@ -68,7 +69,6 @@ type bootstrap_report = {
 
 val bootstrap_bands :
   ?pool:Lv_exec.Pool.t ->
-  ?telemetry:Lv_telemetry.Sink.t ->
   ?replicates:int ->
   ?level:float ->
   seed:int ->
@@ -110,7 +110,6 @@ type holdout_report = {
 
 val holdout :
   ?pool:Lv_exec.Pool.t ->
-  ?telemetry:Lv_telemetry.Sink.t ->
   ?alpha:float ->
   ?candidates:Lv_core.Fit.candidate list ->
   ?folds:int ->
@@ -159,7 +158,6 @@ type oracle_report = {
 
 val oracle :
   ?pool:Lv_exec.Pool.t ->
-  ?telemetry:Lv_telemetry.Sink.t ->
   ?alpha:float ->
   ?replicates:int ->
   ?level:float ->
@@ -209,9 +207,10 @@ val run :
     pass that takes the base fit's selected law as ground truth and
     checks the machinery recovers it (self-calibration anchored at the
     scenario's own fit).  Emits one ["validate"] telemetry span wrapping
-    ["validate.bootstrap"] / ["validate.holdout"] / ["validate.oracle"]
-    child spans.  The pool and the sink come from [ctx], as in
-    {!Lv_core.Fit.fit}; [alpha] defaults to [ctx.alpha] and [candidates] to
+    ["validate.bootstrap"] (family, replicates, level) /
+    ["validate.holdout"] (folds, sample size) / ["validate.oracle"]
+    (family, trials, runs; only when [config.trials > 0]) child spans.
+    The pool and the sink come from [ctx], as in {!Lv_core.Fit.fit}; [alpha] defaults to [ctx.alpha] and [candidates] to
     every family. *)
 
 (** {2 Serialization} *)

@@ -299,6 +299,19 @@ let test_golden_speedup_tables () =
         table)
     golden_speedups
 
+(* A fit report whose chosen law is [law], for predicting from a known law
+   under a context. *)
+let report_of_law law =
+  let f =
+    {
+      Fit.candidate = Fit.Exponential;
+      dist = law;
+      ks =
+        { Kolmogorov.statistic = 0.; p_value = 1.; n = 0; accept = true; alpha = 0.05 };
+    }
+  in
+  { Fit.empty_report with fits = [ f ]; accepted = [ f ]; best = Some f }
+
 let test_golden_speedups_pool_invariant () =
   (* The figures behind 9/11/13 must not depend on the executor: the
      prediction made under a context without a pool, with a pool of 1 and
@@ -309,7 +322,8 @@ let test_golden_speedups_pool_invariant () =
       let cores = List.map fst table in
       let serial = Speedup.curve law ~cores in
       let predicted ctx =
-        (Predict.of_distribution ?ctx ~label:"golden" ~cores law).Predict.curve
+        (Predict.of_report ?ctx ~label:"golden" ~cores (report_of_law law))
+          .Predict.curve
       in
       Lv_exec.Pool.with_pool ~domains:1 @@ fun p1 ->
       Lv_exec.Pool.with_pool ~domains:4 @@ fun p4 ->
@@ -402,6 +416,22 @@ let test_fit_one_inapplicable () =
   (* Lognormal cannot be estimated on data containing zero. *)
   Alcotest.(check bool) "lognormal on zero data" true
     (Fit.fit_one Fit.Lognormal [| 0.; 1.; 2. |] = None)
+
+let test_fit_constant_sample () =
+  (* A sample with no spread: gamma's shape equation has no finite root, so
+     the candidate is inapplicable and the all-candidates fit still
+     reports. *)
+  List.iter
+    (fun (n, v) ->
+      let xs = Array.make n v in
+      let what = Printf.sprintf "%d x %g" n v in
+      Alcotest.(check bool) (what ^ ": gamma inapplicable") true
+        (Fit.fit_one Fit.Gamma xs = None);
+      let r = Fit.fit xs in
+      Alcotest.(check int) (what ^ ": sample size") n r.Fit.sample_size;
+      Alcotest.(check bool) (what ^ ": no gamma fit") false
+        (List.exists (fun f -> f.Fit.candidate = Fit.Gamma) r.Fit.fits))
+    [ (1, 5.); (3, 5.); (7, 0.1); (50, 1e6); (200, 3.7e-3); (1000, 12345.) ]
 
 let test_fit_sort_nan_p_value_sinks () =
   (* A degenerate KS input can yield a NaN p-value; under the polymorphic
@@ -763,8 +793,8 @@ let test_predict_speedup_spans_in_input_order () =
   let cores = [ 256; 2; 32; 1; 8 ] in
   let law = Lognormal.create ~mu:8. ~sigma:1.2 in
   let p =
-    Predict.of_distribution ~ctx:(Lv_context.Context.make ~telemetry:sink ())
-      ~label:"spans" ~cores law
+    Predict.of_report ~ctx:(Lv_context.Context.make ~telemetry:sink ())
+      ~label:"spans" ~cores (report_of_law law)
   in
   let spans =
     List.filter
@@ -904,6 +934,7 @@ let () =
           Alcotest.test_case "recovers exponential" `Quick test_fit_recovers_exponential;
           Alcotest.test_case "lognormal vs exponential" `Quick test_fit_recovers_lognormal_rejects_exponential;
           Alcotest.test_case "inapplicable candidate" `Quick test_fit_one_inapplicable;
+          Alcotest.test_case "constant sample" `Quick test_fit_constant_sample;
           Alcotest.test_case "NaN p-value sinks in sort" `Quick
             test_fit_sort_nan_p_value_sinks;
           Alcotest.test_case "candidate names" `Quick test_fit_candidate_names_roundtrip;

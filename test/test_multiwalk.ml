@@ -42,8 +42,11 @@ let test_dataset_load_plain_csv () =
   let oc = open_out path in
   output_string oc "value\n10.5\n20.5\n30.5\n";
   close_out oc;
-  let ds = Lv_multiwalk.Dataset.load_csv ~label:"plain" ~metric:"seconds" path in
+  let ds = Lv_multiwalk.Dataset.load_csv path in
   Alcotest.(check int) "rows" 3 (Lv_multiwalk.Dataset.size ds);
+  Alcotest.(check string) "label is the file name" (Filename.basename path)
+    ds.Lv_multiwalk.Dataset.label;
+  Alcotest.(check string) "metric unknown" "unknown" ds.Lv_multiwalk.Dataset.metric;
   Alcotest.(check (float 1e-12)) "first" 10.5 ds.Lv_multiwalk.Dataset.values.(0);
   Sys.remove path
 
@@ -62,22 +65,27 @@ let test_dataset_of_observations_filters () =
   Alcotest.(check (float 1e-12)) "seconds metric" 3. ds.Lv_multiwalk.Dataset.values.(1)
 
 let test_dataset_censored_csv_roundtrip () =
-  let ds =
-    Lv_multiwalk.Dataset.create ~censored:[| 50.; 60.25 |] ~label:"cap"
-      ~metric:"iterations" [| 1.; 2.; 3. |]
-  in
-  Alcotest.(check int) "censored count" 2 (Lv_multiwalk.Dataset.n_censored ds);
-  Alcotest.(check (float 1e-12)) "censored fraction" 0.4
-    (Lv_multiwalk.Dataset.censored_fraction ds);
-  let path = tmp_file ".csv" in
-  Lv_multiwalk.Dataset.save_csv ds path;
-  let back = Lv_multiwalk.Dataset.load_csv path in
-  Sys.remove path;
-  Alcotest.(check string) "label" "cap" back.Lv_multiwalk.Dataset.label;
-  Alcotest.(check bool) "solved values round-trip" true
-    (back.Lv_multiwalk.Dataset.values = ds.Lv_multiwalk.Dataset.values);
-  Alcotest.(check bool) "censored values round-trip" true
-    (back.Lv_multiwalk.Dataset.censored = ds.Lv_multiwalk.Dataset.censored)
+  List.iter
+    (fun label ->
+      let ds =
+        Lv_multiwalk.Dataset.create ~censored:[| 50.; 60.25 |] ~label
+          ~metric:"iterations" [| 1.; 2.; 3. |]
+      in
+      Alcotest.(check int) "censored count" 2 (Lv_multiwalk.Dataset.n_censored ds);
+      Alcotest.(check (float 1e-12)) "censored fraction" 0.4
+        (Lv_multiwalk.Dataset.censored_fraction ds);
+      let path = tmp_file ".csv" in
+      Lv_multiwalk.Dataset.save_csv ds path;
+      let back = Lv_multiwalk.Dataset.load_csv path in
+      Sys.remove path;
+      Alcotest.(check string) "label" label back.Lv_multiwalk.Dataset.label;
+      Alcotest.(check string) "metric" "iterations" back.Lv_multiwalk.Dataset.metric;
+      Alcotest.(check bool) "solved values round-trip" true
+        (back.Lv_multiwalk.Dataset.values = ds.Lv_multiwalk.Dataset.values);
+      Alcotest.(check bool) "censored values round-trip" true
+        (back.Lv_multiwalk.Dataset.censored = ds.Lv_multiwalk.Dataset.censored))
+    (* A label may hold spaces, and even the text " metric=". *)
+    [ "cap"; "my run"; "a metric=b" ]
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in

@@ -844,12 +844,9 @@ let test_mle_shifted_exponential () =
   let rate = List.assoc "lambda" d.Distribution.params in
   if abs_float (x0 -. 500.) > 10. then Alcotest.failf "x0 %g vs 500" x0;
   if rel_err 0.001 rate > 0.05 then Alcotest.failf "rate %g vs 0.001" rate;
-  (* The literal paper recipe puts x0 exactly at the sample minimum; the
-     default bias correction pulls it below by (mean - min)/(n-1). *)
+  (* The bias correction pulls x0 below the sample minimum by
+     (mean - min)/(n-1). *)
   let xmin = Array.fold_left Float.min xs.(0) xs in
-  let literal = Mle.shifted_exponential ~bias_correct:false xs in
-  check_rel ~tol:1e-12 "literal x0 = sample min" xmin
-    (List.assoc "x0" literal.Distribution.params);
   Alcotest.(check bool) "corrected x0 below min" true (x0 <= xmin)
 
 let test_mle_shifted_exponential_collapses_to_zero () =
@@ -869,7 +866,11 @@ let test_mle_shifted_exponential_collapses_to_zero () =
     mean /. (x0 +. ((mean -. x0) /. 256.))
   in
   let corrected = g256 (Mle.shifted_exponential xs) in
-  let literal = g256 (Mle.shifted_exponential ~bias_correct:false xs) in
+  (* The paper's literal recipe: x0 = min, λ = 1/(mean - min). *)
+  let literal =
+    let xmin = Array.fold_left Float.min xs.(0) xs in
+    g256 (Exponential.shifted ~x0:xmin ~rate:(1. /. (Summary.mean xs -. xmin)))
+  in
   Alcotest.(check bool) "correction moves toward linear" true (corrected >= literal);
   if corrected < 0.8 *. 256. then
     Alcotest.failf "corrected fit predicts G_256 = %g, expected near-linear" corrected
@@ -1116,10 +1117,20 @@ let test_order_stats_validation () =
 (* Bootstrap                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The percentile bootstrap of the mean: 1000 resample means, reduced by
+   [percentile_interval] at its default 95% level. *)
+let bootstrap_mean ~rng xs =
+  let emp = Empirical.of_array xs in
+  let n = Array.length xs in
+  let means =
+    Array.init 1000 (fun _ -> Summary.mean (Empirical.resample emp rng n))
+  in
+  Bootstrap.percentile_interval ~estimate:(Summary.mean xs) means
+
 let test_bootstrap_interval_contains_estimate () =
   let rng = Rng.create ~seed:97 in
   let xs = Array.init 500 (fun _ -> Rng.exponential rng ~rate:0.1) in
-  let iv = Bootstrap.confidence_interval ~rng ~stat:Summary.mean xs in
+  let iv = bootstrap_mean ~rng xs in
   Alcotest.(check bool) "lo <= estimate" true (iv.Bootstrap.lo <= iv.Bootstrap.estimate);
   Alcotest.(check bool) "estimate <= hi" true (iv.Bootstrap.estimate <= iv.Bootstrap.hi);
   (* The true mean 10 should usually be inside a 95% interval. *)
@@ -1131,7 +1142,7 @@ let test_bootstrap_narrows_with_n () =
   let xs_small = Array.init 50 (fun _ -> Rng.normal rng) in
   let xs_large = Array.init 5000 (fun _ -> Rng.normal rng) in
   let w xs =
-    let iv = Bootstrap.confidence_interval ~rng ~stat:Summary.mean xs in
+    let iv = bootstrap_mean ~rng xs in
     iv.Bootstrap.hi -. iv.Bootstrap.lo
   in
   Alcotest.(check bool) "larger sample, narrower CI" true (w xs_large < w xs_small)
@@ -1332,10 +1343,9 @@ let qcheck_props =
        in
        (mu, if sigma > 0. then sigma else 1e-12)
      in
-     let sort_per_candidate ~shift_fraction xs =
+     let sort_per_candidate xs =
        let xmin = Array.fold_left Float.min xs.(0) xs in
-       let hi = shift_fraction *. xmin in
-       if hi <= 0. then Mle.lognormal xs
+       if xmin <= 0. then Mle.lognormal xs
        else begin
          let fit_at x0 =
            let mu, sigma = log_fit xs x0 in
@@ -1346,7 +1356,7 @@ let qcheck_props =
          let best = ref (0., score (Mle.lognormal xs)) in
          for i = 1 to candidates do
            let frac = float_of_int i /. float_of_int candidates in
-           let x0 = hi *. (frac ** 0.5) in
+           let x0 = xmin *. (frac ** 0.5) in
            let x0 = Float.min x0 (xmin *. (1. -. 1e-9)) in
            match fit_at x0 with
            | d ->
@@ -1367,22 +1377,19 @@ let qcheck_props =
      Test.make ~name:"shifted-lognormal scan bit-identical to sorting per candidate"
        ~count:200
        (make
-          ~print:(fun (seed, n, (x0, sigma), f) ->
-            Printf.sprintf "seed=%d n=%d x0=%g sigma=%g shift_fraction=%g" seed n x0 sigma f)
+          ~print:(fun (seed, n, (x0, sigma)) ->
+            Printf.sprintf "seed=%d n=%d x0=%g sigma=%g" seed n x0 sigma)
           Gen.(
-            quad nat (int_range 1 300)
-              (pair (float_range 0. 50.) (float_range 0.05 2.))
-              (frequency [ (3, return 1.); (1, float_range 0. 1.) ])))
-       (fun (seed, n, (x0, sigma), shift_fraction) ->
+            triple nat (int_range 1 300)
+              (pair (float_range 0. 50.) (float_range 0.05 2.))))
+       (fun (seed, n, (x0, sigma)) ->
          let rng = Rng.create ~seed in
          let xs =
            Array.init n (fun _ -> x0 +. Rng.lognormal rng ~mu:1. ~sigma)
          in
          (* Ties and a sample minimum repeated exactly stress the ECDF. *)
          if n > 3 then xs.(n - 1) <- xs.(0);
-         same_law
-           (Mle.shifted_lognormal ~shift_fraction xs)
-           (sort_per_candidate ~shift_fraction xs)));
+         same_law (Mle.shifted_lognormal xs) (sort_per_candidate xs)));
     mc_min_matches ~name:"E[min] exponential closed form vs MC"
       (fun seed ->
         Exponential.create ~rate:(0.05 +. (0.01 *. float_of_int (seed mod 50))))

@@ -365,6 +365,50 @@ let test_run_combines_sections () =
   Alcotest.(check bool) "oracle when trials > 0" true
     (with_oracle.Validate.calibration <> None)
 
+let test_run_sub_spans () =
+  (* [run] records one span per pillar under its "validate" span, each
+     with the fields that name its work. *)
+  let sink = Lv_telemetry.Sink.memory () in
+  let xs = exp_sample ~seed:18 ~rate:0.02 80 in
+  let report = fit_exponential xs in
+  ignore
+    (Validate.run ~ctx:(Ctx.make ~telemetry:sink ())
+       ~candidates:[ Fit.Exponential ]
+       ~config:{ small_config with Validate.trials = 3 }
+       ~seed:19 ~cores ~label:"spans" ~report xs);
+  let check_span path expected =
+    match
+      List.filter
+        (fun e -> e.Lv_telemetry.Event.path = path)
+        (Lv_telemetry.Sink.events sink)
+    with
+    | [ e ] ->
+      List.iter
+        (fun (name, value) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s" path name)
+            (Json.to_string value)
+            (match Lv_telemetry.Event.field name e with
+            | Some v -> Json.to_string v
+            | None -> "(missing)"))
+        expected
+    | es -> Alcotest.failf "%d events at %s, expected 1" (List.length es) path
+  in
+  check_span "validate/validate.bootstrap"
+    [
+      ("family", Json.String "exponential");
+      ("replicates", Json.Int 40);
+      ("level", Json.Float 0.95);
+    ];
+  check_span "validate/validate.holdout"
+    [ ("folds", Json.Int 2); ("sample_size", Json.Int 80) ];
+  check_span "validate/validate.oracle"
+    [
+      ("family", Json.String "exponential");
+      ("trials", Json.Int 3);
+      ("runs", Json.Int 80);
+    ]
+
 let test_json_roundtrip () =
   let r = run_report ~config:{ small_config with Validate.trials = 4 } () in
   let recovered = Validate.of_json (Json.of_string (render r)) in
@@ -671,6 +715,7 @@ let () =
         [
           Alcotest.test_case "run combines sections" `Quick
             test_run_combines_sections;
+          Alcotest.test_case "run sub-spans" `Quick test_run_sub_spans;
           Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "json round-trip with nan" `Quick
             test_json_roundtrip_with_nan_fields;
