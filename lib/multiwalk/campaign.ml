@@ -9,30 +9,56 @@ type result = {
 
 exception Unusable_checkpoint of string
 
-(* Observations restored from a checkpoint, slotted by run index.  A log
+(* The run columns, with the runs a checkpoint holds filled in.  A log
    corrupt before its last line, or written by a different campaign (seed
    mismatch), is rejected before any run starts: mixing unreadable or
    foreign runs in silently would corrupt the dataset. *)
-let restore_slots ~path ~seed ~runs =
-  let entries =
-    try Checkpoint.load path with Failure msg -> raise (Unusable_checkpoint msg)
+let restore ~path ~seed cols =
+  match
+    try Checkpoint.restore path ~seed cols
+    with Failure msg -> raise (Unusable_checkpoint msg)
+  with
+  | None -> ()
+  | Some (r, recorded) ->
+    raise
+      (Unusable_checkpoint
+         (Printf.sprintf
+            "Campaign.run: checkpoint %s belongs to a different campaign (run \
+             %d recorded with seed %d, expected %d)"
+            path r recorded (seed + r)))
+
+(* The observation list and both datasets, in run order, in one pass over
+   the columns. *)
+let assemble ~label (cols : Checkpoint.columns) =
+  let runs = Array.length cols.solved in
+  let n_solved =
+    Array.fold_left (fun n s -> if s then n + 1 else n) 0 cols.solved
   in
-  let slots = Array.make runs None in
-  List.iter
-    (fun e ->
-      let r = e.Checkpoint.run in
-      if r >= 0 && r < runs then begin
-        if e.Checkpoint.seed <> seed + r then
-          raise
-            (Unusable_checkpoint
-               (Printf.sprintf
-                  "Campaign.run: checkpoint %s belongs to a different \
-                   campaign (run %d recorded with seed %d, expected %d)"
-                  path r e.Checkpoint.seed (seed + r)));
-        slots.(r) <- Some (Checkpoint.observation_of_entry e)
-      end)
-    entries;
-  slots
+  let n_censored = runs - n_solved in
+  let it_values = Array.make n_solved 0. and it_censored = Array.make n_censored 0. in
+  let s_values = Array.make n_solved 0. and s_censored = Array.make n_censored 0. in
+  let observations = ref [] in
+  let v = ref n_solved and c = ref n_censored in
+  for r = runs - 1 downto 0 do
+    let iterations = cols.iterations.(r) and seconds = cols.seconds.(r) in
+    let solved = cols.solved.(r) in
+    observations := { Run.seconds; iterations; solved } :: !observations;
+    if solved then begin
+      decr v;
+      it_values.(!v) <- float_of_int iterations;
+      s_values.(!v) <- seconds
+    end
+    else begin
+      decr c;
+      it_censored.(!c) <- float_of_int iterations;
+      s_censored.(!c) <- seconds
+    end
+  done;
+  let dataset metric values censored = { Dataset.label; metric; values; censored } in
+  ( !observations,
+    dataset "iterations" it_values it_censored,
+    dataset "seconds" s_values s_censored,
+    n_censored )
 
 let run_fn ?(ctx = Lv_context.Context.default) ?progress ?checkpoint
     ?(retry = Retry.none) ~label ~seed ~runs make_runner =
@@ -44,20 +70,21 @@ let run_fn ?(ctx = Lv_context.Context.default) ?progress ?checkpoint
   let n_censored_cell = ref 0 in
   let retries = Atomic.make 0 in
   let retried_runs = Atomic.make 0 in
-  let slots =
-    match checkpoint with
-    | Some path -> restore_slots ~path ~seed ~runs
-    | None -> Array.make runs None
-  in
+  let cols = Checkpoint.columns ~runs in
+  Option.iter (fun path -> restore ~path ~seed cols) checkpoint;
   let n_restored =
-    Array.fold_left (fun n s -> if s = None then n else n + 1) 0 slots
+    Array.fold_left (fun n s -> if s then n + 1 else n) 0 cols.restored
   in
   let body () =
     (* Only the runs missing from the log execute. *)
-    let missing =
-      Array.of_seq
-        (Seq.filter (fun r -> slots.(r) = None) (Seq.init runs Fun.id))
-    in
+    let missing = Array.make (runs - n_restored) 0 in
+    let k = ref 0 in
+    for r = 0 to runs - 1 do
+      if not cols.restored.(r) then begin
+        missing.(!k) <- r;
+        incr k
+      end
+    done;
     let with_log f =
       (* Nothing left to append when every run was restored — and opening
          the writer would pointlessly touch the file. *)
@@ -158,11 +185,14 @@ let run_fn ?(ctx = Lv_context.Context.default) ?progress ?checkpoint
       | Some p -> Lv_exec.Pool.parallel_map p fresh_run missing
       | None -> Array.map fresh_run missing
     in
-    Array.iteri (fun i r -> slots.(r) <- Some fresh.(i)) missing;
-    let observations = Array.to_list (Array.map Option.get slots) in
-    let n_censored =
-      List.length (List.filter (fun o -> not o.Run.solved) observations)
-    in
+    Array.iteri
+      (fun i r ->
+        let o = fresh.(i) in
+        cols.iterations.(r) <- o.Run.iterations;
+        cols.seconds.(r) <- o.Run.seconds;
+        cols.solved.(r) <- o.Run.solved)
+      missing;
+    let observations, iterations, seconds, n_censored = assemble ~label cols in
     n_censored_cell := n_censored;
     if traced then begin
       let count path value =
@@ -179,8 +209,8 @@ let run_fn ?(ctx = Lv_context.Context.default) ?progress ?checkpoint
       invalid_arg "Campaign.run: no run solved the instance; raise the budget";
     {
       observations;
-      iterations = Dataset.of_observations ~label ~metric:`Iterations observations;
-      seconds = Dataset.of_observations ~label ~metric:`Seconds observations;
+      iterations;
+      seconds;
       n_censored;
       n_retried = Atomic.get retried_runs;
       n_restored;

@@ -29,9 +29,12 @@
       counts exact; restored seconds are the genuinely measured ones).
       A log that is corrupt before its last line, or that was recorded
       under a different seed, raises {!Unusable_checkpoint} before any
-      run starts.  This is the one reader and writer of run-logs: the
-      engine's campaign artifact is such a log, passed here as
-      [?checkpoint].
+      run starts.  The log is decoded straight into per-run columns
+      ({!Checkpoint.restore}), the executed runs fill the same columns,
+      and the observation list and both datasets are built from them in
+      one pass — a warm rerun of a complete log does no other work.  This
+      is the one reader and writer of run-logs: the engine's campaign
+      artifact is such a log, passed here as [?checkpoint].
     - {e Retry-with-backoff} ([?retry], default {!Retry.none}): a run
       whose runner raises is re-attempted under the policy before the
       campaign aborts.  Retried runs recreate their generator from the

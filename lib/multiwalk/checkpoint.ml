@@ -142,22 +142,22 @@ let entry_at c =
     malformed c c.pos "end of line";
   { run; seed; iterations; seconds; solved }
 
-(* The entries, and the length of the text they were read from: the
-   start of a dropped torn final line, or the whole text. *)
-let decode path text =
+(* Calls [f] on each entry in file order and returns the length of the
+   text they were read from: the start of a dropped torn final line, or
+   the whole text. *)
+let decode path text f =
   let len = String.length text in
   let c = { text; line = 0; pos = 0; int = 0 } in
   (* A bad line is held back until the next non-empty line proves it is
      not the last: a torn {e final} line is the expected artifact of a
      crash mid-append and is dropped, but a bad line with entries after it
      means the file is corrupt and must not be trusted. *)
-  let rec loop lineno entries torn =
+  let rec loop lineno torn =
     if c.line >= len then
-      ( List.rev entries,
-        match torn with Some (_, _, start) -> start | None -> len )
+      match torn with Some (_, _, start) -> start | None -> len
     else if String.unsafe_get text c.line = '\n' then begin
       c.line <- c.line + 1;
-      loop (lineno + 1) entries torn
+      loop (lineno + 1) torn
     end
     else begin
       (match torn with
@@ -168,17 +168,18 @@ let decode path text =
       match entry_at c with
       | e ->
         c.line <- c.pos + 1;
-        loop (lineno + 1) (e :: entries) None
+        f e;
+        loop (lineno + 1) None
       | exception Malformed msg ->
         let start = c.line in
         c.line <-
           (match String.index_from_opt text c.pos '\n' with
           | Some i -> i + 1
           | None -> len);
-        loop (lineno + 1) entries (Some (lineno, msg, start))
+        loop (lineno + 1) (Some (lineno, msg, start))
     end
   in
-  loop 1 [] None
+  loop 1 None
 
 let read path =
   if Sys.file_exists path then
@@ -186,7 +187,46 @@ let read path =
   else None
 
 let load path =
-  match read path with None -> [] | Some text -> fst (decode path text)
+  match read path with
+  | None -> []
+  | Some text ->
+    let entries = ref [] in
+    ignore (decode path text (fun e -> entries := e :: !entries));
+    List.rev !entries
+
+type columns = {
+  iterations : int array;
+  seconds : float array;
+  solved : bool array;
+  restored : bool array;
+}
+
+let columns ~runs =
+  {
+    iterations = Array.make runs 0;
+    seconds = Array.make runs 0.;
+    solved = Array.make runs false;
+    restored = Array.make runs false;
+  }
+
+let restore path ~seed cols =
+  let runs = Array.length cols.restored in
+  let foreign = ref None in
+  (match read path with
+  | None -> ()
+  | Some text ->
+    ignore
+      (decode path text (fun (e : entry) ->
+           let r = e.run in
+           if r >= 0 && r < runs then begin
+             if e.seed <> seed + r && !foreign = None then
+               foreign := Some (r, e.seed);
+             cols.iterations.(r) <- e.iterations;
+             cols.seconds.(r) <- e.seconds;
+             cols.solved.(r) <- e.solved;
+             cols.restored.(r) <- true
+           end)));
+  !foreign
 
 type writer = { oc : out_channel; wlock : Mutex.t }
 
@@ -198,7 +238,7 @@ let with_writer path f =
     match read path with
     | None -> false
     | Some text ->
-      let kept = snd (decode path text) in
+      let kept = decode path text ignore in
       if kept < String.length text then Unix.truncate path kept;
       kept > 0 && text.[kept - 1] <> '\n'
   in

@@ -53,7 +53,31 @@ val load : string -> entry list
     [load] reads the whole file at once and decodes it with one cursor,
     parsing integers in place; the lines it accepts, the torn-last-line
     rule and the line-numbered [Failure] are those of the earlier
-    line-by-line decoder, which the tests keep as the reference. *)
+    line-by-line decoder, which the tests keep as the reference.  It is a
+    view over the decoder {!restore} uses. *)
+
+type columns = {
+  iterations : int array;
+  seconds : float array;
+  solved : bool array;
+  restored : bool array;  (** [restored.(r)]: run [r] was read from a log *)
+}
+(** One campaign's runs as columns indexed by run: what {!restore} reads
+    from a log, and what {!Campaign.run} fills in for the runs it
+    executes. *)
+
+val columns : runs:int -> columns
+(** Columns for [runs] runs, none restored. *)
+
+val restore : string -> seed:int -> columns -> (int * int) option
+(** [restore path ~seed cols] decodes the log at [path] straight into
+    [cols], with the decoder, the torn-final-line rule and the [Failure]
+    text of {!load} ([load] is the same decoder collecting entries).
+    Entries whose run lies outside [cols] are skipped; a later entry for a
+    run overrides an earlier one.  Returns the first in-range entry, in
+    file order, whose seed is not [seed + run], as [Some (run, seed)]; the
+    caller decides what a foreign run means.  A missing file restores
+    nothing. *)
 
 type writer
 (** An append handle; serialized internally, safe from any domain. *)

@@ -8,11 +8,10 @@ let speedup emp ~cores =
 let table ds ~cores =
   let emp = Dataset.empirical ds in
   let mean = Lv_stats.Empirical.mean emp in
-  List.map
-    (fun n ->
-      let e = expected_runtime emp ~cores:n in
-      { cores = n; expected_runtime = e; speedup = mean /. e })
+  List.map2
+    (fun n e -> { cores = n; expected_runtime = e; speedup = mean /. e })
     cores
+    (Lv_stats.Empirical.expected_min_table emp cores)
 
 let race_once emp ~rng ~cores = Lv_stats.Empirical.min_of_draws emp rng cores
 

@@ -22,7 +22,9 @@ val expected_runtime : Lv_stats.Empirical.t -> cores:int -> float
 val speedup : Lv_stats.Empirical.t -> cores:int -> float
 
 val table : Dataset.t -> cores:int list -> row list
-(** One row per core count — the reproduction of a Table 3/4 block. *)
+(** One row per core count — the reproduction of a Table 3/4 block.  The
+    expectations come from one {!Lv_stats.Empirical.expected_min_table}
+    call, so each row equals {!expected_runtime} bit for bit. *)
 
 val race_once : Lv_stats.Empirical.t -> rng:Lv_stats.Rng.t -> cores:int -> float
 (** One simulated multi-walk execution: min of [cores] resampled runtimes. *)

@@ -49,20 +49,37 @@ let min_of_draws t rng n =
   done;
   !m
 
-let expected_min_exact t n =
-  if n <= 0 then invalid_arg "Empirical.expected_min_exact: n must be positive";
+let expected_min_table t ns =
+  List.iter
+    (fun n ->
+      if n <= 0 then invalid_arg "Empirical.expected_min_table: n must be positive")
+    ns;
   let xs = t.xs in
   let sz = Array.length xs in
-  let fn = float_of_int n and fsz = float_of_int sz in
+  let fsz = float_of_int sz in
   (* P[min = x_(i)] = ((N-i+1)/N)^n - ((N-i)/N)^n for the i-th order statistic
      (1-based, ties handled implicitly by summing over positions).  The
      subtracted power of one term is the leading power of the next, so it
-     is carried over; the first leading power is (N/N)^n = 1. *)
-  let acc = ref 0. and pa = ref 1. in
-  for i = 1 to sz do
-    let b = float_of_int (sz - i) /. fsz in
-    let pb = if b > 0. then exp (fn *. log b) else 0. in
-    acc := !acc +. ((!pa -. pb) *. xs.(i - 1));
-    pa := pb
+     is carried over; the first leading power is (N/N)^n = 1.  Each power is
+     [exp (n log b)] with [b = (N-i)/N]; the logs do not depend on [n], so
+     one table serves every [n].  The last is [log 0 = neg_infinity], whose
+     power is exactly 0. *)
+  let logs = Array.make sz 0. in
+  for k = 0 to sz - 1 do
+    logs.(k) <- log (float_of_int (sz - 1 - k) /. fsz)
   done;
-  !acc
+  List.map
+    (fun n ->
+      let fn = float_of_int n in
+      let acc = ref 0. and pa = ref 1. in
+      for i = 0 to sz - 1 do
+        let pb = exp (fn *. logs.(i)) in
+        acc := !acc +. ((!pa -. pb) *. xs.(i));
+        pa := pb
+      done;
+      !acc)
+    ns
+
+let expected_min_exact t n =
+  if n <= 0 then invalid_arg "Empirical.expected_min_exact: n must be positive";
+  List.hd (expected_min_table t [ n ])

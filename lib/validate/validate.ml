@@ -203,12 +203,13 @@ let holdout_fold ~alpha ~candidates ~cores ~fold ~train ~test =
     else begin
       let emp = Empirical.of_array test in
       let mean = Empirical.mean emp in
-      List.fold_left
-        (fun acc c ->
+      List.fold_left2
+        (fun acc c expected ->
           let predicted = Speedup.at law ~cores:c in
-          let measured = mean /. Empirical.expected_min_exact emp c in
+          let measured = mean /. expected in
           Float.max acc (abs_float ((predicted /. measured) -. 1.)))
         0. cores
+        (Empirical.expected_min_table emp cores)
     end
   in
   {

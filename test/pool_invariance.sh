@@ -35,7 +35,10 @@ campaign() {
     || fail "campaign $* differs between --pool-domains 1 and 8"
 }
 
-campaign queens n-queens 15 --runs 40
+# Enough runs that an 8-domain pool spreads them over several workers: at
+# 15 queens and 40 runs one worker could take every run, and the pair then
+# compared one domain with itself.
+campaign queens n-queens 30 --runs 200
 campaign costas costas-array 12 --runs 40
 campaign interval all-interval 14 --runs 40
 campaign magic magic-square 8 --runs 20 --max-iters 15000

@@ -1277,6 +1277,172 @@ let checkpoint_props =
         | _ -> false);
   ]
 
+(* The column restore against the line-by-line reference, on logs as a
+   resumed campaign may meet them: duplicates, runs outside the campaign,
+   foreign seeds, int-shaped seconds, empty lines, corrupt lines anywhere
+   and a torn tail.  Either all three decoders fail with the same
+   [Failure] text, or [load] gives the reference's entries and the
+   columns hold each in-range run's last entry, with the first in-range
+   foreign entry reported. *)
+let restore_prop =
+  let open QCheck in
+  let runs = 8 and seed = 50 in
+  let line_gen =
+    let open Gen in
+    let entry =
+      map
+        (fun (run, foreign, iterations, (seconds, int_shaped), solved) ->
+          let seed = if foreign then seed + run + 1 else seed + run in
+          if int_shaped then
+            Printf.sprintf
+              {|{"run":%d,"seed":%d,"iterations":%d,"seconds":%d,"solved":%b}|}
+              run seed iterations (int_of_float seconds) solved
+          else
+            List.hd
+              (lines_of_entries
+                 [ { Lv_multiwalk.Checkpoint.run; seed; iterations; seconds; solved } ]))
+        (tup5 (int_range (-2) (runs + 1))
+           (frequency [ (12, return false); (1, return true) ])
+           (int_range 0 100_000)
+           (frequency
+              [
+                (3, map (fun x -> (x, false)) (float_range 0. 10.));
+                (1, map (fun i -> (float_of_int i, true)) (int_range 0 1000));
+              ])
+           bool)
+    in
+    let edit =
+      triple (int_range 0 2) nat
+        (oneofl (String.to_seq {|{}":,.-+eE0123456789 tfalsnu|} |> List.of_seq))
+    in
+    frequency
+      [
+        (10, entry);
+        (1, return "");
+        (1, map2 (List.fold_left edit_line) entry (list_size (int_range 1 3) edit));
+      ]
+  in
+  Test.make ~name:"column restore agrees with the line-by-line load" ~count:500
+    (make
+       ~print:(fun (lines, trailing, tear) ->
+         Printf.sprintf "%S trailing=%b tear=%s" (String.concat "\n" lines) trailing
+           (match tear with Some k -> string_of_int k | None -> "none"))
+       Gen.(triple (list_size (int_range 0 16) line_gen) bool (opt nat)))
+    (fun (lines, trailing, tear) ->
+      let text = String.concat "\n" lines ^ if trailing then "\n" else "" in
+      let text =
+        match tear with
+        | Some k -> String.sub text 0 (k mod (String.length text + 1))
+        | None -> text
+      in
+      let path = tmp_log () in
+      write_file path text;
+      let outcome f = match f () with v -> Ok v | exception Failure msg -> Error msg in
+      let reference = outcome (fun () -> Line_by_line.load path)
+      and loaded = outcome (fun () -> Lv_multiwalk.Checkpoint.load path)
+      and restored =
+        outcome (fun () ->
+            let cols = Lv_multiwalk.Checkpoint.columns ~runs in
+            let foreign = Lv_multiwalk.Checkpoint.restore path ~seed cols in
+            (cols, foreign))
+      in
+      Sys.remove path;
+      match (reference, loaded, restored) with
+      | Ok entries, Ok l, Ok ((cols : Lv_multiwalk.Checkpoint.columns), foreign) ->
+        let in_range (e : Lv_multiwalk.Checkpoint.entry) = e.run >= 0 && e.run < runs in
+        let last r =
+          List.find_opt (fun (e : Lv_multiwalk.Checkpoint.entry) -> e.run = r)
+            (List.rev entries)
+        in
+        List.length l = List.length entries
+        && List.for_all2 same_entry l entries
+        && foreign
+           = Option.map
+               (fun (e : Lv_multiwalk.Checkpoint.entry) -> (e.run, e.seed))
+               (List.find_opt (fun e -> in_range e && e.seed <> seed + e.run) entries)
+        && List.for_all
+             (fun r ->
+               match last r with
+               | None -> not cols.restored.(r)
+               | Some e ->
+                 cols.restored.(r)
+                 && cols.iterations.(r) = e.iterations
+                 && Int64.equal
+                      (Int64.bits_of_float cols.seconds.(r))
+                      (Int64.bits_of_float e.seconds)
+                 && cols.solved.(r) = e.solved)
+             (List.init runs Fun.id)
+      | Error a, Error b, Error c -> String.equal a b && String.equal a c
+      | _ -> false)
+
+(* A campaign resumed from every prefix of a complete log (written on two
+   domains, so not in run order) returns what the uninterrupted campaign
+   returned: the same runs, iterations dataset and censoring, with the
+   seconds of every restored run as logged.  A run's iterations come from
+   its seeded generator and its seconds from a counter, so a re-executed
+   run gets new seconds.  Both datasets must equal the projection of the
+   observations the earlier two-step assembly made. *)
+let test_checkpoint_resume_any_prefix () =
+  let runs = 24 and seed = 300 and label = "prefix" in
+  let tick = Atomic.make 0 in
+  let runner () rng =
+    let iterations = 1 + Lv_stats.Rng.int rng 1000 in
+    let t = Atomic.fetch_and_add tick 1 in
+    { Lv_multiwalk.Run.iterations; seconds = float_of_int (t + 1) /. 7e3;
+      solved = iterations mod 5 <> 0 }
+  in
+  let campaign ?ctx log =
+    Lv_multiwalk.Campaign.run_fn ?ctx ~checkpoint:log ~label ~seed ~runs runner
+  in
+  let projected (c : Lv_multiwalk.Campaign.result) =
+    let p metric = Lv_multiwalk.Dataset.of_observations ~label ~metric c.observations in
+    c.iterations = p `Iterations && c.seconds = p `Seconds
+  in
+  let full_log = tmp_log () in
+  let full = on_pool 2 (fun ctx -> campaign ~ctx full_log) in
+  Alcotest.(check bool) "some runs censored" true (full.n_censored > 0);
+  Alcotest.(check bool) "datasets are the projection" true (projected full);
+  let lines = String.split_on_char '\n' (read_file full_log) |> List.filter (( <> ) "") in
+  Alcotest.(check int) "complete log" runs (List.length lines);
+  for k = 0 to runs do
+    let prefix = List.filteri (fun i _ -> i < k) lines in
+    let log = tmp_log () in
+    write_file log (String.concat "" (List.map (fun l -> l ^ "\n") prefix));
+    let restored =
+      List.map (fun l -> (Option.get (generic_decode l)).Lv_multiwalk.Checkpoint.run) prefix
+    in
+    let resumed =
+      if k mod 2 = 0 then campaign log else on_pool 2 (fun ctx -> campaign ~ctx log)
+    in
+    let what = Printf.sprintf "prefix %d" k in
+    Alcotest.(check int) (what ^ ": n_restored") k resumed.n_restored;
+    Alcotest.(check int) (what ^ ": n_censored") full.n_censored resumed.n_censored;
+    Alcotest.(check bool) (what ^ ": iterations dataset") true
+      (resumed.iterations = full.iterations);
+    Alcotest.(check bool) (what ^ ": datasets are the projection") true (projected resumed);
+    List.iteri
+      (fun r ((a : Lv_multiwalk.Run.observation), (b : Lv_multiwalk.Run.observation)) ->
+        Alcotest.(check bool) (Printf.sprintf "%s: run %d" what r) true
+          (a.iterations = b.iterations && a.solved = b.solved
+          && ((not (List.mem r restored)) || Float.equal a.seconds b.seconds)))
+      (List.combine resumed.observations full.observations);
+    (* The log is now complete: a rerun restores every run and returns the
+       resumed result exactly. *)
+    let again = campaign log in
+    Alcotest.(check int) (what ^ ": rerun restores all") runs again.n_restored;
+    Alcotest.(check bool) (what ^ ": rerun equals the resumed run") true
+      (again.observations = resumed.observations
+      && again.iterations = resumed.iterations
+      && again.seconds = resumed.seconds
+      && again.n_censored = resumed.n_censored);
+    Sys.remove log
+  done;
+  let again = campaign full_log in
+  Alcotest.(check bool) "the complete log restores the uninterrupted run" true
+    (again.observations = full.observations && again.iterations = full.iterations
+    && again.seconds = full.seconds && again.n_restored = runs);
+  Sys.remove full_log
+
 (* ------------------------------------------------------------------ *)
 (* qcheck properties                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -1376,8 +1542,10 @@ let () =
             test_checkpoint_unusable_raises_first;
           Alcotest.test_case "decoder strictness" `Quick
             test_checkpoint_decoder_strict;
+          Alcotest.test_case "resume from any prefix" `Quick
+            test_checkpoint_resume_any_prefix;
         ]
-        @ List.map QCheck_alcotest.to_alcotest checkpoint_props );
+        @ List.map QCheck_alcotest.to_alcotest (checkpoint_props @ [ restore_prop ]) );
       ( "sim",
         [
           Alcotest.test_case "one core" `Quick test_sim_speedup_one_core;

@@ -1151,6 +1151,24 @@ let test_bootstrap_narrows_with_n () =
 (* qcheck properties                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* The two-power formula expected_min_exact used before carrying the
+   shared power term over: the carried version, and the shared-log table,
+   must match it bit for bit. *)
+let two_power_min e n =
+  let xs = Empirical.sorted e in
+  let sz = Array.length xs in
+  let fn = float_of_int n and fsz = float_of_int sz in
+  let acc = ref 0. in
+  for i = 1 to sz do
+    let a = float_of_int (sz - i + 1) /. fsz in
+    let b = float_of_int (sz - i) /. fsz in
+    let w = exp (fn *. log a) -. if b > 0. then exp (fn *. log b) else 0. in
+    acc := !acc +. (w *. xs.(i - 1))
+  done;
+  !acc
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
 let qcheck_props =
   let open QCheck in
   (* Order-statistic minima against Monte-Carlo sampling, one property per
@@ -1284,27 +1302,9 @@ let qcheck_props =
          Array.for_all2
            (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
            expected actual));
-    (* The two-power formula expected_min_exact used before carrying the
-       shared power term over; the carried version must match it bit for
-       bit. *)
-    (let two_power e n =
-       let xs = Empirical.sorted e in
-       let sz = Array.length xs in
-       let fn = float_of_int n and fsz = float_of_int sz in
-       let acc = ref 0. in
-       for i = 1 to sz do
-         let a = float_of_int (sz - i + 1) /. fsz in
-         let b = float_of_int (sz - i) /. fsz in
-         let w =
-           exp (fn *. log a) -. if b > 0. then exp (fn *. log b) else 0.
-         in
-         acc := !acc +. (w *. xs.(i - 1))
-       done;
-       !acc
-     in
-     Test.make ~name:"empirical expected_min bit-identical to two-power formula"
-       ~count:300
-       (make
+    Test.make ~name:"empirical expected_min bit-identical to two-power formula"
+      ~count:300
+      (make
           ~print:Print.(array float)
           Gen.(
             int_range 1 50 >>= fun n ->
@@ -1314,14 +1314,37 @@ let qcheck_props =
                    (1, map float_of_int (int_range 1 4));
                    (1, float_range 0. 1e6);
                  ])))
-       (fun xs ->
-         let e = Empirical.of_array xs in
-         List.for_all
-           (fun n ->
-             Int64.equal
-               (Int64.bits_of_float (Empirical.expected_min_exact e n))
-               (Int64.bits_of_float (two_power e n)))
-           [ 1; 2; 3; 64; 4096 ]));
+      (fun xs ->
+        let e = Empirical.of_array xs in
+        List.for_all
+          (fun n -> same_bits (Empirical.expected_min_exact e n) (two_power_min e n))
+          [ 1; 2; 3; 64; 4096 ]);
+    (* One shared log table for every core count: each value keeps the
+       bits of the two-power formula, on samples with ties, N = 1, n = 1
+       and n large enough that every power but the first underflows to 0. *)
+    Test.make ~name:"empirical expected_min_table bit-identical to two-power formula"
+      ~count:300
+      (make
+         ~print:Print.(pair (array float) (list int))
+         Gen.(
+           pair
+             (frequency [ (1, return 1); (4, int_range 2 80) ] >>= fun n ->
+              array_size (return n)
+                (frequency
+                   [
+                     (2, map float_of_int (int_range 1 4));
+                     (2, float_range 0. 1e6);
+                     (1, float_range 1e-9 1e-3);
+                   ]))
+             (map
+                (fun ns -> 1 :: ns @ [ 1_000_000 ])
+                (list_size (int_range 0 8)
+                   (frequency [ (3, int_range 1 64); (1, int_range 65 100_000) ])))))
+      (fun (xs, ns) ->
+        let e = Empirical.of_array xs in
+        let table = Empirical.expected_min_table e ns in
+        List.length table = List.length ns
+        && List.for_all2 (fun n v -> same_bits v (two_power_min e n)) ns table);
     (* The shift scan before it sorted the sample once: every candidate
        shift scored by a full [Kolmogorov.test], which copies, checks and
        sorts the sample again.  The fitted law must keep its bits. *)
