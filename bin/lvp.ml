@@ -52,7 +52,6 @@ let int_at_least ~min ~what =
   Arg.conv (parse, Format.pp_print_int)
 
 let positive_int = int_at_least ~min:1 ~what:"a positive integer"
-let nonnegative_int = int_at_least ~min:0 ~what:"a non-negative integer"
 
 let size_arg =
   Arg.(required & pos 1 (some int) None & info [] ~docv:"SIZE" ~doc:"Instance size.")
@@ -112,15 +111,6 @@ let checkpoint_arg =
            and on restart with the same seed/runs the logged runs are \
            restored instead of re-executed — an interrupted campaign \
            resumes to a byte-identical dataset.")
-
-let retries_arg =
-  Arg.(
-    value
-    & opt nonnegative_int 0
-    & info [ "retries" ] ~docv:"N"
-        ~doc:
-          "Retry a run whose runner raised a transient exception up to $(docv) \
-           times, with exponential backoff, before aborting the campaign.")
 
 let dataset_arg =
   Arg.(
@@ -230,7 +220,7 @@ let solve_cmd =
     Term.(const run $ problem_arg $ size_arg $ seed_arg $ walk_arg $ max_iters_arg)
 
 let campaign_cmd =
-  let run make size seed walk runs out timeout max_iters checkpoint retries
+  let run make size seed walk runs out timeout max_iters checkpoint
       pool_domains trace quiet verbose () =
     let packed0 = make size in
     let name = Lv_search.Csp.packed_name packed0 in
@@ -239,10 +229,6 @@ let campaign_cmd =
     let budget =
       Lv_multiwalk.Run.budget ?max_seconds:timeout ?max_iterations:max_iters ()
     in
-    let retry =
-      if retries = 0 then Lv_multiwalk.Retry.none
-      else Lv_multiwalk.Retry.policy ~max_attempts:(retries + 1) ()
-    in
     with_ctx ~trace ~verbose ~pool_domains @@ fun ctx ->
     let progress k =
       if (not quiet) && k mod 25 = 0 then
@@ -250,8 +236,8 @@ let campaign_cmd =
     in
     let t0 = Lv_telemetry.Clock.now_ns () in
     let c =
-      Lv_multiwalk.Campaign.run ~ctx ~params ~budget ?checkpoint ~retry ~label
-        ~seed ~runs ~progress (fun () -> make size)
+      Lv_multiwalk.Campaign.run ~ctx ~params ~budget ?checkpoint ~label ~seed
+        ~runs ~progress (fun () -> make size)
     in
     let wall =
       Lv_telemetry.Clock.seconds_between ~start:t0
@@ -264,9 +250,6 @@ let campaign_cmd =
     if c.Lv_multiwalk.Campaign.n_restored > 0 then
       Format.printf "restored %d completed runs from checkpoint@."
         c.Lv_multiwalk.Campaign.n_restored;
-    if c.Lv_multiwalk.Campaign.n_retried > 0 then
-      Format.printf "%d runs needed retries (transient runner faults)@."
-        c.Lv_multiwalk.Campaign.n_retried;
     let censored_fraction =
       Lv_multiwalk.Dataset.censored_fraction c.Lv_multiwalk.Campaign.iterations
     in
@@ -289,12 +272,11 @@ let campaign_cmd =
   command "campaign"
     ~doc:
       "Collect sequential runtimes over many independent runs, with \
-       per-run budgets, crash-safe checkpoint/resume and \
-       retry-with-backoff."
+       per-run budgets and crash-safe checkpoint/resume."
     Term.(
       const run $ problem_arg $ size_arg $ seed_arg $ walk_arg $ runs_arg
       $ out_arg $ timeout_arg $ max_iters_arg $ checkpoint_arg
-      $ retries_arg $ pool_domains_arg $ trace_arg $ quiet_arg $ verbose_arg)
+      $ pool_domains_arg $ trace_arg $ quiet_arg $ verbose_arg)
 
 let fit_cmd =
   let run path alpha trace quiet verbose () =

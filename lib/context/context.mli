@@ -15,9 +15,9 @@
     [?pool] and [?alpha] explicitly, and [fit_one] tests at 0.05.
     [Lv_core.Predict.of_distribution] and
     [Lv_multiwalk.Race.iteration_metric] are serial and untraced.
-    Per-call settings — budgets, checkpoints, retries, solver parameters,
-    candidate pools and a per-scenario alpha — stay explicit arguments of
-    the stage that uses them. *)
+    Per-call settings — budgets, checkpoints, solver parameters, candidate
+    pools and a per-scenario alpha — stay explicit arguments of the stage
+    that uses them. *)
 
 type t = {
   pool : Lv_exec.Pool.t option;

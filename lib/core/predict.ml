@@ -120,10 +120,20 @@ let save_csv p path =
           Printf.fprintf oc "%d,%.17g\n" cores speedup)
         p.curve)
 
+(* A law fitted to runs that all took the same time carries Mle's zero-spread
+   sigma.  Its [limit] describes that floor, not the data: equal runs finish
+   together on any number of cores, so the ceiling is 1, as the curve
+   shows. *)
+let pp_limit ppf p =
+  if List.assoc_opt "sigma" p.law.Lv_stats.Distribution.params
+     = Some Lv_stats.Mle.zero_spread_sigma
+  then Format.pp_print_string ppf "1.00 (no spread)"
+  else if Float.is_finite p.limit then Format.fprintf ppf "%.2f" p.limit
+  else Format.pp_print_string ppf "linear (inf)"
+
 let pp_prediction ppf p =
-  Format.fprintf ppf "@[<v>%s: law=%a limit=%s@,curve:" p.label
-    Lv_stats.Distribution.pp p.law
-    (if Float.is_finite p.limit then Printf.sprintf "%.2f" p.limit else "linear (inf)");
+  Format.fprintf ppf "@[<v>%s: law=%a limit=%a@,curve:" p.label
+    Lv_stats.Distribution.pp p.law pp_limit p;
   List.iter (fun pt -> Format.fprintf ppf " %a" Speedup.pp_point pt) p.curve;
   Format.fprintf ppf "@]"
 

@@ -71,4 +71,11 @@ val max_abs_relative_error : comparison_row list -> float
     read as a perfect prediction). *)
 
 val pp_prediction : Format.formatter -> prediction -> unit
+(** The law, the limit ([linear (inf)] when [limit] is infinite) and the
+    curve.  When the law's [sigma] is {!Lv_stats.Mle.zero_spread_sigma}
+    (every observation equal) the limit prints as [1.00 (no spread)]:
+    runs of equal length finish together on any number of cores, and the
+    curve reads 1 at every core count.  The record's [limit] keeps the
+    law's own value. *)
+
 val pp_comparison : Format.formatter -> comparison_row list -> unit

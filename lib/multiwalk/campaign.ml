@@ -60,16 +60,12 @@ let assemble ~label (cols : Checkpoint.columns) =
     dataset "seconds" s_values s_censored,
     n_censored )
 
-let run_fn ?(ctx = Lv_context.Context.default) ?progress ?checkpoint
-    ?(retry = Retry.none) ~label ~seed ~runs make_runner =
+let run_fn ?(ctx = Lv_context.Context.default) ?progress ?checkpoint ~label
+    ~seed ~runs make_runner =
   let { Lv_context.Context.pool; telemetry; _ } = ctx in
   if runs <= 0 then invalid_arg "Campaign.run: runs must be positive";
-  if retry.Retry.max_attempts <= 0 then
-    invalid_arg "Campaign.run: retry.max_attempts must be positive";
   let traced = not (Lv_telemetry.Sink.is_null telemetry) in
   let n_censored_cell = ref 0 in
-  let retries = Atomic.make 0 in
-  let retried_runs = Atomic.make 0 in
   let cols = Checkpoint.columns ~runs in
   Option.iter (fun path -> restore ~path ~seed cols) checkpoint;
   let n_restored =
@@ -116,34 +112,7 @@ let run_fn ?(ctx = Lv_context.Context.default) ?progress ?checkpoint
           runners.(w) <- Some f;
           f
       in
-      let retried_this_run = ref false in
-      let obs =
-        Retry.with_retries retry
-          ~on_retry:(fun ~attempt exn ->
-            Atomic.incr retries;
-            if not !retried_this_run then begin
-              retried_this_run := true;
-              Atomic.incr retried_runs
-            end;
-            if traced then
-              Lv_telemetry.Sink.record telemetry
-                (Lv_telemetry.Event.make
-                   ~ts:(Lv_telemetry.Clock.elapsed ())
-                   ~path:"campaign.retry" Lv_telemetry.Event.Mark
-                   ~fields:
-                     [
-                       ("run", Lv_telemetry.Json.Int r);
-                       ("attempt", Lv_telemetry.Json.Int attempt);
-                       ( "error",
-                         Lv_telemetry.Json.String (Printexc.to_string exn) );
-                     ]))
-          (fun () ->
-            (* The generator is recreated per attempt, so a retried run
-               replays the exact same random walk: retries are invisible
-               in the dataset. *)
-            let rng = Lv_stats.Rng.create ~seed:(seed + r) in
-            runner rng)
-      in
+      let obs = runner (Lv_stats.Rng.create ~seed:(seed + r)) in
       (* Log before counting the run as done: a crash between the two at
          worst replays a completed run on resume, never loses one. *)
       (match log with
@@ -175,11 +144,11 @@ let run_fn ?(ctx = Lv_context.Context.default) ?progress ?checkpoint
     (* Result [i] is run [missing.(i)] wherever it executed, so the
        dataset is byte-identical for every pool size; without a pool the
        runs execute in order on the calling domain, and with nothing
-       missing the pool is not touched.  A runner exception that survives
-       the retry policy aborts the campaign — the pool joins every
-       in-flight run first, then re-raises it here (no leaked domains, no
-       unclaimed slots).  With a checkpoint, completed runs were already
-       logged, so the aborted campaign resumes where it died. *)
+       missing the pool is not touched.  A runner exception aborts the
+       campaign — the pool joins every in-flight run first, then re-raises
+       it here (no leaked domains, no unclaimed slots).  With a checkpoint,
+       completed runs were already logged, so the aborted campaign resumes
+       where it died. *)
     let fresh =
       match pool with
       | Some p -> Lv_exec.Pool.parallel_map p fresh_run missing
@@ -202,7 +171,6 @@ let run_fn ?(ctx = Lv_context.Context.default) ?progress ?checkpoint
              ~path (Lv_telemetry.Event.Count value))
       in
       count "campaign.censored" n_censored;
-      count "campaign.retry" (Atomic.get retries);
       count "checkpoint.skipped" n_restored
     end;
     if n_censored = runs then
@@ -212,7 +180,7 @@ let run_fn ?(ctx = Lv_context.Context.default) ?progress ?checkpoint
       iterations;
       seconds;
       n_censored;
-      n_retried = Atomic.get retried_runs;
+      n_retried = 0;
       n_restored;
     }
   in
@@ -226,7 +194,6 @@ let run_fn ?(ctx = Lv_context.Context.default) ?progress ?checkpoint
             (match pool with Some p -> Lv_exec.Pool.size p | None -> 1) );
         ("seed", Lv_telemetry.Json.Int seed);
         ("censored", Lv_telemetry.Json.Int !n_censored_cell);
-        ("retries", Lv_telemetry.Json.Int (Atomic.get retries));
         ("restored", Lv_telemetry.Json.Int n_restored);
       ])
     body
@@ -237,8 +204,8 @@ let censored_iterations result =
          if o.Run.solved then None else Some (float_of_int o.Run.iterations))
   |> Array.of_list
 
-let run ?ctx ?params ?budget ?progress ?checkpoint ?retry ~label ~seed ~runs
+let run ?ctx ?params ?budget ?progress ?checkpoint ~label ~seed ~runs
     make_instance =
-  run_fn ?ctx ?progress ?checkpoint ?retry ~label ~seed ~runs (fun () ->
+  run_fn ?ctx ?progress ?checkpoint ~label ~seed ~runs (fun () ->
       let packed = make_instance () in
       fun rng -> Run.once ?params ?budget ~rng packed)

@@ -35,21 +35,20 @@
       one pass — a warm rerun of a complete log does no other work.  This
       is the one reader and writer of run-logs: the engine's campaign
       artifact is such a log, passed here as [?checkpoint].
-    - {e Retry-with-backoff} ([?retry], default {!Retry.none}): a run
-      whose runner raises is re-attempted under the policy before the
-      campaign aborts.  Retried runs recreate their generator from the
-      same seed, so a retry that succeeds yields the exact observation a
-      fault-free run would have.  A failure that exhausts the policy
-      propagates through the pool's barrier — every in-flight run is
-      joined (and checkpointed) first, then the exception is re-raised
-      from [run].
+    - {e Abort, then resume}: a run whose runner raises aborts the
+      campaign.  The exception propagates through the pool's barrier —
+      every in-flight run is joined (and checkpointed) first, then the
+      exception is re-raised from [run].  A run's walk depends only on its
+      seed, so running it again in place would raise again; with
+      [?checkpoint], rerunning the campaign resumes after the last logged
+      run.
 
     {2 Context}
 
     {!run} and {!run_fn} are pipeline entry points: the pool and the
     telemetry sink come from [?ctx] (an {!Lv_context.Context.t}) and
-    nowhere else.  Budget, checkpoint path and retry policy are per-call
-    settings and stay explicit arguments. *)
+    nowhere else.  Budget and checkpoint path are per-call settings and
+    stay explicit arguments. *)
 
 exception Unusable_checkpoint of string
 (** Raised by {!run}/{!run_fn} before any run executes when the
@@ -62,7 +61,11 @@ type result = {
   iterations : Dataset.t;  (** iteration metric; censored runs in [censored] *)
   seconds : Dataset.t;     (** wall-time metric; censored runs in [censored] *)
   n_censored : int;        (** runs that hit their budget unsolved *)
-  n_retried : int;         (** runs that needed at least one retry *)
+  n_retried : int;
+      (** always [0]: a campaign never re-runs a run that raised (its walk
+          depends only on its seed).  Kept only because
+          [perfbench/traced.ml] builds this record as a literal; the field
+          goes with that copy of the pipeline. *)
   n_restored : int;        (** runs restored from the checkpoint, not re-run *)
 }
 
@@ -78,7 +81,6 @@ val run :
   ?budget:Run.budget ->
   ?progress:(int -> unit) ->
   ?checkpoint:string ->
-  ?retry:Retry.policy ->
   label:string ->
   seed:int ->
   runs:int ->
@@ -95,22 +97,20 @@ val run :
     ([seed + run index]) and results are slotted by run index, so the
     datasets are byte-identical whatever the pool size.
 
-    [budget] caps each run (see {!Run.budget}); [checkpoint] and [retry]
-    are described above.
+    [budget] caps each run (see {!Run.budget}); [checkpoint] and the abort
+    path are described above.
 
     When [ctx.telemetry] (default: the null sink, zero overhead) is a live
     sink, every executed run emits one ["campaign.run"] span (run index,
-    seed, worker domain, iterations, solved flag), every retry emits one
-    ["campaign.retry"] mark (run, attempt, error), and the campaign ends
-    with ["campaign.censored"], ["campaign.retry"] and
-    ["checkpoint.skipped"] counters before the wrapping ["campaign"] span
-    (label, runs, domains, seed, censored/retries/restored totals). *)
+    seed, worker domain, iterations, solved flag), and the campaign ends
+    with ["campaign.censored"] and ["checkpoint.skipped"] counters before
+    the wrapping ["campaign"] span (label, runs, domains, seed,
+    censored/restored totals). *)
 
 val run_fn :
   ?ctx:Lv_context.Context.t ->
   ?progress:(int -> unit) ->
   ?checkpoint:string ->
-  ?retry:Retry.policy ->
   label:string ->
   seed:int ->
   runs:int ->
@@ -119,5 +119,6 @@ val run_fn :
 (** Generic campaign over any Las Vegas algorithm: [make_runner ()] is
     called at most once per pool worker (as in {!run}) and must return a function
     performing one independent run from the given generator.  Same seeding,
-    determinism, checkpoint and retry guarantees as {!run}; budgets are the
-    runner's own business here. *)
+    determinism, checkpoint and abort guarantees as {!run}; budgets are the
+    runner's own business here.  A runner that raises aborts the campaign
+    as described above, which is how tests exercise the abort path. *)

@@ -37,10 +37,12 @@ let shifted_exponential xs =
     else Exponential.shifted ~x0 ~rate:(1. /. (m -. x0))
   end
 
+let zero_spread_sigma = 1e-12
+
 let normal xs =
   check_nonempty "Mle.normal" xs;
   let sd = Summary.std xs in
-  let sd = if sd > 0. then sd else 1e-12 in
+  let sd = if sd > 0. then sd else zero_spread_sigma in
   Normal.create ~mu:(Summary.mean xs) ~sigma:sd
 
 let log_fit name xs x0 =
@@ -59,7 +61,7 @@ let log_fit name xs x0 =
     let acc = Array.fold_left (fun a l -> a +. ((l -. mu) ** 2.)) 0. logs in
     sqrt (acc /. n)
   in
-  let sigma = if sigma > 0. then sigma else 1e-12 in
+  let sigma = if sigma > 0. then sigma else zero_spread_sigma in
   (mu, sigma)
 
 let lognormal xs =

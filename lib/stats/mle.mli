@@ -26,6 +26,12 @@ val shifted_exponential : float array -> Distribution.t
     to [x0 = 0] and a plain exponential (Costas 21).  Falls back to plain
     exponential when the sample is degenerate. *)
 
+val zero_spread_sigma : float
+(** [1e-12]: the [sigma] that {!normal}, {!lognormal} and
+    {!shifted_lognormal} substitute when the sample (or its logs, after
+    the shift) has no spread, so that the fitted law stays defined.  A fit
+    whose [sigma] is this value says "every run took the same time". *)
+
 val normal : float array -> Distribution.t
 (** Sample mean and (unbiased) standard deviation. *)
 

@@ -42,17 +42,22 @@ let expected_min (d : Distribution.t) n =
      E[min] = σ·e^μ·∫ e^(σz) Φc(z)^n dz.
 
    Below [lognormal_lo] Φc(z)^n = 1 to within n·Φ(−8.5) ≈ 1e-11, and that
-   part is the closed form e^(σa)/σ; above [lognormal_hi] the integrand is
-   negligible.  One 320-point Gauss–Legendre panel covers the rest, and
-   log Φc is tabulated on its nodes here, once, so a call costs 320 [exp]s
-   with no closure and no [erfc]. *)
+   part is the closed form e^(σa)/σ.  One 320-point Gauss–Legendre panel
+   covers [lognormal_lo, lognormal_hi], and log Φc is tabulated on its
+   nodes here, once, so a call costs 320 [exp]s with no closure and no
+   [erfc].  Beyond [lognormal_hi] the integrand's share is about
+   Φc(9 − σ): negligible up to σ = 3, so only a wider law adds the
+   64-point tail panel up to [lognormal_tail_hi] (a share of Φc(11) at
+   σ = 5).  Laws up to σ = 3 never touch it, so their values keep every
+   bit. *)
 let lognormal_lo = -8.5
 let lognormal_hi = 9.
+let lognormal_tail_hi = 16.
 
-let lognormal_z, lognormal_w, lognormal_log_phic =
-  let x, w = Quadrature.gauss_nodes 320 in
-  let mid = 0.5 *. (lognormal_hi +. lognormal_lo)
-  and half = 0.5 *. (lognormal_hi -. lognormal_lo) in
+(* Gauss–Legendre nodes on [lo, hi], their weights, and log Φc at each. *)
+let lognormal_panel ~lo ~hi nodes =
+  let x, w = Quadrature.gauss_nodes nodes in
+  let mid = 0.5 *. (hi +. lo) and half = 0.5 *. (hi -. lo) in
   let z = Array.map (fun x -> mid +. (half *. x)) x in
   let log_phic z =
     (* log1p keeps log Φc exact to rounding where Φc is near 1, which
@@ -62,22 +67,31 @@ let lognormal_z, lognormal_w, lognormal_log_phic =
   in
   (z, Array.map (fun w -> half *. w) w, Array.map log_phic z)
 
-let lognormal_kernel_covers ~sigma n = sigma >= 0.1 && sigma <= 3. && n >= 1 && n <= 1 lsl 20
+let lognormal_main = lognormal_panel ~lo:lognormal_lo ~hi:lognormal_hi 320
+let lognormal_tail = lognormal_panel ~lo:lognormal_hi ~hi:lognormal_tail_hi 64
+
+let lognormal_kernel_covers ~sigma n = sigma > 0. && sigma <= 5. && n >= 1 && n <= 1 lsl 20
+
+(* [acc] plus the panel's weighted sum of e^(σz + n·log Φc(z)). *)
+let panel_sum (z, w, log_phic) ~sigma ~fn acc =
+  let acc = ref acc in
+  for i = 0 to Array.length z - 1 do
+    acc :=
+      !acc
+      +. Array.unsafe_get w i
+         *. exp
+              ((sigma *. Array.unsafe_get z i)
+              +. (fn *. Array.unsafe_get log_phic i))
+  done;
+  !acc
 
 let lognormal_expected_min ~mu ~sigma ?(x0 = 0.) n =
   if not (lognormal_kernel_covers ~sigma n) then
     invalid_arg "Order_stats.lognormal_expected_min: sigma or n outside the kernel's domain";
   let fn = float_of_int n in
-  let acc = ref 0. in
-  for i = 0 to Array.length lognormal_z - 1 do
-    acc :=
-      !acc
-      +. Array.unsafe_get lognormal_w i
-         *. exp
-              ((sigma *. Array.unsafe_get lognormal_z i)
-              +. (fn *. Array.unsafe_get lognormal_log_phic i))
-  done;
-  x0 +. (exp mu *. (exp (sigma *. lognormal_lo) +. (sigma *. !acc)))
+  let acc = panel_sum lognormal_main ~sigma ~fn 0. in
+  let acc = if sigma > 3. then panel_sum lognormal_tail ~sigma ~fn acc else acc in
+  x0 +. (exp mu *. (exp (sigma *. lognormal_lo) +. (sigma *. acc)))
 
 let moment_min (d : Distribution.t) ~n ~k =
   check_n n;

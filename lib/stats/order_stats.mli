@@ -16,15 +16,17 @@ val expected_min : Distribution.t -> int -> float
 
 val lognormal_kernel_covers : sigma:float -> int -> bool
 (** Whether {!lognormal_expected_min} serves [(sigma, n)]: the domain it
-    is tested on, [0.1 <= sigma <= 3] and [1 <= n <= 2^20]. *)
+    is tested on, [0 < sigma <= 5] and [1 <= n <= 2^20].  No term of the
+    kernel degrades as [sigma -> 0]. *)
 
 val lognormal_expected_min : mu:float -> sigma:float -> ?x0:float -> int -> float
 (** [E[min of n draws]] of [x0 + LN(mu, sigma)] on a fixed grid:
     [x0 + σ·e^μ·∫ e^(σz) Φc(z)^n dz], with [log Φc] tabulated at module
-    initialisation on 320 Gauss–Legendre nodes over [\[-8.5, 9\]] and the
-    part below [-8.5] in closed form.  Within 1e-9 relative of a fine
-    composite reference over its domain.  Raises [Invalid_argument]
-    outside {!lognormal_kernel_covers}. *)
+    initialisation on 320 Gauss–Legendre nodes over [\[-8.5, 9\]] (plus
+    64 over [\[9, 16\]] when [sigma > 3]) and the part below [-8.5] in
+    closed form.  Within 1e-9 relative of a fine composite reference over
+    its domain.  Raises [Invalid_argument] outside
+    {!lognormal_kernel_covers}. *)
 
 val moment_min : Distribution.t -> n:int -> k:int -> float
 (** [k]-th raw moment of the minimum (support must be nonnegative):

@@ -29,7 +29,6 @@ expect_usage_error() {
 
 expect_usage_error campaign n-queens 8 --runs 0 -q
 expect_usage_error campaign n-queens 8 --runs 5 --pool-domains 0 -q
-expect_usage_error campaign n-queens 8 --runs 5 --retries -1 -q
 expect_usage_error race n-queens 8 -w 0 -q
 expect_usage_error fit "$work/data.csv" --alpha 1.5
 expect_usage_error predict "$work/data.csv" -k 0 -q
@@ -91,7 +90,7 @@ for cmd in "predict $work/q5.csv -k 2,4" "run $work/q5.conf -q"; do
 done
 
 # The same commands with sane values still succeed.
-"$lvp" campaign n-queens 8 --runs 5 --pool-domains 1 --retries 0 -q > /dev/null \
+"$lvp" campaign n-queens 8 --runs 5 --pool-domains 1 -q > /dev/null \
   || { echo "FAIL: valid campaign"; failures=$((failures + 1)); }
 "$lvp" fit "$work/data.csv" --alpha 0.05 -q \
   || { echo "FAIL: valid fit"; failures=$((failures + 1)); }

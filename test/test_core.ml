@@ -84,7 +84,7 @@ let test_min_dist_routes_to_fast_paths () =
   same "shifted lognormal -> kernel"
     (Order_stats.lognormal_expected_min ~mu:1.3 ~sigma:0.8 ~x0:7. 64)
     (Min_dist.expectation (Lognormal.shifted ~x0:7. ~mu:1.3 ~sigma:0.8) ~n:64);
-  let wide = Lognormal.create ~mu:0. ~sigma:3.5 in
+  let wide = Lognormal.create ~mu:0. ~sigma:5.5 in
   same "sigma outside the kernel's domain -> quadrature"
     (Order_stats.expected_min wide 64)
     (Min_dist.expectation wide ~n:64);
@@ -233,6 +233,60 @@ let test_speedup_rejects_infinite_mean () =
   match Speedup.at (Levy.create ~scale:1.) ~cores:4 with
   | exception Invalid_argument _ -> ()
   | v -> Alcotest.failf "Levy speed-up returned %g" v
+
+(* G_n of x0 + LN(mu, sigma) from E[e^(sigma M)], M the minimum of n standard
+   normals, by a trapezoid of e^(sigma z) n phi(z) Phi_c(z)^(n-1) over
+   [-14, 18] on 2^16 intervals: the density form, not the kernel's
+   integration by parts. *)
+let lognormal_speedup_reference () =
+  let lo = -14. and hi = 18. and m = 1 lsl 16 in
+  let h = (hi -. lo) /. float_of_int m in
+  let z = Array.init (m + 1) (fun i -> lo +. (float_of_int i *. h)) in
+  let log_phi = Array.map (fun z -> (-0.5 *. z *. z) -. (0.5 *. log (2. *. Float.pi))) z in
+  let log_phic =
+    Array.map
+      (fun z ->
+        if z < 0. then log1p (-.Special.norm_cdf z) else log (Special.norm_cdf (-.z)))
+      z
+  in
+  fun ~mu ~sigma ~x0 n ->
+    let log_n = log (float_of_int n) and n1 = float_of_int (n - 1) in
+    let term i = exp ((sigma *. z.(i)) +. log_n +. log_phi.(i) +. (n1 *. log_phic.(i))) in
+    let acc = ref (0.5 *. (term 0 +. term m)) in
+    for i = 1 to m - 1 do
+      acc := !acc +. term i
+    done;
+    (x0 +. exp (mu +. (sigma *. sigma /. 2.))) /. (x0 +. (exp mu *. h *. !acc))
+
+let test_speedup_lognormal_vs_reference () =
+  (* Within 1e-9 relative over the lognormal kernel's domain, from Mle's
+     zero-spread sigma to 5 and up to n = 2^20, for plain and shifted
+     laws. *)
+  let reference = lognormal_speedup_reference () in
+  let ns = [ 1; 2; 3; 16; 256; 4096; 65_536; 1 lsl 20 ] in
+  let sigmas =
+    [
+      Mle.zero_spread_sigma; 1e-9; 1e-6; 1e-3; 0.01; 0.03; 0.05; 0.0999; 0.1; 0.5; 1.;
+      2.; 3.; 3.01; 3.5; 4.; 4.5; 5.;
+    ]
+  in
+  List.iter
+    (fun (mu, x0) ->
+      List.iter
+        (fun sigma ->
+          let law =
+            if x0 = 0. then Lognormal.create ~mu ~sigma
+            else Lognormal.shifted ~x0 ~mu ~sigma
+          in
+          List.iter
+            (fun n ->
+              check_rel ~tol:1e-9
+                (Printf.sprintf "mu=%g x0=%g sigma=%g n=%d" mu x0 sigma n)
+                (reference ~mu ~sigma ~x0 n)
+                (Speedup.at law ~cores:n))
+            ns)
+        sigmas)
+    [ (0., 0.); (1.3, 2.) ]
 
 (* ------------------------------------------------------------------ *)
 (* Table 5 regression: the paper's predicted rows from its parameters   *)
@@ -637,6 +691,23 @@ let test_predict_of_dataset_end_to_end () =
     p.Predict.curve;
   Alcotest.(check bool) "fit report present" true (p.Predict.fit.Fit.sample_size = 650)
 
+let test_predict_constant_sample () =
+  (* Runs that all took the same time fit a law with Mle's zero-spread
+     sigma.  Equal runs finish together on any number of cores: the curve
+     is 1 and the printed limit says so instead of the law's infinite one. *)
+  let ds = Lv_multiwalk.Dataset.create ~label:"c" ~metric:"iterations" [| 5.; 5.; 5. |] in
+  let p = Predict.of_dataset ~cores:[ 2; 16; 256 ] ds in
+  Alcotest.(check (option (float 0.))) "sigma at the floor" (Some Mle.zero_spread_sigma)
+    (List.assoc_opt "sigma" p.Predict.law.Distribution.params);
+  List.iter
+    (fun pt ->
+      check_rel ~tol:1e-9 (Printf.sprintf "G_%d" pt.Speedup.cores) 1. pt.Speedup.speedup)
+    p.Predict.curve;
+  Alcotest.(check string) "printed line"
+    "c: law=lognormal(mu=1.60944, sigma=1e-12) limit=1.00 (no spread)\n\
+     curve: (2, 1.000) (16, 1.000) (256, 1.000)"
+    (Format.asprintf "%a" Predict.pp_prediction p)
+
 let test_predict_compare_drops_unmatched () =
   let p =
     Predict.of_distribution ~label:"x" ~cores:[ 2; 4 ] (Exponential.create ~rate:1.)
@@ -917,6 +988,8 @@ let () =
           Alcotest.test_case "bounded by limit" `Quick test_speedup_bounded_by_limit;
           Alcotest.test_case "curve helper" `Quick test_speedup_exponential_curve_helper;
           Alcotest.test_case "infinite mean rejected" `Quick test_speedup_rejects_infinite_mean;
+          Alcotest.test_case "lognormal vs trapezoid reference" `Quick
+            test_speedup_lognormal_vs_reference;
         ] );
       ( "table5 regression",
         [
@@ -949,6 +1022,7 @@ let () =
         [
           Alcotest.test_case "replays the paper" `Quick test_predict_of_distribution_replays_paper;
           Alcotest.test_case "end to end on synthetic data" `Quick test_predict_of_dataset_end_to_end;
+          Alcotest.test_case "constant sample" `Quick test_predict_constant_sample;
           Alcotest.test_case "compare join" `Quick test_predict_compare_drops_unmatched;
           Alcotest.test_case "error sign" `Quick test_predict_relative_error_sign;
           Alcotest.test_case "empty comparison is nan" `Quick

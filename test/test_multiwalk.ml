@@ -287,6 +287,23 @@ let test_campaign_worker_exception_propagates () =
   Alcotest.(check int) "clean re-run" 24
     (List.length c.Lv_multiwalk.Campaign.observations)
 
+exception Always_fails
+
+let test_campaign_serial_exception_propagates () =
+  (* Without a pool the runs execute in order on the calling domain, and
+     the first run that raises aborts the campaign with its own exception:
+     a run's walk depends only on its seed, so there is nothing to retry. *)
+  let calls = ref 0 in
+  match
+    Lv_multiwalk.Campaign.run_fn ~label:"doomed" ~seed:1 ~runs:4
+      (fun () _rng ->
+        incr calls;
+        raise Always_fails)
+  with
+  | _ -> Alcotest.fail "runner exception was swallowed"
+  | exception Always_fails ->
+    Alcotest.(check int) "the campaign stopped at the first run" 1 !calls
+
 let test_campaign_rejects_bad_args () =
   Alcotest.check_raises "zero runs" (Invalid_argument "Campaign.run: runs must be positive")
     (fun () ->
@@ -391,154 +408,6 @@ let test_campaign_all_censored_rejected () =
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "all-censored campaign returned a dataset"
-
-(* ------------------------------------------------------------------ *)
-(* Retry                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let fast_retry ~max_attempts =
-  Lv_multiwalk.Retry.policy ~base_delay_s:1e-4 ~max_attempts ()
-
-let test_retry_transient_failure_recovers () =
-  let attempts = ref 0 in
-  let notified = ref [] in
-  let v =
-    Lv_multiwalk.Retry.with_retries
-      ~on_retry:(fun ~attempt _exn -> notified := attempt :: !notified)
-      (fast_retry ~max_attempts:3)
-      (fun () ->
-        incr attempts;
-        if !attempts < 3 then failwith "transient";
-        42)
-  in
-  Alcotest.(check int) "first success returned" 42 v;
-  Alcotest.(check int) "tried thrice" 3 !attempts;
-  Alcotest.(check (list int)) "on_retry after attempts 1 and 2" [ 2; 1 ]
-    !notified
-
-exception Always_fails
-
-let test_retry_exhaustion_reraises () =
-  let attempts = ref 0 in
-  (match
-     Lv_multiwalk.Retry.with_retries (fast_retry ~max_attempts:2) (fun () ->
-         incr attempts;
-         raise Always_fails)
-   with
-  | _ -> Alcotest.fail "exhausted retries did not re-raise"
-  | exception Always_fails -> ());
-  Alcotest.(check int) "stopped at max_attempts" 2 !attempts
-
-let test_retry_fatal_not_retried () =
-  let attempts = ref 0 in
-  (match
-     Lv_multiwalk.Retry.with_retries (fast_retry ~max_attempts:5) (fun () ->
-         incr attempts;
-         raise Out_of_memory)
-   with
-  | _ -> Alcotest.fail "Out_of_memory swallowed"
-  | exception Out_of_memory -> ());
-  Alcotest.(check int) "fatal exceptions are not transient" 1 !attempts
-
-let test_retry_backoff_schedule () =
-  let p =
-    Lv_multiwalk.Retry.policy ~base_delay_s:0.01 ~multiplier:2. ~max_delay_s:0.05
-      ~max_attempts:10 ()
-  in
-  Alcotest.(check (float 1e-12)) "first retry" 0.01
-    (Lv_multiwalk.Retry.delay_for p ~attempt:1);
-  Alcotest.(check (float 1e-12)) "doubles" 0.02
-    (Lv_multiwalk.Retry.delay_for p ~attempt:2);
-  Alcotest.(check (float 1e-12)) "doubles again" 0.04
-    (Lv_multiwalk.Retry.delay_for p ~attempt:3);
-  Alcotest.(check (float 1e-12)) "hits the ceiling" 0.05
-    (Lv_multiwalk.Retry.delay_for p ~attempt:4);
-  Alcotest.(check (float 1e-12)) "stays at the ceiling" 0.05
-    (Lv_multiwalk.Retry.delay_for p ~attempt:8);
-  match Lv_multiwalk.Retry.policy ~max_attempts:0 () with
-  | exception Invalid_argument _ -> ()
-  | (_ : Lv_multiwalk.Retry.policy) -> Alcotest.fail "zero attempts accepted"
-
-let test_campaign_retry_preserves_dataset () =
-  (* A run that fails transiently on its first attempt is retried; because
-     each attempt recreates the generator from [seed + run], the retried
-     campaign's dataset is *identical* to a fault-free one. *)
-  let campaign ~faulty () =
-    let calls = Atomic.make 0 in
-    on_pool 3 @@ fun ctx ->
-    Lv_multiwalk.Campaign.run_fn ~ctx ~retry:(fast_retry ~max_attempts:3)
-      ~label:"retry" ~seed:11 ~runs:20
-      (fun () rng ->
-        if faulty && Atomic.fetch_and_add calls 1 = 5 then failwith "transient";
-        let iterations = 1 + Lv_stats.Rng.int rng 1000 in
-        { Lv_multiwalk.Run.seconds = 0.; iterations; solved = true })
-  in
-  let clean = campaign ~faulty:false () in
-  let faulted = campaign ~faulty:true () in
-  Alcotest.(check int) "no retries in the clean campaign" 0
-    clean.Lv_multiwalk.Campaign.n_retried;
-  Alcotest.(check int) "exactly one run was retried" 1
-    faulted.Lv_multiwalk.Campaign.n_retried;
-  Alcotest.(check bool) "retries are invisible in the dataset" true
-    (clean.Lv_multiwalk.Campaign.iterations.Lv_multiwalk.Dataset.values
-    = faulted.Lv_multiwalk.Campaign.iterations.Lv_multiwalk.Dataset.values)
-
-exception Injected_fault
-
-let test_campaign_injected_faults_retried_away () =
-  (* Fault injection lives in the test, as a runner wrapper: each attempt
-     of each run faults with probability 0.2, decided by a seeded hash of
-     (run, attempt).  The fault strikes after the solve, once the attempt
-     has consumed its randomness.  Under 5 retries every run recovers, and
-     because each attempt replays the run's generator from [seed + run]
-     the dataset equals the clean campaign's on any pool size. *)
-  let runs = 200 and seed = 7 in
-  let make () = Lv_problems.All_interval.pack 14 in
-  let clean =
-    Lv_multiwalk.Campaign.run ~label:"ai-14" ~seed ~runs make
-  in
-  let faulty () =
-    let packed = make () in
-    (* One runner per pool worker, and a run's retries stay on the worker
-       that started it, so this table is never shared between domains. *)
-    let attempts = Hashtbl.create 64 in
-    fun rng ->
-      (* The run's identity, read from a copy so the walk is unperturbed. *)
-      let run = Lv_stats.Rng.bits64 (Lv_stats.Rng.copy rng) in
-      let attempt = Option.value (Hashtbl.find_opt attempts run) ~default:0 in
-      Hashtbl.replace attempts run (attempt + 1);
-      let obs = Lv_multiwalk.Run.once ~rng packed in
-      if Hashtbl.seeded_hash 0x5eed (run, attempt) mod 1000 < 200 then
-        raise Injected_fault;
-      obs
-  in
-  List.iter
-    (fun domains ->
-      let faulted =
-        on_pool domains @@ fun ctx ->
-        Lv_multiwalk.Campaign.run_fn ~ctx ~retry:(fast_retry ~max_attempts:6)
-          ~label:"ai-14" ~seed ~runs faulty
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "faults were injected on %d domains" domains)
-        true
-        (faulted.Lv_multiwalk.Campaign.n_retried > 0);
-      Alcotest.(check bool)
-        (Printf.sprintf "dataset unperturbed on %d domains" domains)
-        true
-        (clean.Lv_multiwalk.Campaign.iterations.Lv_multiwalk.Dataset.values
-        = faulted.Lv_multiwalk.Campaign.iterations.Lv_multiwalk.Dataset.values))
-    [ 1; 4 ]
-
-let test_campaign_retry_exhaustion_propagates () =
-  (* A persistent failure must surface even under a retry policy. *)
-  match
-    Lv_multiwalk.Campaign.run_fn ~retry:(fast_retry ~max_attempts:2)
-      ~label:"doomed" ~seed:1 ~runs:4
-      (fun () _rng -> raise Always_fails)
-  with
-  | _ -> Alcotest.fail "persistent failure swallowed by retries"
-  | exception Always_fails -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint / resume                                                 *)
@@ -1497,6 +1366,8 @@ let () =
           Alcotest.test_case "generic runner" `Quick test_campaign_run_fn_generic;
           Alcotest.test_case "worker exception propagates" `Quick
             test_campaign_worker_exception_propagates;
+          Alcotest.test_case "serial runner exception propagates" `Quick
+            test_campaign_serial_exception_propagates;
           Alcotest.test_case "argument validation" `Quick test_campaign_rejects_bad_args;
         ] );
       ( "budget",
@@ -1508,20 +1379,6 @@ let () =
           Alcotest.test_case "campaign accounts censoring" `Quick
             test_campaign_budget_censoring_accounted;
           Alcotest.test_case "all censored rejected" `Quick test_campaign_all_censored_rejected;
-        ] );
-      ( "retry",
-        [
-          Alcotest.test_case "transient failure recovers" `Quick
-            test_retry_transient_failure_recovers;
-          Alcotest.test_case "exhaustion re-raises" `Quick test_retry_exhaustion_reraises;
-          Alcotest.test_case "fatal not retried" `Quick test_retry_fatal_not_retried;
-          Alcotest.test_case "backoff schedule" `Quick test_retry_backoff_schedule;
-          Alcotest.test_case "campaign dataset unperturbed" `Quick
-            test_campaign_retry_preserves_dataset;
-          Alcotest.test_case "campaign exhaustion propagates" `Quick
-            test_campaign_retry_exhaustion_propagates;
-          Alcotest.test_case "campaign injected faults retried away" `Quick
-            test_campaign_injected_faults_retried_away;
         ] );
       ( "checkpoint",
         [

@@ -1088,9 +1088,13 @@ let test_lognormal_kernel_n1_is_mean () =
     [ (0., 0.); (2.3, 0.); (-0.7, 5.) ]
 
 let test_lognormal_kernel_domain () =
-  Alcotest.(check bool) "sigma 0.1, n 2^20" true
-    (Order_stats.lognormal_kernel_covers ~sigma:0.1 (1 lsl 20));
-  Alcotest.(check bool) "sigma 3, n 1" true (Order_stats.lognormal_kernel_covers ~sigma:3. 1);
+  List.iter
+    (fun (sigma, n) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "sigma %g, n %d inside" sigma n)
+        true
+        (Order_stats.lognormal_kernel_covers ~sigma n))
+    [ (Mle.zero_spread_sigma, 1 lsl 20); (0.09, 4); (3.01, 4); (5., 1) ];
   List.iter
     (fun (sigma, n) ->
       Alcotest.(check bool)
@@ -1100,7 +1104,7 @@ let test_lognormal_kernel_domain () =
       match Order_stats.lognormal_expected_min ~mu:0. ~sigma n with
       | _ -> Alcotest.failf "sigma %g, n %d: expected Invalid_argument" sigma n
       | exception Invalid_argument _ -> ())
-    [ (0.09, 4); (3.01, 4); (Float.nan, 4); (1., 0); (1., (1 lsl 20) + 1) ]
+    [ (0., 4); (-1., 4); (5.01, 4); (Float.nan, 4); (1., 0); (1., (1 lsl 20) + 1) ]
 
 let test_order_stats_validation () =
   let d = Exponential.create ~rate:1. in

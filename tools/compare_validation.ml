@@ -1,5 +1,5 @@
-(* Tolerant comparison of two validation-report JSON files, for CI's
-   golden-report check (.github/workflows/ci.yml, validation job).
+(* Tolerant comparison of two validation-report JSON files, for the
+   golden-report check (test/validation_golden.sh).
 
    Byte-identity is the wrong bar across machines: the report's floats
    pass through libm (exp/log/erf), whose last-ulp behaviour differs
