@@ -34,17 +34,31 @@ let to_json e =
    Number tokens follow [Json.of_string]: a token is the longest run of
    [0-9+-.eE] starting at a digit or '-', and an int-shaped token (no '.',
    'e' or 'E') reads as [int_of_string_opt] would; for [seconds] an
-   int-shaped token becomes [float_of_int], or failing that
-   [float_of_string_opt], as [Json.to_float] does.  Offsets in messages
-   count from the start of the line. *)
+   int-shaped token becomes [float_of_int], or failing that the token
+   reads as [float_of_string_opt] would (through [Json.read_float]), as
+   [Json.to_float] does.  Offsets in messages count from the start of the
+   line. *)
 
 exception Malformed of string
 
 (* One cursor walks the whole file.  [line] is where the current line
    starts; no token or literal of the line shape contains '\n', so a line
    is parsed without first finding its end, and a scan never crosses into
-   the next line.  [int] holds the last integer token read. *)
-type cursor = { text : string; mutable line : int; mutable pos : int; mutable int : int }
+   the next line.  A decoded line leaves its fields in [run] .. [solved],
+   with [seconds] in a one-cell float array, which holds a float unboxed.
+   [int] and [int_ok] describe the last number token scanned. *)
+type cursor = {
+  text : string;
+  mutable line : int;
+  mutable pos : int;
+  mutable int : int;
+  mutable int_ok : bool;
+  mutable run : int;
+  mutable seed : int;
+  mutable iterations : int;
+  seconds : float array;
+  mutable solved : bool;
+}
 
 let malformed c at what =
   raise (Malformed (Printf.sprintf "expected %s at offset %d" what (at - c.line)))
@@ -54,76 +68,82 @@ let rec matches_from text pos lit j =
   || String.unsafe_get text (pos + j) = String.unsafe_get lit j
      && matches_from text pos lit (j + 1)
 
+(* Literals of 4 to 16 bytes are compared as two overlapping words of 4
+   or 8 bytes.  Both sides are read in the machine's byte order, and equal
+   bytes give equal words in either order. *)
 let looking_at c lit =
-  c.pos + String.length lit <= String.length c.text
-  && matches_from c.text c.pos lit 0
+  let t = c.text and p = c.pos and n = String.length lit in
+  p + n <= String.length t
+  &&
+  if n >= 8 then
+    String.get_int64_ne t p = String.get_int64_ne lit 0
+    && String.get_int64_ne t (p + n - 8) = String.get_int64_ne lit (n - 8)
+  else if n >= 4 then
+    String.get_int32_ne t p = String.get_int32_ne lit 0
+    && String.get_int32_ne t (p + n - 4) = String.get_int32_ne lit (n - 4)
+  else matches_from t p lit 0
 
 let literal c lit =
   if looking_at c lit then c.pos <- c.pos + String.length lit
   else malformed c c.pos lit
 
-(* Scans the number token at the cursor and returns its start. *)
-let number_token c =
-  let start = c.pos and len = String.length c.text in
-  (match if start < len then c.text.[start] else ' ' with
+(* Scans the number token at the cursor and returns its start.  The same
+   pass reads the token's leading [-?[0-9]+]; [c.int_ok] tells whether
+   that is the whole token and within [int] range, as [int_of_string_opt]
+   would read it (over [0-9+-.eE] that function accepts exactly those),
+   and [c.int] then holds the value.  Up to 18 digits cannot overflow;
+   longer runs take the library call. *)
+let number c =
+  let t = c.text and len = String.length c.text and start = c.pos in
+  let neg = start < len && String.unsafe_get t start = '-' in
+  (match if start < len then String.unsafe_get t start else ' ' with
   | '-' | '0' .. '9' -> ()
   | _ -> malformed c start "a number");
+  let first = if neg then start + 1 else start in
+  let p = ref first and v = ref 0 in
   while
-    c.pos < len
+    !p < len
     &&
-    match String.unsafe_get c.text c.pos with
+    match String.unsafe_get t !p with
+    | '0' .. '9' as ch ->
+      v := (!v * 10) + Char.code ch - 48;
+      true
+    | _ -> false
+  do
+    incr p
+  done;
+  let digits = !p - first in
+  while
+    !p < len
+    &&
+    match String.unsafe_get t !p with
     | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
     | _ -> false
   do
-    c.pos <- c.pos + 1
+    incr p
   done;
+  c.pos <- !p;
+  c.int_ok <- digits > 0 && first + digits = !p;
+  if c.int_ok then
+    if digits <= 18 then c.int <- (if neg then - !v else !v)
+    else begin
+      match int_of_string_opt (String.sub t start (!p - start)) with
+      | Some i -> c.int <- i
+      | None -> c.int_ok <- false
+    end;
   start
-
-(* Whether the token [start, c.pos) reads as [int_of_string_opt] would
-   read it; the value goes to [c.int].  Over [0-9+-] that function
-   accepts exactly [-?[0-9]+] within [int] range.  Up to 18 digits cannot
-   overflow; longer tokens take the library call. *)
-let int_token c start =
-  let stop = c.pos in
-  let neg = String.unsafe_get c.text start = '-' in
-  let first = if neg then start + 1 else start in
-  if first = stop then false
-  else if stop - first > 18 then begin
-    let tok = String.sub c.text start (stop - start) in
-    String.for_all (fun ch -> ch <> '.' && ch <> 'e' && ch <> 'E') tok
-    &&
-    match int_of_string_opt tok with
-    | Some v -> c.int <- v; true
-    | None -> false
-  end
-  else begin
-    let v = ref 0 and i = ref first in
-    while
-      !i < stop
-      &&
-      match String.unsafe_get c.text !i with
-      | '0' .. '9' as ch -> v := (!v * 10) + Char.code ch - 48; true
-      | _ -> false
-    do
-      incr i
-    done;
-    c.int <- (if neg then - !v else !v);
-    !i = stop
-  end
 
 let int_field c key =
   literal c key;
-  let start = number_token c in
-  if int_token c start then c.int else malformed c start "an integer"
+  let start = number c in
+  if c.int_ok then c.int else malformed c start "an integer"
 
-let float_field c key =
+let seconds_field c key =
   literal c key;
-  let start = number_token c in
-  if int_token c start then float_of_int c.int
-  else
-    match float_of_string_opt (String.sub c.text start (c.pos - start)) with
-    | Some f -> f
-    | None -> malformed c start "a number"
+  let start = number c in
+  if c.int_ok then c.seconds.(0) <- float_of_int c.int
+  else if not (Lv_telemetry.Json.read_float c.seconds c.text start c.pos) then
+    malformed c start "a number"
 
 let bool_field c key =
   literal c key;
@@ -131,23 +151,35 @@ let bool_field c key =
   else if looking_at c "false" then (c.pos <- c.pos + 5; false)
   else malformed c c.pos "true or false"
 
-let entry_at c =
-  let run = int_field c "{\"run\":" in
-  let seed = int_field c ",\"seed\":" in
-  let iterations = int_field c ",\"iterations\":" in
-  let seconds = float_field c ",\"seconds\":" in
-  let solved = bool_field c ",\"solved\":" in
+let line_at c =
+  c.run <- int_field c "{\"run\":";
+  c.seed <- int_field c ",\"seed\":";
+  c.iterations <- int_field c ",\"iterations\":";
+  seconds_field c ",\"seconds\":";
+  c.solved <- bool_field c ",\"solved\":";
   literal c "}";
   if c.pos < String.length c.text && String.unsafe_get c.text c.pos <> '\n' then
-    malformed c c.pos "end of line";
-  { run; seed; iterations; seconds; solved }
+    malformed c c.pos "end of line"
 
-(* Calls [f] on each entry in file order and returns the length of the
-   text they were read from: the start of a dropped torn final line, or
-   the whole text. *)
+(* Calls [f] on the cursor after each line it decodes, in file order, and
+   returns the length of the text they were read from: the start of a
+   dropped torn final line, or the whole text. *)
 let decode path text f =
   let len = String.length text in
-  let c = { text; line = 0; pos = 0; int = 0 } in
+  let c =
+    {
+      text;
+      line = 0;
+      pos = 0;
+      int = 0;
+      int_ok = false;
+      run = 0;
+      seed = 0;
+      iterations = 0;
+      seconds = [| 0. |];
+      solved = false;
+    }
+  in
   (* A bad line is held back until the next non-empty line proves it is
      not the last: a torn {e final} line is the expected artifact of a
      crash mid-append and is dropped, but a bad line with entries after it
@@ -165,10 +197,10 @@ let decode path text f =
         failwith (Printf.sprintf "Checkpoint.load: %s:%d: %s" path n msg)
       | None -> ());
       c.pos <- c.line;
-      match entry_at c with
-      | e ->
+      match line_at c with
+      | () ->
         c.line <- c.pos + 1;
-        f e;
+        f c;
         loop (lineno + 1) None
       | exception Malformed msg ->
         let start = c.line in
@@ -191,7 +223,18 @@ let load path =
   | None -> []
   | Some text ->
     let entries = ref [] in
-    ignore (decode path text (fun e -> entries := e :: !entries));
+    ignore
+      (decode path text (fun c ->
+           let e : entry =
+             {
+               run = c.run;
+               seed = c.seed;
+               iterations = c.iterations;
+               seconds = c.seconds.(0);
+               solved = c.solved;
+             }
+           in
+           entries := e :: !entries));
     List.rev !entries
 
 type columns = {
@@ -216,14 +259,14 @@ let restore path ~seed cols =
   | None -> ()
   | Some text ->
     ignore
-      (decode path text (fun (e : entry) ->
-           let r = e.run in
+      (decode path text (fun c ->
+           let r = c.run in
            if r >= 0 && r < runs then begin
-             if e.seed <> seed + r && !foreign = None then
-               foreign := Some (r, e.seed);
-             cols.iterations.(r) <- e.iterations;
-             cols.seconds.(r) <- e.seconds;
-             cols.solved.(r) <- e.solved;
+             if c.seed <> seed + r && Option.is_none !foreign then
+               foreign := Some (r, c.seed);
+             cols.iterations.(r) <- c.iterations;
+             cols.seconds.(r) <- c.seconds.(0);
+             cols.solved.(r) <- c.solved;
              cols.restored.(r) <- true
            end)));
   !foreign

@@ -50,11 +50,18 @@ val load : string -> entry list
     any whitespace and trailing garbage.  Every line it accepts decodes
     to the entry that a generic JSON parse of the line would give.
 
-    [load] reads the whole file at once and decodes it with one cursor,
-    parsing integers in place; the lines it accepts, the torn-last-line
-    rule and the line-numbered [Failure] are those of the earlier
-    line-by-line decoder, which the tests keep as the reference.  It is a
-    view over the decoder {!restore} uses. *)
+    [load] reads the whole file at once and decodes it with one cursor:
+    keys are compared a word at a time, integers are parsed in the pass
+    that scans them, and [seconds] is read in place by
+    {!Lv_telemetry.Json.read_float} (exact: Clinger's fast path, then an
+    Eisel–Lemire step over a table of 128-bit powers of ten for exponents
+    -342 to 308, and [float_of_string_opt] for any token those cannot
+    decide).  Each line's fields go into the cursor, not into a fresh
+    entry or token string, so {!restore} allocates next to nothing per
+    line; [load] builds its entries from the cursor.  The lines it
+    accepts, the torn-last-line rule and the line-numbered [Failure] are
+    those of the earlier line-by-line decoder, which the tests keep as the
+    reference. *)
 
 type columns = {
   iterations : int array;

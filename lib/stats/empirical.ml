@@ -2,8 +2,9 @@ type t = { xs : float array }
 
 let of_array a =
   if Array.length a = 0 then invalid_arg "Empirical.of_array: empty sample";
-  if Array.exists Float.is_nan a then
-    invalid_arg "Empirical.of_array: NaN observation";
+  for i = 0 to Array.length a - 1 do
+    if Float.is_nan a.(i) then invalid_arg "Empirical.of_array: NaN observation"
+  done;
   let xs = Array.copy a in
   (* Float.compare's total order.  [Array.sort Float.compare] would box
      every element it compares (the generic sort reads through the

@@ -17,13 +17,12 @@ let mean xs =
   check_nonempty "Summary.mean" xs;
   (* Kahan summation: campaigns can mix 1e3 and 1e9 iteration counts. *)
   let sum = ref 0. and comp = ref 0. in
-  Array.iter
-    (fun x ->
-      let y = x -. !comp in
-      let t = !sum +. y in
-      comp := t -. !sum -. y;
-      sum := t)
-    xs;
+  for i = 0 to Array.length xs - 1 do
+    let y = xs.(i) -. !comp in
+    let t = !sum +. y in
+    comp := t -. !sum -. y;
+    sum := t
+  done;
   !sum /. float_of_int (Array.length xs)
 
 let central_moment xs ~mean:m k =

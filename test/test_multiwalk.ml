@@ -658,6 +658,33 @@ let test_checkpoint_complete_log_restores () =
   Alcotest.(check string) "log untouched" bytes (read_file log);
   Sys.remove log
 
+(* Restoring a complete 2000-run log allocates almost nothing per line:
+   each line's fields go through the cursor straight into the columns.
+   The earlier decoder built an entry and a token string per line (about
+   22 words). *)
+let test_checkpoint_restore_allocation () =
+  let runs = 2000 and seed = 900 in
+  let path = tmp_log () in
+  let rng = Lv_stats.Rng.create ~seed:5 in
+  Lv_multiwalk.Checkpoint.with_writer path (fun w ->
+      for r = 0 to runs - 1 do
+        Lv_multiwalk.Checkpoint.append w
+          { Lv_multiwalk.Checkpoint.run = r; seed = seed + r;
+            iterations = Lv_stats.Rng.int rng 100_000;
+            seconds = Lv_stats.Rng.float rng 2e-3; solved = r mod 7 <> 0 }
+      done);
+  let cols = Lv_multiwalk.Checkpoint.columns ~runs in
+  let before = Gc.minor_words () in
+  let foreign = Lv_multiwalk.Checkpoint.restore path ~seed cols in
+  let words = Gc.minor_words () -. before in
+  Sys.remove path;
+  Alcotest.(check bool) "every run restored" true
+    (foreign = None && Array.for_all Fun.id cols.restored);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per line (at most 4)" (words /. float_of_int runs))
+    true
+    (words <= 4. *. float_of_int runs)
+
 let test_checkpoint_unusable_raises_first () =
   (* A log corrupt before its last line, or one from another campaign, is
      rejected before any run executes: no instance is built and the file
@@ -1014,6 +1041,19 @@ let edit_line line (op, at, ch) =
     String.mapi (fun i c -> if i = at then ch else c) line
   | _ -> line
 
+(* The [seconds] token of a written line, read by [Json.read_float] in
+   place, has the bits [float_of_string] gives it. *)
+let seconds_token_reads_like_library line =
+  let key = {|"seconds":|} in
+  let rec find i = if String.sub line i (String.length key) = key then i else find (i + 1) in
+  let pos = find 0 + String.length key in
+  let stop = String.index_from line pos ',' in
+  let dst = [| nan |] in
+  Lv_telemetry.Json.read_float dst line pos stop
+  && Int64.equal
+       (Int64.bits_of_float dst.(0))
+       (Int64.bits_of_float (float_of_string (String.sub line pos (stop - pos))))
+
 let checkpoint_props =
   let open QCheck in
   let entry_gen =
@@ -1059,7 +1099,8 @@ let checkpoint_props =
                match generic_decode line with
                | Some g -> same_entry g e
                | None -> false)
-             lines loaded);
+             lines loaded
+        && List.for_all seconds_token_reads_like_library lines);
     (* Random edits of written lines: whatever the direct decoder accepts,
        the generic decode accepts with the same entry. *)
     Test.make ~name:"checkpoint decoder accepts only what generic decode agrees on"
@@ -1401,6 +1442,8 @@ let () =
             test_checkpoint_decoder_strict;
           Alcotest.test_case "resume from any prefix" `Quick
             test_checkpoint_resume_any_prefix;
+          Alcotest.test_case "restore allocation per line" `Quick
+            test_checkpoint_restore_allocation;
         ]
         @ List.map QCheck_alcotest.to_alcotest (checkpoint_props @ [ restore_prop ]) );
       ( "sim",

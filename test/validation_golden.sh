@@ -30,6 +30,17 @@ grep -q "misses=3" "$work/v1.log" || { fail "first run: expected misses=3"; cat 
 # relative on floats, exact on everything else.
 "$compare" "$golden" "$work/v1/$report" || fail "the report differs from $golden"
 
+# The tolerance is relative below 1 too: a 1e-5 relative change to alpha
+# (0.05 -> 0.0500005) must be reported.
+sed 's/"alpha":0\.050000000000000003,/"alpha":0.050000500000000003,/' "$golden" > "$work/alpha.json"
+if cmp -s "$golden" "$work/alpha.json"; then
+  fail "no alpha of 0.05 to change in $golden"
+elif "$compare" "$golden" "$work/alpha.json" > "$work/alpha.log" 2>&1; then
+  fail "a 1e-5 relative change to alpha passed the comparison"
+elif [ $? -ne 1 ]; then
+  fail "the comparison of a changed alpha did not exit 1"
+fi
+
 "$lvp" run "$scenario" --cache "$work/cache" --out-dir "$work/v2" -q > "$work/v2.log" 2>&1 \
   || fail "second run exited $?"
 grep -q "hits=3 misses=0" "$work/v2.log" \

@@ -18,9 +18,11 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* Relative at every magnitude: a floor of 1 under the scale would turn
+   the bound into an absolute [rtol] below 1, where alpha, p-values,
+   levels and most spreads live. *)
 let close ~rtol a b =
-  a = b
-  || abs_float (a -. b) <= rtol *. Float.max 1. (Float.max (abs_float a) (abs_float b))
+  a = b || abs_float (a -. b) <= rtol *. Float.max (abs_float a) (abs_float b)
 
 let rec diff ~rtol path (a : Json.t) (b : Json.t) =
   let fail fmt =
