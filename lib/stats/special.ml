@@ -42,70 +42,87 @@ let gamma x =
 (* Regularized incomplete gamma                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Series representation of P(a,x), converges quickly for x < a + 1. *)
-let gamma_p_series a x =
-  let gln = log_gamma a in
-  let rec go ap del sum n =
-    if n > 1000 then sum
-    else begin
-      let ap = ap +. 1. in
-      let del = del *. x /. ap in
-      let sum = sum +. del in
-      if abs_float del < abs_float sum *. eps then sum else go ap del sum (n + 1)
-    end
-  in
-  let sum = go a (1. /. a) (1. /. a) 0 in
-  sum *. exp ((-.x) +. (a *. log x) -. gln)
+(* Series representation of P(a,x), converges quickly for x < a + 1.
+   [gln] is [log_gamma a]. *)
+let gamma_p_series gln a x =
+  let ap = ref a and del = ref (1. /. a) in
+  let sum = ref !del in
+  let n = ref 0 in
+  while !n <= 1000 do
+    ap := !ap +. 1.;
+    del := !del *. x /. !ap;
+    sum := !sum +. !del;
+    if abs_float !del < abs_float !sum *. eps then n := max_int else incr n
+  done;
+  !sum *. exp ((-.x) +. (a *. log x) -. gln)
 
-(* Continued fraction for Q(a,x) (modified Lentz), for x >= a + 1. *)
-let gamma_q_cf a x =
-  let gln = log_gamma a in
+(* Continued fraction for Q(a,x) (modified Lentz), for x >= a + 1.
+   [gln] is [log_gamma a]. *)
+let gamma_q_cf gln a x =
   let b = ref (x +. 1. -. a) in
   let c = ref (1. /. fpmin) in
   let d = ref (1. /. !b) in
   let h = ref !d in
-  (try
-     for i = 1 to 1000 do
-       let an = -.float_of_int i *. (float_of_int i -. a) in
-       b := !b +. 2.;
-       d := (an *. !d) +. !b;
-       if abs_float !d < fpmin then d := fpmin;
-       c := !b +. (an /. !c);
-       if abs_float !c < fpmin then c := fpmin;
-       d := 1. /. !d;
-       let del = !d *. !c in
-       h := !h *. del;
-       if abs_float (del -. 1.) < eps then raise Exit
-     done
-   with Exit -> ());
+  let i = ref 1 in
+  while !i <= 1000 do
+    let an = -.float_of_int !i *. (float_of_int !i -. a) in
+    b := !b +. 2.;
+    d := (an *. !d) +. !b;
+    if abs_float !d < fpmin then d := fpmin;
+    c := !b +. (an /. !c);
+    if abs_float !c < fpmin then c := fpmin;
+    d := 1. /. !d;
+    let del = !d *. !c in
+    h := !h *. del;
+    if abs_float (del -. 1.) < eps then i := max_int else incr i
+  done;
   exp ((-.x) +. (a *. log x) -. gln) *. !h
+
+(* P and Q once the arguments are checked. *)
+let lower gln a x =
+  if x = 0. then 0.
+  else if x < a +. 1. then gamma_p_series gln a x
+  else 1. -. gamma_q_cf gln a x
+
+let upper gln a x =
+  if x = 0. then 1.
+  else if x < a +. 1. then 1. -. gamma_p_series gln a x
+  else gamma_q_cf gln a x
 
 let gamma_p a x =
   if a <= 0. then invalid_arg "Special.gamma_p: a must be positive";
   if x < 0. then invalid_arg "Special.gamma_p: x must be nonnegative";
-  if x = 0. then 0.
-  else if x < a +. 1. then gamma_p_series a x
-  else 1. -. gamma_q_cf a x
+  lower (log_gamma a) a x
 
 let gamma_q a x =
   if a <= 0. then invalid_arg "Special.gamma_q: a must be positive";
   if x < 0. then invalid_arg "Special.gamma_q: x must be nonnegative";
-  if x = 0. then 1.
-  else if x < a +. 1. then 1. -. gamma_p_series a x
-  else gamma_q_cf a x
+  upper (log_gamma a) a x
 
 (* ------------------------------------------------------------------ *)
 (* erf / erfc                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* erf x = P(1/2, x²) and erfc x = Q(1/2, x²), so every call shares one
+   log Γ(1/2).  Beyond |x| = 26, erf x rounds to ±1 and erfc (-x) to 2;
+   erfc x is cut to 0 there.  The cut-off also keeps x² from overflowing
+   to infinity, where the continued fraction gives NaN. *)
+let log_gamma_half = log_gamma 0.5
+
 let erf x =
   if x = 0. then 0.
-  else if x > 0. then gamma_p 0.5 (x *. x)
-  else -.gamma_p 0.5 (x *. x)
+  else if x > 26. then 1.
+  else if x < -26. then -1.
+  else
+    let p = lower log_gamma_half 0.5 (x *. x) in
+    if x > 0. then p else -.p
 
 let erfc x =
-  if x >= 0. then (if x > 26. then 0. else gamma_q 0.5 (x *. x))
-  else 2. -. gamma_q 0.5 (x *. x)
+  if x > 26. then 0.
+  else if x < -26. then 2.
+  else
+    let q = upper log_gamma_half 0.5 (x *. x) in
+    if x >= 0. then q else 2. -. q
 
 (* ------------------------------------------------------------------ *)
 (* Inverse normal CDF and inverse erfc                                *)

@@ -8,11 +8,15 @@
     test suite against published reference values. *)
 
 val erf : float -> float
-(** Error function.  Absolute error below 1e-13 on the real line. *)
+(** Error function.  Absolute error below 1e-13 on the real line.  It is
+    [P(1/2, x²)] with log Γ(1/2) computed once per program, and exactly
+    [±1] for [|x| > 26], infinities included. *)
 
 val erfc : float -> float
 (** Complementary error function [1 - erf x], computed without cancellation
-    for large [x] (relative error below 1e-12 up to [x = 26]). *)
+    for large [x] (relative error below 1e-12 up to [x = 26]).  It is
+    [Q(1/2, x²)] with log Γ(1/2) computed once per program, and exactly [0]
+    for [x > 26] and [2] for [x < -26], infinities included. *)
 
 val erfc_inv : float -> float
 (** Inverse of {!erfc} on (0, 2). *)

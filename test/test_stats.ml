@@ -116,6 +116,52 @@ let test_norm_cdf_quantile () =
         (Special.norm_cdf (Special.norm_quantile p)))
     [ 1e-10; 1e-4; 0.01; 0.3; 0.5; 0.77; 0.99; 1. -. 1e-9 ]
 
+(* Past |x| = 26 the functions return their limits, so x² no longer reaches
+   infinity, where the continued fraction would give NaN. *)
+let test_special_extreme_arguments () =
+  let exact name expected actual =
+    Alcotest.(check (float 0.)) name expected actual
+  in
+  List.iter
+    (fun (x, erf, erfc, phi) ->
+      exact (Printf.sprintf "erf %g" x) erf (Special.erf x);
+      exact (Printf.sprintf "erfc %g" x) erfc (Special.erfc x);
+      exact (Printf.sprintf "norm_cdf %g" x) phi (Special.norm_cdf x))
+    [
+      (infinity, 1., 0., 1.);
+      (neg_infinity, -1., 2., 0.);
+      (1e200, 1., 0., 1.);
+      (-1e200, -1., 2., 0.);
+    ];
+  exact "lognormal cdf at infinity" 1.
+    ((Lognormal.create ~mu:2. ~sigma:0.7).Distribution.cdf infinity);
+  let normal = Normal.create ~mu:3. ~sigma:2. in
+  exact "normal cdf at infinity" 1. (normal.Distribution.cdf infinity);
+  exact "normal cdf at -infinity" 0. (normal.Distribution.cdf neg_infinity);
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check bool) (name ^ " nan is nan") true (Float.is_nan (f nan)))
+    [ ("erf", Special.erf); ("erfc", Special.erfc); ("norm_cdf", Special.norm_cdf) ]
+
+(* The series and the continued fraction keep their floats unboxed: what a
+   call allocates is its argument and result boxes, not one box per term. *)
+let test_erfc_allocation () =
+  let calls = 100_000 in
+  let xs = Array.init calls (fun i -> (8. *. float_of_int i /. float_of_int calls) -. 4.) in
+  let acc = ref 0. in
+  let before = Gc.minor_words () in
+  for i = 0 to calls - 1 do
+    acc := !acc +. Special.erfc xs.(i)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "erfc sums to about one per call" true
+    (abs_float ((!acc /. float_of_int calls) -. 1.) < 1e-3);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per erfc call (at most 10)"
+       (words /. float_of_int calls))
+    true
+    (words <= 10. *. float_of_int calls)
+
 (* ------------------------------------------------------------------ *)
 (* RNG                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -1173,6 +1219,88 @@ let two_power_min e n =
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
+(* [Special]'s incomplete gamma (for a >= 1/2), erf and erfc written with
+   log Γ(a) computed in every call, a recursive series and a continued
+   fraction left by exception: the reference [Special] must match bit for
+   bit. *)
+module Reference_special = struct
+  let pi = 4. *. atan 1.
+  let eps = epsilon_float
+  let fpmin = min_float /. eps
+
+  let lanczos_coef =
+    [| 0.99999999999980993; 676.5203681218851; -1259.1392167224028;
+       771.32342877765313; -176.61502916214059; 12.507343278686905;
+       -0.13857109526572012; 9.9843695780195716e-6; 1.5056327351493116e-7 |]
+
+  let log_gamma x =
+    let x = x -. 1. in
+    let acc = ref lanczos_coef.(0) in
+    for i = 1 to 8 do
+      acc := !acc +. (lanczos_coef.(i) /. (x +. float_of_int i))
+    done;
+    let t = x +. 7. +. 0.5 in
+    (0.5 *. log (2. *. pi)) +. ((x +. 0.5) *. log t) -. t +. log !acc
+
+  let gamma_p_series a x =
+    let gln = log_gamma a in
+    let rec go ap del sum n =
+      if n > 1000 then sum
+      else begin
+        let ap = ap +. 1. in
+        let del = del *. x /. ap in
+        let sum = sum +. del in
+        if abs_float del < abs_float sum *. eps then sum else go ap del sum (n + 1)
+      end
+    in
+    let sum = go a (1. /. a) (1. /. a) 0 in
+    sum *. exp ((-.x) +. (a *. log x) -. gln)
+
+  let gamma_q_cf a x =
+    let gln = log_gamma a in
+    let b = ref (x +. 1. -. a) in
+    let c = ref (1. /. fpmin) in
+    let d = ref (1. /. !b) in
+    let h = ref !d in
+    (try
+       for i = 1 to 1000 do
+         let an = -.float_of_int i *. (float_of_int i -. a) in
+         b := !b +. 2.;
+         d := (an *. !d) +. !b;
+         if abs_float !d < fpmin then d := fpmin;
+         c := !b +. (an /. !c);
+         if abs_float !c < fpmin then c := fpmin;
+         d := 1. /. !d;
+         let del = !d *. !c in
+         h := !h *. del;
+         if abs_float (del -. 1.) < eps then raise Exit
+       done
+     with Exit -> ());
+    exp ((-.x) +. (a *. log x) -. gln) *. !h
+
+  let gamma_p a x =
+    if x = 0. then 0.
+    else if x < a +. 1. then gamma_p_series a x
+    else 1. -. gamma_q_cf a x
+
+  let gamma_q a x =
+    if x = 0. then 1.
+    else if x < a +. 1. then 1. -. gamma_p_series a x
+    else gamma_q_cf a x
+
+  let erf x =
+    if x = 0. then 0.
+    else if x > 0. then gamma_p 0.5 (x *. x)
+    else -.gamma_p 0.5 (x *. x)
+
+  let erfc x =
+    if x >= 0. then (if x > 26. then 0. else gamma_q 0.5 (x *. x))
+    else 2. -. gamma_q 0.5 (x *. x)
+
+  let norm_cdf x = 0.5 *. erfc (-.x /. sqrt 2.)
+end
+
+
 let qcheck_props =
   let open QCheck in
   (* Order-statistic minima against Monte-Carlo sampling, one property per
@@ -1468,6 +1596,47 @@ let qcheck_props =
         let s1 = Order_stats.survival_power cdf n x in
         let s2 = Order_stats.survival_power cdf (n + 1) x in
         s1 >= 0. && s1 <= 1. && s2 <= s1 +. 1e-12);
+    (* Every argument that gave a number keeps its bits; past the overflow
+       of x², where the reference gives NaN, only a NaN argument still
+       does. *)
+    (let x =
+       Gen.oneof
+         [
+           Gen.float_range (-1.2247) 1.2247;
+           Gen.float_range (-30.) 30.;
+           Gen.map (fun d -> 26. +. d) (Gen.float_range (-1e-9) 1e-9);
+           Gen.map (fun d -> -26. +. d) (Gen.float_range (-1e-9) 1e-9);
+           Gen.map (fun m -> m *. 4.9e-324) (Gen.float_range (-1e6) 1e6);
+           Gen.map (fun e -> Float.pow 10. e) (Gen.float_range (-300.) 300.);
+           Gen.map (fun e -> -.Float.pow 10. e) (Gen.float_range (-300.) 300.);
+           Gen.oneofl [ 0.; -0.; infinity; neg_infinity; nan; min_float ];
+         ]
+     in
+     Test.make ~name:"erf, erfc and norm_cdf bit-identical to the reference"
+       ~count:20_000
+       (make ~print:(Printf.sprintf "%h") x)
+       (fun x ->
+         List.for_all
+           (fun (f, g) ->
+             let reference = g x and actual = f x in
+             if Float.is_nan reference then Float.is_nan actual = Float.is_nan x
+             else same_bits reference actual)
+           [
+             (Special.erf, Reference_special.erf);
+             (Special.erfc, Reference_special.erfc);
+             (Special.norm_cdf, Reference_special.norm_cdf);
+           ]));
+    Test.make ~name:"gamma_p and gamma_q bit-identical to the reference"
+      ~count:5_000
+      (make
+         ~print:(fun (a, x) -> Printf.sprintf "a = %g, x = %h" a x)
+         Gen.(pair (oneofl [ 0.5; 1.; 2.5; 7.; 30. ]) (float_range 0. 2.)))
+      (fun (a, r) ->
+        (* r < 1/2 lands below a + 1 (the series), r > 1/2 above (the
+           continued fraction). *)
+        let x = 2. *. r *. (a +. 1.) in
+        same_bits (Reference_special.gamma_p a x) (Special.gamma_p a x)
+        && same_bits (Reference_special.gamma_q a x) (Special.gamma_q a x));
   ]
 
 let () =
@@ -1483,6 +1652,8 @@ let () =
           Alcotest.test_case "incomplete gamma" `Quick test_gamma_p_q;
           Alcotest.test_case "digamma" `Quick test_digamma;
           Alcotest.test_case "normal cdf/quantile" `Quick test_norm_cdf_quantile;
+          Alcotest.test_case "extreme arguments" `Quick test_special_extreme_arguments;
+          Alcotest.test_case "erfc allocation" `Quick test_erfc_allocation;
         ] );
       ( "rng",
         [
