@@ -55,10 +55,10 @@ let write_telemetry_summary path =
   let report =
     Lv_telemetry.Report.of_events (Lv_telemetry.Sink.events telemetry)
   in
-  let oc = open_out path in
-  output_string oc (Lv_telemetry.Json.to_string (Lv_telemetry.Report.to_json report));
-  output_char oc '\n';
-  close_out oc;
+  Lv_telemetry.File.write path (fun oc ->
+      output_string oc
+        (Lv_telemetry.Json.to_string (Lv_telemetry.Report.to_json report));
+      output_char oc '\n');
   printf "@.telemetry summary written to %s (%d events)@." path
     report.Lv_telemetry.Report.events
 
@@ -172,7 +172,7 @@ let fig2_3 () =
         let simulated =
           let acc = ref 0. in
           for _ = 1 to 4000 do
-            acc := !acc +. Lv_multiwalk.Sim.race_once emp ~rng ~cores:n
+            acc := !acc +. Lv_stats.Empirical.min_of_draws emp rng n
           done;
           !acc /. 4000.
         in
@@ -489,13 +489,10 @@ let ablation_observations campaigns =
           (fun k ->
             if k > total then None
             else begin
-              let ds =
-                Lv_multiwalk.Dataset.create ~label:m.name ~metric:"iterations"
-                  (Array.sub values 0 k)
-              in
               let pr =
-                Predict.of_dataset ~candidates:Fit.paper_candidates
-                  ~cores:[ 64; 256 ] ds
+                Predict.of_report ~label:m.name ~cores:[ 64; 256 ]
+                  (Fit.fit ~candidates:Fit.paper_candidates
+                     (Array.sub values 0 k))
               in
               let g n =
                 List.find (fun pt -> pt.Speedup.cores = n) pr.Predict.curve
@@ -618,14 +615,16 @@ let ablation_solver_params () =
     "read: each solver variant is its own Las Vegas algorithm with its own \
      runtime law; the prediction tracks the measured multi-walk gain of each.@."
 
-(* TTT / Q-Q diagnostics backing Figures 8/10/12. *)
+(* TTT / Q-Q diagnostics backing Figures 8/10/12, on the engine's fit. *)
 let ttt_diagnostics campaigns =
   print_string
     (Report.section "Time-to-target diagnostics (the paper's refs [2,3] methodology)");
   List.iter
     (fun m ->
       printf "--- %s ---@." m.name;
-      print_string (Ttt.report (iterations m).Lv_multiwalk.Dataset.values))
+      print_string
+        (Ttt.report (iterations m).Lv_multiwalk.Dataset.values
+           (Option.get m.outcome.Engine.fit).Fit.fits))
     campaigns
 
 (* ------------------------------------------------------------------ *)

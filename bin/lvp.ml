@@ -182,12 +182,14 @@ let with_ctx ~trace ~verbose ~pool_domains ?cache f =
    rejects values it cannot work with by raising [Invalid_argument] (an
    instance size the problem does not have, an empty dataset, a campaign
    in which no run solved) or [Campaign.Unusable_checkpoint] (a run-log
-   that is corrupt or belongs to another campaign); here that becomes one
-   line on stderr and exit 1 rather than an uncaught-exception crash. *)
+   that is corrupt or belongs to another campaign), and an output file it
+   cannot write by raising [Sys_error]; here that becomes one line on
+   stderr and exit 1 rather than an uncaught-exception crash. *)
 let command name ~doc term =
   let guarded body =
-    try body ()
-    with Invalid_argument msg | Lv_multiwalk.Campaign.Unusable_checkpoint msg ->
+    try body () with
+    | Invalid_argument msg | Sys_error msg
+    | Lv_multiwalk.Campaign.Unusable_checkpoint msg ->
       Format.eprintf "lvp %s: %s@." name msg;
       1
   in
@@ -301,7 +303,14 @@ let predict_cmd =
     let ds = Lv_multiwalk.Dataset.load_csv path in
     with_sink ~trace ~verbose @@ fun telemetry ->
     let ctx = Lv_context.Context.make ~telemetry () in
-    let p = Lv_core.Predict.of_dataset ~ctx ~cores ds in
+    let report =
+      Lv_core.Fit.fit ~ctx ~n_censored:(Lv_multiwalk.Dataset.n_censored ds)
+        ds.Lv_multiwalk.Dataset.values
+    in
+    let p =
+      Lv_core.Predict.of_report ~ctx ~label:ds.Lv_multiwalk.Dataset.label ~cores
+        report
+    in
     if not quiet then Format.printf "%a@." Lv_core.Predict.pp_prediction p;
     (match out with
     | Some file ->
@@ -413,8 +422,9 @@ let race_cmd =
 
 let ttt_cmd =
   let run path () =
-    let ds = Lv_multiwalk.Dataset.load_csv path in
-    print_string (Lv_core.Ttt.report ds.Lv_multiwalk.Dataset.values);
+    let xs = (Lv_multiwalk.Dataset.load_csv path).Lv_multiwalk.Dataset.values in
+    let report = Lv_core.Fit.fit ~candidates:Lv_core.Fit.paper_candidates xs in
+    print_string (Lv_core.Ttt.report xs report.Lv_core.Fit.fits);
     0
   in
   command "ttt" ~doc:"Time-to-target plot and Q-Q straightness scores for a dataset."

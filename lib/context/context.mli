@@ -4,7 +4,7 @@
     the telemetry sink, the default significance level and the artifact
     cache.  Build one with {!make} and pass it as [?ctx] to a pipeline
     entry point: [Lv_multiwalk.Campaign.run]/[run_fn], [Lv_core.Fit.fit],
-    [Lv_core.Predict.of_report]/[of_dataset], [Lv_multiwalk.Race.wall_clock],
+    [Lv_core.Predict.of_report], [Lv_multiwalk.Race.wall_clock],
     [Lv_validate.Validate.run] and [Lv_engine.Engine.run].
 
     Each setting has exactly one way in.  Entry points take the pool and

@@ -249,23 +249,6 @@ let pp_report ppf r =
 
 module Json = Lv_telemetry.Json
 
-let decode_error what = failwith ("artifact JSON: " ^ what)
-
-let get m o =
-  match Json.member m o with Some v -> v | None -> decode_error m
-
-(* The encoder spells nan/inf as null (no JSON number for them); a null
-   float field reads back as nan. *)
-let to_f = function
-  | Json.Null -> nan
-  | v -> (
-    match Json.to_float v with Some f -> f | None -> decode_error "float")
-
-let to_i v = match Json.to_int v with Some i -> i | None -> decode_error "int"
-
-let to_s v =
-  match Json.to_str v with Some s -> s | None -> decode_error "string"
-
 let ks_to_json (k : Kolmogorov.result) =
   Json.Obj
     [
@@ -277,15 +260,13 @@ let ks_to_json (k : Kolmogorov.result) =
     ]
 
 let ks_of_json j =
+  let open Json in
   {
-    Kolmogorov.statistic = to_f (get "statistic" j);
-    p_value = to_f (get "p_value" j);
-    n = to_i (get "n" j);
-    accept =
-      (match Json.to_bool (get "accept" j) with
-      | Some b -> b
-      | None -> decode_error "bool");
-    alpha = to_f (get "alpha" j);
+    Kolmogorov.statistic = float (field "statistic" j);
+    p_value = float (field "p_value" j);
+    n = int (field "n" j);
+    accept = bool (field "accept" j);
+    alpha = float (field "alpha" j);
   }
 
 let to_json r =
@@ -313,38 +294,37 @@ let to_json r =
     ]
 
 let of_json j =
-  let list what = function Json.List l -> l | _ -> decode_error what in
+  let open Json in
   let fitted_of j =
     let candidate =
-      let name = to_s (get "candidate" j) in
+      let name = string (field "candidate" j) in
       match candidate_of_string name with
       | Some c -> c
-      | None -> decode_error ("unknown candidate " ^ name)
+      | None -> failwith ("fit artifact: unknown candidate " ^ name)
     in
     let params =
-      match get "params" j with
-      | Json.Obj kvs -> List.map (fun (k, v) -> (k, to_f v)) kvs
-      | _ -> decode_error "params"
+      List.map (fun (k, v) -> (k, float v)) (fields (field "params" j))
     in
     {
       candidate;
       dist = instantiate candidate params;
-      ks = ks_of_json (get "ks" j);
+      ks = ks_of_json (field "ks" j);
     }
   in
-  let fits = List.map fitted_of (list "fits" (get "fits" j)) in
+  let fits = List.map fitted_of (list (field "fits" j)) in
   let by_name v =
-    let name = to_s v in
+    let name = string v in
     match List.find_opt (fun f -> candidate_name f.candidate = name) fits with
     | Some f -> f
     | None ->
-      decode_error ("accepted/best candidate " ^ name ^ " not among fits")
+      failwith
+        ("fit artifact: accepted/best candidate " ^ name ^ " not among fits")
   in
   {
-    sample_size = to_i (get "sample_size" j);
-    n_censored = to_i (get "n_censored" j);
-    censored_fraction = to_f (get "censored_fraction" j);
+    sample_size = int (field "sample_size" j);
+    n_censored = int (field "n_censored" j);
+    censored_fraction = float (field "censored_fraction" j);
     fits;
-    accepted = List.map by_name (list "accepted" (get "accepted" j));
-    best = (match get "best" j with Json.Null -> None | v -> Some (by_name v));
+    accepted = List.map by_name (list (field "accepted" j));
+    best = (match field "best" j with Null -> None | v -> Some (by_name v));
   }

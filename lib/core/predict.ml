@@ -47,33 +47,23 @@ let of_fit ?(ctx = Lv_context.Context.default) ~label ~cores
 
 (* The chosen law must have a curve; say which law it is, whether the KS
    test accepted it, and how to keep such laws out of the pool. *)
-let chosen_law (report : Fit.report) ~who =
+let chosen_law (report : Fit.report) =
   let f = Fit.chosen report in
   let law = f.Fit.dist in
   if not (Speedup.has_curve law) then
     invalid_arg
       (Printf.sprintf
-         "%s: the chosen law %s %s and has no speed-up curve (it needs a \
-          nonnegative support and a finite mean); restrict the fit with the \
-          scenario key candidates, e.g. candidates = \
+         "Predict.of_report: the chosen law %s %s and has no speed-up curve \
+          (it needs a nonnegative support and a finite mean); restrict the \
+          fit with the scenario key candidates, e.g. candidates = \
           exponential,shifted-exponential,lognormal,shifted-lognormal"
-         who
          (Lv_stats.Distribution.to_string law)
          (if f.Fit.ks.Lv_stats.Kolmogorov.accept then "was accepted"
           else "was not accepted (no candidate passed the KS test)"));
   law
 
 let of_report ?ctx ~label ~cores (report : Fit.report) =
-  of_fit ?ctx ~label ~cores report (chosen_law report ~who:"Predict.of_report")
-
-let of_dataset ?ctx ?candidates ~cores (ds : Lv_multiwalk.Dataset.t) =
-  let report =
-    Fit.fit ?ctx ?candidates
-      ~n_censored:(Lv_multiwalk.Dataset.n_censored ds)
-      ds.Lv_multiwalk.Dataset.values
-  in
-  of_fit ?ctx ~label:ds.Lv_multiwalk.Dataset.label ~cores report
-    (chosen_law report ~who:"Predict.of_dataset")
+  of_fit ?ctx ~label ~cores report (chosen_law report)
 
 let of_distribution ~label ~cores law =
   of_fit ~label ~cores Fit.empty_report law
@@ -110,15 +100,12 @@ let max_abs_relative_error = function
 (* Shared by the engine's outputs/artifacts and [lvp predict --output]:
    one writer, so the two paths stay byte-identical. *)
 let save_csv p path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc "cores,speedup\n";
-      List.iter
-        (fun { Speedup.cores; speedup } ->
-          Printf.fprintf oc "%d,%.17g\n" cores speedup)
-        p.curve)
+  Lv_telemetry.File.write path @@ fun oc ->
+  output_string oc "cores,speedup\n";
+  List.iter
+    (fun { Speedup.cores; speedup } ->
+      Printf.fprintf oc "%d,%.17g\n" cores speedup)
+    p.curve
 
 (* A law fitted to runs that all took the same time carries Mle's zero-spread
    sigma.  Its [limit] describes that floor, not the data: equal runs finish

@@ -10,36 +10,25 @@ type prediction = {
   limit : float;                    (** speed-up ceiling; [infinity] if linear *)
 }
 
-val of_dataset :
-  ?ctx:Lv_context.Context.t ->
-  ?candidates:Fit.candidate list ->
-  cores:int list ->
-  Lv_multiwalk.Dataset.t ->
-  prediction
-(** Fit the dataset (keeping {!Fit.chosen}: the best accepted candidate,
-    or the highest p-value fit when nothing clears [ctx.alpha]) and
-    predict speed-ups at [cores].  Raises [Invalid_argument] when the
-    chosen law has no speed-up curve ({!Speedup.has_curve}); the message
-    names the law, says whether the KS test accepted it, and points at the
-    scenario key [candidates].  The candidate fits and the per-core-count quadratures run serially on the calling domain
-    ([ctx.pool] is not used).  With a live [ctx.telemetry] sink the fit
-    emits its spans (see {!Fit.fit}) and the prediction wraps in a
-    ["predict"] span containing one timed ["predict/predict.speedup"]
-    event per core count, in input order (the quadrature cost of each
-    {!Speedup.at} evaluation), emitted under that fixed path whatever
-    domain runs it. *)
-
 val of_report :
   ?ctx:Lv_context.Context.t ->
   label:string ->
   cores:int list ->
   Fit.report ->
   prediction
-(** Predict from an already-computed fit report (the law is
-    {!Fit.chosen}) — the entry point for pipelines that fit once and
-    predict many times, or restore the fit from an artifact cache.  Raises
-    [Invalid_argument] on a report with no fits, or as {!of_dataset} when
-    the chosen law has no speed-up curve. *)
+(** Predict speed-ups at [cores] from a {!Fit.fit} report, fresh or
+    restored from an artifact cache.  The law is {!Fit.chosen}: the best
+    accepted candidate, or the highest p-value fit when nothing clears the
+    KS level.  Raises [Invalid_argument] on a
+    report with no fits, or when the chosen law has no speed-up curve
+    ({!Speedup.has_curve}); that message names the law, says whether the
+    KS test accepted it, and points at the scenario key [candidates].  The
+    per-core-count quadratures run serially on the calling domain
+    ([ctx.pool] is not used).  With a live [ctx.telemetry] sink the
+    prediction wraps in a ["predict"] span containing one timed
+    ["predict/predict.speedup"] event per core count, in input order (the
+    quadrature cost of each {!Speedup.at} evaluation), emitted under that
+    fixed path whatever domain runs it. *)
 
 val of_distribution :
   label:string -> cores:int list -> Lv_stats.Distribution.t -> prediction

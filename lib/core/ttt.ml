@@ -62,7 +62,7 @@ let render xs =
   done;
   Buffer.contents buf
 
-let report xs =
+let report xs fits =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (render xs);
   List.iter
@@ -71,5 +71,5 @@ let report xs =
         (Lv_stats.Distribution.to_string f.Fit.dist)
         (qq_correlation xs f.Fit.dist)
         (if f.Fit.ks.Lv_stats.Kolmogorov.accept then "" else "   (KS rejected)"))
-    (Fit.fit ~candidates:Fit.paper_candidates xs).Fit.fits;
+    fits;
   Buffer.contents buf

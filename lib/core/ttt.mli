@@ -21,7 +21,8 @@ val render : float array -> string
 (** ASCII TTT plot: one line per observation decile, cumulative probability
     as bar length (50 characters at probability 1). *)
 
-val report : float array -> string
-(** {!render}, then one line per paper candidate ({!Fit.paper_candidates})
-    fitted to the sample: the law, its {!qq_correlation} and whether the
-    KS test rejected it — what [lvp ttt] prints. *)
+val report : float array -> Fit.fitted list -> string
+(** [report xs fits] is {!render}[ xs], then one line per fit, in order: the
+    law, its {!qq_correlation} against [xs] and whether the KS test
+    rejected it.  [lvp ttt] passes the {!Fit.paper_candidates} fits of
+    [xs]. *)

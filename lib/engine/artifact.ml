@@ -53,12 +53,8 @@ let count t ~hit =
     else (t.misses, "engine.cache.miss")
   in
   Atomic.incr counter;
-  if not (Lv_telemetry.Sink.is_null t.telemetry) then
-    Lv_telemetry.Sink.record t.telemetry
-      (Lv_telemetry.Event.make
-         ~ts:(Lv_telemetry.Clock.elapsed ())
-         ~path
-         (Lv_telemetry.Event.Count (Atomic.get counter)))
+  Lv_telemetry.Sink.emit t.telemetry ~path ~fields:[]
+    (Lv_telemetry.Event.Count (Atomic.get counter))
 
 let with_cache t ~stage ~key ~ext ~load ~save compute =
   let file = path t ~stage ~key ~ext in

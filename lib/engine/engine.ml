@@ -128,8 +128,8 @@ let cached store ~stage ~key ~to_json ~of_json compute =
         of_json
           (Json.of_string (In_channel.with_open_bin file In_channel.input_all)))
       ~save:(fun v tmp ->
-        Out_channel.with_open_bin tmp (fun oc ->
-            Out_channel.output_string oc (Json.to_string (to_json v) ^ "\n")))
+        Lv_telemetry.File.write tmp (fun oc ->
+            output_string oc (Json.to_string (to_json v) ^ "\n")))
       compute
 
 (* Names were validated by [Scenario.make]. *)

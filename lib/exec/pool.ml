@@ -123,27 +123,20 @@ let emit_stats pool =
   let sink = pool.telemetry in
   if not (Lv_telemetry.Sink.is_null sink) then begin
     let s = stats pool in
-    let count path value fields =
-      Lv_telemetry.Sink.record sink
-        (Lv_telemetry.Event.make
-           ~ts:(Lv_telemetry.Clock.elapsed ())
-           ~path (Lv_telemetry.Event.Count value) ~fields)
-    in
-    count "pool.tasks" s.tasks
-      [ ("domains", Lv_telemetry.Json.Int s.domains) ];
-    count "pool.queue_hwm" s.queue_high_water [];
+    Lv_telemetry.Sink.emit sink ~path:"pool.tasks"
+      ~fields:[ ("domains", Lv_telemetry.Json.Int s.domains) ]
+      (Lv_telemetry.Event.Count s.tasks);
+    Lv_telemetry.Sink.emit sink ~path:"pool.queue_hwm" ~fields:[]
+      (Lv_telemetry.Event.Count s.queue_high_water);
     Array.iteri
       (fun w busy ->
-        Lv_telemetry.Sink.record sink
-          (Lv_telemetry.Event.make
-             ~ts:(Lv_telemetry.Clock.elapsed ())
-             ~path:"pool.worker"
-             (Lv_telemetry.Event.Span busy)
-             ~fields:
-               [
-                 ("worker", Lv_telemetry.Json.Int w);
-                 ("tasks", Lv_telemetry.Json.Int s.worker_tasks.(w));
-               ]))
+        Lv_telemetry.Sink.emit sink ~path:"pool.worker"
+          ~fields:
+            [
+              ("worker", Lv_telemetry.Json.Int w);
+              ("tasks", Lv_telemetry.Json.Int s.worker_tasks.(w));
+            ]
+          (Lv_telemetry.Event.Span busy))
       s.busy_seconds
   end
 

@@ -124,19 +124,16 @@ let run_fn ?(ctx = Lv_context.Context.default) ?progress ?checkpoint ~label
          pool workers (outside the "campaign" span's domain), and all
          their run events must aggregate into one phase. *)
       if traced then
-        Lv_telemetry.Sink.record telemetry
-          (Lv_telemetry.Event.make
-             ~ts:(Lv_telemetry.Clock.elapsed ())
-             ~path:"campaign.run"
-             (Lv_telemetry.Event.Span obs.Run.seconds)
-             ~fields:
-               [
-                 ("run", Lv_telemetry.Json.Int r);
-                 ("seed", Lv_telemetry.Json.Int (seed + r));
-                 ("domain", Lv_telemetry.Json.Int w);
-                 ("iterations", Lv_telemetry.Json.Int obs.Run.iterations);
-                 ("solved", Lv_telemetry.Json.Bool obs.Run.solved);
-               ]);
+        Lv_telemetry.Sink.emit telemetry ~path:"campaign.run"
+          ~fields:
+            [
+              ("run", Lv_telemetry.Json.Int r);
+              ("seed", Lv_telemetry.Json.Int (seed + r));
+              ("domain", Lv_telemetry.Json.Int w);
+              ("iterations", Lv_telemetry.Json.Int obs.Run.iterations);
+              ("solved", Lv_telemetry.Json.Bool obs.Run.solved);
+            ]
+          (Lv_telemetry.Event.Span obs.Run.seconds);
       let done_ = Atomic.fetch_and_add completed 1 + 1 in
       (match progress with Some f -> f done_ | None -> ());
       obs
@@ -163,16 +160,10 @@ let run_fn ?(ctx = Lv_context.Context.default) ?progress ?checkpoint ~label
       missing;
     let observations, iterations, seconds, n_censored = assemble ~label cols in
     n_censored_cell := n_censored;
-    if traced then begin
-      let count path value =
-        Lv_telemetry.Sink.record telemetry
-          (Lv_telemetry.Event.make
-             ~ts:(Lv_telemetry.Clock.elapsed ())
-             ~path (Lv_telemetry.Event.Count value))
-      in
-      count "campaign.censored" n_censored;
-      count "checkpoint.skipped" n_restored
-    end;
+    Lv_telemetry.Sink.emit telemetry ~path:"campaign.censored" ~fields:[]
+      (Lv_telemetry.Event.Count n_censored);
+    Lv_telemetry.Sink.emit telemetry ~path:"checkpoint.skipped" ~fields:[]
+      (Lv_telemetry.Event.Count n_restored);
     if n_censored = runs then
       invalid_arg "Campaign.run: no run solved the instance; raise the budget";
     {

@@ -36,19 +36,14 @@ let summary t = Lv_stats.Summary.of_array t.values
 let empirical t = Lv_stats.Empirical.of_array t.values
 
 let save_csv t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc "# label=%s metric=%s\nindex,value,status\n" t.label
-        t.metric;
-      Array.iteri
-        (fun i v -> Printf.fprintf oc "%d,%.17g,solved\n" i v)
-        t.values;
-      let base = Array.length t.values in
-      Array.iteri
-        (fun i v -> Printf.fprintf oc "%d,%.17g,censored\n" (base + i) v)
-        t.censored)
+  Lv_telemetry.File.write path @@ fun oc ->
+  Printf.fprintf oc "# label=%s metric=%s\nindex,value,status\n" t.label
+    t.metric;
+  Array.iteri (fun i v -> Printf.fprintf oc "%d,%.17g,solved\n" i v) t.values;
+  let base = Array.length t.values in
+  Array.iteri
+    (fun i v -> Printf.fprintf oc "%d,%.17g,censored\n" (base + i) v)
+    t.censored
 
 (* The last index at or before [i] at which [sub] occurs in [s]. *)
 let rec last_index s sub i =

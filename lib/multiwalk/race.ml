@@ -6,19 +6,6 @@ type outcome = {
   solved : bool;
 }
 
-let walker_event telemetry ~w ~iterations ~solved ~seconds =
-  Lv_telemetry.Sink.record telemetry
-    (Lv_telemetry.Event.make
-       ~ts:(Lv_telemetry.Clock.elapsed ())
-       ~path:"race.walker"
-       (Lv_telemetry.Event.Span seconds)
-       ~fields:
-         [
-           ("walker", Lv_telemetry.Json.Int w);
-           ("iterations", Lv_telemetry.Json.Int iterations);
-           ("solved", Lv_telemetry.Json.Bool solved);
-         ])
-
 let outcome_fields o =
   [
     ("walkers", Lv_telemetry.Json.Int o.walkers);
@@ -52,11 +39,15 @@ let wall_clock ?(ctx = Lv_context.Context.default) ?params ~seed ~walkers
       if Atomic.compare_and_set found (-1) w then Lv_exec.Cancel.set cancel;
     let iterations = Lv_search.Adaptive_search.iterations result in
     if traced then
-      walker_event telemetry ~w ~iterations
-        ~solved:(Lv_search.Adaptive_search.solved result)
-        ~seconds:
-          (Lv_telemetry.Clock.seconds_between ~start
-             ~stop:(Lv_telemetry.Clock.now_ns ()));
+      Lv_telemetry.Span.record telemetry ~start ~path:"race.walker"
+        ~fields:
+          [
+            ("walker", Lv_telemetry.Json.Int w);
+            ("iterations", Lv_telemetry.Json.Int iterations);
+            ( "solved",
+              Lv_telemetry.Json.Bool (Lv_search.Adaptive_search.solved result) );
+          ]
+        ();
     Some iterations
   in
   let outcome_cell = ref None in

@@ -1,10 +1,5 @@
 type row = { cores : int; expected_runtime : float; speedup : float }
 
-let expected_runtime emp ~cores = Lv_stats.Empirical.expected_min_exact emp cores
-
-let speedup emp ~cores =
-  Lv_stats.Empirical.mean emp /. expected_runtime emp ~cores
-
 let table ds ~cores =
   let emp = Dataset.empirical ds in
   let mean = Lv_stats.Empirical.mean emp in
@@ -12,8 +7,6 @@ let table ds ~cores =
     (fun n e -> { cores = n; expected_runtime = e; speedup = mean /. e })
     cores
     (Lv_stats.Empirical.expected_min_table emp cores)
-
-let race_once emp ~rng ~cores = Lv_stats.Empirical.min_of_draws emp rng cores
 
 let pp_row ppf r =
   Format.fprintf ppf "cores=%4d E[runtime]=%.6g speedup=%.2f" r.cores

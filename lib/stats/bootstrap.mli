@@ -12,9 +12,10 @@ val percentile_interval :
     rule of {!Summary.quantile}) around the point estimate — the reduction
     step of a percentile bootstrap whose replicates are generated elsewhere
     (the whole-pipeline bootstrap of [Lv_validate]).  A NaN replicate
-    statistic sorts {e last} under [Float.compare]'s total order, so it
-    surfaces in the upper percentile rather than silently corrupting the
-    sort.  Raises [Invalid_argument] on an empty [stats] array or a
+    statistic sorts {e first} under [Float.compare]'s total order, so it
+    surfaces in the lower percentile [lo] (and, once NaNs reach the upper
+    rank, in [hi] too) rather than silently corrupting the sort.  Raises
+    [Invalid_argument] on an empty [stats] array or a
     [level] outside (0, 1). *)
 
 val covers : interval -> float -> bool

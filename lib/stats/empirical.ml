@@ -34,7 +34,7 @@ let cdf t x =
     float_of_int (!lo + 1) /. float_of_int n
   end
 
-let quantile t p = Summary.quantile t.xs p
+let quantile t p = Summary.sorted_quantile t.xs p
 
 let resample t rng n =
   let sz = size t in

@@ -47,13 +47,9 @@ let variance xs =
 
 let std xs = sqrt (variance xs)
 
-let quantile xs p =
-  check_nonempty "Summary.quantile" xs;
+let sorted_quantile sorted p =
+  check_nonempty "Summary.quantile" sorted;
   if p < 0. || p > 1. then invalid_arg "Summary.quantile: p must lie in [0, 1]";
-  let sorted = Array.copy xs in
-  (* Float.compare's total order (NaN before every number), without the
-     boxing of [Array.sort Float.compare]. *)
-  Float_sort.sort sorted;
   let n = Array.length sorted in
   if n = 1 then sorted.(0)
   else begin
@@ -63,6 +59,13 @@ let quantile xs p =
     let frac = h -. float_of_int i in
     sorted.(i) +. (frac *. (sorted.(i + 1) -. sorted.(i)))
   end
+
+let quantile xs p =
+  let sorted = Array.copy xs in
+  (* Float.compare's total order (NaN before every number), without the
+     boxing of [Array.sort Float.compare]. *)
+  Float_sort.sort sorted;
+  sorted_quantile sorted p
 
 let median xs = quantile xs 0.5
 

@@ -23,7 +23,13 @@ val std : float array -> float
 
 val quantile : float array -> float -> float
 (** [quantile xs p] for [p] in [0, 1]: linear interpolation between order
-    statistics (type-7, the R default).  Does not mutate [xs]. *)
+    statistics (type-7, the R default).  Does not mutate [xs].  Raises
+    [Invalid_argument] on an empty [xs] or a [p] outside [0, 1]. *)
+
+val sorted_quantile : float array -> float -> float
+(** {!quantile} of an array already sorted in [Float.compare]'s order
+    ({!Float_sort.sort}), read without copying or sorting it; the same
+    bits, and the same errors, as {!quantile} on any permutation of it. *)
 
 val median : float array -> float
 

@@ -407,3 +407,22 @@ let to_float = function
 let to_int = function Int i -> Some i | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
 let to_str = function String s -> Some s | _ -> None
+
+(* Decoding, the inverse of [to_string]: it spells nan and the infinities
+   as null, so a null float reads back as nan. *)
+let expected what = failwith ("JSON: expected " ^ what)
+
+let field key v =
+  match member key v with
+  | Some x -> x
+  | None -> failwith ("JSON: missing key " ^ key)
+
+let float = function
+  | Null -> nan
+  | v -> (match to_float v with Some f -> f | None -> expected "a number")
+
+let int v = match to_int v with Some i -> i | None -> expected "an int"
+let bool v = match to_bool v with Some b -> b | None -> expected "a bool"
+let string v = match to_str v with Some s -> s | None -> expected "a string"
+let list = function List l -> l | _ -> expected "a list"
+let fields = function Obj kvs -> kvs | _ -> expected "an object"

@@ -40,3 +40,20 @@ val to_float : t -> float option
 val to_int : t -> int option
 val to_bool : t -> bool option
 val to_str : t -> string option
+
+(** {1 Decoding} — the inverse of {!to_string}, for the fit and validation
+    artifacts.  Each raises [Failure] on a missing key or a value of
+    another shape. *)
+
+val field : string -> t -> t
+(** [field key obj] is the value at [key] of an object. *)
+
+val float : t -> float
+(** A number, [Int] included.  [Null] reads as [nan]: {!to_string} writes
+    nan and the infinities as [null]. *)
+
+val int : t -> int
+val bool : t -> bool
+val string : t -> string
+val list : t -> t list
+val fields : t -> (string * t) list

@@ -44,6 +44,10 @@ let rec record t ev =
     record a ev;
     record b ev
 
+let emit t ~path ~fields kind =
+  if not (is_null t) then
+    record t (Event.make ~fields ~ts:(Clock.elapsed ()) ~path kind)
+
 let events = function
   | Memory m -> Mutex.protect m.lock (fun () -> List.rev m.events)
   | Null | Stream _ | Tee _ -> []

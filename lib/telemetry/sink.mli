@@ -29,8 +29,11 @@ val is_null : t -> bool
 (** [true] only for sinks that drop everything — hot paths use this to skip
     building field lists altogether. *)
 
-val record : t -> Event.t -> unit
-(** Record an already-built event. *)
+val emit : t -> path:string -> fields:(string * Json.t) list -> Event.kind -> unit
+(** Stamp an event with {!Clock.elapsed} and record it at the fixed [path]
+    (no span nesting is applied): the one way events enter a sink.  Does
+    nothing on the null sink, but the caller has already built [fields]
+    and [kind]: guard with {!is_null} when building them costs. *)
 
 val events : t -> Event.t list
 (** Events accumulated so far, oldest first.  Empty for non-memory sinks. *)

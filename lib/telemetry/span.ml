@@ -13,9 +13,8 @@ let current_path () = String.concat "/" (List.rev (Domain.DLS.get stack_key))
 
 let record sink ~start ~path ?(fields = []) () =
   if not (Sink.is_null sink) then
-    Sink.record sink
-      (Event.make ~fields ~ts:(Clock.elapsed ()) ~path
-         (Event.Span (Clock.seconds_between ~start ~stop:(Clock.now_ns ()))))
+    Sink.emit sink ~path ~fields
+      (Event.Span (Clock.seconds_between ~start ~stop:(Clock.now_ns ())))
 
 let run sink ~name ?(fields = fun () -> []) f =
   if Sink.is_null sink then f ()
@@ -27,10 +26,7 @@ let run sink ~name ?(fields = fun () -> []) f =
     let finish extra =
       let dur = Clock.seconds_between ~start ~stop:(Clock.now_ns ()) in
       Domain.DLS.set stack_key stack;
-      Sink.record sink
-        (Event.make
-           ~fields:(extra @ fields ())
-           ~ts:(Clock.elapsed ()) ~path (Event.Span dur))
+      Sink.emit sink ~path ~fields:(extra @ fields ()) (Event.Span dur)
     in
     match f () with
     | v ->

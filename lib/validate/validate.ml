@@ -636,124 +636,100 @@ let to_json r =
     ]
 
 let of_json j =
-  let fail what = failwith ("validation artifact: " ^ what) in
-  let get m o = match Json.member m o with Some v -> v | None -> fail m in
-  let to_f = function
-    (* The encoder spells nan/inf as null (no JSON number for them); a
-       null float field reads back as nan. *)
-    | Json.Null -> nan
-    | v -> (
-      match Json.to_float v with Some f -> f | None -> fail "float")
-  in
-  let to_i v = match Json.to_int v with Some i -> i | None -> fail "int" in
-  let to_s v = match Json.to_str v with Some s -> s | None -> fail "string" in
-  let pairs_of = function
-    | Json.Obj kvs -> List.map (fun (k, v) -> (k, to_f v)) kvs
-    | _ -> fail "pairs"
-  in
+  let open Json in
+  let pairs_of v = List.map (fun (k, x) -> (k, float x)) (fields v) in
   let interval_of v =
     {
-      Bootstrap.estimate = to_f (get "estimate" v);
-      lo = to_f (get "lo" v);
-      hi = to_f (get "hi" v);
-      level = to_f (get "level" v);
+      Bootstrap.estimate = float (field "estimate" v);
+      lo = float (field "lo" v);
+      hi = float (field "hi" v);
+      level = float (field "level" v);
     }
   in
-  let cj = get "config" j in
+  let cj = field "config" j in
   let config =
     {
-      replicates = to_i (get "replicates" cj);
-      folds = to_i (get "folds" cj);
-      level = to_f (get "level" cj);
-      trials = to_i (get "trials" cj);
+      replicates = int (field "replicates" cj);
+      folds = int (field "folds" cj);
+      level = float (field "level" cj);
+      trials = int (field "trials" cj);
     }
   in
-  let bj = get "bootstrap" j in
+  let bj = field "bootstrap" j in
   let bootstrap =
     {
-      family = to_s (get "family" bj);
-      replicates = to_i (get "replicates" bj);
-      band_level = to_f (get "level" bj);
-      dropped = to_i (get "dropped" bj);
+      family = string (field "family" bj);
+      replicates = int (field "replicates" bj);
+      band_level = float (field "level" bj);
+      dropped = int (field "dropped" bj);
       params =
-        (match get "params" bj with
-        | Json.Obj kvs ->
-          List.map (fun (k, v) -> { param = k; interval = interval_of v }) kvs
-        | _ -> fail "bootstrap params");
+        List.map
+          (fun (k, v) -> { param = k; interval = interval_of v })
+          (fields (field "params" bj));
       curve =
-        (match get "curve" bj with
-        | Json.List l ->
-          List.map
-            (fun v ->
-              {
-                cores = to_i (get "cores" v);
-                interval = interval_of (get "interval" v);
-              })
-            l
-        | _ -> fail "bootstrap curve");
+        List.map
+          (fun v ->
+            {
+              cores = int (field "cores" v);
+              interval = interval_of (field "interval" v);
+            })
+          (list (field "curve" bj));
     }
   in
-  let hj = get "cross_validation" j in
+  let hj = field "cross_validation" j in
   let cross_validation =
     {
       folds =
-        (match get "folds" hj with
-        | Json.List l ->
-          List.map
-            (fun v ->
-              {
-                fold = to_i (get "fold" v);
-                train_size = to_i (get "train_size" v);
-                test_size = to_i (get "test_size" v);
-                family = to_s (get "family" v);
-                ks = Fit.ks_of_json (get "ks" v);
-                speedup_err = to_f (get "speedup_err" v);
-              })
-            l
-        | _ -> fail "cv folds");
-      rejections = to_i (get "rejections" hj);
-      mean_statistic = to_f (get "mean_statistic" hj);
-      max_speedup_err = to_f (get "max_speedup_err" hj);
+        List.map
+          (fun v ->
+            {
+              fold = int (field "fold" v);
+              train_size = int (field "train_size" v);
+              test_size = int (field "test_size" v);
+              family = string (field "family" v);
+              ks = Fit.ks_of_json (field "ks" v);
+              speedup_err = float (field "speedup_err" v);
+            })
+          (list (field "folds" hj));
+      rejections = int (field "rejections" hj);
+      mean_statistic = float (field "mean_statistic" hj);
+      max_speedup_err = float (field "max_speedup_err" hj);
     }
   in
   let calibration =
-    match get "calibration" j with
-    | Json.Null -> None
+    match field "calibration" j with
+    | Null -> None
     | oj ->
       Some
         {
-          family = to_s (get "family" oj);
-          truth = pairs_of (get "truth" oj);
-          trials = to_i (get "trials" oj);
-          runs = to_i (get "runs" oj);
-          oracle_level = to_f (get "level" oj);
-          alpha = to_f (get "alpha" oj);
-          failures = to_i (get "failures" oj);
-          param_coverage = pairs_of (get "param_coverage" oj);
-          curve_coverage = to_f (get "curve_coverage" oj);
-          mean_abs_rel_error = pairs_of (get "mean_abs_rel_error" oj);
-          ks_rejections = to_i (get "ks_rejections" oj);
+          family = string (field "family" oj);
+          truth = pairs_of (field "truth" oj);
+          trials = int (field "trials" oj);
+          runs = int (field "runs" oj);
+          oracle_level = float (field "level" oj);
+          alpha = float (field "alpha" oj);
+          failures = int (field "failures" oj);
+          param_coverage = pairs_of (field "param_coverage" oj);
+          curve_coverage = float (field "curve_coverage" oj);
+          mean_abs_rel_error = pairs_of (field "mean_abs_rel_error" oj);
+          ks_rejections = int (field "ks_rejections" oj);
         }
   in
   {
-    label = to_s (get "label" j);
-    seed = to_i (get "seed" j);
-    alpha = to_f (get "alpha" j);
-    cores =
-      (match get "cores" j with
-      | Json.List l -> List.map to_i l
-      | _ -> fail "cores");
+    label = string (field "label" j);
+    seed = int (field "seed" j);
+    alpha = float (field "alpha" j);
+    cores = List.map int (list (field "cores" j));
     config;
-    sample_size = to_i (get "sample_size" j);
+    sample_size = int (field "sample_size" j);
     bootstrap;
     cross_validation;
     calibration;
   }
 
-let write_file path s =
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
-
-let save_json r path = write_file path (Json.to_string (to_json r) ^ "\n")
+let save_json r path =
+  Lv_telemetry.File.write path (fun oc ->
+      output_string oc (Json.to_string (to_json r) ^ "\n"))
 
 (* ------------------------------------------------------------------ *)
 (* CSV                                                                 *)
@@ -805,7 +781,7 @@ let save_csv r path =
       (string_of_int o.ks_rejections)
       "" "" (g o.alpha);
     row "oracle-failures" o.family "" (string_of_int o.failures) "" "" "");
-  write_file path (Buffer.contents b)
+  Lv_telemetry.File.write path (fun oc -> Buffer.output_buffer oc b)
 
 (* ------------------------------------------------------------------ *)
 (* Pretty printing                                                     *)

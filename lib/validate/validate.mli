@@ -40,7 +40,9 @@ type config = {
   replicates : int;  (** bootstrap resamples per band (default 200) *)
   folds : int;  (** cross-validation folds (default 2 = split-half) *)
   level : float;  (** band confidence level (default 0.95) *)
-  trials : int;  (** calibration-oracle trials; 0 disables (default 0) *)
+  trials : int;
+      (** calibration-oracle trials {!run} asks {!oracle} for; 0, the
+          {!default_config} value, skips the oracle *)
 }
 
 val default_config : config
@@ -170,8 +172,9 @@ val oracle :
   unit ->
   oracle_report
 (** [oracle ~seed ~cores ~runs ~candidate ~truth ()] samples [trials]
-    (default 200) synthetic datasets of [runs] i.i.d. draws from [truth],
-    runs fit → bootstrap-bands → holdout-KS on each, and aggregates
+    synthetic datasets of [runs] i.i.d. draws from [truth] (200 datasets
+    when [?trials] is omitted, which only a direct caller can do: {!run}
+    always passes [config.trials]), runs fit → bootstrap-bands → holdout-KS on each, and aggregates
     coverage, recovery error and the false-rejection count.  Trials run
     in parallel on the pool, each under its own deterministic stream.
     [candidate] names the family being calibrated; [truth] must be a law
@@ -221,7 +224,8 @@ val of_json : Lv_telemetry.Json.t -> report
     artifact-cache load path, where a failure means recompute). *)
 
 val save_json : report -> string -> unit
-(** Atomic-enough single write of [to_json] plus a trailing newline. *)
+(** [to_json] plus a trailing newline.  Like {!save_csv} and every other
+    output writer, it raises [Sys_error] when the write fails. *)
 
 val save_csv : report -> string -> unit
 (** Flat machine-readable table, one row per band/fold/oracle metric:

@@ -89,6 +89,17 @@ for cmd in "predict $work/q5.csv -k 2,4" "run $work/q5.conf -q"; do
          failures=$((failures + 1)); }
 done
 
+# An output file that cannot be written (a full disk) is reported, not
+# swallowed.
+if [ -w /dev/full ]; then
+  "$lvp" campaign n-queens 8 --runs 20 -o "$work/q8.csv" -q > /dev/null
+  printf '[scenario]\nproblem = n-queens\nsize = 8\nruns = 10\ncores = 2,4\ncandidates = paper\n' \
+    > "$work/q8.conf"
+  expect_one_line predict "$work/q8.csv" -o /dev/full -q
+  expect_one_line campaign n-queens 8 --runs 20 -o /dev/full -q
+  expect_one_line run "$work/q8.conf" --out-dir /dev/full -q
+fi
+
 # The same commands with sane values still succeed.
 "$lvp" campaign n-queens 8 --runs 5 --pool-domains 1 -q > /dev/null \
   || { echo "FAIL: valid campaign"; failures=$((failures + 1)); }

@@ -673,14 +673,17 @@ let test_predict_of_distribution_replays_paper () =
   Alcotest.(check bool) "within the paper's deviation band" true
     (Predict.max_abs_relative_error rows < 0.45)
 
-let test_predict_of_dataset_end_to_end () =
+let test_predict_fit_then_report_end_to_end () =
   let rng = Rng.create ~seed:211 in
   (* x0 comparable to 1/λ so the shift is statistically identifiable — with
      x0 << 1/λ the pipeline may legitimately pick the plain exponential, the
      paper's own Costas 21 observation. *)
   let law = Exponential.shifted ~x0:50_000. ~rate:1e-5 in
   let ds = Lv_multiwalk.Dataset.synthetic ~label:"synthetic" law ~rng 650 in
-  let p = Predict.of_dataset ~cores:[ 2; 16; 256 ] ds in
+  let p =
+    Predict.of_report ~label:"synthetic" ~cores:[ 2; 16; 256 ]
+      (Fit.fit ds.Lv_multiwalk.Dataset.values)
+  in
   (* The fitted law should be close to the truth; compare speed-ups. *)
   List.iter
     (fun pt ->
@@ -695,8 +698,9 @@ let test_predict_constant_sample () =
   (* Runs that all took the same time fit a law with Mle's zero-spread
      sigma.  Equal runs finish together on any number of cores: the curve
      is 1 and the printed limit says so instead of the law's infinite one. *)
-  let ds = Lv_multiwalk.Dataset.create ~label:"c" ~metric:"iterations" [| 5.; 5.; 5. |] in
-  let p = Predict.of_dataset ~cores:[ 2; 16; 256 ] ds in
+  let p =
+    Predict.of_report ~label:"c" ~cores:[ 2; 16; 256 ] (Fit.fit [| 5.; 5.; 5. |])
+  in
   Alcotest.(check (option (float 0.))) "sigma at the floor" (Some Mle.zero_spread_sigma)
     (List.assoc_opt "sigma" p.Predict.law.Distribution.params);
   List.iter
@@ -760,7 +764,7 @@ let test_plugin_matches_model_on_synthetic_pool () =
   List.iter
     (fun n ->
       let analytic = Min_dist.expectation law ~n in
-      let plugin = Lv_multiwalk.Sim.expected_runtime emp ~cores:n in
+      let plugin = Lv_stats.Empirical.expected_min_exact emp n in
       if rel_err analytic plugin > 0.05 then
         Alcotest.failf "n=%d: analytic %g vs plug-in %g" n analytic plugin)
     [ 1; 4; 16; 64 ]
@@ -853,8 +857,9 @@ let test_no_pool_spawns_no_domains () =
         (Exponential.create ~rate:0.01) ~rng 200
     in
     check "Fit.fit" (fun () -> Fit.fit ds.Lv_multiwalk.Dataset.values);
-    check "Predict.of_dataset" (fun () ->
-        Predict.of_dataset ~cores:[ 2; 16; 256 ] ds);
+    check "Fit.fit then Predict.of_report" (fun () ->
+        Predict.of_report ~label:"threads" ~cores:[ 2; 16; 256 ]
+          (Fit.fit ds.Lv_multiwalk.Dataset.values));
     check "Race.wall_clock" (fun () ->
         Lv_multiwalk.Race.wall_clock ~seed:29 ~walkers:2 (fun () ->
             Lv_problems.Queens.pack 15))
@@ -1021,7 +1026,7 @@ let () =
       ( "predict",
         [
           Alcotest.test_case "replays the paper" `Quick test_predict_of_distribution_replays_paper;
-          Alcotest.test_case "end to end on synthetic data" `Quick test_predict_of_dataset_end_to_end;
+          Alcotest.test_case "end to end on synthetic data" `Quick test_predict_fit_then_report_end_to_end;
           Alcotest.test_case "constant sample" `Quick test_predict_constant_sample;
           Alcotest.test_case "compare join" `Quick test_predict_compare_drops_unmatched;
           Alcotest.test_case "error sign" `Quick test_predict_relative_error_sign;

@@ -847,11 +847,11 @@ let test_sim_exponential_near_linear () =
           r.Lv_multiwalk.Sim.speedup)
     rows
 
-let test_sim_race_once_bounds () =
+let test_sim_min_of_draws_bounds () =
   let rng = Lv_stats.Rng.create ~seed:17 in
   let emp = Lv_stats.Empirical.of_array [| 5.; 10.; 15.; 20. |] in
   for _ = 1 to 200 do
-    let v = Lv_multiwalk.Sim.race_once emp ~rng ~cores:3 in
+    let v = Lv_stats.Empirical.min_of_draws emp rng 3 in
     if v < 5. || v > 20. then Alcotest.failf "race value %g out of sample range" v
   done
 
@@ -1451,7 +1451,7 @@ let () =
           Alcotest.test_case "one core" `Quick test_sim_speedup_one_core;
           Alcotest.test_case "monotone" `Quick test_sim_speedup_monotone;
           Alcotest.test_case "exponential linear" `Slow test_sim_exponential_near_linear;
-          Alcotest.test_case "race bounds" `Quick test_sim_race_once_bounds;
+          Alcotest.test_case "race bounds" `Quick test_sim_min_of_draws_bounds;
         ] );
       ( "race",
         [

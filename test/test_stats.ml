@@ -1197,6 +1197,19 @@ let test_bootstrap_narrows_with_n () =
   in
   Alcotest.(check bool) "larger sample, narrower CI" true (w xs_large < w xs_small)
 
+(* [Float.compare] sorts NaN first, so NaN replicates reach the lower
+   bound before the upper one: three of ten at level 0.9 make [lo] NaN and
+   leave [hi] interpolating between the two largest numbers. *)
+let test_bootstrap_nan_replicates_reach_lo () =
+  let stats = [| 3.; nan; 1.; 7.; nan; 5.; 2.; nan; 6.; 4. |] in
+  let iv = Bootstrap.percentile_interval ~level:0.9 ~estimate:4. stats in
+  Alcotest.(check bool) "lo is nan" true (Float.is_nan iv.Bootstrap.lo);
+  check_float ~eps:1e-12 "hi" 6.55 iv.Bootstrap.hi;
+  let iv = Bootstrap.percentile_interval ~level:0.9 ~estimate:4. [| nan; 1.; 2. |] in
+  Alcotest.(check bool) "one nan of three: lo is nan" true
+    (Float.is_nan iv.Bootstrap.lo);
+  check_float ~eps:1e-12 "one nan of three: hi" 1.9 iv.Bootstrap.hi
+
 (* ------------------------------------------------------------------ *)
 (* qcheck properties                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -1300,6 +1313,42 @@ module Reference_special = struct
   let norm_cdf x = 0.5 *. erfc (-.x /. sqrt 2.)
 end
 
+
+(* [Summary.quantile] and [Bootstrap]'s own sorted-array quantile as they
+   were before [Summary.sorted_quantile] became the one type-7
+   interpolation: [Summary.quantile], [Empirical.quantile] and
+   [Bootstrap.percentile_interval] must match them bit for bit. *)
+module Reference_quantile = struct
+  let quantile xs p =
+    let sorted = Array.copy xs in
+    Float_sort.sort sorted;
+    let n = Array.length sorted in
+    if n = 1 then sorted.(0)
+    else begin
+      let h = p *. float_of_int (n - 1) in
+      let i = int_of_float (floor h) in
+      let i = if i >= n - 1 then n - 2 else i in
+      let frac = h -. float_of_int i in
+      sorted.(i) +. (frac *. (sorted.(i + 1) -. sorted.(i)))
+    end
+
+  let sorted_quantile sorted p =
+    let n = Array.length sorted in
+    if n = 1 then sorted.(0)
+    else begin
+      let h = p *. float_of_int (n - 1) in
+      let i = int_of_float (floor h) in
+      let i = if i >= n - 1 then n - 2 else i in
+      let frac = h -. float_of_int i in
+      sorted.(i) +. (frac *. (sorted.(i + 1) -. sorted.(i)))
+    end
+
+  let percentile_interval ~level stats =
+    let sorted = Array.copy stats in
+    Float_sort.sort sorted;
+    let alpha = (1. -. level) /. 2. in
+    (sorted_quantile sorted alpha, sorted_quantile sorted (1. -. alpha))
+end
 
 let qcheck_props =
   let open QCheck in
@@ -1637,6 +1686,33 @@ let qcheck_props =
         let x = 2. *. r *. (a +. 1.) in
         same_bits (Reference_special.gamma_p a x) (Special.gamma_p a x)
         && same_bits (Reference_special.gamma_q a x) (Special.gamma_q a x));
+    (let sample =
+       Gen.(
+         oneof [ return 1; return 2; int_range 3 10; int_range 200 400 ]
+         >>= fun n ->
+         array_size (return n)
+           (frequency
+              [ (8, float_range (-1e3) 1e3); (1, oneofl [ 0.; -0.; 7.; 1e300 ]) ]))
+     in
+     let p = Gen.(oneof [ return 0.; return 1.; float_range 0. 1. ]) in
+     let level = Gen.(oneof [ return 0.5; return 0.95; float_range 1e-3 0.999 ]) in
+     Test.make
+       ~name:"quantile, empirical and percentile interval match the reference"
+       ~count:2_000
+       (make
+          ~print:(fun (xs, p, level) ->
+            Printf.sprintf "n = %d, p = %h, level = %h" (Array.length xs) p level)
+          (Gen.triple sample p level))
+       (fun (xs, p, level) ->
+         let q = Reference_quantile.quantile xs p in
+         (* NaN statistics reach the bootstrap interval, never a sample. *)
+         let stats = Array.mapi (fun i x -> if i mod 7 = 3 then nan else x) xs in
+         let lo, hi = Reference_quantile.percentile_interval ~level stats in
+         let iv = Bootstrap.percentile_interval ~level ~estimate:0. stats in
+         same_bits q (Summary.quantile xs p)
+         && same_bits q (Empirical.quantile (Empirical.of_array xs) p)
+         && same_bits lo iv.Bootstrap.lo
+         && same_bits hi iv.Bootstrap.hi));
   ]
 
 let () =
@@ -1760,6 +1836,8 @@ let () =
         [
           Alcotest.test_case "interval sanity" `Quick test_bootstrap_interval_contains_estimate;
           Alcotest.test_case "narrows with n" `Slow test_bootstrap_narrows_with_n;
+          Alcotest.test_case "nan replicates reach lo" `Quick
+            test_bootstrap_nan_replicates_reach_lo;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_props);
     ]

@@ -480,6 +480,62 @@ let test_save_json_and_csv () =
   Alcotest.(check string) "csv deterministic" csv
     (read_file (Filename.concat dir "r2.csv"))
 
+(* Every output writer goes through one function that reports a failed
+   write: /dev/full accepts the open and fails the flush. *)
+let test_writers_report_full_disk () =
+  match Unix.access "/dev/full" [ Unix.W_OK ] with
+  | exception Unix.Unix_error _ -> Alcotest.skip ()
+  | () ->
+    let r = run_report ~config:{ small_config with Validate.trials = 3 } () in
+    let ds =
+      Lv_multiwalk.Dataset.create ~label:"d" ~metric:"iterations" [| 1.; 2. |]
+    in
+    let p =
+      Lv_core.Predict.of_distribution ~label:"p" ~cores
+        (Exponential.create ~rate:1.)
+    in
+    List.iter
+      (fun (name, save) ->
+        match save "/dev/full" with
+        | exception Sys_error _ -> ()
+        | () -> Alcotest.failf "%s returned normally on a full disk" name)
+      [
+        ("Dataset.save_csv", Lv_multiwalk.Dataset.save_csv ds);
+        ("Predict.save_csv", Lv_core.Predict.save_csv p);
+        ("Validate.save_csv", Validate.save_csv r);
+        ("Validate.save_json", Validate.save_json r);
+      ]
+
+(* Both artifact readers follow Json's decoding rule: a null float reads
+   as nan, a missing key raises Failure. *)
+let test_artifact_decoding_rule () =
+  let set key v = function
+    | Json.Obj kvs ->
+      Json.Obj (List.map (fun (k, x) -> (k, if k = key then v else x)) kvs)
+    | _ -> Alcotest.fail "artifact is not an object"
+  in
+  let drop key = function
+    | Json.Obj kvs -> Json.Obj (List.remove_assoc key kvs)
+    | _ -> Alcotest.fail "artifact is not an object"
+  in
+  let fit_json = Fit.to_json (fit_exponential (exp_sample ~seed:3 ~rate:0.1 40)) in
+  let report_json = Validate.to_json (run_report ()) in
+  Alcotest.(check bool) "Fit.of_json: null reads as nan" true
+    (Float.is_nan
+       (Fit.of_json (set "censored_fraction" Json.Null fit_json))
+         .Fit.censored_fraction);
+  Alcotest.(check bool) "Validate.of_json: null reads as nan" true
+    (Float.is_nan (Validate.of_json (set "alpha" Json.Null report_json)).Validate.alpha);
+  List.iter
+    (fun (name, decode) ->
+      match decode () with
+      | exception Failure _ -> ()
+      | _ -> Alcotest.failf "%s accepted a missing key" name)
+    [
+      ("Fit.of_json", fun () -> ignore (Fit.of_json (drop "sample_size" fit_json)));
+      ("Validate.of_json", fun () -> ignore (Validate.of_json (drop "seed" report_json)));
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Scenario + engine wiring                                            *)
 (* ------------------------------------------------------------------ *)
@@ -722,6 +778,10 @@ let () =
           Alcotest.test_case "malformed json rejected" `Quick
             test_of_json_rejects_malformed;
           Alcotest.test_case "save json/csv" `Quick test_save_json_and_csv;
+          Alcotest.test_case "writers report a full disk" `Quick
+            test_writers_report_full_disk;
+          Alcotest.test_case "null float and missing key" `Quick
+            test_artifact_decoding_rule;
         ] );
       ( "wiring",
         [
