@@ -105,12 +105,13 @@ let checkpoint_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "checkpoint" ] ~docv:"FILE.JSONL"
+    & info [ "checkpoint" ] ~docv:"FILE"
         ~doc:
-          "Durable run-log: every completed run is appended and flushed, \
-           and on restart with the same seed/runs the logged runs are \
-           restored instead of re-executed — an interrupted campaign \
-           resumes to a byte-identical dataset.")
+          "Durable binary run-log: every completed run is appended and \
+           flushed, and on restart with the same seed/runs the logged runs \
+           are restored instead of re-executed — an interrupted campaign \
+           resumes to a byte-identical dataset.  A JSON Lines run-log \
+           written by an earlier version cannot be resumed.")
 
 let dataset_arg =
   Arg.(

@@ -1,7 +1,7 @@
 (* Bump whenever an artifact format or a producing stage's algorithm
    changes: the salt lands in every key, so old artifacts miss cleanly
    instead of being deserialized wrongly or replaying stale results. *)
-let code_version = "lv-engine-3"
+let code_version = "lv-engine-4"
 
 type t = {
   dir : string;

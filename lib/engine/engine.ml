@@ -101,7 +101,9 @@ let run_campaign ctx store (sc : Scenario.t) =
     (* The campaign checkpoints straight into the artifact path: a log
        that restores every run is a hit; a partial one (a crash
        mid-campaign) is a miss that resumes; a rejected one is a miss
-       that starts over. *)
+       that starts over.  The log is binary; the file keeps its ".jsonl"
+       name until perfbench's traced pass, which reads the store under
+       that name, is replaced by [Engine.run] (ROADMAP item 1b). *)
     let file =
       Artifact.path t ~stage:"campaign" ~key:(campaign_key sc) ~ext:"jsonl"
     in

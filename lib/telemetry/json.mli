@@ -18,18 +18,11 @@ val to_string : t -> string
 
 val of_string : string -> t
 (** Parses a complete JSON document.  Raises {!Parse_error} on malformed
-    input or trailing garbage. *)
-
-val read_float : float array -> string -> int -> int -> bool
-(** [read_float dst s pos stop] reads the token [String.sub s pos (stop -
-    pos)] as [float_of_string_opt] does, bit for bit: it returns whether
-    that function would give [Some f], and then sets [dst.(0)] to [f].  A
-    decimal token (an optional ['-'], digits with at most one ['.'], an
-    optional exponent of at most 8 digits) with at most 19 significant
-    digits and a normal double as its value is read without allocating:
-    Clinger's fast path, then an Eisel–Lemire step over
-    {!Powers_of_ten}.  Any token it cannot decide that way goes to
-    [float_of_string_opt]. *)
+    input or trailing garbage.  A number token is the longest run of
+    [0-9+-.eE]: without ['.'], ['e'] or ['E'] it is an [Int] when
+    [int_of_string_opt] reads it, and otherwise a [Float] with the bits
+    [float_of_string_opt] gives it, so every finite float {!to_string} writes
+    reads back exactly. *)
 
 (** {1 Accessors} — shape-tolerant lookups returning [None] on mismatch. *)
 

@@ -56,7 +56,9 @@ counters run2 "hits=2 misses=0"
 same out1/n-queens-30-dataset.csv out2/n-queens-30-dataset.csv
 same out1/n-queens-30-prediction.csv out2/n-queens-30-prediction.csv
 
-# A campaign artifact corrupt before its last line is recomputed, not fatal.
+# A campaign run-log with a damaged header (here a garbage prefix) is
+# recomputed, not fatal.  The run-log keeps its .jsonl name, but it is
+# binary: a 16-byte header and one 40-byte record per run.
 for f in "$cache"/campaign-*.jsonl; do
   { echo garbage; cat "$f"; } > "$f.tmp" && mv "$f.tmp" "$f"
 done
@@ -65,8 +67,9 @@ counters run3 "hits=1 misses=1"
 same out1/n-queens-30-dataset.csv out3/n-queens-30-dataset.csv
 same out1/n-queens-30-prediction.csv out3/n-queens-30-prediction.csv
 
-# A torn last line, as a kill mid-append leaves it, is dropped: the campaign
-# resumes (a miss) and re-runs that one run, and the fit is still served.
+# A torn last record, as a kill mid-append leaves it, is dropped: the
+# campaign resumes (a miss) and re-runs that one run, and the fit is still
+# served.
 for f in "$cache"/campaign-*.jsonl; do
   truncate -s -5 "$f"
 done
@@ -74,7 +77,7 @@ lvp run4 run "$smoke" --cache "$cache" --out-dir "$work/out4" -q
 counters run4 "hits=1 misses=1"
 same out1/n-queens-30-dataset.csv out4/n-queens-30-dataset.csv
 same out1/n-queens-30-prediction.csv out4/n-queens-30-prediction.csv
-# The resume appended after the last whole entry: the log is complete again.
+# The resume appended after the last whole record: the log is complete again.
 lvp run5 run "$smoke" --cache "$cache" --out-dir "$work/out5" -q
 counters run5 "hits=2 misses=0"
 same out1/n-queens-30-dataset.csv out5/n-queens-30-dataset.csv

@@ -1,8 +1,8 @@
 #!/bin/sh
 # The campaign's abort-and-resume path through the CLI.  A checkpointed
-# campaign killed mid-run, with the last line of its run-log torn as a kill
-# mid-append leaves it, resumes to the dataset of an uninterrupted campaign,
-# and a further resume restores every run.  Budget-censored runs are
+# campaign killed mid-run, with the last record of its run-log torn as a
+# kill mid-append leaves it, resumes to the dataset of an uninterrupted
+# campaign, and a further resume restores every run.  Budget-censored runs are
 # reported, not dropped.
 #
 #   sh test/campaign_resume.sh path/to/lvp.exe
@@ -22,19 +22,27 @@ campaign="campaign all-interval 14 --seed 7 --runs 400"
 
 "$lvp" $campaign -o "$work/clean.csv" -q > /dev/null || fail "clean campaign exited $?"
 
+# The run-log is a 16-byte header and one 40-byte record per run, so its
+# size gives the number of whole records.
+records() {
+  size=$(wc -c < "$log")
+  if [ "$size" -lt 16 ]; then echo 0; else echo $(((size - 16) / 40)); fi
+}
+
 # The kill follows progress, not the clock: it lands once the run-log holds
-# 20 entries, so the log must hold a strict subset of the runs, flushed line
-# by line.  The wait is bounded at 3000 polls (about 30 s).  lvp runs as
-# the direct child, so the kill reaches the process that writes the log.
-log="$work/ck.jsonl"
+# 20 records, so the log must hold a strict subset of the runs, flushed
+# record by record.  The wait is bounded at 3000 polls (about 30 s).  lvp
+# runs as the direct child, so the kill reaches the process that writes
+# the log.
+log="$work/ck.log"
 "$lvp" $campaign --checkpoint "$log" -q > /dev/null &
 pid=$!
 polls=0
-until [ -f "$log" ] && [ "$(wc -l < "$log")" -ge 20 ]; do
+until [ -f "$log" ] && [ "$(records)" -ge 20 ]; do
   kill -0 "$pid" 2>/dev/null || break
   polls=$((polls + 1))
   if [ "$polls" -ge 3000 ]; then
-    fail "the run-log held fewer than 20 lines after 3000 polls"
+    fail "the run-log held fewer than 20 records after 3000 polls"
     break
   fi
   sleep 0.01
@@ -45,15 +53,16 @@ kill -9 "$pid" 2>/dev/null
 code=$?
 pid=
 [ "$code" -eq 0 ] || [ "$code" -eq 137 ] || fail "the killed campaign exited $code"
-completed=$(wc -l < "$log")
+completed=$(records)
 if [ "$completed" -le 0 ] || [ "$completed" -ge 400 ]; then
   fail "the killed campaign logged $completed of 400 runs, not a strict subset"
 fi
 
-# Tear the last line as a kill mid-append would: the resume drops the
-# fragment and appends after the last whole entry.
+# Tear the last record as a kill mid-append would: the resume drops the
+# fragment and appends after the last whole record.
 truncate -s -5 "$log"
 completed=$((completed - 1))
+[ "$(records)" -eq "$completed" ] || fail "the torn log does not hold $completed whole records"
 "$lvp" $campaign --checkpoint "$log" -o "$work/resumed.csv" -q > "$work/resume.log" \
   || fail "resume exited $?"
 grep -q "restored $completed completed runs" "$work/resume.log" \

@@ -13,8 +13,9 @@ printf '[scenario]\nproblem = n-queens\nsize = 8\nvalidate = replicates=1\n' \
 printf '[scenario]\nname = a/b\nproblem = n-queens\nsize = 8\nruns = 3\nstages = campaign\n' \
   > "$work/bad-name.conf"
 : > "$work/empty.csv"
-printf 'garbage\n{"run":0,"seed":1,"iterations":3,"seconds":0.001,"solved":true}\n' \
-  > "$work/bad-log.jsonl"
+printf 'garbage\n' > "$work/bad-log"
+printf '{"run":0,"seed":1,"iterations":3,"seconds":0.001,"solved":true}\n' \
+  > "$work/old-log.jsonl"
 failures=0
 
 expect_usage_error() {
@@ -69,11 +70,14 @@ expect_one_line run "$work/bad-validate.conf" -q
 # A scenario name is an output file stem: one with a '/' would write
 # into a subdirectory of --out-dir (or, as ../x, outside it).
 expect_one_line run "$work/bad-name.conf" --out-dir "$work/o" -q
-# A run-log with a bad line before a valid entry cannot be resumed; the
-# line names the file.
-expect_one_line campaign n-queens 8 --runs 3 --checkpoint "$work/bad-log.jsonl" -q
-grep -q "bad-log.jsonl" "$work/err" \
+# A file that is not a run-log cannot be resumed, nor can a JSON Lines
+# run-log of an earlier version; the line names the file (and the format).
+expect_one_line campaign n-queens 8 --runs 3 --checkpoint "$work/bad-log" -q
+grep -q "bad-log" "$work/err" \
   || { echo "FAIL: the unusable checkpoint is not named"; failures=$((failures + 1)); }
+expect_one_line campaign n-queens 8 --runs 3 --checkpoint "$work/old-log.jsonl" -q
+grep -q "old-log.jsonl: a JSON Lines run-log" "$work/err" \
+  || { echo "FAIL: the earlier format is not named"; failures=$((failures + 1)); }
 
 # A law with no speed-up curve (here the closest fit, a rejected normal)
 # is named, with its KS verdict and the candidates key that avoids it.
@@ -98,6 +102,8 @@ if [ -w /dev/full ]; then
   expect_one_line predict "$work/q8.csv" -o /dev/full -q
   expect_one_line campaign n-queens 8 --runs 20 -o /dev/full -q
   expect_one_line run "$work/q8.conf" --out-dir /dev/full -q
+  # A device is refused as a checkpoint before anything is read from it.
+  expect_one_line campaign n-queens 8 --runs 20 --checkpoint /dev/full -q
 fi
 
 # The same commands with sane values still succeed.

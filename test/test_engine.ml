@@ -550,8 +550,8 @@ let test_engine_cache_second_run_free () =
     output_string oc text;
     close_out oc
   in
-  (* A run-log corrupt before its last line is rejected, deleted and
-     recomputed: a campaign miss, never an exception. *)
+  (* A run-log with a damaged header is rejected, deleted and recomputed:
+     a campaign miss, never an exception. *)
   write ("garbage\n" ^ full);
   let o3 = run (tmp_dir ()) in
   Alcotest.(check int) "corrupt log: fit hit" 1 o3.Engine.cache_hits;
@@ -559,17 +559,76 @@ let test_engine_cache_second_run_free () =
   Alcotest.(check int) "corrupt log: nothing restored" 0
     o3.Engine.campaign.Lv_multiwalk.Campaign.n_restored;
   same_outputs "corrupt log" o3;
-  (* A log cut to its first k whole lines is a miss that resumes. *)
+  (* A log cut to its header and first k whole records is a miss that
+     resumes. *)
   let k = 5 in
-  write
-    (String.concat "\n"
-       (List.filteri (fun i _ -> i < k) (String.split_on_char '\n' full))
-    ^ "\n");
+  write (String.sub full 0 (16 + (k * 40)));
   let o4 = run (tmp_dir ()) in
   Alcotest.(check int) "truncated log: campaign miss" 1 o4.Engine.cache_misses;
   Alcotest.(check int) "truncated log: k runs restored" k
     o4.Engine.campaign.Lv_multiwalk.Campaign.n_restored;
   same_outputs "truncated log" o4
+
+(* The CI scenario's run-log damaged one way per run: one flipped bit in
+   the header and in each record (at a different bit of each), and a cut
+   at every record boundary, inside the header and inside each record.
+   Every run must be a campaign miss that writes the clean dataset and
+   prediction bytes: a log that fails its checks is recomputed, a cut one
+   resumes from its whole records.  None may be a hit. *)
+let test_engine_damaged_run_log () =
+  let sc = Scenario.of_file (example_scenario "ci-smoke") in
+  let cache = tmp_dir () in
+  let ctx = Ctx.make ~cache_dir:cache () in
+  let sc = { sc with Scenario.output_dir = Some (tmp_dir ()) } in
+  let run () = Engine.run ~ctx sc in
+  let outputs (o : Engine.outcome) =
+    List.map (fun (kind, path) -> (kind, read_file path)) o.Engine.outputs
+  in
+  let clean = outputs (run ()) in
+  Alcotest.(check int) "dataset and prediction written" 2 (List.length clean);
+  let log =
+    match
+      List.filter
+        (fun f -> String.starts_with ~prefix:"campaign-" f)
+        (Array.to_list (Sys.readdir cache))
+    with
+    | [ f ] -> Filename.concat cache f
+    | _ -> Alcotest.fail "expected exactly one campaign artifact"
+  in
+  let full = read_file log in
+  let runs = sc.Scenario.runs and record n = 16 + (n * 40) in
+  Alcotest.(check int) "a header and one record per run" (record runs)
+    (String.length full);
+  let damaged what text ~restored =
+    let oc = open_out_bin log in
+    output_string oc text;
+    close_out oc;
+    let o = run () in
+    Alcotest.(check (pair int int)) (what ^ ": fit hit, campaign miss") (1, 1)
+      (o.Engine.cache_hits, o.Engine.cache_misses);
+    Alcotest.(check int) (what ^ ": runs restored") restored
+      o.Engine.campaign.Lv_multiwalk.Campaign.n_restored;
+    Alcotest.(check (list (pair string string))) (what ^ ": clean outputs") clean
+      (outputs o)
+  in
+  let flip at bit =
+    String.mapi
+      (fun i c -> if i = at then Char.chr (Char.code c lxor (1 lsl bit)) else c)
+      full
+  in
+  damaged "header bit" (flip 5 2) ~restored:0;
+  damaged "cut inside the header" (String.sub full 0 7) ~restored:0;
+  for r = 0 to runs - 1 do
+    let bit = r * 67 mod 320 in
+    damaged (Printf.sprintf "bit %d of record %d" bit r)
+      (flip (record r + (bit / 8)) (bit mod 8))
+      ~restored:0;
+    damaged (Printf.sprintf "cut before record %d" r)
+      (String.sub full 0 (record r)) ~restored:r;
+    damaged (Printf.sprintf "cut inside record %d" r)
+      (String.sub full 0 (record r + 1 + (r * 13 mod 39)))
+      ~restored:r
+  done
 
 let test_engine_validation_json_output () =
   (* A validated scenario with an output dir writes the full report as
@@ -644,9 +703,9 @@ let test_engine_scenario_budget_solves () =
    store filled by an earlier build would then silently miss. *)
 let pinned_artifacts =
   [
-    "campaign-88475299d0f8fa87962fef921626d7ba.jsonl";
-    "fit-44401b873ec4a4f3b117ef7698dcd3af.json";
-    "validate-7396f9ae6f7ac4828107c79fa9f183ba.json";
+    "campaign-ed44b8b6675f5de0754a4120e0d24523.jsonl";
+    "fit-9a25a881384c5694685625f7676a873c.json";
+    "validate-ed21a3c965d1a54ed98895d61f732c04.json";
   ]
 
 let test_engine_artifact_keys_pinned () =
@@ -678,7 +737,7 @@ let test_engine_fit_artifact_pinned () =
   let sc = { sc with Scenario.stages = [ Scenario.Campaign; Scenario.Fit ] } in
   let cache = tmp_dir () in
   ignore (Engine.run ~ctx:(Ctx.make ~cache_dir:cache ()) sc);
-  let file = Filename.concat cache "fit-44401b873ec4a4f3b117ef7698dcd3af.json" in
+  let file = Filename.concat cache "fit-9a25a881384c5694685625f7676a873c.json" in
   Alcotest.(check string) "fit artifact bytes" pinned_fit_artifact
     (read_file file)
 
@@ -728,6 +787,8 @@ let () =
         [
           Alcotest.test_case "all stages" `Quick test_engine_runs_all_stages;
           Alcotest.test_case "stage subset" `Quick test_engine_stage_subset;
+          Alcotest.test_case "damaged run-log is a miss with the clean outputs"
+            `Quick test_engine_damaged_run_log;
           Alcotest.test_case "second run served from cache" `Quick
             test_engine_cache_second_run_free;
           Alcotest.test_case "validation JSON written" `Quick

@@ -425,10 +425,96 @@ let write_file path s =
   close_out oc
 
 let tmp_log () =
-  let path = tmp_file ".jsonl" in
+  let path = tmp_file ".log" in
   Sys.remove path;
   (* Campaigns treat a missing file as an empty checkpoint. *)
   path
+
+(* The run-log format read literally from [checkpoint.mli], with an
+   encoder, a check and a reader of the tests' own. *)
+let header = "LVRUNLOG\001\000\000\000\000\000\000\000"
+let record_size = 40
+
+(* [n] whole records and their header. *)
+let log_bytes n = String.length header + (n * record_size)
+
+let reference_check r =
+  let step h w = Int64.mul (Int64.logxor h w) 0x9E3779B97F4A7C15L in
+  let words =
+    [ String.get_int64_le r 0; String.get_int64_le r 8; String.get_int64_le r 16;
+      String.get_int64_le r 24; Int64.of_int32 (String.get_int32_le r 32) ]
+  in
+  Int64.to_int (Int64.shift_right_logical (List.fold_left step 0x243F6A8885A308D3L words) 32)
+
+let u32 r off = Int32.to_int (String.get_int32_le r off) land 0xFFFF_FFFF
+
+let encode_record ?(flags = 0) (e : Lv_multiwalk.Checkpoint.entry) =
+  let b = Bytes.create record_size in
+  Bytes.set_int64_le b 0 (Int64.of_int e.run);
+  Bytes.set_int64_le b 8 (Int64.of_int e.seed);
+  Bytes.set_int64_le b 16 (Int64.of_int e.iterations);
+  Bytes.set_int64_le b 24 (Int64.bits_of_float e.seconds);
+  Bytes.set_int32_le b 32 (Int32.of_int (flags lor Bool.to_int e.solved));
+  Bytes.set_int32_le b 36 (Int32.of_int (reference_check (Bytes.to_string b)));
+  Bytes.to_string b
+
+let encode entries = header ^ String.concat "" (List.map encode_record entries)
+
+(* The log read a record at a time from a channel, with [Checkpoint]'s
+   [Failure] texts. *)
+let reference_load path =
+  if not (Sys.file_exists path) then []
+  else
+    In_channel.with_open_bin path @@ fun ic ->
+    let fail fmt =
+      Printf.ksprintf (fun m -> failwith ("Checkpoint: " ^ path ^ ": " ^ m)) fmt
+    in
+    let head = really_input_string ic (min (in_channel_length ic) 16) in
+    if String.starts_with ~prefix:"{" head then
+      fail
+        "a JSON Lines run-log, written by an earlier version; this version \
+         reads only binary run-logs";
+    if not (String.starts_with ~prefix:head header) then
+      if String.length head = 16 && String.sub head 0 8 = "LVRUNLOG" then
+        fail "run-log version %Ld, expected 1" (String.get_int64_le head 8)
+      else fail "not a run-log (bad magic)";
+    let rec records i acc =
+      match really_input_string ic record_size with
+      | exception End_of_file -> List.rev acc
+      | r ->
+        if u32 r 36 <> reference_check r then fail "record %d fails its check" i;
+        if u32 r 32 > 1 then fail "record %d has unknown flags" i;
+        let int off = Int64.to_int (String.get_int64_le r off) in
+        records (i + 1)
+          ({ Lv_multiwalk.Checkpoint.run = int 0; seed = int 8; iterations = int 16;
+             seconds = Int64.float_of_bits (String.get_int64_le r 24);
+             solved = u32 r 32 = 1 }
+          :: acc)
+    in
+    records 0 []
+
+let same_entry (a : Lv_multiwalk.Checkpoint.entry)
+    (b : Lv_multiwalk.Checkpoint.entry) =
+  a.run = b.run && a.seed = b.seed && a.iterations = b.iterations
+  && Int64.equal (Int64.bits_of_float a.seconds) (Int64.bits_of_float b.seconds)
+  && a.solved = b.solved
+
+let load_text text =
+  let path = tmp_log () in
+  write_file path text;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () -> Lv_multiwalk.Checkpoint.load path)
+
+let write_entries path entries =
+  Lv_multiwalk.Checkpoint.with_writer path (fun w ->
+      List.iter (Lv_multiwalk.Checkpoint.append w) entries)
+
+(* [text] with bit [bit] of byte [at] flipped. *)
+let flip_bit text ~at ~bit =
+  String.mapi
+    (fun i c -> if i = at then Char.chr (Char.code c lxor (1 lsl bit)) else c)
+    text
 
 let test_checkpoint_log_roundtrip () =
   let path = tmp_log () in
@@ -442,24 +528,24 @@ let test_checkpoint_log_roundtrip () =
         seconds = 1. /. 3.; solved = false };
     ]
   in
-  Lv_multiwalk.Checkpoint.with_writer path (fun w ->
-      List.iter (Lv_multiwalk.Checkpoint.append w) entries);
-  Alcotest.(check bool) "exact round-trip (17-digit floats)" true
+  write_entries path entries;
+  Alcotest.(check string) "the layout of the interface" (encode entries)
+    (read_file path);
+  Alcotest.(check bool) "exact round-trip (float bits)" true
     (Lv_multiwalk.Checkpoint.load path = entries);
-  (* A line torn by a crash mid-append is dropped, not fatal. *)
-  let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc "{\"run\":2,\"se";
+  (* A record torn by a crash mid-append is dropped, not fatal. *)
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+  output_string oc (String.sub (encode_record (List.hd entries)) 0 13);
   close_out oc;
-  Alcotest.(check bool) "torn final line dropped" true
+  Alcotest.(check bool) "torn final record dropped" true
     (Lv_multiwalk.Checkpoint.load path = entries);
-  (* Corruption anywhere *before* the end is not a crash artifact. *)
-  let lines = read_file path in
-  write_file path (lines ^ "\n{\"run\":3,\"seed\":103,\"iterations\":1,\"seconds\":0,\"solved\":true}\n");
+  (* Corruption of a whole record is not a crash artifact, wherever it is. *)
+  write_file path (flip_bit (encode entries) ~at:(log_bytes 1 + 20) ~bit:3);
   (match Lv_multiwalk.Checkpoint.load path with
-  | _ -> Alcotest.fail "mid-file corruption loaded"
+  | _ -> Alcotest.fail "a damaged final record loaded"
   | exception Failure msg ->
-    Alcotest.(check bool) "names the file" true
-      (String.length msg > 0 && Option.is_some (String.index_opt msg ':')));
+    Alcotest.(check bool) "names the file and the record" true
+      (contains msg path && contains msg "record 1"));
   Sys.remove path
 
 let test_checkpoint_observation_roundtrip () =
@@ -479,7 +565,7 @@ let iterations_csv c =
 
 let test_checkpoint_resume_byte_identical () =
   (* The headline guarantee: kill a checkpointed campaign mid-flight (here:
-     truncate its run-log to the first 5 entries), resume, and the resumed
+     truncate its run-log to the first 5 records), resume, and the resumed
      iterations dataset is byte-for-byte the uninterrupted one — at pool
      sizes 1 and 4. *)
   let runs = 12 in
@@ -491,16 +577,11 @@ let test_checkpoint_resume_byte_identical () =
   Alcotest.(check int) "nothing restored on a fresh log" 0
     clean.Lv_multiwalk.Campaign.n_restored;
   let reference = iterations_csv clean in
-  let full_log = read_file log in
-  let first_5 =
-    String.split_on_char '\n' full_log
-    |> List.filteri (fun i _ -> i < 5)
-    |> String.concat "\n"
-  in
+  let first_5 = String.sub (read_file log) 0 (log_bytes 5) in
   List.iter
     (fun domains ->
       let log_d = tmp_log () in
-      write_file log_d (first_5 ^ "\n");
+      write_file log_d first_5;
       let resumed =
         on_pool domains @@ fun ctx ->
         Lv_multiwalk.Campaign.run ~ctx ~checkpoint:log_d ~label:"ck" ~seed:400
@@ -526,11 +607,11 @@ let test_checkpoint_resume_byte_identical () =
     [ 1; 4 ];
   Sys.remove log
 
-let test_checkpoint_resume_after_torn_line () =
-  (* A crash mid-append leaves a torn final line, or a final entry whose
-     newline never reached the file.  Resuming must append after what
-     [load] keeps, so that the completed log loads whole and a second
-     resume restores every run. *)
+let test_checkpoint_resume_after_torn_record () =
+  (* A crash mid-append leaves a torn final record, and a crash as the log
+     is created a torn header.  Resuming must append after what [load]
+     keeps, so that the completed log loads whole and a second resume
+     restores every run. *)
   let runs = 6 in
   let make () = Lv_problems.Queens.pack 12 in
   let log = tmp_log () in
@@ -538,26 +619,24 @@ let test_checkpoint_resume_after_torn_line () =
     Lv_multiwalk.Campaign.run ~checkpoint:log ~label:"torn" ~seed:5 ~runs make
   in
   let reference = iterations_csv clean in
-  let lines =
-    String.split_on_char '\n' (read_file log) |> List.filter (( <> ) "")
-  in
-  let first_3 = String.concat "\n" (List.filteri (fun i _ -> i < 3) lines) in
-  let fourth = List.nth lines 3 in
+  let full = read_file log in
   List.iter
-    (fun (what, text) ->
+    (fun (what, cut, restored) ->
       let log_t = tmp_log () in
-      write_file log_t text;
+      write_file log_t (String.sub full 0 cut);
       let kept = Lv_multiwalk.Checkpoint.load log_t in
       Lv_multiwalk.Checkpoint.with_writer log_t (fun _ -> ());
       Alcotest.(check bool)
         (what ^ ": opening the writer keeps what load reads") true
         (Lv_multiwalk.Checkpoint.load log_t = kept);
+      Alcotest.(check int) (what ^ ": and cuts the torn bytes")
+        (log_bytes restored) (String.length (read_file log_t));
       let resumed =
         Lv_multiwalk.Campaign.run ~checkpoint:log_t ~label:"torn" ~seed:5 ~runs
           make
       in
-      Alcotest.(check int) (what ^ ": restored 3") 3
-        resumed.Lv_multiwalk.Campaign.n_restored;
+      Alcotest.(check int) (Printf.sprintf "%s: restored %d" what restored)
+        restored resumed.Lv_multiwalk.Campaign.n_restored;
       Alcotest.(check string) (what ^ ": byte-identical") reference
         (iterations_csv resumed);
       Alcotest.(check int) (what ^ ": the completed log loads whole") runs
@@ -572,9 +651,10 @@ let test_checkpoint_resume_after_torn_line () =
         (iterations_csv again);
       Sys.remove log_t)
     [
-      ( "torn fourth line",
-        first_3 ^ "\n" ^ String.sub fourth 0 (String.length fourth / 2) );
-      ("third line without its newline", first_3);
+      ("torn fourth record", log_bytes 3 + (record_size / 2), 3);
+      ("one byte of the fourth record", log_bytes 3 + 1, 3);
+      ("torn header", 7, 0);
+      ("empty file", 0, 0);
     ];
   Sys.remove log
 
@@ -658,10 +738,9 @@ let test_checkpoint_complete_log_restores () =
   Alcotest.(check string) "log untouched" bytes (read_file log);
   Sys.remove log
 
-(* Restoring a complete 2000-run log allocates almost nothing per line:
-   each line's fields go through the cursor straight into the columns.
-   The earlier decoder built an entry and a token string per line (about
-   22 words). *)
+(* Restoring a complete 2000-run log allocates almost nothing per record:
+   each record's fields go straight from the file's bytes into the
+   columns. *)
 let test_checkpoint_restore_allocation () =
   let runs = 2000 and seed = 900 in
   let path = tmp_log () in
@@ -681,130 +760,341 @@ let test_checkpoint_restore_allocation () =
   Alcotest.(check bool) "every run restored" true
     (foreign = None && Array.for_all Fun.id cols.restored);
   Alcotest.(check bool)
-    (Printf.sprintf "%.2f minor words per line (at most 4)" (words /. float_of_int runs))
+    (Printf.sprintf "%.3f minor words per record (under 0.1)"
+       (words /. float_of_int runs))
     true
-    (words <= 4. *. float_of_int runs)
+    (words < 0.1 *. float_of_int runs)
 
 let test_checkpoint_unusable_raises_first () =
-  (* A log corrupt before its last line, or one from another campaign, is
-     rejected before any run executes: no instance is built and the file
-     is not touched. *)
+  (* A damaged log, one from another campaign or from an earlier version,
+     and a path that is not a regular file are rejected before any run
+     executes: no instance is built and nothing is touched. *)
   let built = Atomic.make 0 in
   let make () =
     Atomic.incr built;
     Lv_problems.Queens.pack 10
   in
+  let entry =
+    { Lv_multiwalk.Checkpoint.run = 0; seed = 700; iterations = 5; seconds = 0.5;
+      solved = true }
+  in
+  let rejected what log ~names =
+    match
+      Lv_multiwalk.Campaign.run ~checkpoint:log ~label:"u" ~seed:700 ~runs:4 make
+    with
+    | _ -> Alcotest.failf "%s: log accepted" what
+    | exception Lv_multiwalk.Campaign.Unusable_checkpoint msg ->
+      Alcotest.(check bool) (what ^ ": message names the file") true
+        (contains msg log);
+      Alcotest.(check bool) (what ^ ": message names " ^ names) true
+        (contains msg names);
+      Alcotest.(check int) (what ^ ": no instance built") 0 (Atomic.get built)
+  in
   List.iter
-    (fun (what, text) ->
+    (fun (what, text, names) ->
       let log = tmp_log () in
       write_file log text;
-      (match
-         Lv_multiwalk.Campaign.run ~checkpoint:log ~label:"u" ~seed:700 ~runs:4
-           make
-       with
-      | _ -> Alcotest.failf "%s: log accepted" what
-      | exception Lv_multiwalk.Campaign.Unusable_checkpoint msg ->
-        let n = String.length log in
-        Alcotest.(check bool) (what ^ ": message names the file") true
-          (List.exists
-             (fun i -> String.sub msg i n = log)
-             (List.init (max 0 (String.length msg - n + 1)) Fun.id)));
-      Alcotest.(check int) (what ^ ": no instance built") 0 (Atomic.get built);
+      rejected what log ~names;
       Alcotest.(check string) (what ^ ": log untouched") text (read_file log);
       Sys.remove log)
     [
-      ( "garbage first line",
-        "garbage\n"
-        ^ {|{"run":0,"seed":700,"iterations":5,"seconds":0.5,"solved":true}|}
-        ^ "\n" );
-      ( "foreign seed",
-        {|{"run":0,"seed":1,"iterations":5,"seconds":0.5,"solved":true}|} ^ "\n"
-      );
-    ]
-
-(* The generic decode the checkpoint used before its direct line decoder:
-   a [Json.t] tree, then field lookup.  Kept as the reference that every
-   line the direct decoder accepts must agree with. *)
-let generic_decode line =
-  let open Lv_telemetry in
-  match Json.of_string line with
-  | exception Json.Parse_error _ -> None
-  | j -> (
-    let get name conv = Option.bind (Json.member name j) conv in
-    match
-      ( get "run" Json.to_int,
-        get "seed" Json.to_int,
-        get "iterations" Json.to_int,
-        get "seconds" Json.to_float,
-        get "solved" Json.to_bool )
-    with
-    | Some run, Some seed, Some iterations, Some seconds, Some solved ->
-      Some { Lv_multiwalk.Checkpoint.run; seed; iterations; seconds; solved }
-    | _ -> None)
-
-let same_entry (a : Lv_multiwalk.Checkpoint.entry)
-    (b : Lv_multiwalk.Checkpoint.entry) =
-  a.run = b.run && a.seed = b.seed && a.iterations = b.iterations
-  && Int64.equal (Int64.bits_of_float a.seconds) (Int64.bits_of_float b.seconds)
-  && a.solved = b.solved
-
-let load_text text =
-  let path = tmp_log () in
-  write_file path text;
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () -> Lv_multiwalk.Checkpoint.load path)
-
-(* The direct decoder on one line: a lone line that does not decode is a
-   torn final line, which [load] drops. *)
-let direct_decode line =
-  match load_text (line ^ "\n") with
-  | [ e ] -> Some e
-  | [] -> None
-  | _ -> Alcotest.fail "one line decoded to several entries"
-
-let lines_of_entries entries =
-  let path = tmp_log () in
-  Lv_multiwalk.Checkpoint.with_writer path (fun w ->
-      List.iter (Lv_multiwalk.Checkpoint.append w) entries);
-  let text = read_file path in
-  Sys.remove path;
-  List.filter (fun l -> l <> "") (String.split_on_char '\n' text)
-
-let good_line =
-  {|{"run":3,"seed":103,"iterations":1,"seconds":0.5,"solved":true}|}
+      ("garbage header", "garbage\n" ^ encode [ entry ], "bad magic");
+      ( "JSON Lines log",
+        {|{"run":0,"seed":700,"iterations":5,"seconds":0.5,"solved":true}|} ^ "\n",
+        "JSON Lines" );
+      ( "damaged first record",
+        flip_bit (encode [ entry; { entry with run = 1; seed = 701 } ])
+          ~at:(log_bytes 0 + 17) ~bit:0,
+        "record 0" );
+      ("foreign seed", encode [ { entry with seed = 1 } ], "different campaign");
+    ];
+  let dir = tmp_log () in
+  Unix.mkdir dir 0o700;
+  rejected "a directory" dir ~names:"not a regular file";
+  Unix.rmdir dir;
+  (* A character device may never end; it is refused before it is read. *)
+  if Sys.file_exists "/dev/null" then
+    rejected "a device" "/dev/null" ~names:"not a regular file"
 
 let test_checkpoint_decoder_strict () =
-  (match direct_decode {|{"run":3,"seed":103,"iterations":1,"seconds":0,"solved":true}|} with
-  | Some e ->
-    Alcotest.(check bool) "int-shaped seconds read as 0." true
-      (Int64.equal (Int64.bits_of_float e.seconds) 0L)
-  | None -> Alcotest.fail {|"seconds":0 rejected|});
-  Alcotest.(check int) "empty lines skipped" 2
-    (List.length (load_text (good_line ^ "\n\n" ^ good_line ^ "\n")));
-  List.iter
-    (fun (what, bad) ->
-      Alcotest.(check int) (what ^ ": dropped as a torn last line") 1
-        (List.length (load_text (good_line ^ "\n" ^ bad ^ "\n")));
-      match load_text (good_line ^ "\n" ^ bad ^ "\n" ^ good_line ^ "\n") with
-      | _ -> Alcotest.failf "%s: bad line 2 loaded" what
-      | exception Failure msg ->
-        Alcotest.(check bool) (what ^ ": names line 2") true
-          (contains msg ":2: "))
-    [
-      ("null seconds", {|{"run":3,"seed":103,"iterations":1,"seconds":null,"solved":true}|});
-      ("null run", {|{"run":null,"seed":103,"iterations":1,"seconds":0.5,"solved":true}|});
-      ("reordered keys", {|{"seed":103,"run":3,"iterations":1,"seconds":0.5,"solved":true}|});
-      ("trailing garbage", good_line ^ "x");
-      ("trailing space", good_line ^ " ");
-      ("space after colon", {|{"run": 3,"seed":103,"iterations":1,"seconds":0.5,"solved":true}|});
-      ("leading plus", {|{"run":+3,"seed":103,"iterations":1,"seconds":0.5,"solved":true}|});
-      ("float run", {|{"run":3.0,"seed":103,"iterations":1,"seconds":0.5,"solved":true}|});
-      ("int overflow", {|{"run":3,"seed":103,"iterations":4611686018427387904,"seconds":0.5,"solved":true}|});
-      ("missing field", {|{"run":3,"seed":103,"iterations":1,"seconds":0.5}|});
-      ("extra field", {|{"run":3,"seed":103,"iterations":1,"seconds":0.5,"solved":true,"x":1}|});
-      ("torn", {|{"run":3,"se|});
-    ]
+  let e =
+    { Lv_multiwalk.Checkpoint.run = 3; seed = 103; iterations = 1; seconds = 0.5;
+      solved = true }
+  in
+  let good = encode [ e; e ] in
+  let fails what text ~names =
+    match load_text text with
+    | _ -> Alcotest.failf "%s: loaded" what
+    | exception Failure msg ->
+      Alcotest.(check bool) (what ^ ": names " ^ names) true (contains msg names)
+  in
+  Alcotest.(check int) "a header alone is an empty log" 0
+    (List.length (load_text header));
+  for cut = 0 to String.length header - 1 do
+    Alcotest.(check int) (Printf.sprintf "header torn at %d: empty" cut) 0
+      (List.length (load_text (String.sub header 0 cut)))
+  done;
+  for tail = 1 to record_size - 1 do
+    Alcotest.(check int) (Printf.sprintf "torn tail of %d bytes dropped" tail) 2
+      (List.length (load_text (good ^ String.sub good (log_bytes 0) tail)))
+  done;
+  (* Every one-bit change of a record fails its check, in every field and
+     in the check itself. *)
+  for bit = 0 to (8 * record_size) - 1 do
+    let at = log_bytes 1 + (bit / 8) in
+    fails (Printf.sprintf "bit %d of the last record" bit)
+      (flip_bit good ~at ~bit:(bit mod 8)) ~names:"record 1 fails its check"
+  done;
+  for bit = 0 to (8 * String.length header) - 1 do
+    fails (Printf.sprintf "bit %d of the header" bit)
+      (flip_bit good ~at:(bit / 8) ~bit:(bit mod 8))
+      ~names:(if bit < 64 then "bad magic" else "version")
+  done;
+  fails "unknown flags" (header ^ encode_record ~flags:2 e) ~names:"record 0 has unknown flags";
+  fails "torn header of another file" "LVRUNLOX" ~names:"bad magic";
+  fails "JSON Lines" {|{"run":3,"se|} ~names:"JSON Lines"
+
+(* Random entries, with the values a float field can hold at its edges. *)
+let entry_gen ?(run = QCheck.Gen.int) ?(seed = fun _ -> QCheck.Gen.int) () =
+  let open QCheck.Gen in
+  let any_int = frequency [ (4, int); (1, oneofl [ 0; max_int; min_int ]) ] in
+  let seconds =
+    frequency
+      [
+        ( 1,
+          oneofl
+            [ 0.; -0.; 4.9e-324; 2.2250738585072009e-308; 1e300; max_float; nan;
+              infinity ] );
+        (1, map (fun m -> Float.ldexp m (-1050)) (float_range 0.5 1.));
+        (3, float_range 0. 10.);
+        (1, map (fun x -> 1. /. x) (float_range 1. 1e9));
+      ]
+  in
+  run >>= fun run ->
+  map
+    (fun (seed, iterations, seconds, solved) ->
+      { Lv_multiwalk.Checkpoint.run; seed; iterations; seconds; solved })
+    (quad (seed run) (frequency [ (3, int_range 0 1_000_000); (1, any_int) ]) seconds bool)
+
+let print_entry (e : Lv_multiwalk.Checkpoint.entry) =
+  Printf.sprintf "{run=%d; seed=%d; iterations=%d; seconds=%h; solved=%b}" e.run
+    e.seed e.iterations e.seconds e.solved
+
+(* A log as a crash or damage may leave it: records (some with unknown
+   flags), then up to two flipped bits anywhere and a cut anywhere. *)
+let damaged_log_gen entry =
+  let open QCheck.Gen in
+  let record =
+    frequency
+      [ (12, map encode_record entry); (1, map (encode_record ~flags:2) entry) ]
+  in
+  map
+    (fun (records, flips, cut) ->
+      let text = header ^ String.concat "" records in
+      let text =
+        List.fold_left
+          (fun t (at, bit) -> flip_bit t ~at:(at mod String.length t) ~bit)
+          text flips
+      in
+      match cut with
+      | Some k -> String.sub text 0 (k mod (String.length text + 1))
+      | None -> text)
+    (triple
+       (list_size (int_range 0 12) record)
+       (frequency
+          [ (4, return []); (1, list_size (int_range 1 2) (pair nat (int_range 0 7))) ])
+       (opt nat))
+
+let checkpoint_props =
+  let open QCheck in
+  [
+    Test.make ~name:"checkpoint append/load round-trip, gets every bit back"
+      ~count:200
+      (make ~print:(Print.list print_entry)
+         Gen.(list_size (int_range 1 20) (entry_gen ())))
+      (fun entries ->
+        let path = tmp_log () in
+        write_entries path entries;
+        let loaded = Lv_multiwalk.Checkpoint.load path in
+        let text = read_file path in
+        Sys.remove path;
+        String.equal text (encode entries)
+        && List.length loaded = List.length entries
+        && List.for_all2 same_entry loaded entries);
+    (* Random byte edits of a written log: whatever [load] accepts is what
+       was written, byte for byte. *)
+    Test.make ~name:"checkpoint decoder accepts only what its check vouches for"
+      ~count:500
+      (make
+         ~print:(fun (entries, edits) ->
+           Printf.sprintf "%s with edits %s"
+             (Print.list print_entry entries)
+             (Print.list (Print.pair Print.int Print.char) edits))
+         Gen.(
+           pair
+             (list_size (int_range 1 8) (entry_gen ()))
+             (list_size (int_range 1 3) (pair nat char))))
+      (fun (entries, edits) ->
+        let written = encode entries in
+        let text =
+          List.fold_left
+            (fun t (at, c) ->
+              let at = at mod String.length t in
+              String.mapi (fun i x -> if i = at then c else x) t)
+            written edits
+        in
+        match load_text text with
+        | loaded -> String.equal (encode loaded) text && String.equal text written
+        | exception Failure _ -> not (String.equal text written));
+    Test.make
+      ~name:"whole-file decoder agrees with the literal record-at-a-time reader"
+      ~count:500
+      (make ~print:(Printf.sprintf "%S") (damaged_log_gen (entry_gen ())))
+      (fun text ->
+        let path = tmp_log () in
+        write_file path text;
+        let outcome load =
+          match load path with
+          | entries -> Ok entries
+          | exception Failure msg -> Error msg
+        in
+        let whole = outcome Lv_multiwalk.Checkpoint.load
+        and reference = outcome reference_load in
+        Sys.remove path;
+        match (whole, reference) with
+        | Ok a, Ok b -> List.length a = List.length b && List.for_all2 same_entry a b
+        | Error a, Error b -> String.equal a b
+        | _ -> false);
+  ]
+
+(* The column restore against the record-at-a-time reader, on logs as a
+   resumed campaign may meet them: duplicates, runs outside the campaign,
+   foreign seeds, damaged records anywhere and a torn tail.  Either all
+   three fail with the same [Failure] text, or [load] gives the
+   reference's entries and the columns hold each in-range run's last
+   entry, with the first in-range foreign entry reported. *)
+let restore_prop =
+  let open QCheck in
+  let runs = 8 and seed = 50 in
+  let entry =
+    entry_gen
+      ~run:(Gen.int_range (-2) (runs + 1))
+      ~seed:(fun run ->
+        Gen.frequency [ (12, Gen.return (seed + run)); (1, Gen.return (seed + run + 1)) ])
+      ()
+  in
+  Test.make ~name:"column restore agrees with the record-at-a-time reader"
+    ~count:500
+    (make ~print:(Printf.sprintf "%S") (damaged_log_gen entry))
+    (fun text ->
+      let path = tmp_log () in
+      write_file path text;
+      let outcome f = match f () with v -> Ok v | exception Failure msg -> Error msg in
+      let reference = outcome (fun () -> reference_load path)
+      and loaded = outcome (fun () -> Lv_multiwalk.Checkpoint.load path)
+      and restored =
+        outcome (fun () ->
+            let cols = Lv_multiwalk.Checkpoint.columns ~runs in
+            let foreign = Lv_multiwalk.Checkpoint.restore path ~seed cols in
+            (cols, foreign))
+      in
+      Sys.remove path;
+      match (reference, loaded, restored) with
+      | Ok entries, Ok l, Ok ((cols : Lv_multiwalk.Checkpoint.columns), foreign) ->
+        let in_range (e : Lv_multiwalk.Checkpoint.entry) = e.run >= 0 && e.run < runs in
+        let last r =
+          List.find_opt (fun (e : Lv_multiwalk.Checkpoint.entry) -> e.run = r)
+            (List.rev entries)
+        in
+        List.length l = List.length entries
+        && List.for_all2 same_entry l entries
+        && foreign
+           = Option.map
+               (fun (e : Lv_multiwalk.Checkpoint.entry) -> (e.run, e.seed))
+               (List.find_opt (fun e -> in_range e && e.seed <> seed + e.run) entries)
+        && List.for_all
+             (fun r ->
+               match last r with
+               | None -> not cols.restored.(r)
+               | Some e ->
+                 cols.restored.(r)
+                 && cols.iterations.(r) = e.iterations
+                 && Int64.equal
+                      (Int64.bits_of_float cols.seconds.(r))
+                      (Int64.bits_of_float e.seconds)
+                 && cols.solved.(r) = e.solved)
+             (List.init runs Fun.id)
+      | Error a, Error b, Error c -> String.equal a b && String.equal a c
+      | _ -> false)
+
+(* A campaign resumed from every prefix of a complete log (written on two
+   domains, so not in run order) returns what the uninterrupted campaign
+   returned: the same runs, iterations dataset and censoring, with the
+   seconds of every restored run as logged.  A run's iterations come from
+   its seeded generator and its seconds from a counter, so a re-executed
+   run gets new seconds.  Both datasets must equal the projection of the
+   observations the earlier two-step assembly made. *)
+let test_checkpoint_resume_any_prefix () =
+  let runs = 24 and seed = 300 and label = "prefix" in
+  let tick = Atomic.make 0 in
+  let runner () rng =
+    let iterations = 1 + Lv_stats.Rng.int rng 1000 in
+    let t = Atomic.fetch_and_add tick 1 in
+    { Lv_multiwalk.Run.iterations; seconds = float_of_int (t + 1) /. 7e3;
+      solved = iterations mod 5 <> 0 }
+  in
+  let campaign ?ctx log =
+    Lv_multiwalk.Campaign.run_fn ?ctx ~checkpoint:log ~label ~seed ~runs runner
+  in
+  let projected (c : Lv_multiwalk.Campaign.result) =
+    let p metric = Lv_multiwalk.Dataset.of_observations ~label ~metric c.observations in
+    c.iterations = p `Iterations && c.seconds = p `Seconds
+  in
+  let full_log = tmp_log () in
+  let full = on_pool 2 (fun ctx -> campaign ~ctx full_log) in
+  Alcotest.(check bool) "some runs censored" true (full.n_censored > 0);
+  Alcotest.(check bool) "datasets are the projection" true (projected full);
+  let text = read_file full_log in
+  Alcotest.(check int) "complete log" (log_bytes runs) (String.length text);
+  let order =
+    List.map (fun (e : Lv_multiwalk.Checkpoint.entry) -> e.run)
+      (Lv_multiwalk.Checkpoint.load full_log)
+  in
+  for k = 0 to runs do
+    let log = tmp_log () in
+    write_file log (String.sub text 0 (log_bytes k));
+    let restored = List.filteri (fun i _ -> i < k) order in
+    let resumed =
+      if k mod 2 = 0 then campaign log else on_pool 2 (fun ctx -> campaign ~ctx log)
+    in
+    let what = Printf.sprintf "prefix %d" k in
+    Alcotest.(check int) (what ^ ": n_restored") k resumed.n_restored;
+    Alcotest.(check int) (what ^ ": n_censored") full.n_censored resumed.n_censored;
+    Alcotest.(check bool) (what ^ ": iterations dataset") true
+      (resumed.iterations = full.iterations);
+    Alcotest.(check bool) (what ^ ": datasets are the projection") true (projected resumed);
+    List.iteri
+      (fun r ((a : Lv_multiwalk.Run.observation), (b : Lv_multiwalk.Run.observation)) ->
+        Alcotest.(check bool) (Printf.sprintf "%s: run %d" what r) true
+          (a.iterations = b.iterations && a.solved = b.solved
+          && ((not (List.mem r restored)) || Float.equal a.seconds b.seconds)))
+      (List.combine resumed.observations full.observations);
+    (* The log is now complete: a rerun restores every run and returns the
+       resumed result exactly. *)
+    let again = campaign log in
+    Alcotest.(check int) (what ^ ": rerun restores all") runs again.n_restored;
+    Alcotest.(check bool) (what ^ ": rerun equals the resumed run") true
+      (again.observations = resumed.observations
+      && again.iterations = resumed.iterations
+      && again.seconds = resumed.seconds
+      && again.n_censored = resumed.n_censored);
+    Sys.remove log
+  done;
+  let again = campaign full_log in
+  Alcotest.(check bool) "the complete log restores the uninterrupted run" true
+    (again.observations = full.observations && again.iterations = full.iterations
+    && again.seconds = full.seconds && again.n_restored = runs);
+  Sys.remove full_log
 
 (* ------------------------------------------------------------------ *)
 (* Sim                                                                 *)
@@ -921,438 +1211,6 @@ let test_race_validation () =
         (Lv_multiwalk.Race.wall_clock ~seed:1 ~walkers:0 (fun () ->
              Lv_problems.Queens.pack 10)))
 
-(* The line-by-line [Checkpoint.load] that the whole-file decoder
-   replaced, kept verbatim (bar names) as the reference: every file must
-   give the same entries or the same [Failure] text under both. *)
-module Line_by_line = struct
-  open Lv_multiwalk.Checkpoint
-
-  exception Malformed of string
-
-  type cursor = { line : string; mutable pos : int }
-
-  let malformed at what =
-    raise (Malformed (Printf.sprintf "expected %s at offset %d" what at))
-
-  let rec matches_from line pos lit j =
-    j = String.length lit
-    || String.unsafe_get line (pos + j) = String.unsafe_get lit j
-       && matches_from line pos lit (j + 1)
-
-  let looking_at c lit =
-    c.pos + String.length lit <= String.length c.line
-    && matches_from c.line c.pos lit 0
-
-  let literal c lit =
-    if looking_at c lit then c.pos <- c.pos + String.length lit
-    else malformed c.pos lit
-
-  let number_token c =
-    let n = String.length c.line and start = c.pos in
-    (match if start < n then c.line.[start] else ' ' with
-    | '-' | '0' .. '9' -> ()
-    | _ -> malformed start "a number");
-    while
-      c.pos < n
-      &&
-      match String.unsafe_get c.line c.pos with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    do
-      c.pos <- c.pos + 1
-    done;
-    String.sub c.line start (c.pos - start)
-
-  let int_of_token tok =
-    if String.exists (fun ch -> ch = '.' || ch = 'e' || ch = 'E') tok then None
-    else int_of_string_opt tok
-
-  let int_field c key =
-    literal c key;
-    let start = c.pos in
-    match int_of_token (number_token c) with
-    | Some i -> i
-    | None -> malformed start "an integer"
-
-  let float_field c key =
-    literal c key;
-    let start = c.pos in
-    let tok = number_token c in
-    match int_of_token tok with
-    | Some i -> float_of_int i
-    | None -> (
-      match float_of_string_opt tok with
-      | Some f -> f
-      | None -> malformed start "a number")
-
-  let bool_field c key =
-    literal c key;
-    if looking_at c "true" then (c.pos <- c.pos + 4; true)
-    else if looking_at c "false" then (c.pos <- c.pos + 5; false)
-    else malformed c.pos "true or false"
-
-  let of_line line =
-    let c = { line; pos = 0 } in
-    let run = int_field c "{\"run\":" in
-    let seed = int_field c ",\"seed\":" in
-    let iterations = int_field c ",\"iterations\":" in
-    let seconds = float_field c ",\"seconds\":" in
-    let solved = bool_field c ",\"solved\":" in
-    literal c "}";
-    if c.pos <> String.length line then malformed c.pos "end of line";
-    { run; seed; iterations; seconds; solved }
-
-  let load path =
-    match open_in path with
-    | exception Sys_error _ -> []
-    | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let rec loop lineno entries torn =
-            match input_line ic with
-            | exception End_of_file -> List.rev entries
-            | "" -> loop (lineno + 1) entries torn
-            | line -> (
-              (match torn with
-              | Some (n, msg) ->
-                failwith (Printf.sprintf "Checkpoint.load: %s:%d: %s" path n msg)
-              | None -> ());
-              match of_line line with
-              | e -> loop (lineno + 1) (e :: entries) None
-              | exception Malformed msg ->
-                loop (lineno + 1) entries (Some (lineno, msg)))
-          in
-          loop 1 [] None)
-end
-
-(* Delete ([op = 0]), insert ([1]) or overwrite ([2]) one character. *)
-let edit_line line (op, at, ch) =
-  let n = String.length line in
-  match op with
-  | 0 when n > 0 ->
-    let at = at mod n in
-    String.sub line 0 at ^ String.sub line (at + 1) (n - at - 1)
-  | 1 ->
-    let at = at mod (n + 1) in
-    String.sub line 0 at ^ String.make 1 ch ^ String.sub line at (n - at)
-  | _ when n > 0 ->
-    let at = at mod n in
-    String.mapi (fun i c -> if i = at then ch else c) line
-  | _ -> line
-
-(* The [seconds] token of a written line, read by [Json.read_float] in
-   place, has the bits [float_of_string] gives it. *)
-let seconds_token_reads_like_library line =
-  let key = {|"seconds":|} in
-  let rec find i = if String.sub line i (String.length key) = key then i else find (i + 1) in
-  let pos = find 0 + String.length key in
-  let stop = String.index_from line pos ',' in
-  let dst = [| nan |] in
-  Lv_telemetry.Json.read_float dst line pos stop
-  && Int64.equal
-       (Int64.bits_of_float dst.(0))
-       (Int64.bits_of_float (float_of_string (String.sub line pos (stop - pos))))
-
-let checkpoint_props =
-  let open QCheck in
-  let entry_gen =
-    let open Gen in
-    let any_int = frequency [ (4, int); (1, oneofl [ 0; max_int; min_int ]) ] in
-    let seconds =
-      frequency
-        [
-          (1, oneofl [ 0.; -0.; 4.9e-324; 2.2250738585072009e-308; 1e300; max_float ]);
-          (1, map (fun m -> Float.ldexp m (-1050)) (float_range 0.5 1.));
-          (3, float_range 0. 10.);
-          (1, map (fun x -> 1. /. x) (float_range 1. 1e9));
-        ]
-    in
-    map
-      (fun (run, seed, iterations, seconds, solved) ->
-        { Lv_multiwalk.Checkpoint.run; seed; iterations; seconds; solved })
-      (tup5 any_int any_int
-         (frequency [ (3, int_range 0 1_000_000); (1, any_int) ])
-         seconds bool)
-  in
-  let print_entry (e : Lv_multiwalk.Checkpoint.entry) =
-    Printf.sprintf "{run=%d; seed=%d; iterations=%d; seconds=%h; solved=%b}"
-      e.run e.seed e.iterations e.seconds e.solved
-  in
-  [
-    Test.make ~name:"checkpoint append/load round-trip, generic decode agrees"
-      ~count:200
-      (make ~print:(Print.list print_entry) Gen.(list_size (int_range 1 20) entry_gen))
-      (fun entries ->
-        let path = tmp_log () in
-        Lv_multiwalk.Checkpoint.with_writer path (fun w ->
-            List.iter (Lv_multiwalk.Checkpoint.append w) entries);
-        let loaded = Lv_multiwalk.Checkpoint.load path in
-        let lines =
-          List.filter (fun l -> l <> "") (String.split_on_char '\n' (read_file path))
-        in
-        Sys.remove path;
-        List.length loaded = List.length entries
-        && List.for_all2 same_entry loaded entries
-        && List.for_all2
-             (fun line e ->
-               match generic_decode line with
-               | Some g -> same_entry g e
-               | None -> false)
-             lines loaded
-        && List.for_all seconds_token_reads_like_library lines);
-    (* Random edits of written lines: whatever the direct decoder accepts,
-       the generic decode accepts with the same entry. *)
-    Test.make ~name:"checkpoint decoder accepts only what generic decode agrees on"
-      ~count:500
-      (make
-         ~print:(fun (e, edits) ->
-           Printf.sprintf "%s with %d edits" (print_entry e) (List.length edits))
-         Gen.(
-           pair entry_gen
-             (list_size (int_range 1 3)
-                (triple (int_range 0 2) nat
-                   (oneofl (String.to_seq {|{}":,.-+eE0123456789 tfalsnu|} |> List.of_seq))))))
-      (fun (e, edits) ->
-        let line =
-          List.fold_left
-            (fun line (op, at, ch) ->
-              let n = String.length line in
-              match op with
-              | 0 when n > 0 ->
-                let at = at mod n in
-                String.sub line 0 at ^ String.sub line (at + 1) (n - at - 1)
-              | 1 ->
-                let at = at mod (n + 1) in
-                String.sub line 0 at ^ String.make 1 ch ^ String.sub line at (n - at)
-              | _ when n > 0 ->
-                let at = at mod n in
-                String.mapi (fun i c -> if i = at then ch else c) line
-              | _ -> line)
-            (List.hd (lines_of_entries [ e ]))
-            edits
-        in
-        match direct_decode line with
-        | None -> true
-        | Some d -> (
-          match generic_decode line with Some g -> same_entry d g | None -> false));
-    (* Whole files mixing valid, empty, corrupt and CRLF-terminated lines,
-       with or without a trailing newline, possibly torn anywhere. *)
-    Test.make ~name:"whole-file decoder agrees with the line-by-line load"
-      ~count:500
-      (make
-         ~print:(fun (lines, trailing, tear) ->
-           Printf.sprintf "%S trailing=%b tear=%s" (String.concat "\n" lines) trailing
-             (match tear with Some k -> string_of_int k | None -> "none"))
-         Gen.(
-           let edit =
-             triple (int_range 0 2) nat
-               (oneofl (String.to_seq ({|{}":,.-+eE0123456789 tfalsnu|} ^ "\r") |> List.of_seq))
-           in
-           let line =
-             frequency
-               [
-                 (6, map (fun e -> List.hd (lines_of_entries [ e ])) entry_gen);
-                 (1, return "");
-                 (1, map (fun e -> List.hd (lines_of_entries [ e ]) ^ "\r") entry_gen);
-                 ( 2,
-                   map2
-                     (fun e edits ->
-                       List.fold_left edit_line (List.hd (lines_of_entries [ e ])) edits)
-                     entry_gen
-                     (list_size (int_range 1 3) edit) );
-               ]
-           in
-           triple (list_size (int_range 0 12) line) bool (opt nat)))
-      (fun (lines, trailing, tear) ->
-        let text = String.concat "\n" lines ^ if trailing then "\n" else "" in
-        let text =
-          match tear with
-          | Some k -> String.sub text 0 (k mod (String.length text + 1))
-          | None -> text
-        in
-        let path = tmp_log () in
-        write_file path text;
-        let outcome load =
-          match load path with
-          | entries -> Ok entries
-          | exception Failure msg -> Error msg
-        in
-        let whole = outcome Lv_multiwalk.Checkpoint.load
-        and reference = outcome Line_by_line.load in
-        Sys.remove path;
-        match (whole, reference) with
-        | Ok a, Ok b -> List.length a = List.length b && List.for_all2 same_entry a b
-        | Error a, Error b -> String.equal a b
-        | _ -> false);
-  ]
-
-(* The column restore against the line-by-line reference, on logs as a
-   resumed campaign may meet them: duplicates, runs outside the campaign,
-   foreign seeds, int-shaped seconds, empty lines, corrupt lines anywhere
-   and a torn tail.  Either all three decoders fail with the same
-   [Failure] text, or [load] gives the reference's entries and the
-   columns hold each in-range run's last entry, with the first in-range
-   foreign entry reported. *)
-let restore_prop =
-  let open QCheck in
-  let runs = 8 and seed = 50 in
-  let line_gen =
-    let open Gen in
-    let entry =
-      map
-        (fun (run, foreign, iterations, (seconds, int_shaped), solved) ->
-          let seed = if foreign then seed + run + 1 else seed + run in
-          if int_shaped then
-            Printf.sprintf
-              {|{"run":%d,"seed":%d,"iterations":%d,"seconds":%d,"solved":%b}|}
-              run seed iterations (int_of_float seconds) solved
-          else
-            List.hd
-              (lines_of_entries
-                 [ { Lv_multiwalk.Checkpoint.run; seed; iterations; seconds; solved } ]))
-        (tup5 (int_range (-2) (runs + 1))
-           (frequency [ (12, return false); (1, return true) ])
-           (int_range 0 100_000)
-           (frequency
-              [
-                (3, map (fun x -> (x, false)) (float_range 0. 10.));
-                (1, map (fun i -> (float_of_int i, true)) (int_range 0 1000));
-              ])
-           bool)
-    in
-    let edit =
-      triple (int_range 0 2) nat
-        (oneofl (String.to_seq {|{}":,.-+eE0123456789 tfalsnu|} |> List.of_seq))
-    in
-    frequency
-      [
-        (10, entry);
-        (1, return "");
-        (1, map2 (List.fold_left edit_line) entry (list_size (int_range 1 3) edit));
-      ]
-  in
-  Test.make ~name:"column restore agrees with the line-by-line load" ~count:500
-    (make
-       ~print:(fun (lines, trailing, tear) ->
-         Printf.sprintf "%S trailing=%b tear=%s" (String.concat "\n" lines) trailing
-           (match tear with Some k -> string_of_int k | None -> "none"))
-       Gen.(triple (list_size (int_range 0 16) line_gen) bool (opt nat)))
-    (fun (lines, trailing, tear) ->
-      let text = String.concat "\n" lines ^ if trailing then "\n" else "" in
-      let text =
-        match tear with
-        | Some k -> String.sub text 0 (k mod (String.length text + 1))
-        | None -> text
-      in
-      let path = tmp_log () in
-      write_file path text;
-      let outcome f = match f () with v -> Ok v | exception Failure msg -> Error msg in
-      let reference = outcome (fun () -> Line_by_line.load path)
-      and loaded = outcome (fun () -> Lv_multiwalk.Checkpoint.load path)
-      and restored =
-        outcome (fun () ->
-            let cols = Lv_multiwalk.Checkpoint.columns ~runs in
-            let foreign = Lv_multiwalk.Checkpoint.restore path ~seed cols in
-            (cols, foreign))
-      in
-      Sys.remove path;
-      match (reference, loaded, restored) with
-      | Ok entries, Ok l, Ok ((cols : Lv_multiwalk.Checkpoint.columns), foreign) ->
-        let in_range (e : Lv_multiwalk.Checkpoint.entry) = e.run >= 0 && e.run < runs in
-        let last r =
-          List.find_opt (fun (e : Lv_multiwalk.Checkpoint.entry) -> e.run = r)
-            (List.rev entries)
-        in
-        List.length l = List.length entries
-        && List.for_all2 same_entry l entries
-        && foreign
-           = Option.map
-               (fun (e : Lv_multiwalk.Checkpoint.entry) -> (e.run, e.seed))
-               (List.find_opt (fun e -> in_range e && e.seed <> seed + e.run) entries)
-        && List.for_all
-             (fun r ->
-               match last r with
-               | None -> not cols.restored.(r)
-               | Some e ->
-                 cols.restored.(r)
-                 && cols.iterations.(r) = e.iterations
-                 && Int64.equal
-                      (Int64.bits_of_float cols.seconds.(r))
-                      (Int64.bits_of_float e.seconds)
-                 && cols.solved.(r) = e.solved)
-             (List.init runs Fun.id)
-      | Error a, Error b, Error c -> String.equal a b && String.equal a c
-      | _ -> false)
-
-(* A campaign resumed from every prefix of a complete log (written on two
-   domains, so not in run order) returns what the uninterrupted campaign
-   returned: the same runs, iterations dataset and censoring, with the
-   seconds of every restored run as logged.  A run's iterations come from
-   its seeded generator and its seconds from a counter, so a re-executed
-   run gets new seconds.  Both datasets must equal the projection of the
-   observations the earlier two-step assembly made. *)
-let test_checkpoint_resume_any_prefix () =
-  let runs = 24 and seed = 300 and label = "prefix" in
-  let tick = Atomic.make 0 in
-  let runner () rng =
-    let iterations = 1 + Lv_stats.Rng.int rng 1000 in
-    let t = Atomic.fetch_and_add tick 1 in
-    { Lv_multiwalk.Run.iterations; seconds = float_of_int (t + 1) /. 7e3;
-      solved = iterations mod 5 <> 0 }
-  in
-  let campaign ?ctx log =
-    Lv_multiwalk.Campaign.run_fn ?ctx ~checkpoint:log ~label ~seed ~runs runner
-  in
-  let projected (c : Lv_multiwalk.Campaign.result) =
-    let p metric = Lv_multiwalk.Dataset.of_observations ~label ~metric c.observations in
-    c.iterations = p `Iterations && c.seconds = p `Seconds
-  in
-  let full_log = tmp_log () in
-  let full = on_pool 2 (fun ctx -> campaign ~ctx full_log) in
-  Alcotest.(check bool) "some runs censored" true (full.n_censored > 0);
-  Alcotest.(check bool) "datasets are the projection" true (projected full);
-  let lines = String.split_on_char '\n' (read_file full_log) |> List.filter (( <> ) "") in
-  Alcotest.(check int) "complete log" runs (List.length lines);
-  for k = 0 to runs do
-    let prefix = List.filteri (fun i _ -> i < k) lines in
-    let log = tmp_log () in
-    write_file log (String.concat "" (List.map (fun l -> l ^ "\n") prefix));
-    let restored =
-      List.map (fun l -> (Option.get (generic_decode l)).Lv_multiwalk.Checkpoint.run) prefix
-    in
-    let resumed =
-      if k mod 2 = 0 then campaign log else on_pool 2 (fun ctx -> campaign ~ctx log)
-    in
-    let what = Printf.sprintf "prefix %d" k in
-    Alcotest.(check int) (what ^ ": n_restored") k resumed.n_restored;
-    Alcotest.(check int) (what ^ ": n_censored") full.n_censored resumed.n_censored;
-    Alcotest.(check bool) (what ^ ": iterations dataset") true
-      (resumed.iterations = full.iterations);
-    Alcotest.(check bool) (what ^ ": datasets are the projection") true (projected resumed);
-    List.iteri
-      (fun r ((a : Lv_multiwalk.Run.observation), (b : Lv_multiwalk.Run.observation)) ->
-        Alcotest.(check bool) (Printf.sprintf "%s: run %d" what r) true
-          (a.iterations = b.iterations && a.solved = b.solved
-          && ((not (List.mem r restored)) || Float.equal a.seconds b.seconds)))
-      (List.combine resumed.observations full.observations);
-    (* The log is now complete: a rerun restores every run and returns the
-       resumed result exactly. *)
-    let again = campaign log in
-    Alcotest.(check int) (what ^ ": rerun restores all") runs again.n_restored;
-    Alcotest.(check bool) (what ^ ": rerun equals the resumed run") true
-      (again.observations = resumed.observations
-      && again.iterations = resumed.iterations
-      && again.seconds = resumed.seconds
-      && again.n_censored = resumed.n_censored);
-    Sys.remove log
-  done;
-  let again = campaign full_log in
-  Alcotest.(check bool) "the complete log restores the uninterrupted run" true
-    (again.observations = full.observations && again.iterations = full.iterations
-    && again.seconds = full.seconds && again.n_restored = runs);
-  Sys.remove full_log
-
 (* ------------------------------------------------------------------ *)
 (* qcheck properties                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -1428,8 +1286,8 @@ let () =
             test_checkpoint_observation_roundtrip;
           Alcotest.test_case "resume byte-identical" `Quick
             test_checkpoint_resume_byte_identical;
-          Alcotest.test_case "resume after a torn final line" `Quick
-            test_checkpoint_resume_after_torn_line;
+          Alcotest.test_case "resume after a torn final record" `Quick
+            test_checkpoint_resume_after_torn_record;
           Alcotest.test_case "survives runner crash" `Quick
             test_checkpoint_survives_runner_crash;
           Alcotest.test_case "seed mismatch rejected" `Quick
@@ -1442,7 +1300,7 @@ let () =
             test_checkpoint_decoder_strict;
           Alcotest.test_case "resume from any prefix" `Quick
             test_checkpoint_resume_any_prefix;
-          Alcotest.test_case "restore allocation per line" `Quick
+          Alcotest.test_case "restore allocation per record" `Quick
             test_checkpoint_restore_allocation;
         ]
         @ List.map QCheck_alcotest.to_alcotest (checkpoint_props @ [ restore_prop ]) );

@@ -357,216 +357,6 @@ let test_fit_emits_candidate_spans () =
   Alcotest.(check bool) "fit result unaffected" true (report.Lv_core.Fit.fits <> [])
 
 (* ------------------------------------------------------------------ *)
-(* Json.read_float                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let bits = Int64.bits_of_float
-
-(* The reader on [tok], also placed inside a longer string, against
-   [float_of_string_opt]: the same verdict and the same bits. *)
-let reads_like_library tok =
-  let dst = [| nan |] in
-  let read s pos stop = if Json.read_float dst s pos stop then Some dst.(0) else None in
-  let same a b =
-    match (a, b) with
-    | None, None -> true
-    | Some x, Some y -> Int64.equal (bits x) (bits y)
-    | _ -> false
-  in
-  let expected = float_of_string_opt tok in
-  same expected (read tok 0 (String.length tok))
-  && same expected (read ("x:" ^ tok ^ ",") 2 (2 + String.length tok))
-
-let test_read_float_edges () =
-  let digits n = String.init n (fun i -> Char.chr (48 + ((i * 7) + 3) mod 10)) in
-  let edges =
-    [ "0"; "-0"; "-0.0"; "0.0"; "1."; "-.5"; "00.5"; ".5"; "1e"; "1e+"; "1e-";
-      "."; "-"; "-."; "e5"; ".e5"; "+1"; "--1"; "1e5.5"; "1.2.3"; "1-2"; "1e+-5";
-      "9007199254740993"; "9007199254740992"; "9007199254740991";
-      "1e23"; "8.98846567431158e307"; "2.2250738585072011e-308";
-      "2.2250738585072014e-308"; "4.9406564584124654e-324";
-      "1.7976931348623157e308"; "1.7976931348623158e308";
-      "1.7976931348623159e308"; "9999999999999999999"; "1e-342";
-      "1e-343"; "1e308"; "1e309"; "10e308"; "1234567890123456789e-343";
-      "1234567890123456789e-342"; "12e-344"; "0e999999999"; "1e000000001";
-      "0.1"; "0.3"; "1E+05"; "123456789012345678"; "1234567890123456789";
-      "0.00012345678901234567"; "7.2057594037927933e16"; "5e-324"; "1e-400" ]
-    @ List.concat_map
-        (fun n -> [ digits n; "0." ^ digits n; digits n ^ "e-300"; "-" ^ digits n ^ "e22" ])
-        [ 17; 18; 19; 20; 21; 22; 23; 24; 25 ]
-  in
-  List.iter
-    (fun tok ->
-      Alcotest.(check bool) (Printf.sprintf "%S reads as float_of_string" tok) true
-        (reads_like_library tok))
-    edges
-
-(* Natural numbers as little-endian arrays of 24-bit limbs: exact
-   arithmetic for checking the power table. *)
-module Nat = struct
-  let limb = 24
-  let mask = (1 lsl limb) - 1
-
-  let trim a =
-    let n = ref (Array.length a) in
-    while !n > 0 && a.(!n - 1) = 0 do decr n done;
-    Array.sub a 0 !n
-
-  let of_int n =
-    trim (Array.init 3 (fun i -> (n lsr (limb * i)) land mask))
-
-  (* [x] read as unsigned. *)
-  let of_int64 x =
-    trim
-      (Array.init 3 (fun i ->
-           Int64.to_int (Int64.logand (Int64.shift_right_logical x (limb * i)) 0xFFFFFFL)))
-
-  let add a b =
-    let n = max (Array.length a) (Array.length b) + 1 in
-    let r = Array.make n 0 and carry = ref 0 in
-    for i = 0 to n - 1 do
-      let get x = if i < Array.length x then x.(i) else 0 in
-      let v = get a + get b + !carry in
-      r.(i) <- v land mask;
-      carry := v lsr limb
-    done;
-    trim r
-
-  let mul a b =
-    let r = Array.make (Array.length a + Array.length b + 1) 0 in
-    Array.iteri
-      (fun i x ->
-        let carry = ref 0 in
-        Array.iteri
-          (fun j y ->
-            let v = r.(i + j) + (x * y) + !carry in
-            r.(i + j) <- v land mask;
-            carry := v lsr limb)
-          b;
-        let k = ref (i + Array.length b) in
-        while !carry > 0 do
-          let v = r.(!k) + !carry in
-          r.(!k) <- v land mask;
-          carry := v lsr limb;
-          incr k
-        done)
-      a;
-    trim r
-
-  let pow2 n =
-    let r = Array.make ((n / limb) + 1) 0 in
-    r.(n / limb) <- 1 lsl (n mod limb);
-    r
-
-  let rec pow x k = if k = 0 then of_int 1 else mul x (pow x (k - 1))
-
-  let compare a b =
-    let a = trim a and b = trim b in
-    if Array.length a <> Array.length b then Int.compare (Array.length a) (Array.length b)
-    else begin
-      let r = ref 0 and i = ref (Array.length a - 1) in
-      while !r = 0 && !i >= 0 do
-        r := Int.compare a.(!i) b.(!i);
-        decr i
-      done;
-      !r
-    end
-
-  let bit_length a =
-    let a = trim a in
-    let n = Array.length a in
-    if n = 0 then 0
-    else begin
-      let top = ref a.(n - 1) and b = ref 0 in
-      while !top > 0 do incr b; top := !top lsr 1 done;
-      ((n - 1) * limb) + !b
-    end
-end
-
-(* Every table entry, exactly: [c] is in [2^127, 2^128); for q >= 0 it is
-   5^q shifted to 128 bits and cut down, for q < 0 the least integer above
-   2^b / 5^-q.  The reader's binary exponent [(217706 q) asr 16] is
-   [floor (q log2 10)] at every q. *)
-let test_power_table_exact () =
-  let open Powers_of_ten in
-  Alcotest.(check int) "two words per power" (2 * (max_q - min_q + 1)) (Array.length table);
-  let five = Nat.of_int 5 and ten = Nat.of_int 10 in
-  for q = min_q to max_q do
-    let k = 2 * (q - min_q) in
-    let c = Nat.add (Nat.mul (Nat.of_int64 table.(k)) (Nat.pow2 64)) (Nat.of_int64 table.(k + 1)) in
-    let name what = Printf.sprintf "q = %d: %s" q what in
-    Alcotest.(check int) (name "c has 128 bits") 128 (Nat.bit_length c);
-    let z = Nat.pow five (abs q) in
-    (if q >= 0 then begin
-       let l = Nat.bit_length z in
-       if l <= 128 then
-         Alcotest.(check bool) (name "c = 5^q 2^(128-l)") true
-           (Nat.compare c (Nat.mul z (Nat.pow2 (128 - l))) = 0)
-       else begin
-         let scale = Nat.pow2 (l - 128) in
-         Alcotest.(check bool) (name "c 2^(l-128) <= 5^q < (c+1) 2^(l-128)") true
-           (Nat.compare (Nat.mul c scale) z <= 0
-           && Nat.compare z (Nat.mul (Nat.add c (Nat.of_int 1)) scale) < 0)
-       end
-     end
-     else begin
-       (* 2^b < c z <= 2^b + z picks b as the top bit of c z - 1. *)
-       let cz = Nat.mul c z in
-       let b = Nat.bit_length cz - 1 in
-       let b = if Nat.compare cz (Nat.pow2 b) = 0 then b - 1 else b in
-       Alcotest.(check bool) (name "(c - 1) 5^-q <= 2^b < c 5^-q") true
-         (Nat.compare (Nat.pow2 b) cz < 0
-         && Nat.compare cz (Nat.add (Nat.pow2 b) z) <= 0)
-     end);
-    let log2_10 =
-      if q >= 0 then Nat.bit_length (Nat.pow ten q) - 1
-      else - Nat.bit_length (Nat.pow ten (-q))
-    in
-    Alcotest.(check int) (name "floor (q log2 10)") log2_10 ((217706 * q) asr 16)
-  done
-
-let test_read_float_allocates_nothing () =
-  let toks =
-    Array.init 1000 (fun i ->
-        Printf.sprintf "%.17g" (float_of_int (i + 1) *. 1.2345678e-5))
-  in
-  let dst = [| 0. |] in
-  let before = Gc.minor_words () in
-  Array.iter
-    (fun tok -> assert (Json.read_float dst tok 0 (String.length tok)))
-    toks;
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check bool)
-    (Printf.sprintf "%.0f minor words for 1000 tokens" words)
-    true (words < 10.)
-
-let read_float_props =
-  let open QCheck in
-  [
-    Test.make ~name:"read_float matches float_of_string on random doubles"
-      ~count:3000 int64
-      (fun b ->
-        let x = Int64.float_of_bits b in
-        List.for_all reads_like_library
-          [ Printf.sprintf "%.17g" x; Printf.sprintf "%.15g" x; Printf.sprintf "%.6g" x ]);
-    Test.make ~name:"read_float matches float_of_string on random decimal tokens"
-      ~count:3000
-      (make ~print:Fun.id
-         Gen.(
-           map3
-             (fun (neg, mantissa) point exp ->
-               let n = String.length mantissa in
-               let p = point mod (n + 1) in
-               (if neg then "-" else "")
-               ^ String.sub mantissa 0 p ^ "." ^ String.sub mantissa p (n - p)
-               ^ match exp with Some e -> "e" ^ string_of_int e | None -> "")
-             (pair bool (string_size ~gen:numeral (int_range 1 24)))
-             nat
-             (opt (int_range (-360) 330))))
-      reads_like_library;
-  ]
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "lv_telemetry"
@@ -579,14 +369,6 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
           Alcotest.test_case "escapes" `Quick test_json_escapes;
         ] );
-      ( "read_float",
-        [
-          Alcotest.test_case "edge corpus" `Quick test_read_float_edges;
-          Alcotest.test_case "power table exact" `Quick test_power_table_exact;
-          Alcotest.test_case "decided tokens allocate nothing" `Quick
-            test_read_float_allocates_nothing;
-        ]
-        @ List.map QCheck_alcotest.to_alcotest read_float_props );
       ( "event",
         [ Alcotest.test_case "json round-trip" `Quick test_event_json_roundtrip ] );
       ( "span",
