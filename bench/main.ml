@@ -324,9 +324,7 @@ let fit_and_figures campaigns =
       printf "%a@.@." Fit.pp_report report;
       (* Capped runs are right-censored observations; show how much of the
          exponential rate the naive drop-them estimator loses. *)
-      let censored =
-        Lv_multiwalk.Campaign.censored_iterations m.outcome.Engine.campaign
-      in
+      let censored = ds.Lv_multiwalk.Dataset.censored in
       if Array.length censored > 0 then begin
         let with_censoring =
           Lv_stats.Mle.exponential_censored

@@ -23,9 +23,8 @@ type t = {
   pool : Lv_exec.Pool.t option;
       (** executor for the parallel phases (campaign runs, race
           walkers, validation replicates, folds and trials).  [None]
-          means serial on the calling domain for validation and
-          campaigns, but a race scopes its own pool of up to one worker
-          per recommended domain.  Fits and predictions never use it. *)
+          means serial on the calling domain, in every phase
+          ({!Lv_exec.Pool.map}).  Fits and predictions never use it. *)
   telemetry : Lv_telemetry.Sink.t;  (** default: the null sink *)
   alpha : float;
       (** KS significance level used when a call gives none (0.05) *)
@@ -35,7 +34,7 @@ type t = {
 }
 
 val default : t
-(** No pool override, null telemetry, alpha 0.05, no cache. *)
+(** No pool (serial), null telemetry, alpha 0.05, no cache. *)
 
 val make :
   ?pool:Lv_exec.Pool.t ->

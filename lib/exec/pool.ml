@@ -203,7 +203,7 @@ let submit pool tasks =
   Condition.broadcast pool.work_cond;
   Mutex.unlock pool.lock
 
-let parallel_map (type b) ?cancel ?(skipped : b option) pool (f : _ -> b) xs =
+let parallel_map pool f xs =
   let n = Array.length xs in
   if n = 0 then [||]
   else begin
@@ -218,14 +218,8 @@ let parallel_map (type b) ?cancel ?(skipped : b option) pool (f : _ -> b) xs =
       }
     in
     let task i () =
-      let skip_for_cancel =
-        match (skipped, cancel) with
-        | Some _, Some c -> Cancel.is_set c
-        | _ -> false
-      in
       if Atomic.get job.aborted then ()
         (* an earlier task raised; its slot is never read *)
-      else if skip_for_cancel then results.(i) <- skipped
       else begin
         match f xs.(i) with
         | v -> results.(i) <- Some v
@@ -253,3 +247,6 @@ let parallel_map (type b) ?cancel ?(skipped : b option) pool (f : _ -> b) xs =
           | None -> assert false (* every non-aborted task filled its slot *))
         results
   end
+
+let map pool f xs =
+  match pool with Some p -> parallel_map p f xs | None -> Array.map f xs

@@ -3,7 +3,7 @@
     A pool is a fixed set of worker domains that the caller creates, hands
     to the work, and shuts down: {!create}/{!shutdown}, or {!with_pool} to
     scope both.  There is no process-wide pool; code that is given none
-    either runs serially or scopes a pool of its own.  The workers share
+    runs serially on the calling domain ({!map}).  The workers share
     one first-in, first-out queue of tasks: every parallel phase is a flat
     batch of independent tasks, so there is nothing to balance beyond
     taking the next task when one is done.
@@ -46,13 +46,13 @@
     domains.  The exception is a nested call: a task that itself calls
     [parallel_map] on its own pool runs that batch inline, one element
     after another on its own worker, so nesting cannot deadlock, even on a
-    pool of one.  Inline elements follow the same cancellation and
-    exception rules but are not counted in [stats.tasks].  A pool may be
+    pool of one.  Inline elements follow the same exception rules but
+    are not counted in [stats.tasks].  A pool may be
     shared by several calling domains; each call's barrier is
     independent.
 
-    [shutdown] must not race in-flight calls: finish (or cancel) your
-    jobs, then shut down — {!with_pool} scopes this for you. *)
+    [shutdown] must not race in-flight calls: finish your jobs, then shut
+    down — {!with_pool} scopes this for you. *)
 
 type t
 
@@ -75,18 +75,16 @@ val worker_index : unit -> int option
     ([0 <= w < size]); [None] on any other domain.  Lets tasks keep
     cheap worker-local state (e.g. one solver instance per worker). *)
 
-val parallel_map :
-  ?cancel:Cancel.t -> ?skipped:'b -> t -> ('a -> 'b) -> 'a array -> 'b array
+val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [parallel_map pool f xs] evaluates [f] on every element, in parallel,
-    preserving input order in the result.
+    preserving input order in the result.  Every element is evaluated
+    (unless a task raises); work that should stop early, such as the
+    losing walkers of a race, checks its own flag and returns. *)
 
-    [cancel] makes the call cancellable.  Once the token is set, tasks
-    that have not started are not run: their slots receive [skipped]
-    when it is provided.  Without [skipped] the cancellation is purely
-    cooperative — [f] still runs for every element and is expected to
-    consult the token itself and return quickly.  Tasks already running
-    are never interrupted (cooperative model); the barrier waits for
-    them. *)
+val map : t option -> ('a -> 'b) -> 'a array -> 'b array
+(** [map (Some pool) f xs] is {!parallel_map}; [map None f xs] is
+    [Array.map f xs], one element after another on the calling domain.
+    This is what "no pool" means in every pipeline stage. *)
 
 type stats = {
   domains : int;

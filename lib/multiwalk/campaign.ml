@@ -9,9 +9,9 @@ type result = {
 
 exception Unusable_checkpoint of string
 
-(* The run columns, with the runs a checkpoint holds filled in.  A log
-   corrupt before its last line, or written by a different campaign (seed
-   mismatch), is rejected before any run starts: mixing unreadable or
+(* The run columns, with the runs a checkpoint holds filled in.  A
+   corrupt log (anything but a torn last record), or one written by a
+   different campaign (seed mismatch), is rejected before any run starts: mixing unreadable or
    foreign runs in silently would corrupt the dataset. *)
 let restore ~path ~seed cols =
   match
@@ -25,7 +25,7 @@ let restore ~path ~seed cols =
          (Printf.sprintf
             "Campaign.run: checkpoint %s belongs to a different campaign (run \
              %d recorded with seed %d, expected %d)"
-            path r recorded (seed + r)))
+            path r recorded (Run.seed ~seed r)))
 
 (* The observation list and both datasets, in run order, in one pass over
    the columns. *)
@@ -112,13 +112,14 @@ let run_fn ?(ctx = Lv_context.Context.default) ?progress ?checkpoint ~label
           runners.(w) <- Some f;
           f
       in
-      let obs = runner (Lv_stats.Rng.create ~seed:(seed + r)) in
+      let run_seed = Run.seed ~seed r in
+      let obs = runner (Lv_stats.Rng.create ~seed:run_seed) in
       (* Log before counting the run as done: a crash between the two at
          worst replays a completed run on resume, never loses one. *)
       (match log with
       | Some w ->
         Checkpoint.append w
-          (Checkpoint.entry_of_observation ~run:r ~seed:(seed + r) obs)
+          (Checkpoint.entry_of_observation ~run:r ~seed:run_seed obs)
       | None -> ());
       (* Fixed path, not the domain-local nesting path: runs execute on
          pool workers (outside the "campaign" span's domain), and all
@@ -128,7 +129,7 @@ let run_fn ?(ctx = Lv_context.Context.default) ?progress ?checkpoint ~label
           ~fields:
             [
               ("run", Lv_telemetry.Json.Int r);
-              ("seed", Lv_telemetry.Json.Int (seed + r));
+              ("seed", Lv_telemetry.Json.Int run_seed);
               ("domain", Lv_telemetry.Json.Int w);
               ("iterations", Lv_telemetry.Json.Int obs.Run.iterations);
               ("solved", Lv_telemetry.Json.Bool obs.Run.solved);
@@ -146,11 +147,7 @@ let run_fn ?(ctx = Lv_context.Context.default) ?progress ?checkpoint ~label
        it here (no leaked domains, no unclaimed slots).  With a checkpoint,
        completed runs were already logged, so the aborted campaign resumes
        where it died. *)
-    let fresh =
-      match pool with
-      | Some p -> Lv_exec.Pool.parallel_map p fresh_run missing
-      | None -> Array.map fresh_run missing
-    in
+    let fresh = Lv_exec.Pool.map pool fresh_run missing in
     Array.iteri
       (fun i r ->
         let o = fresh.(i) in
@@ -188,12 +185,6 @@ let run_fn ?(ctx = Lv_context.Context.default) ?progress ?checkpoint ~label
         ("restored", Lv_telemetry.Json.Int n_restored);
       ])
     body
-
-let censored_iterations result =
-  result.observations
-  |> List.filter_map (fun o ->
-         if o.Run.solved then None else Some (float_of_int o.Run.iterations))
-  |> Array.of_list
 
 let run ?ctx ?params ?budget ?progress ?checkpoint ~label ~seed ~runs
     make_instance =

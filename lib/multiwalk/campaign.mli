@@ -20,16 +20,16 @@
       [censored] arrays, and reported to telemetry — instead of a hung
       worker or a silently dropped data point.
     - {e Checkpoint/resume} ([?checkpoint]): every completed run is
-      appended (and flushed) to a JSONL run-log ({!Checkpoint}).  On
+      appended (and flushed) to a binary run-log ({!Checkpoint}).  On
       restart with the same [~seed]/[~runs], logged runs are restored
       instead of re-executed — only the runs missing from the log go to
       the executor, and a complete log opens neither the executor nor
       the writer — and the resumed dataset is byte-identical to an
-      uninterrupted campaign (per-run seeding [seed + r] makes iteration
-      counts exact; restored seconds are the genuinely measured ones).
-      A log that is corrupt before its last line, or that was recorded
-      under a different seed, raises {!Unusable_checkpoint} before any
-      run starts.  The log is decoded straight into per-run columns
+      uninterrupted campaign (per-run seeding by {!Run.seed} makes
+      iteration counts exact; restored seconds are the genuinely measured
+      ones).  A log that is corrupt (anything but a torn last record), or
+      that was recorded under a different seed, raises
+      {!Unusable_checkpoint} before any run starts.  The log is decoded straight into per-run columns
       ({!Checkpoint.restore}), the executed runs fill the same columns,
       and the observation list and both datasets are built from them in
       one pass — a warm rerun of a complete log does no other work.  This
@@ -52,9 +52,9 @@
 
 exception Unusable_checkpoint of string
 (** Raised by {!run}/{!run_fn} before any run executes when the
-    [?checkpoint] log cannot be resumed: a line before the last one is
-    malformed, or an entry's seed is not [seed + run].  The message names
-    the file. *)
+    [?checkpoint] log cannot be resumed: its header is bad, a whole
+    record fails its check, or an entry's seed is not
+    [Run.seed ~seed run].  The message names the file. *)
 
 type result = {
   observations : Run.observation list;
@@ -68,12 +68,6 @@ type result = {
           goes with that copy of the pipeline. *)
   n_restored : int;        (** runs restored from the checkpoint, not re-run *)
 }
-
-val censored_iterations : result -> float array
-(** Iteration counts of the censored runs (each ran to its budget): the
-    right-censored observations for
-    {!Lv_stats.Mle.exponential_censored}-style estimators.  Empty when every
-    run solved. *)
 
 val run :
   ?ctx:Lv_context.Context.t ->
@@ -94,7 +88,7 @@ val run :
     one after another on the calling domain.  [progress] is called with
     the number of completed runs after each executed run (restored runs
     count as completed, but are not reported one by one).  Seeding is per-run
-    ([seed + run index]) and results are slotted by run index, so the
+    ({!Run.seed}) and results are slotted by run index, so the
     datasets are byte-identical whatever the pool size.
 
     [budget] caps each run (see {!Run.budget}); [checkpoint] and the abort

@@ -135,7 +135,7 @@ let restore path ~seed cols =
            let r = int_at b off in
            if r >= 0 && r < runs then begin
              let s = int_at b (off + 8) in
-             if s <> seed + r && Option.is_none !foreign then
+             if s <> Run.seed ~seed r && Option.is_none !foreign then
                foreign := Some (r, s);
              cols.iterations.(r) <- int_at b (off + 16);
              cols.seconds.(r) <- seconds_at b off;

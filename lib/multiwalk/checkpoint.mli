@@ -24,7 +24,7 @@
     in one field gives a different final word, and a change shows up in
     its top 32 bits except with probability about [2^-32].
 
-    [seed] is the run's own derived seed ([campaign seed + run index]) and
+    [seed] is the run's own derived seed ({!Run.seed}) and
     doubles as a consistency check on resume: a checkpoint written by a
     different campaign (different seed) is rejected rather than silently
     mixed in.  [seconds] is stored as its bits, so a resumed campaign
@@ -50,7 +50,7 @@
 
 type entry = {
   run : int;         (** run index within the campaign, [0 <= run < runs] *)
-  seed : int;        (** the run's derived seed ([campaign seed + run]) *)
+  seed : int;        (** the run's derived seed ({!Run.seed}) *)
   iterations : int;
   seconds : float;
   solved : bool;     (** [false] ⇒ censored at [iterations] *)
@@ -83,8 +83,8 @@ val restore : string -> seed:int -> columns -> (int * int) option
     before the bad one).  Records whose run lies outside [cols] are
     skipped; a later record for a run overrides an earlier one.  Returns
     the first in-range record, in file order, whose seed is not
-    [seed + run], as [Some (run, seed)]; the caller decides what a foreign
-    run means.  A missing file restores nothing. *)
+    [Run.seed ~seed run], as [Some (run, seed)]; the caller decides what a
+    foreign run means.  A missing file restores nothing. *)
 
 type writer
 (** An append handle; serialized internally, safe from any domain. *)

@@ -23,57 +23,41 @@ let wall_clock ?(ctx = Lv_context.Context.default) ?params ~seed ~walkers
   let { Lv_context.Context.pool; telemetry; _ } = ctx in
   let traced = not (Lv_telemetry.Sink.is_null telemetry) in
   let found = Atomic.make (-1) in
-  let cancel = Lv_exec.Cancel.create () in
+  (* The race's one stop signal: walkers already running poll it from
+     inside the solver and abandon; walkers that start after a winner is
+     found build no instance and report no iterations. *)
+  let stop () = Atomic.get found >= 0 in
   let walker w =
-    let packed = make_instance () in
-    let rng = Lv_stats.Rng.create ~seed:(seed + w) in
-    (* The winner flag doubles as the in-flight stop signal: walkers
-       already running poll it from inside the solver and abandon. *)
-    let stop () = Atomic.get found >= 0 in
-    let start = Lv_telemetry.Clock.now_ns () in
-    let result = Lv_search.Adaptive_search.solve_packed ?params ~stop ~rng packed in
-    if Lv_search.Adaptive_search.solved result then
-      (* First writer wins; later finishers leave the flag alone.  The
-         cancel token then keeps walkers that have not yet started off
-         the pool entirely. *)
-      if Atomic.compare_and_set found (-1) w then Lv_exec.Cancel.set cancel;
-    let iterations = Lv_search.Adaptive_search.iterations result in
-    if traced then
-      Lv_telemetry.Span.record telemetry ~start ~path:"race.walker"
-        ~fields:
-          [
-            ("walker", Lv_telemetry.Json.Int w);
-            ("iterations", Lv_telemetry.Json.Int iterations);
-            ( "solved",
-              Lv_telemetry.Json.Bool (Lv_search.Adaptive_search.solved result) );
-          ]
-        ();
-    Some iterations
+    if stop () then None
+    else begin
+      let packed = make_instance () in
+      let rng = Lv_stats.Rng.create ~seed:(Run.seed ~seed w) in
+      let start = Lv_telemetry.Clock.now_ns () in
+      let result = Lv_search.Adaptive_search.solve_packed ?params ~stop ~rng packed in
+      let solved = Lv_search.Adaptive_search.solved result in
+      (* First writer wins; later finishers leave the flag alone. *)
+      if solved then ignore (Atomic.compare_and_set found (-1) w);
+      let iterations = Lv_search.Adaptive_search.iterations result in
+      if traced then
+        Lv_telemetry.Span.record telemetry ~start ~path:"race.walker"
+          ~fields:
+            [
+              ("walker", Lv_telemetry.Json.Int w);
+              ("iterations", Lv_telemetry.Json.Int iterations);
+              ("solved", Lv_telemetry.Json.Bool solved);
+            ]
+          ();
+      Some iterations
+    end
   in
   let outcome_cell = ref None in
   let body () =
-    (* Timed inside the pool's scope: a pool the race creates for itself
-       is not part of its wall-clock.  Monotonic: gettimeofday can step
-       under NTP and skew race durations. *)
-    let race p =
-      let t0 = Lv_telemetry.Clock.now_ns () in
-      let iters =
-        Lv_exec.Pool.parallel_map ~cancel ~skipped:None p walker
-          (Array.init walkers Fun.id)
-      in
-      let seconds =
-        Lv_telemetry.Clock.seconds_between ~start:t0
-          ~stop:(Lv_telemetry.Clock.now_ns ())
-      in
-      (iters, seconds)
-    in
-    let iters, seconds =
-      match pool with
-      | Some p -> race p
-      | None ->
-        Lv_exec.Pool.with_pool
-          ~domains:(min walkers (Domain.recommended_domain_count ()))
-          race
+    (* Monotonic: gettimeofday can step under NTP and skew race durations. *)
+    let t0 = Lv_telemetry.Clock.now_ns () in
+    let iters = Lv_exec.Pool.map pool walker (Array.init walkers Fun.id) in
+    let seconds =
+      Lv_telemetry.Clock.seconds_between ~start:t0
+        ~stop:(Lv_telemetry.Clock.now_ns ())
     in
     let w = Atomic.get found in
     let o =
@@ -89,8 +73,8 @@ let wall_clock ?(ctx = Lv_context.Context.default) ?params ~seed ~walkers
           walkers;
           winner = None;
           seconds;
-          (* no winner ⇒ the cancel token was never set ⇒ every walker
-             ran, so [ran] is non-empty *)
+          (* no winner ⇒ the flag was never set ⇒ every walker ran, so
+             [ran] is non-empty *)
           min_iterations = List.fold_left Int.min (List.hd ran) ran;
           solved = false;
         }

@@ -5,8 +5,8 @@
     Two variants:
 
     - {!wall_clock}: a true first-finisher-wins race, walkers multiplexed
-      over an {!Lv_exec.Pool}.  Faithful to the cluster setup but only
-      meaningful for [walkers <= pool workers <= physical cores].
+      over the caller's {!Lv_exec.Pool}.  Faithful to the cluster setup but
+      only meaningful for [walkers <= pool workers <= physical cores].
     - {!iteration_metric}: runs every walker to completion, one after
       another on the calling domain, and reports the minimum iteration count.
       This is *exactly* the multi-walk outcome in the paper's preferred
@@ -30,11 +30,11 @@ val wall_clock :
   (unit -> Lv_search.Csp.packed) ->
   outcome
 (** Race the walkers on [ctx.pool] instead of one domain each.  Without
-    a pool the race scopes its own, of
-    [min walkers (Domain.recommended_domain_count ())] domains, and shuts
-    it down before returning.  The first solver to finish flips a shared flag:
-    walkers already running poll it and abandon; walkers not yet started
-    are skipped via the pool's cancellation token and report no
+    a pool the walkers run one after another on the calling domain, so the
+    first one that solves ends the race.  Walker [w] is seeded
+    [Run.seed ~seed w].  The first solver to finish flips a shared flag:
+    walkers already running poll it and abandon; walkers that start after
+    it is set do not run — they build no instance and report no
     iterations.  [make_instance] is called once per walker that runs.
 
     With a live [ctx.telemetry] sink each walker emits one ["race.walker"]

@@ -2,6 +2,8 @@ type observation = { seconds : float; iterations : int; solved : bool }
 
 type budget = { max_seconds : float option; max_iterations : int option }
 
+let seed ~seed r = seed + r
+
 let unlimited = { max_seconds = None; max_iterations = None }
 
 let budget ?max_seconds ?max_iterations () =
@@ -27,16 +29,16 @@ let once ?params ?(budget = unlimited) ~rng packed =
             Int.min cap base.Lv_search.Params.max_iterations;
         }
   in
-  let stop =
-    match budget.max_seconds with
-    | None -> None
-    | Some s ->
-      let token = Lv_exec.Cancel.with_deadline ~seconds:s in
-      Some (fun () -> Lv_exec.Cancel.is_set token)
-  in
   (* Monotonic clock: wall-clock (gettimeofday) jumps under NTP adjustment
      and can report negative or skewed durations mid-campaign. *)
   let start = Lv_telemetry.Clock.now_ns () in
+  let stop =
+    Option.map
+      (fun s ->
+        let deadline = Int64.add start (Int64.of_float (s *. 1e9)) in
+        fun () -> Int64.compare (Lv_telemetry.Clock.now_ns ()) deadline >= 0)
+      budget.max_seconds
+  in
   let result = Lv_search.Adaptive_search.solve_packed ?params ?stop ~rng packed in
   let seconds =
     Lv_telemetry.Clock.seconds_between ~start

@@ -21,18 +21,6 @@ type t = {
   marks : int;
 }
 
-(* Type-7 interpolated quantile over a sorted array (local copy: the
-   telemetry library deliberately does not depend on lv_stats). *)
-let quantile_sorted xs p =
-  let n = Array.length xs in
-  if n = 1 then xs.(0)
-  else begin
-    let h = p *. float_of_int (n - 1) in
-    let i = int_of_float (floor h) in
-    if i >= n - 1 then xs.(n - 1)
-    else xs.(i) +. ((h -. float_of_int i) *. (xs.(i + 1) -. xs.(i)))
-  end
-
 let phase_of_durations path events =
   let durations =
     events
@@ -43,6 +31,9 @@ let phase_of_durations path events =
   Array.sort Float.compare durations;
   let count = Array.length durations in
   let total_s = Array.fold_left ( +. ) 0. durations in
+  let quantile p =
+    if count = 0 then 0. else Lv_stats.Summary.sorted_quantile durations p
+  in
   let bool_field name e = Event.field name e |> fun v -> Option.bind v Json.to_bool in
   let count_field name v =
     List.length
@@ -55,8 +46,8 @@ let phase_of_durations path events =
     total_s;
     min_s = (if count = 0 then 0. else durations.(0));
     mean_s = (if count = 0 then 0. else total_s /. float_of_int count);
-    p50_s = (if count = 0 then 0. else quantile_sorted durations 0.5);
-    p90_s = (if count = 0 then 0. else quantile_sorted durations 0.9);
+    p50_s = quantile 0.5;
+    p90_s = quantile 0.9;
     max_s = (if count = 0 then 0. else durations.(count - 1));
     rate_per_s = (if total_s > 0. then float_of_int count /. total_s else 0.);
     solved = count_field "solved" true;

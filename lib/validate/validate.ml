@@ -53,11 +53,6 @@ let salt_trial_bands = 4
 let stream_rng ~seed ~salt index =
   Rng.create ~seed:(stream_seed ~seed ~salt index)
 
-let parallel_map pool f xs =
-  match pool with
-  | Some p -> Lv_exec.Pool.parallel_map p f xs
-  | None -> Array.map f xs
-
 (* ------------------------------------------------------------------ *)
 (* Bootstrap confidence bands                                          *)
 (* ------------------------------------------------------------------ *)
@@ -103,7 +98,7 @@ let bands_for ~pool ~replicates ~level ~seed ~cores
       in
       Some (d.Distribution.params, speedups)
   in
-  let results = parallel_map pool replicate (Array.init replicates Fun.id) in
+  let results = Lv_exec.Pool.map pool replicate (Array.init replicates Fun.id) in
   let ok = Array.to_list results |> List.filter_map Fun.id in
   let dropped = replicates - List.length ok in
   if ok = [] then
@@ -236,7 +231,7 @@ let holdout ?pool ?(alpha = Lv_context.Context.default.alpha) ?candidates
   let reports =
     (* One pool task per fold: each fits and checks its own split, and the
        reports are slotted by fold index. *)
-    parallel_map pool
+    Lv_exec.Pool.map pool
       (fun j ->
         let test = Array.map (fun i -> xs.(i)) fold_sets.(j) in
         let in_test = Array.make n false in
@@ -376,7 +371,7 @@ let oracle ?pool ?(alpha = Lv_context.Context.default.alpha) ?replicates
               t_rejected = not ks.Kolmogorov.accept;
             }))
   in
-  let outcomes = parallel_map pool one_trial (Array.init trials Fun.id) in
+  let outcomes = Lv_exec.Pool.map pool one_trial (Array.init trials Fun.id) in
   let ok = Array.to_list outcomes |> List.filter_map Fun.id in
   let failures = trials - List.length ok in
   let n_ok = List.length ok in

@@ -1,11 +1,9 @@
 (* Tests for the lib/exec executor: the pool's contracts — deterministic
    result ordering, several callers sharing one pool, the exception
-   barrier, nested calls run inline, cooperative cancellation, telemetry
-   accounting — and the end-to-end determinism guarantee campaigns rely
+   barrier, nested calls run inline, telemetry accounting — and the end-to-end determinism guarantee campaigns rely
    on. *)
 
 module Pool = Lv_exec.Pool
-module Cancel = Lv_exec.Cancel
 
 (* ------------------------------------------------------------------ *)
 (* Pool basics                                                         *)
@@ -85,7 +83,7 @@ let test_pool_shared_by_two_callers () =
 let test_pool_nested_map_no_deadlock () =
   (* A task that itself maps on the same pool runs the inner batch inline
      instead of blocking — even on a pool of one — with the same
-     cancellation and exception rules as an outer call. *)
+     exception rules as an outer call. *)
   Pool.with_pool ~domains:1 @@ fun p ->
   let ys =
     Pool.parallel_map p
@@ -101,19 +99,6 @@ let test_pool_nested_map_no_deadlock () =
       Alcotest.(check int) (Printf.sprintf "nested sum %d" i)
         ((40 * i) + 6) s)
     ys;
-  (* An inner map with a pre-set token returns the skipped value. *)
-  let cancel = Cancel.create () in
-  Cancel.set cancel;
-  let skipped =
-    Pool.parallel_map p
-      (fun () ->
-        Pool.parallel_map ~cancel ~skipped:(-1) p
-          (fun _ -> Alcotest.fail "cancelled inner task ran")
-          (Array.init 3 Fun.id))
-      [| () |]
-  in
-  Alcotest.(check (array int)) "inner skipped slots" [| -1; -1; -1 |]
-    skipped.(0);
   (* An inner raise surfaces as the outer call's exception... *)
   (match
      Pool.parallel_map p
@@ -129,85 +114,6 @@ let test_pool_nested_map_no_deadlock () =
   Alcotest.(check (array int)) "pool alive after an inner raise"
     [| 1; 2; 3 |]
     (Pool.parallel_map p succ [| 0; 1; 2 |])
-
-(* ------------------------------------------------------------------ *)
-(* Cancellation                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_cancel_preset_skips_everything () =
-  Pool.with_pool ~domains:2 @@ fun p ->
-  let cancel = Cancel.create () in
-  Cancel.set cancel;
-  let ran = Atomic.make 0 in
-  let ys =
-    Pool.parallel_map ~cancel ~skipped:(-1) p
-      (fun i ->
-        Atomic.incr ran;
-        i)
-      (Array.init 64 Fun.id)
-  in
-  Alcotest.(check int) "nothing ran" 0 (Atomic.get ran);
-  Array.iter (fun y -> Alcotest.(check int) "skipped slot" (-1) y) ys
-
-let test_cancel_stops_in_flight_walkers () =
-  (* Every task flips the token, so after the first executed task the rest
-     must be skipped or have observed the token themselves: each slot holds
-     either its own index (ran) or the skip value.  At least one ran (the
-     one that set the token); on any pool size at most [workers] can be
-     mid-flight when it is set, so with many more tasks than workers some
-     skips must occur. *)
-  Pool.with_pool ~domains:2 @@ fun p ->
-  let cancel = Cancel.create () in
-  let ran = Atomic.make 0 in
-  let n = 512 in
-  let ys =
-    Pool.parallel_map ~cancel ~skipped:(-1) p
-      (fun i ->
-        Cancel.set cancel;
-        Atomic.incr ran;
-        i)
-      (Array.init n Fun.id)
-  in
-  let executed = Atomic.get ran in
-  Alcotest.(check bool) "at least the canceller ran" true (executed >= 1);
-  Alcotest.(check bool) "cancellation skipped the tail" true (executed < n);
-  Array.iteri
-    (fun i y ->
-      if y <> i && y <> -1 then Alcotest.failf "slot %d holds %d" i y)
-    ys;
-  Alcotest.(check bool) "token observable after the call" true
-    (Cancel.is_set cancel)
-
-let test_cancel_deadline () =
-  Alcotest.(check bool) "zero deadline already set" true
-    (Cancel.is_set (Cancel.with_deadline ~seconds:0.));
-  let far = Cancel.with_deadline ~seconds:3600. in
-  Alcotest.(check bool) "distant deadline unset" false (Cancel.is_set far);
-  Cancel.set far;
-  Alcotest.(check bool) "can still be set early" true (Cancel.is_set far);
-  (* A short deadline fires on the monotonic clock; poll with a bounded
-     spin so a broken deadline fails the test instead of hanging it. *)
-  let t = Cancel.with_deadline ~seconds:0.005 in
-  let start = Lv_telemetry.Clock.now_ns () in
-  let rec spin () =
-    if Cancel.is_set t then ()
-    else if
-      Lv_telemetry.Clock.seconds_between ~start
-        ~stop:(Lv_telemetry.Clock.now_ns ())
-      > 2.
-    then Alcotest.fail "deadline never fired"
-    else spin ()
-  in
-  spin ();
-  Alcotest.(check bool) "stays set (latch)" true (Cancel.is_set t);
-  let rejects seconds =
-    match Cancel.with_deadline ~seconds with
-    | exception Invalid_argument _ -> ()
-    | (_ : Cancel.t) -> Alcotest.failf "deadline %g accepted" seconds
-  in
-  rejects (-1.);
-  rejects Float.nan;
-  rejects Float.infinity
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry / stats accounting                                        *)
@@ -298,14 +204,6 @@ let () =
           Alcotest.test_case "exception barrier" `Quick test_pool_exception_barrier;
           Alcotest.test_case "nested map, pool of one" `Quick
             test_pool_nested_map_no_deadlock;
-        ] );
-      ( "cancel",
-        [
-          Alcotest.test_case "pre-set token skips all" `Quick
-            test_cancel_preset_skips_everything;
-          Alcotest.test_case "token stops in-flight work" `Quick
-            test_cancel_stops_in_flight_walkers;
-          Alcotest.test_case "deadline token" `Quick test_cancel_deadline;
         ] );
       ( "telemetry",
         [

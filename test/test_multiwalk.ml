@@ -323,6 +323,7 @@ let test_budget_validation () =
   in
   rejects (fun () -> Lv_multiwalk.Run.budget ~max_seconds:(-1.) ());
   rejects (fun () -> Lv_multiwalk.Run.budget ~max_seconds:Float.nan ());
+  rejects (fun () -> Lv_multiwalk.Run.budget ~max_seconds:Float.infinity ());
   rejects (fun () -> Lv_multiwalk.Run.budget ~max_iterations:0 ())
 
 let test_budget_timeout_zero_censors () =
@@ -335,6 +336,21 @@ let test_budget_timeout_zero_censors () =
   Alcotest.(check int) "stopped before iterating" 0 o.Lv_multiwalk.Run.iterations;
   Alcotest.(check bool) "duration still nonnegative" true
     (o.Lv_multiwalk.Run.seconds >= 0.)
+
+let test_budget_deadline_censors () =
+  (* 20-Costas from this seed is unsolved after two million iterations, so
+     a 5 ms deadline must end the run.  The iteration cap bounds the test
+     if the deadline never fires: reaching it fails the test instead of
+     hanging it. *)
+  let cap = 100_000 in
+  let budget = Lv_multiwalk.Run.budget ~max_seconds:0.005 ~max_iterations:cap () in
+  let rng = Lv_stats.Rng.create ~seed:1 in
+  let o = Lv_multiwalk.Run.once ~budget ~rng (Lv_problems.Costas.pack 20) in
+  Alcotest.(check bool) "censored" false o.Lv_multiwalk.Run.solved;
+  Alcotest.(check bool) "stopped by the deadline, not the cap" true
+    (o.Lv_multiwalk.Run.iterations < cap);
+  Alcotest.(check bool) "ran until the deadline" true
+    (o.Lv_multiwalk.Run.seconds >= 0.005)
 
 let test_budget_iteration_cap_censors () =
   (* 20-queens does not solve in 2 iterations: the run must come back as a
@@ -377,9 +393,16 @@ let test_campaign_budget_censoring_accounted () =
     (Lv_multiwalk.Dataset.n_censored c.Lv_multiwalk.Campaign.iterations);
   Alcotest.(check int) "seconds dataset carries the censored runs" n_censored
     (Lv_multiwalk.Dataset.n_censored c.Lv_multiwalk.Campaign.seconds);
-  let censored = Lv_multiwalk.Campaign.censored_iterations c in
-  Alcotest.(check int) "censored_iterations length" n_censored
-    (Array.length censored);
+  (* The censored column holds the unsolved runs' iteration counts, in
+     run order. *)
+  let censored = c.Lv_multiwalk.Campaign.iterations.Lv_multiwalk.Dataset.censored in
+  Alcotest.(check (array (float 0.))) "censored column in run order"
+    (c.Lv_multiwalk.Campaign.observations
+    |> List.filter_map (fun o ->
+           if o.Lv_multiwalk.Run.solved then None
+           else Some (float_of_int o.Lv_multiwalk.Run.iterations))
+    |> Array.of_list)
+    censored;
   Array.iter
     (fun v ->
       Alcotest.(check bool) "censored at most at the cap" true (v <= 10.))
@@ -1204,6 +1227,26 @@ let test_race_wall_clock () =
   | None -> Alcotest.fail "no winner");
   Alcotest.(check bool) "winner iterations positive" true (o.Lv_multiwalk.Race.min_iterations > 0)
 
+let test_race_first_walker_wins_alone () =
+  (* Walker 0 solves 8-queens, so on one worker (or none) it finishes
+     before any other walker starts: it must be the winner, and the
+     walkers after it must not run, so one instance is built in all. *)
+  let check_race what ctx =
+    let made = Atomic.make 0 in
+    let o =
+      Lv_multiwalk.Race.wall_clock ~ctx ~seed:5 ~walkers:4 (fun () ->
+          Atomic.incr made;
+          Lv_problems.Queens.pack 8)
+    in
+    Alcotest.(check (option int)) (what ^ ": walker 0 wins") (Some 0)
+      o.Lv_multiwalk.Race.winner;
+    Alcotest.(check bool) (what ^ ": solved") true o.Lv_multiwalk.Race.solved;
+    Alcotest.(check int) (what ^ ": one instance built") 1 (Atomic.get made)
+  in
+  Lv_exec.Pool.with_pool ~domains:1 (fun pool ->
+      check_race "pool of one" (Lv_context.Context.make ~pool ()));
+  check_race "no pool" Lv_context.Context.default
+
 let test_race_validation () =
   Alcotest.check_raises "zero walkers"
     (Invalid_argument "Race.wall_clock: walkers must be positive") (fun () ->
@@ -1273,6 +1316,7 @@ let () =
         [
           Alcotest.test_case "validation" `Quick test_budget_validation;
           Alcotest.test_case "zero timeout censors" `Quick test_budget_timeout_zero_censors;
+          Alcotest.test_case "deadline censors a run" `Quick test_budget_deadline_censors;
           Alcotest.test_case "iteration cap censors" `Quick test_budget_iteration_cap_censors;
           Alcotest.test_case "durations nonnegative" `Quick test_run_durations_nonnegative;
           Alcotest.test_case "campaign accounts censoring" `Quick
@@ -1317,6 +1361,8 @@ let () =
           Alcotest.test_case "iteration metric" `Quick test_race_iteration_metric;
           Alcotest.test_case "multi-walk gains" `Slow test_race_iteration_metric_beats_singles_on_average;
           Alcotest.test_case "wall clock" `Quick test_race_wall_clock;
+          Alcotest.test_case "first walker wins alone" `Quick
+            test_race_first_walker_wins_alone;
           Alcotest.test_case "validation" `Quick test_race_validation;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_props);

@@ -217,7 +217,26 @@ let test_report_phase_stats () =
     (* Type-7 quantiles on 0.1..1.0. *)
     Alcotest.(check (float 1e-9)) "p50" 0.55 p.Report.p50_s;
     Alcotest.(check (float 1e-9)) "p90" 0.91 p.Report.p90_s;
-    Alcotest.(check (float 1e-9)) "rate" (10. /. 5.5) p.Report.rate_per_s
+    Alcotest.(check (float 1e-9)) "rate" (10. /. 5.5) p.Report.rate_per_s;
+    (* The phase quantiles are Summary's, bit for bit, at every size. *)
+    List.iter
+      (fun durations ->
+        let events =
+          List.mapi
+            (fun i d -> span_at ~ts:(float_of_int i) ~path:"work" d)
+            durations
+        in
+        let p = Option.get (Report.find_phase (Report.of_events events) "work") in
+        let sorted = Array.of_list (List.sort Float.compare durations) in
+        let n = Array.length sorted in
+        List.iter
+          (fun (what, q, got) ->
+            Alcotest.(check (float 0.))
+              (Printf.sprintf "%s of %d" what n)
+              (Lv_stats.Summary.sorted_quantile sorted q)
+              got)
+          [ ("p50", 0.5, p.Report.p50_s); ("p90", 0.9, p.Report.p90_s) ])
+      [ [ 0.25 ]; [ 0.7; 0.1 ]; [ 0.3; 0.01; 2.5; 0.7; 0.1 ] ]
 
 let test_report_solved_counts () =
   let solved b = [ ("solved", Json.Bool b) ] in
